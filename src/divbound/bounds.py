@@ -11,10 +11,12 @@ certified lower and upper error bounds:
   * the square-root lower bound 1/2 - 1/2 sqrt(1 - 4 exp(-2H - J)) and the
     sharper J-inversion variant;
   * upper bounds from every generator with finite f_inf:
-    P_e <= (f_inf - avg)/(2 f_inf - f(1)), including the closed forms for
-    both families and the six difference measures, with the documented
-    sharpness comparisons between them.
+    P_e <= (f_inf - avg)/(2 f_inf - f(1)), for both families and the six
+    difference measures, with the documented sharpness comparisons between
+    them.
 
+Every posterior form is the star transform f*(a) = a f((1-a)/a) of the
+catalog generator; nothing here restates a generator in closed form.
 Outcomes with zero marginal mass are excluded from every expectation.
 """
 
@@ -32,41 +34,16 @@ from .distributions import (
     ValidationFailure,
     validate,
 )
-from .generators import (
-    LN2,
-    GeneratingFunction,
-    generator,
-    star_extended,
-    xi_f_inf,
-)
-from .kernel import (
-    ArgumentError,
-    DivboundError,
-    DomainError,
-    OrderParameter,
-    Regime,
-    invert_decreasing,
-)
-from .measures import DIFF_TAGS, zeta as zeta_measure
+from .generators import LN2, GeneratingFunction, generator, star, star_extended
+from .kernel import ArgumentError, DivboundError, OrderParameter, invert_decreasing
+from .measures import DIFF_TAGS, FAMILY_TAGS, MeasureId, zeta as zeta_measure
 
-INF = math.inf
 PRIOR_TOL = 1e-12
 SANDWICH_TOL = 1e-10
 
 # Bracket for inverting the decreasing P_e-functions; targets above the
 # value at the lower endpoint clamp there and are flagged near-vacuous.
 LOWER_BRACKET_LO = 1e-12
-
-_SQRT2 = math.sqrt(2.0)
-# 1/f_inf coefficients of the six difference upper bounds.
-DIFF_BOUND_COEF = {
-    "D_dDelta": 4.0 / (7.0 - 4.0 * _SQRT2),
-    "D_dh": 2.0 / (3.0 - 2.0 * _SQRT2),
-    "D_dI": 2.0 / (4.0 - 2.0 * _SQRT2 - LN2),
-    "D_hI": 2.0 / (1.0 - LN2),
-    "D_hDelta": 4.0,
-    "D_IDelta": 4.0 / (2.0 * LN2 - 1.0),
-}
 
 
 class InvalidPriors(ValidationFailure):
@@ -130,15 +107,11 @@ def posteriors(problem: TwoClassProblem) -> List[PosteriorPoint]:
     w1 = problem.p1 * problem.cond1.probs
     w2 = problem.p2 * problem.cond2.probs
     px = w1 + w2
-    out = []
-    for i in range(px.shape[0]):
-        if px[i] > 0.0:
-            out.append(
-                PosteriorPoint(float(px[i]), float(w1[i] / px[i]), float(w2[i] / px[i]))
-            )
-        else:
-            out.append(PosteriorPoint(0.0, math.nan, math.nan))
-    return out
+    with np.errstate(invalid="ignore"):  # 0/0 = nan where px == 0
+        post1, post2 = w1 / px, w2 / px
+    return [
+        PosteriorPoint(*point) for point in zip(px.tolist(), post1.tolist(), post2.tolist())
+    ]
 
 
 def _live_posterior_arrays(problem: TwoClassProblem) -> Tuple[np.ndarray, np.ndarray]:
@@ -157,70 +130,40 @@ def bayes_error(problem: TwoClassProblem) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pointwise family forms on the posterior (closed-form route)
+# posterior forms: the star transform of the catalog generator
 # ---------------------------------------------------------------------------
+
+
+def _family_generator(family: str, s) -> GeneratingFunction:
+    if family not in FAMILY_TAGS:
+        raise ArgumentError(f"unknown family {family!r} (expected 'zeta' or 'xi')")
+    return generator(MeasureId(family, OrderParameter.of(s).s))
 
 
 def zeta_point(s, a: float) -> float:
     """First-family pointwise value at posterior a in [0, 1]; decreasing on (0, 1/2]."""
-    op = OrderParameter.of(s)
-    a = float(a)
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"posterior must lie in [0, 1], got {a!r}")
-    b = 1.0 - a
-    if op.regime is not Regime.REGULAR:
-        if a == 0.0 or a == 1.0:
-            return INF
-        return (2.0 * a - 1.0) * math.log(a / b)
-    s = op.s
-    if a == 0.0 or a == 1.0:
-        if 0.0 < s < 1.0:
-            return -1.0 / (s * (s - 1.0))
-        return INF
-    return (a**s * b ** (1.0 - s) + b**s * a ** (1.0 - s) - 1.0) / (s * (s - 1.0))
+    return star_extended(_family_generator("zeta", s), float(a))
 
 
 def xi_point(s, a: float) -> float:
     """Second-family pointwise value at posterior a in [0, 1]."""
-    op = OrderParameter.of(s)
-    a = float(a)
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"posterior must lie in [0, 1], got {a!r}")
-    b = 1.0 - a
-    if op.regime is Regime.AT_ZERO:
-        if a == 0.0 or a == 1.0:
-            return 0.5 * LN2
-        return 0.5 * (LN2 + a * math.log(a) + b * math.log(b))
-    if op.regime is Regime.AT_ONE:
-        if a == 0.0 or a == 1.0:
-            return INF
-        return -0.5 * math.log(2.0 * math.sqrt(a * b))
-    s = op.s
-    if a == 0.0 or a == 1.0:
-        if s < 1.0:
-            return (2.0 ** (-s) - 1.0) / (2.0 * s * (s - 1.0))
-        return INF
-    return (0.5 * (a ** (1.0 - s) + b ** (1.0 - s)) * 2.0 ** (-s) - 0.5) / (
-        s * (s - 1.0)
-    )
+    return star_extended(_family_generator("xi", s), float(a))
 
 
 def averaged_zeta(problem: TwoClassProblem, s) -> float:
     """Posterior expectation of the first-family pointwise form (may be +inf)."""
-    px, a2 = _live_posterior_arrays(problem)
-    return float(sum(w * zeta_point(s, a) for w, a in zip(px, a2)))
+    return average_f_divergence(problem, _family_generator("zeta", s))
 
 
 def averaged_xi(problem: TwoClassProblem, s) -> float:
     """Posterior expectation of the second-family pointwise form (may be +inf)."""
-    px, a2 = _live_posterior_arrays(problem)
-    return float(sum(w * xi_point(s, a) for w, a in zip(px, a2)))
+    return average_f_divergence(problem, _family_generator("xi", s))
 
 
 def average_f_divergence(problem: TwoClassProblem, g: GeneratingFunction) -> float:
     """E_x[f*(P(C2|x))], the posterior-averaged f-divergence (may be +inf)."""
     px, a2 = _live_posterior_arrays(problem)
-    return float(sum(w * star_extended(g, a) for w, a in zip(px, a2)))
+    return float(np.sum(px * star_extended(g, a2)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +176,11 @@ def lower_bound_family(problem: TwoClassProblem, family: str, s) -> Tuple[float,
 
     Returns (value, note); the note flags vacuous or near-vacuous results.
     """
-    if family == "zeta":
-        v = averaged_zeta(problem, s)
-        point = zeta_point
-    elif family == "xi":
-        v = averaged_xi(problem, s)
-        point = xi_point
-    else:
-        raise ArgumentError(f"unknown family {family!r} (expected 'zeta' or 'xi')")
+    g = _family_generator(family, s)
+    v = average_f_divergence(problem, g)
     if math.isinf(v):
         return 0.0, "vacuous: averaged divergence is infinite"
-    val = invert_decreasing(lambda a: point(s, a), v, LOWER_BRACKET_LO, 0.5)
+    val = invert_decreasing(lambda a: star(g, a), v, LOWER_BRACKET_LO, 0.5)
     if val <= LOWER_BRACKET_LO:
         return val, "near-vacuous: target above inversion bracket"
     return val, ""
@@ -281,31 +218,25 @@ def toussaint_bounds(problem: TwoClassProblem) -> Tuple[Optional[float], float]:
 
 def upper_bound_zeta(problem: TwoClassProblem, s) -> float:
     """P_e <= (1/2)[1 + s(s-1) * averaged zeta_s]; exists only for 0 < s < 1."""
-    op = OrderParameter.of(s)
-    if op.regime is not Regime.REGULAR or not 0.0 < op.s < 1.0:
+    g = _family_generator("zeta", s)
+    if math.isinf(g.f_infinity):
         raise BoundUnavailable("zeta upper bound requires 0 < s < 1 strictly")
-    v = averaged_zeta(problem, op)
-    # 1/2 is always a valid upper bound (P_e <= min prior); cap roundoff
-    return min(0.5 * (1.0 + op.s * (op.s - 1.0) * v), 0.5)
+    return generic_upper_bound(problem, g)
 
 
 def upper_bound_xi(problem: TwoClassProblem, s) -> float:
     """P_e <= (1/2)[1 - averaged xi_s / f_inf(s)]; exists only for s < 1."""
-    op = OrderParameter.of(s)
-    f_inf = xi_f_inf(op)
-    if math.isinf(f_inf):
+    g = _family_generator("xi", s)
+    if math.isinf(g.f_infinity):
         raise BoundUnavailable("xi upper bound requires s < 1")
-    v = averaged_xi(problem, op)
-    return min(0.5 * (1.0 - v / f_inf), 0.5)
+    return generic_upper_bound(problem, g)
 
 
 def upper_bound_difference(problem: TwoClassProblem, tag: str) -> float:
     """P_e <= (1/2)[1 - averaged difference / f_inf] for the six differences."""
     if tag not in DIFF_TAGS:
         raise ArgumentError(f"unknown difference tag {tag!r}")
-    g = generator(tag)
-    v = average_f_divergence(problem, g)
-    return min(0.5 * (1.0 - v / g.f_infinity), 0.5)
+    return generic_upper_bound(problem, generator(tag))
 
 
 def generic_upper_bound(problem: TwoClassProblem, g: GeneratingFunction) -> float:
@@ -438,6 +369,9 @@ def comparison_check(problem: TwoClassProblem) -> List[ComparisonResult]:
     def bound(coef: float, v: float) -> float:
         return 0.5 * (1.0 - coef * v)
 
+    def direct(tag: str) -> float:
+        return 1.0 / generator(tag).f_infinity
+
     relations = [
         (
             "sharper_vs_chained(D_hDelta->D_IDelta)",
@@ -446,18 +380,18 @@ def comparison_check(problem: TwoClassProblem) -> List[ComparisonResult]:
         ),
         (
             "direct_vs_loose(D_IDelta)",
-            bound(DIFF_BOUND_COEF["D_IDelta"], dbar["D_IDelta"]),
+            bound(direct("D_IDelta"), dbar["D_IDelta"]),
             bound(4.0, dbar["D_IDelta"]),
         ),
         (
             "direct_vs_chained(D_dh->D_dDelta)",
-            bound(DIFF_BOUND_COEF["D_dh"], dbar["D_dh"]),
+            bound(direct("D_dh"), dbar["D_dh"]),
             bound(8.0 / (15.0 * (1.0 - LN2)), dbar["D_dDelta"]),
         ),
         (
             "direct_vs_loose(D_hDelta)",
             bound(4.0, dbar["D_hDelta"]),
-            bound(DIFF_BOUND_COEF["D_dDelta"], dbar["D_hDelta"]),
+            bound(direct("D_dDelta"), dbar["D_hDelta"]),
         ),
     ]
     out = []

@@ -1,9 +1,11 @@
 """Command-line surface: measure, bounds, sweep, verify.
 
 Exit codes: 0 success, 1 property violation, 2 usage or parse error,
-3 validation error.  The environment variable DIVBOUND_SEED overrides the
-default --seed; DIVBOUND_VERIFY_CORRUPT=1 is a test hook that injects a
-chain violation so the detector path can be exercised end to end.
+3 validation error, 4 internal error (any other exception; its traceback
+follows the one-line report on stderr).  The environment variable
+DIVBOUND_SEED overrides the default --seed; DIVBOUND_VERIFY_CORRUPT=1 is a
+test hook that injects a chain violation so the detector path can be
+exercised end to end.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from typing import List, Optional
 
 from . import bounds as _bounds
@@ -31,6 +34,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
+EXIT_INTERNAL = 4
 
 
 def _default_seed() -> int:
@@ -197,6 +201,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValidationFailure as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_VALIDATION
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from .kernel import (
     Regime,
     convexity_probe,
 )
-from .measures import BASE_TAGS, DIFF_TAGS, MeasureId
+from .measures import _DIFF_COMBOS, BASE_TAGS, DIFF_TAGS, MeasureId
 
 LN2 = math.log(2.0)
 INF = math.inf
@@ -41,9 +41,10 @@ INF = math.inf
 GENERATOR_GRID = (1e-3, 1e3, 301)
 STAR_GRID = (1e-3, 1.0 - 1e-3, 1001)
 
-# Grid used for the star-symmetry field: 1001 interior points of (0, 1).
+# Grid used for the star-symmetry field: 1001 interior points of (0, 1),
+# and the largest defect, normalised by (1 + |f*|), that counts as symmetric.
 _SYM_GRID = np.arange(1, 1002) / 1002.0
-_SYM_TOL = 1e-12
+STAR_SYM_TOL = 1e-12
 
 # Numeric cross-check points for the stored limit constants.
 _U_NEAR_ZERO = (1e-6, 1e-12)
@@ -116,9 +117,14 @@ def _f_zeta(s: float) -> Callable:
 
 
 def _f_xi(s: float) -> Callable:
+    # ((u^(1-s)+1)/2 ((u+1)/2)^s - (u+1)/2) / (s(s-1)) with ((u+1)/2)^s folded
+    # into both powers: the direct form is inf*0 = nan for large u and s << 0.
     def fn(u):
-        half = 0.5 * (u + 1.0)
-        return (0.5 * (u ** (1.0 - s) + 1.0) * half**s - half) / (s * (s - 1.0))
+        v = u + 1.0
+        w = 2.0 / v
+        return 0.5 * v * (0.5 * ((u * w) ** (1.0 - s) + w ** (1.0 - s)) - 1.0) / (
+            s * (s - 1.0)
+        )
 
     return fn
 
@@ -152,17 +158,6 @@ _BASE_SPECS = {
     "Psi": (_f_psi, INF, INF),
 }
 
-# Difference generators are the same linear combinations as the measures.
-_DIFF_COMBOS = {
-    "D_dDelta": (((4.0, "d"), (-0.25, "Delta")), (7.0 - 4.0 * math.sqrt(2.0)) / 4.0),
-    "D_dh": (((4.0, "d"), (-1.0, "h")), (3.0 - 2.0 * math.sqrt(2.0)) / 2.0),
-    "D_dI": (((4.0, "d"), (-1.0, "I")), 2.0 - math.sqrt(2.0) - 0.5 * LN2),
-    "D_hI": (((1.0, "h"), (-1.0, "I")), (1.0 - LN2) / 2.0),
-    "D_hDelta": (((1.0, "h"), (-0.25, "Delta")), 0.25),
-    "D_IDelta": (((1.0, "I"), (-0.25, "Delta")), (2.0 * LN2 - 1.0) / 4.0),
-}
-
-
 def _combo_fn(combo) -> Callable:
     parts = [(c, _BASE_SPECS[tag][0]) for c, tag in combo]
 
@@ -172,21 +167,20 @@ def _combo_fn(combo) -> Callable:
     return fn
 
 
-def _grid_star_symmetric(g: "GeneratingFunction") -> bool:
-    left = star(g, _SYM_GRID)
-    right = star(g, 1.0 - _SYM_GRID)
-    return bool(np.max(np.abs(left - right) / (1.0 + np.abs(left))) <= _SYM_TOL)
-
-
 @lru_cache(maxsize=None)
 def _build(tag: str, s: float | None) -> GeneratingFunction:
     if tag in BASE_TAGS:
         fn, f0, finf = _BASE_SPECS[tag]
         g = GeneratingFunction(key=tag, fn=fn, f_at_zero=f0, f_infinity=finf)
     elif tag in DIFF_TAGS:
-        combo, finf = _DIFF_COMBOS[tag]
+        # differences are the measures' linear combinations, and so are
+        # their generators and limit constants
+        combo = _DIFF_COMBOS[tag]
         g = GeneratingFunction(
-            key=tag, fn=_combo_fn(combo), f_at_zero=finf, f_infinity=finf
+            key=tag,
+            fn=_combo_fn(combo),
+            f_at_zero=sum(c * _BASE_SPECS[base][1] for c, base in combo),
+            f_infinity=sum(c * _BASE_SPECS[base][2] for c, base in combo),
         )
     elif tag == "zeta":
         op = OrderParameter.of(s)
@@ -214,7 +208,7 @@ def _build(tag: str, s: float | None) -> GeneratingFunction:
         f_at_zero=g.f_at_zero,
         f_infinity=g.f_infinity,
         f_at_one=float(g.fn(1.0)),
-        star_symmetric=_grid_star_symmetric(g),
+        star_symmetric=bool(star_symmetry_defect(g) <= STAR_SYM_TOL),
     )
 
 
@@ -225,23 +219,44 @@ def generator(measure: Union[MeasureId, str]) -> GeneratingFunction:
 
 
 def star(g: GeneratingFunction, x):
-    """Star transform f*(x) = x*f((1-x)/x) for x strictly inside (0, 1)."""
+    """Star transform f*(x) = x*f((1-x)/x) for x strictly inside (0, 1).
+
+    Scalars give a float, arrays an array; overflow gives +inf silently.
+    """
+    if isinstance(x, (int, float)):
+        if not 0.0 < x < 1.0:
+            raise DomainError("star transform requires 0 < x < 1")
+        # Bisection calls this at every step: Python float arithmetic is
+        # several times cheaper than numpy scalars under errstate.  Only a
+        # float power overflow takes the array route.
+        x = float(x)
+        try:
+            return float(x * g.fn((1.0 - x) / x))
+        except OverflowError:
+            pass
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise DomainError("star transform requires 0 < x < 1")
-    out = arr * g.fn((1.0 - arr) / arr)
-    if np.ndim(x) == 0:
+    with np.errstate(over="ignore"):
+        out = arr * g.fn((1.0 - arr) / arr)
+    if out.ndim == 0:
         return float(out)
     return out
 
 
-def star_extended(g: GeneratingFunction, x: float) -> float:
-    """star() extended to [0, 1]: f*(0) = f_inf and f*(1) = f(0+)."""
-    if x == 0.0:
-        return g.f_infinity
-    if x == 1.0:
-        return g.f_at_zero
-    return star(g, x)
+def star_extended(g: GeneratingFunction, x):
+    """star() extended to [0, 1]: f*(0) = f_inf and f*(1) = f(0+); elementwise on arrays."""
+    if isinstance(x, (int, float)):
+        if x == 0.0:
+            return g.f_infinity
+        if x == 1.0:
+            return g.f_at_zero
+        return star(g, x)
+    arr = np.asarray(x, dtype=float)
+    out = np.where(arr == 0.0, g.f_infinity, g.f_at_zero)
+    inner = (arr != 0.0) & (arr != 1.0)
+    out[inner] = star(g, arr[inner])
+    return out
 
 
 def _check_limit(g: GeneratingFunction, const: float, near_zero: bool) -> None:
@@ -311,10 +326,14 @@ def probe_star(g: GeneratingFunction) -> float:
 
 
 def star_symmetry_defect(g: GeneratingFunction) -> float:
-    """max over the 1001-point grid of |f*(x) - f*(1-x)| / (1 + |f*(x)|)."""
+    """max over the 1001-point grid of |f*(x) - f*(1-x)| / (1 + |f*(x)|).
+
+    nan when f* overflows on the grid (orders |s| beyond about 100).
+    """
     left = star(g, _SYM_GRID)
     right = star(g, 1.0 - _SYM_GRID)
-    return float(np.max(np.abs(left - right) / (1.0 + np.abs(left))))
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(left - right) / (1.0 + np.abs(left))))
 
 
 #: Finite key inventory covering every catalog branch; used by the grid,

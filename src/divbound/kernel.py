@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import xlogy
 
 # Half-width of the band around s = 0 and s = 1 inside which the
 # closed-form limit expressions replace the 1/(s(s-1)) formulas.  The 0/0
@@ -83,6 +82,12 @@ class OrderParameter:
         return cls(s)
 
 
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x*ln(y) elementwise, 0 where x == 0 (nan stays nan); no domain check."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 0.0, x * np.log(y))
+
+
 def x_ln_x(x):
     """x*ln(x) with the continuous extension x_ln_x(0) = 0.
 
@@ -91,7 +96,7 @@ def x_ln_x(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError("x_ln_x requires x >= 0")
-    out = xlogy(arr, arr)
+    out = _xlogy(arr, arr)
     if np.ndim(x) == 0:
         return float(out)
     return out

@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import xlogy
 
 from .distributions import DiscreteDistribution, require_same_alphabet
-from .kernel import ArgumentError, OrderParameter, Regime
+from .kernel import ArgumentError, OrderParameter, Regime, _xlogy
 
 # Relative slack tolerance for the inequality chains, scaled by the larger
 # side: absolute slacks shrink quadratically as P -> Q.
@@ -128,7 +127,7 @@ def _hellinger(p: np.ndarray, q: np.ndarray) -> float:
 
 def _jensen_shannon(p: np.ndarray, q: np.ndarray) -> float:
     m = p + q
-    return float(0.5 * np.sum(xlogy(p, p) + xlogy(q, q) - xlogy(m, 0.5 * m)))
+    return float(0.5 * np.sum(_xlogy(p, p) + _xlogy(q, q) - _xlogy(m, 0.5 * m)))
 
 
 def _ddiv(p: np.ndarray, q: np.ndarray) -> float:
@@ -146,7 +145,7 @@ def _jdiv(p: np.ndarray, q: np.ndarray) -> float:
 def _tdiv(p: np.ndarray, q: np.ndarray) -> float:
     m = 0.5 * (p + q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = xlogy(m, m) - 0.5 * m * (np.log(p) + np.log(q))
+        t = _xlogy(m, m) - 0.5 * m * (np.log(p) + np.log(q))
         t = np.where(m == 0.0, 0.0, t)
     return float(np.sum(t))
 
@@ -161,7 +160,7 @@ def _psi(p: np.ndarray, q: np.ndarray) -> float:
 def _zeta_regular(s: float, p: np.ndarray, q: np.ndarray) -> float:
     live = (p + q) > 0.0
     pl, ql = p[live], q[live]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = pl**s * ql ** (1.0 - s) + pl ** (1.0 - s) * ql**s
     return float((np.sum(terms) - 2.0) / (s * (s - 1.0)))
 
@@ -169,7 +168,7 @@ def _zeta_regular(s: float, p: np.ndarray, q: np.ndarray) -> float:
 def _xi_regular(s: float, p: np.ndarray, q: np.ndarray) -> float:
     live = (p + q) > 0.0
     pl, ql = p[live], q[live]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = 0.5 * (pl ** (1.0 - s) + ql ** (1.0 - s)) * (0.5 * (pl + ql)) ** s
     return float((np.sum(terms) - 1.0) / (s * (s - 1.0)))
 

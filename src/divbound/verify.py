@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import TwoClassProblem, bound_report, comparison_check
 from .distributions import STRICT, DiscreteDistribution, validate
-from .generators import CATALOG_KEYS, generator, star, star_symmetry_defect
+from .generators import CATALOG_KEYS, STAR_SYM_TOL, generator, star, star_symmetry_defect
 from .kernel import ArgumentError
 from .measures import ChainReport, _chain_report, chain_check, measure_value
 from . import generators as _generators
@@ -38,11 +38,8 @@ SUITE_NAMES = (
     "comparisons",
 )
 
-CHAIN_SLACK_TOL = 1e-9  # normalised by (1 + right side)
 CSISZAR_TOL = 1e-11  # normalised by (1 + |direct value|)
-STAR_SYM_TOL = 1e-12  # normalised by (1 + |f*|)
 STAR_HALF_TOL = 1e-14
-SANDWICH_SLACK_TOL = 1e-10
 
 # The expensive suites run at a tenth of the chain trial count, matching
 # the scales the invariants are stated at (1e4 chains vs 1e3 problems).
@@ -185,7 +182,7 @@ def _sandwich_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
                 else e.value - report.exact_pe
             )
             worst = min(worst, slack)
-        bad = report.sandwich_violations(SANDWICH_SLACK_TOL)
+        bad = report.sandwich_violations()
         if bad:
             failures += 1
             if first is None:

@@ -13,8 +13,14 @@ mp.dps = 50
 LN2 = log(2)
 
 
+def _exact(v):
+    # the double itself, not its shortest decimal repr: at x = 1 - 1e-6 the
+    # two differ by 3e-17, which is 3e-11 of 1 - x
+    return mpf(float(v))
+
+
 def _pairs(P, Q):
-    return [(mpf(repr(float(p))), mpf(repr(float(q)))) for p, q in zip(P, Q)]
+    return [(_exact(p), _exact(q)) for p, q in zip(P, Q)]
 
 
 def delta(P, Q):
@@ -56,7 +62,7 @@ def psi(P, Q):
 
 
 def zeta(s, P, Q):
-    s = mpf(repr(float(s)))
+    s = _exact(s)
     if s in (0, 1):
         return jdiv(P, Q)
     tot = sum(
@@ -66,7 +72,7 @@ def zeta(s, P, Q):
 
 
 def xi(s, P, Q):
-    s = mpf(repr(float(s)))
+    s = _exact(s)
     if s == 0:
         return jensen_shannon(P, Q)
     if s == 1:
@@ -92,7 +98,7 @@ BASE = {
 # Star transforms as printed closed forms (errata-corrected where the
 # star laws f*(1/2) = 0, f*(x) = f*(1-x), f*(0+) = f_inf force it).
 def star_closed(tag: str, x):
-    x = mpf(repr(float(x)))
+    x = _exact(x)
     y = 1 - x
     if tag == "Delta":
         return (2 * x - 1) ** 2
@@ -124,8 +130,8 @@ def star_closed(tag: str, x):
 
 
 def star_family(tag: str, s: float, x):
-    s = mpf(repr(float(s)))
-    x = mpf(repr(float(x)))
+    s = _exact(s)
+    x = _exact(x)
     y = 1 - x
     if tag == "zeta":
         if s in (0, 1):

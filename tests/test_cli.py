@@ -1,6 +1,7 @@
 import pytest
 
 from divbound import bounds as bounds_mod
+from divbound import cli
 from divbound.cli import main
 from divbound.distributions import validate
 from divbound.measures import measure_value
@@ -214,3 +215,81 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch, files):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "measure", boom)
+        code, _, err = run(
+            capsys, ["measure", "--p", files["p"], "--q", files["q"], "--measure", "J"]
+        )
+        assert code == cli.EXIT_INTERNAL == 4
+        assert err.startswith("internal error: RuntimeError: boom\nTraceback")
+
+
+# A posterior within 2e-13 of 1 overflows every float power at |s| >= 30.
+OVERFLOW_PROBLEM = "priors: 0.5 0.5\ncond1: 0.9999999999999 0.0000000000001\ncond2: 0.5 0.5\n"
+# A posterior within 2e-13 of 0, where the direct xi generator form is inf*0.
+NEAR_ZERO_PROBLEM = "priors: 0.5 0.5\ncond1: 0.5 0.5\ncond2: 0.0000000000001 0.9999999999999\n"
+
+
+@pytest.mark.filterwarnings("error")
+class TestExtremeOrders:
+    """|s| up to 60 at posteriors near 0 or 1: inf and notes, no warning or traceback."""
+
+    @pytest.fixture
+    def problem(self, tmp_path):
+        def write(text):
+            f = tmp_path / "prob.txt"
+            f.write_text(text)
+            return str(f)
+
+        return write
+
+    @pytest.mark.parametrize(
+        "family,text",
+        [("zeta", OVERFLOW_PROBLEM), ("xi", OVERFLOW_PROBLEM), ("xi", NEAR_ZERO_PROBLEM)],
+    )
+    def test_sweep(self, capsys, problem, family, text):
+        code, out, err = run(
+            capsys,
+            ["sweep", "--problem", problem(text), "--family", family,
+             "--s-grid=-60:60:5", "--format", "machine"],
+        )
+        assert (code, err) == (0, "")
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["-60.0", "-30.0", "0.0", "30.0", "60.0"]
+        assert "nan" not in out
+        for _s, averaged, lower, _upper in rows:
+            if averaged == "inf":
+                assert lower == "0.0"
+            else:
+                assert 0.0 < float(lower) <= 0.5
+        assert rows[-1][1] == "inf"  # s = 60 overflows in both families
+
+    def test_bounds(self, capsys, problem):
+        code, out, err = run(
+            capsys,
+            ["bounds", "--problem", problem(OVERFLOW_PROBLEM), "--s-grid=-60,0.5",
+             "--format", "machine"],
+        )
+        assert (code, err) == (0, "")
+        assert "nan" not in out
+        cells = {row.split("\t")[0]: row.split("\t") for row in out.splitlines()[1:]}
+        _, _, value, applicable, note = cells["zeta_lower(s=-60.0)"]
+        assert (value, applicable) == ("0.0", "true")
+        assert "vacuous" in note
+        assert cells["zeta_upper(s=-60.0)"][4] == "zeta upper bound requires 0 < s < 1 strictly"
+
+    @pytest.mark.parametrize("spec", ["zeta:-60", "xi:60"])
+    def test_measure_overflow_prints_inf(self, capsys, tmp_path, spec):
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        p.write_text("0.9999999999999 0.0000000000001\n")
+        q.write_text("0.5 0.5\n")
+        code, out, err = run(
+            capsys,
+            ["measure", "--p", str(p), "--q", str(q), "--measure", spec, "--format", "machine"],
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split("\t")[2] == "inf"

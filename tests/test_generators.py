@@ -130,13 +130,20 @@ class TestStar:
                 assert star(g, float(x)) == pytest.approx(ref, rel=1e-11, abs=1e-13)
 
     def test_family_closed_forms(self):
-        xs = np.linspace(0.05, 0.95, 19)
+        # extreme orders and near-endpoint posteriors included: where the
+        # true value exceeds the double range star must give +inf, never nan
+        xs = np.concatenate([np.linspace(0.05, 0.95, 19), [1e-12, 1e-6, 1.0 - 1e-6]])
         for tag in ("zeta", "xi"):
-            for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
+            for s in (-60.0, -30.0, -1.0, 0.0, 0.5, 1.0, 2.0, 30.0, 60.0):
                 g = generator(MeasureId(tag, s))
-                for x in xs:
+                on_array = star(g, xs)
+                for x, from_array in zip(xs, on_array):
                     ref = float(oracle.star_family(tag, s, x))
-                    assert star(g, float(x)) == pytest.approx(ref, rel=1e-11, abs=1e-13)
+                    for got in (star(g, float(x)), float(from_array)):
+                        if math.isinf(ref):
+                            assert got == math.inf, (tag, s, x)
+                        else:
+                            assert got == pytest.approx(ref, rel=1e-11, abs=1e-13), (tag, s, x)
 
     @given(st.floats(0.001, 0.999))
     def test_two_point_measure_identity(self, x):
