@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,29 +105,49 @@ class PosteriorPoint:
 
 def posteriors(problem: TwoClassProblem) -> List[PosteriorPoint]:
     """Bayes posteriors per outcome; zero-marginal outcomes carry nan posteriors."""
-    w1 = problem.p1 * problem.cond1.probs
-    w2 = problem.p2 * problem.cond2.probs
-    px = w1 + w2
+    w1, _, px, post2 = posterior_arrays(
+        problem.p1, problem.p2, problem.cond1.probs, problem.cond2.probs
+    )
     with np.errstate(invalid="ignore"):  # 0/0 = nan where px == 0
-        post1, post2 = w1 / px, w2 / px
+        post1 = w1 / px
     return [
         PosteriorPoint(*point) for point in zip(px.tolist(), post1.tolist(), post2.tolist())
     ]
 
 
-def _live_posterior_arrays(problem: TwoClassProblem) -> Tuple[np.ndarray, np.ndarray]:
-    w1 = problem.p1 * problem.cond1.probs
-    w2 = problem.p2 * problem.cond2.probs
+def posterior_arrays(p1, p2, cond1: np.ndarray, cond2: np.ndarray):
+    """(p1 c1, p2 c2, marginal, class-2 posterior), elementwise.
+
+    The priors broadcast against the conditionals, so (m, 1) prior columns
+    and (m, k) conditional blocks give m problems' arrays at once.  The
+    posterior is 0/0 = nan on an outcome with zero marginal mass.
+    """
+    w1 = p1 * cond1
+    w2 = p2 * cond2
     px = w1 + w2
+    with np.errstate(invalid="ignore"):
+        return w1, w2, px, w2 / px
+
+
+def _live_posterior_arrays(problem: TwoClassProblem) -> Tuple[np.ndarray, np.ndarray]:
+    _, _, px, a2 = posterior_arrays(
+        problem.p1, problem.p2, problem.cond1.probs, problem.cond2.probs
+    )
     live = px > 0.0
-    return px[live], w2[live] / px[live]
+    return px[live], a2[live]
+
+
+def min_mass_sum(w1: np.ndarray, w2: np.ndarray):
+    """sum_x min(w1, w2) over the last axis: the Bayes error of p1 c1, p2 c2."""
+    return np.sum(np.minimum(w1, w2), axis=-1)
 
 
 def bayes_error(problem: TwoClassProblem) -> float:
     """Expected minimum posterior: sum_x min(p1 c1(x), p2 c2(x))."""
-    return float(
-        np.sum(np.minimum(problem.p1 * problem.cond1.probs, problem.p2 * problem.cond2.probs))
+    w1, w2, _, _ = posterior_arrays(
+        problem.p1, problem.p2, problem.cond1.probs, problem.cond2.probs
     )
+    return float(min_mass_sum(w1, w2))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +155,9 @@ def bayes_error(problem: TwoClassProblem) -> float:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _family_generator(family: str, s) -> GeneratingFunction:
+    # cached by (family, s): the pointwise forms resolve it on every call
     if family not in FAMILY_TAGS:
         raise ArgumentError(f"unknown family {family!r} (expected 'zeta' or 'xi')")
     return generator(MeasureId(family, OrderParameter.of(s).s))
@@ -160,15 +183,39 @@ def averaged_xi(problem: TwoClassProblem, s) -> float:
     return average_f_divergence(problem, _family_generator("xi", s))
 
 
+def posterior_averages(px: np.ndarray, a2: np.ndarray, gens: Iterable[GeneratingFunction]) -> dict:
+    """sum_x px f*(a2) for each generator, by key, over the last axis.
+
+    Stage 1 of a bound report.  Every outcome must be live (px > 0); an
+    (m, k) block gives each of m problems' averages, bit-identical to the
+    problem on its own.
+    """
+    return {g.key: np.sum(px * star_extended(g, a2), axis=-1) for g in gens}
+
+
+def problem_averages(problem: TwoClassProblem, gens: Iterable[GeneratingFunction]) -> dict:
+    """posterior_averages of one problem over its live outcomes, as floats."""
+    px, a2 = _live_posterior_arrays(problem)
+    return {key: float(v) for key, v in posterior_averages(px, a2, gens).items()}
+
+
 def average_f_divergence(problem: TwoClassProblem, g: GeneratingFunction) -> float:
     """E_x[f*(P(C2|x))], the posterior-averaged f-divergence (may be +inf)."""
-    px, a2 = _live_posterior_arrays(problem)
-    return float(np.sum(px * star_extended(g, a2)))
+    return problem_averages(problem, (g,))[g.key]
 
 
 # ---------------------------------------------------------------------------
 # lower bounds
 # ---------------------------------------------------------------------------
+
+
+def _lower_from_average(g: GeneratingFunction, v: float) -> Tuple[float, str]:
+    if math.isinf(v):
+        return 0.0, "vacuous: averaged divergence is infinite"
+    val = invert_decreasing(lambda a: star(g, a), v, LOWER_BRACKET_LO, 0.5)
+    if val <= LOWER_BRACKET_LO:
+        return val, "near-vacuous: target above inversion bracket"
+    return val, ""
 
 
 def lower_bound_family(problem: TwoClassProblem, family: str, s) -> Tuple[float, str]:
@@ -177,13 +224,7 @@ def lower_bound_family(problem: TwoClassProblem, family: str, s) -> Tuple[float,
     Returns (value, note); the note flags vacuous or near-vacuous results.
     """
     g = _family_generator(family, s)
-    v = average_f_divergence(problem, g)
-    if math.isinf(v):
-        return 0.0, "vacuous: averaged divergence is infinite"
-    val = invert_decreasing(lambda a: star(g, a), v, LOWER_BRACKET_LO, 0.5)
-    if val <= LOWER_BRACKET_LO:
-        return val, "near-vacuous: target above inversion bracket"
-    return val, ""
+    return _lower_from_average(g, average_f_divergence(problem, g))
 
 
 def kailath_bound(problem: TwoClassProblem) -> Tuple[Optional[float], str]:
@@ -196,40 +237,48 @@ def kailath_bound(problem: TwoClassProblem) -> Tuple[Optional[float], str]:
     return 0.25 * math.exp(-0.5 * j), ""
 
 
-def toussaint_bounds(problem: TwoClassProblem) -> Tuple[Optional[float], float]:
-    """(general square-root bound or None, sharper bound via J-inversion)."""
-    jbar = averaged_zeta(problem, 0.0)
+def _toussaint_general(problem: TwoClassProblem, jbar: float) -> Optional[float]:
     h = -(problem.p1 * math.log(problem.p1) + problem.p2 * math.log(problem.p2))
     radicand = 1.0 - 4.0 * math.exp(-2.0 * h - jbar)
     if -1e-12 < radicand < 0.0:
         radicand = 0.0  # exact zero at the equality case, up to rounding
     if radicand < 0.0:
-        general = None
-    else:
-        general = 0.5 - 0.5 * math.sqrt(radicand)
-    via_inversion, _ = lower_bound_family(problem, "zeta", 0.0)
-    return general, via_inversion
+        return None
+    return 0.5 - 0.5 * math.sqrt(radicand)
+
+
+def toussaint_bounds(problem: TwoClassProblem) -> Tuple[Optional[float], float]:
+    """(general square-root bound or None, sharper bound via J-inversion)."""
+    g = _family_generator("zeta", 0.0)
+    jbar = average_f_divergence(problem, g)
+    return _toussaint_general(problem, jbar), _lower_from_average(g, jbar)[0]
 
 
 # ---------------------------------------------------------------------------
 # upper bounds
 # ---------------------------------------------------------------------------
 
+_FAMILY_UPPER_REQUIRES = {
+    "zeta": "zeta upper bound requires 0 < s < 1 strictly",
+    "xi": "xi upper bound requires s < 1",
+}
+
+
+def _family_upper_generator(family: str, s) -> GeneratingFunction:
+    g = _family_generator(family, s)
+    if math.isinf(g.f_infinity):
+        raise BoundUnavailable(_FAMILY_UPPER_REQUIRES[family])
+    return g
+
 
 def upper_bound_zeta(problem: TwoClassProblem, s) -> float:
     """P_e <= (1/2)[1 + s(s-1) * averaged zeta_s]; exists only for 0 < s < 1."""
-    g = _family_generator("zeta", s)
-    if math.isinf(g.f_infinity):
-        raise BoundUnavailable("zeta upper bound requires 0 < s < 1 strictly")
-    return generic_upper_bound(problem, g)
+    return generic_upper_bound(problem, _family_upper_generator("zeta", s))
 
 
 def upper_bound_xi(problem: TwoClassProblem, s) -> float:
     """P_e <= (1/2)[1 - averaged xi_s / f_inf(s)]; exists only for s < 1."""
-    g = _family_generator("xi", s)
-    if math.isinf(g.f_infinity):
-        raise BoundUnavailable("xi upper bound requires s < 1")
-    return generic_upper_bound(problem, g)
+    return generic_upper_bound(problem, _family_upper_generator("xi", s))
 
 
 def upper_bound_difference(problem: TwoClassProblem, tag: str) -> float:
@@ -246,7 +295,10 @@ def generic_upper_bound(problem: TwoClassProblem, g: GeneratingFunction) -> floa
     general constants route; raises BoundUnavailable when both need an
     infinite constant.  The result is clamped to [0, 1/2].
     """
-    c = average_f_divergence(problem, g)
+    return _upper_from_average(problem, g, average_f_divergence(problem, g))
+
+
+def _upper_from_average(problem: TwoClassProblem, g: GeneratingFunction, c: float) -> float:
     if g.star_symmetric and math.isfinite(g.f_infinity):
         val = (g.f_infinity - c) / (2.0 * g.f_infinity - g.f_at_one)
     elif math.isfinite(g.f_at_zero) and math.isfinite(g.f_infinity):
@@ -257,6 +309,20 @@ def generic_upper_bound(problem: TwoClassProblem, g: GeneratingFunction) -> floa
     else:
         raise BoundUnavailable(f"{g.key}: required limit constants are infinite")
     return min(max(val, 0.0), 0.5)
+
+
+def family_bounds(
+    problem: TwoClassProblem, family: str, s
+) -> Tuple[float, Tuple[float, str], Optional[float]]:
+    """(averaged value, (lower bound, note), upper bound or None if unavailable)
+    of one family member, all from one posterior average."""
+    g = _family_generator(family, s)
+    v = average_f_divergence(problem, g)
+    try:
+        upper = _upper_from_average(problem, _family_upper_generator(family, s), v)
+    except BoundUnavailable:
+        upper = None
+    return v, _lower_from_average(g, v), upper
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +344,18 @@ class BoundReport:
     exact_pe: float
     entries: Tuple[BoundEntry, ...]
 
+    def slacks(self) -> List[Tuple[str, float]]:
+        """(name, slack) of each applicable entry: P_e - value for a lower
+        bound, value - P_e for an upper one; negative means violated."""
+        return [
+            (e.name, (self.exact_pe - e.value) if e.kind == "lower" else (e.value - self.exact_pe))
+            for e in self.entries
+            if e.applicable
+        ]
+
     def sandwich_violations(self, tol: float = SANDWICH_TOL) -> List[Tuple[str, float]]:
         """Applicable entries whose slack against the exact error is < -tol."""
-        out = []
-        for e in self.entries:
-            if not e.applicable:
-                continue
-            slack = (self.exact_pe - e.value) if e.kind == "lower" else (e.value - self.exact_pe)
-            if slack < -tol:
-                out.append((e.name, slack))
-        return out
+        return [(name, slack) for name, slack in self.slacks() if slack < -tol]
 
     @property
     def sandwich_ok(self) -> bool:
@@ -295,6 +363,14 @@ class BoundReport:
 
 
 DEFAULT_S_GRID = (-1.0, 0.0, 0.5, 2.0)
+
+
+def report_generators(s_grid: Sequence[float] = DEFAULT_S_GRID) -> Tuple[GeneratingFunction, ...]:
+    """The distinct generators whose posterior averages a bound report uses."""
+    gens = [_family_generator("zeta", 0.0)]
+    gens += [_family_generator(family, s) for family in ("zeta", "xi") for s in s_grid]
+    gens += [generator(tag) for tag in DIFF_TAGS]
+    return tuple({g.key: g for g in gens}.values())
 
 
 def bound_report(
@@ -305,7 +381,25 @@ def bound_report(
     Inapplicable bounds appear with applicable=False, a reason note, and
     the trivial value of their kind (0 for lower, 1/2 for upper).
     """
-    pe = bayes_error(problem)
+    averages = problem_averages(problem, report_generators(s_grid))
+    return assemble_report(problem, s_grid, bayes_error(problem), averages)
+
+
+def assemble_report(
+    problem: TwoClassProblem, s_grid: Sequence[float], pe: float, averages
+) -> BoundReport:
+    """Stage 2 of bound_report: every bound from the problem's posterior averages.
+
+    `averages` maps each key of report_generators(s_grid) to the problem's
+    average as a float; each lower bound bisects its generator once.
+    """
+    lowers = {}
+
+    def lower(g: GeneratingFunction) -> Tuple[float, str]:
+        if g.key not in lowers:
+            lowers[g.key] = _lower_from_average(g, averages[g.key])
+        return lowers[g.key]
+
     entries: List[BoundEntry] = []
 
     val, note = kailath_bound(problem)
@@ -314,36 +408,37 @@ def bound_report(
     else:
         entries.append(BoundEntry("kailath", "lower", val, True, note))
 
-    general, via_inv = toussaint_bounds(problem)
+    j0 = _family_generator("zeta", 0.0)
+    general = _toussaint_general(problem, averages[j0.key])
     if general is None:
         entries.append(
             BoundEntry("toussaint_general", "lower", 0.0, False, "radicand negative")
         )
     else:
         entries.append(BoundEntry("toussaint_general", "lower", general, True, ""))
-    entries.append(BoundEntry("toussaint_inversion", "lower", via_inv, True, ""))
+    entries.append(BoundEntry("toussaint_inversion", "lower", lower(j0)[0], True, ""))
 
     for family in ("zeta", "xi"):
         for s in s_grid:
-            val, note = lower_bound_family(problem, family, s)
+            val, note = lower(_family_generator(family, s))
             entries.append(
                 BoundEntry(f"{family}_lower(s={float(s)!r})", "lower", val, True, note)
             )
 
-    for family, fn in (("zeta", upper_bound_zeta), ("xi", upper_bound_xi)):
+    for family in ("zeta", "xi"):
         for s in s_grid:
             name = f"{family}_upper(s={float(s)!r})"
             try:
-                entries.append(BoundEntry(name, "upper", fn(problem, s), True, ""))
+                g = _family_upper_generator(family, s)
+                val = _upper_from_average(problem, g, averages[g.key])
+                entries.append(BoundEntry(name, "upper", val, True, ""))
             except BoundUnavailable as exc:
                 entries.append(BoundEntry(name, "upper", 0.5, False, str(exc)))
 
     for tag in DIFF_TAGS:
-        entries.append(
-            BoundEntry(
-                f"diff_upper({tag})", "upper", upper_bound_difference(problem, tag), True, ""
-            )
-        )
+        g = generator(tag)
+        val = _upper_from_average(problem, g, averages[g.key])
+        entries.append(BoundEntry(f"diff_upper({tag})", "upper", val, True, ""))
 
     return BoundReport(exact_pe=pe, entries=tuple(entries))
 
@@ -355,16 +450,22 @@ class ComparisonResult:
     slack: float
 
 
+COMPARISON_TAGS = ("D_IDelta", "D_hDelta", "D_dh", "D_dDelta")
+
+
 def comparison_check(problem: TwoClassProblem) -> List[ComparisonResult]:
     """Verify the printed sharpness orderings between difference upper bounds.
 
     Each relation asserts lhs <= rhs between two upper-bound expressions;
     slack = rhs - lhs.
     """
-    dbar = {
-        tag: average_f_divergence(problem, generator(tag))
-        for tag in ("D_IDelta", "D_hDelta", "D_dh", "D_dDelta")
-    }
+    return compare_averages(
+        problem_averages(problem, [generator(tag) for tag in COMPARISON_TAGS])
+    )
+
+
+def compare_averages(dbar) -> List[ComparisonResult]:
+    """The comparison relations from the averages of COMPARISON_TAGS, by tag."""
 
     def bound(coef: float, v: float) -> float:
         return 0.5 * (1.0 - coef * v)

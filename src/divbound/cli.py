@@ -138,19 +138,9 @@ def _cmd_sweep(args) -> int:
     grid = parse_s_grid(args.s_grid)
     rows = []
     for s in grid:
-        if args.family == "zeta":
-            averaged = _bounds.averaged_zeta(problem, s)
-        else:
-            averaged = _bounds.averaged_xi(problem, s)
-        lower, _note = _bounds.lower_bound_family(problem, args.family, s)
-        try:
-            if args.family == "zeta":
-                upper = fmt_real(_bounds.upper_bound_zeta(problem, s))
-            else:
-                upper = fmt_real(_bounds.upper_bound_xi(problem, s))
-        except _bounds.BoundUnavailable:
-            upper = "n/a"
-        rows.append((fmt_real(s), fmt_real(averaged), fmt_real(lower), upper))
+        averaged, (lower, _note), upper = _bounds.family_bounds(problem, args.family, s)
+        upper_cell = "n/a" if upper is None else fmt_real(upper)
+        rows.append((fmt_real(s), fmt_real(averaged), fmt_real(lower), upper_cell))
     sys.stdout.write(render_rows(("s", "averaged", "lower", "upper"), rows, args.format))
     return EXIT_OK
 

@@ -90,6 +90,17 @@ def validate(raw, mode: str = STRICT, *, min_size: int = 2) -> DiscreteDistribut
     return DiscreteDistribution(probs=probs, mode=mode)
 
 
+def invalid_rows(block: np.ndarray, mode: str = STRICT) -> np.ndarray:
+    """Flags the rows (last axis) of a block that validate() would reject.
+
+    Checks the same invariants as validate, for all rows at once; the size
+    check is left to the caller.  Validating a flagged row raises the error.
+    """
+    positive = block > 0.0 if mode == STRICT else block >= 0.0
+    entries_ok = np.all(positive & np.isfinite(block), axis=-1)
+    return ~(entries_ok & (np.abs(np.sum(block, axis=-1) - 1.0) <= SUM_TOL))
+
+
 def require_same_alphabet(P: DiscreteDistribution, Q: DiscreteDistribution) -> None:
     if P.n != Q.n:
         raise AlphabetMismatch(f"alphabet sizes differ: {P.n} vs {Q.n}")

@@ -296,6 +296,15 @@ def limit_constants(g: GeneratingFunction) -> LimitConstants:
     )
 
 
+def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray):
+    """sum q f(p/q) over the last axis, for strictly positive masses.
+
+    One call serves a single pair of vectors or an (m, n) block of pairs,
+    row for row bit-identical to the single-pair sums.
+    """
+    return np.sum(q * np.asarray(g.fn(p / q), dtype=float), axis=-1)
+
+
 def csiszar_sum(
     g: GeneratingFunction, P: DiscreteDistribution, Q: DiscreteDistribution
 ) -> float:
@@ -303,7 +312,9 @@ def csiszar_sum(
     require_same_alphabet(P, Q)
     p, q = P.probs, Q.probs
     both = (p > 0.0) & (q > 0.0)
-    total = float(np.sum(q[both] * np.asarray(g.fn(p[both] / q[both]), dtype=float)))
+    if both.all():
+        return float(csiszar_rows(g, p, q))
+    total = float(csiszar_rows(g, p[both], q[both]))
     p_zero = (p == 0.0) & (q > 0.0)
     if np.any(p_zero):
         total += float(np.sum(q[p_zero])) * g.f_at_zero

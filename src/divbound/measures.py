@@ -112,65 +112,100 @@ class MeasureId:
 
 # ---------------------------------------------------------------------------
 # raw-array measure kernels (inputs are validated nonnegative vectors)
+#
+# Each kernel reduces over the last axis, so one call serves a single pair
+# of (n,) vectors and an (m, n) block of m same-size pairs alike.  Row i of
+# a C-contiguous block gives the value of pair i bit for bit: every step is
+# elementwise or a last-axis sum, and numpy sums each row exactly as it sums
+# the row on its own.
 # ---------------------------------------------------------------------------
 
 
-def _delta(p: np.ndarray, q: np.ndarray) -> float:
+def _delta(p: np.ndarray, q: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (p - q) ** 2 / (p + q)
-    return float(np.sum(np.where(p + q > 0.0, t, 0.0)))
+    return np.sum(np.where(p + q > 0.0, t, 0.0), axis=-1)
 
 
-def _hellinger(p: np.ndarray, q: np.ndarray) -> float:
-    return float(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))
+def _hellinger(p: np.ndarray, q: np.ndarray):
+    return 0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1)
 
 
-def _jensen_shannon(p: np.ndarray, q: np.ndarray) -> float:
+def _jensen_shannon(p: np.ndarray, q: np.ndarray):
     m = p + q
-    return float(0.5 * np.sum(_xlogy(p, p) + _xlogy(q, q) - _xlogy(m, 0.5 * m)))
+    return 0.5 * np.sum(_xlogy(p, p) + _xlogy(q, q) - _xlogy(m, 0.5 * m), axis=-1)
 
 
-def _ddiv(p: np.ndarray, q: np.ndarray) -> float:
-    s = np.sum(0.5 * (np.sqrt(p) + np.sqrt(q)) * np.sqrt(0.5 * (p + q)))
-    return float(1.0 - s)
+def _ddiv(p: np.ndarray, q: np.ndarray):
+    return 1.0 - np.sum(0.5 * (np.sqrt(p) + np.sqrt(q)) * np.sqrt(0.5 * (p + q)), axis=-1)
 
 
-def _jdiv(p: np.ndarray, q: np.ndarray) -> float:
+def _jdiv(p: np.ndarray, q: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (p - q) * (np.log(p) - np.log(q))
         t = np.where((p == 0.0) & (q == 0.0), 0.0, t)
-    return float(np.sum(t))
+    return np.sum(t, axis=-1)
 
 
-def _tdiv(p: np.ndarray, q: np.ndarray) -> float:
+def _tdiv(p: np.ndarray, q: np.ndarray):
     m = 0.5 * (p + q)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = _xlogy(m, m) - 0.5 * m * (np.log(p) + np.log(q))
         t = np.where(m == 0.0, 0.0, t)
-    return float(np.sum(t))
+    return np.sum(t, axis=-1)
 
 
-def _psi(p: np.ndarray, q: np.ndarray) -> float:
+def _psi(p: np.ndarray, q: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (p - q) ** 2 * (p + q) / (p * q)
         t = np.where((p == 0.0) & (q == 0.0), 0.0, t)
-    return float(np.sum(t))
+    return np.sum(t, axis=-1)
 
 
-def _zeta_regular(s: float, p: np.ndarray, q: np.ndarray) -> float:
-    live = (p + q) > 0.0
-    pl, ql = p[live], q[live]
+def _family_sum(p: np.ndarray, q: np.ndarray, direct, ratio):
+    """Last-axis sum of a family's per-cell terms.
+
+    The direct power form is inf*0 = nan where one power overflows and the
+    other underflows (|s| large, small masses); only those cells are
+    recomputed in the ratio form, which has no such product and gives 0 on
+    a cell where both masses vanish.  A single vector drops those cells
+    first, so its sum runs over the live cells only.
+    """
+    if p.ndim == 1:
+        live = (p + q) > 0.0
+        if not live.all():
+            p, q = p[live], q[live]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = pl**s * ql ** (1.0 - s) + pl ** (1.0 - s) * ql**s
-    return float((np.sum(terms) - 2.0) / (s * (s - 1.0)))
+        terms = direct(p, q)
+        bad = np.isnan(terms)
+        if bad.any():
+            terms[bad] = ratio(p[bad], q[bad])
+    return np.sum(terms, axis=-1)
 
 
-def _xi_regular(s: float, p: np.ndarray, q: np.ndarray) -> float:
-    live = (p + q) > 0.0
-    pl, ql = p[live], q[live]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = 0.5 * (pl ** (1.0 - s) + ql ** (1.0 - s)) * (0.5 * (pl + ql)) ** s
-    return float((np.sum(terms) - 1.0) / (s * (s - 1.0)))
+def _zeta_regular(s: float, p: np.ndarray, q: np.ndarray):
+    def direct(p, q):
+        return p**s * q ** (1.0 - s) + p ** (1.0 - s) * q**s
+
+    def ratio(p, q):
+        # hi * (r^s + r^(1-s)) with r = lo/hi <= 1: the direct term, symmetric in p, q
+        hi = np.maximum(p, q)
+        r = np.minimum(p, q) / hi
+        return np.where(hi > 0.0, hi * (r**s + r ** (1.0 - s)), 0.0)
+
+    return (_family_sum(p, q, direct, ratio) - 2.0) / (s * (s - 1.0))
+
+
+def _xi_regular(s: float, p: np.ndarray, q: np.ndarray):
+    def direct(p, q):
+        return 0.5 * (p ** (1.0 - s) + q ** (1.0 - s)) * (0.5 * (p + q)) ** s
+
+    def ratio(p, q):
+        # m ((p/m)^(1-s) + (q/m)^(1-s)) / 2 with m = (p+q)/2, so p/m, q/m <= 2
+        m = 0.5 * (p + q)
+        return np.where(m > 0.0, 0.5 * m * ((p / m) ** (1.0 - s) + (q / m) ** (1.0 - s)), 0.0)
+
+    return (_family_sum(p, q, direct, ratio) - 1.0) / (s * (s - 1.0))
 
 
 _BASE_FUNCS = {
@@ -199,67 +234,135 @@ def _arrays(P: DiscreteDistribution, Q: DiscreteDistribution):
     return P.probs, Q.probs
 
 
+def _measure_id(measure: Union[MeasureId, str]) -> MeasureId:
+    return measure if isinstance(measure, MeasureId) else MeasureId.parse(measure)
+
+
+def measure_rows(mid: MeasureId, p: np.ndarray, q: np.ndarray):
+    """Any measure on raw mass arrays, reduced over the last axis like the kernels."""
+    if mid.tag == "zeta":
+        op = OrderParameter.of(mid.s)
+        if op.regime is Regime.REGULAR:
+            return _zeta_regular(op.s, p, q)
+        return _jdiv(p, q)
+    if mid.tag == "xi":
+        op = OrderParameter.of(mid.s)
+        if op.regime is Regime.AT_ZERO:
+            return _jensen_shannon(p, q)
+        if op.regime is Regime.AT_ONE:
+            return _tdiv(p, q)
+        return _xi_regular(op.s, p, q)
+    if mid.tag in DIFF_TAGS:
+        return sum(c * _BASE_FUNCS[tag](p, q) for c, tag in _DIFF_COMBOS[mid.tag])
+    return _BASE_FUNCS[mid.tag](p, q)
+
+
+def _value(mid: MeasureId, P: DiscreteDistribution, Q: DiscreteDistribution) -> float:
+    p, q = _arrays(P, Q)
+    return float(measure_rows(mid, p, q))
+
+
 def base_measure(
     measure: Union[MeasureId, str], P: DiscreteDistribution, Q: DiscreteDistribution
 ) -> float:
     """Evaluate one of the seven base measures; +inf is a legal flagged value."""
-    mid = measure if isinstance(measure, MeasureId) else MeasureId.parse(measure)
+    mid = _measure_id(measure)
     if mid.tag not in BASE_TAGS:
         raise ArgumentError(f"{mid.tag!r} is not a base measure tag")
-    p, q = _arrays(P, Q)
-    return _BASE_FUNCS[mid.tag](p, q)
+    return _value(mid, P, Q)
 
 
 def zeta(s, P: DiscreteDistribution, Q: DiscreteDistribution) -> float:
     """First family: interpolates Psi/2 (s = -1, 2), J (s = 0, 1), 8h (s = 1/2)."""
-    op = OrderParameter.of(s)
-    p, q = _arrays(P, Q)
-    if op.regime is Regime.REGULAR:
-        return _zeta_regular(op.s, p, q)
-    return _jdiv(p, q)
+    return _value(MeasureId("zeta", OrderParameter.of(s).s), P, Q)
 
 
 def xi(s, P: DiscreteDistribution, Q: DiscreteDistribution) -> float:
     """Second family: Delta/4 (s = -1), I (s = 0), 4d (s = 1/2), T (s = 1), Psi/16 (s = 2)."""
-    op = OrderParameter.of(s)
-    p, q = _arrays(P, Q)
-    if op.regime is Regime.AT_ZERO:
-        return _jensen_shannon(p, q)
-    if op.regime is Regime.AT_ONE:
-        return _tdiv(p, q)
-    return _xi_regular(op.s, p, q)
+    return _value(MeasureId("xi", OrderParameter.of(s).s), P, Q)
 
 
 def difference_measure(
     measure: Union[MeasureId, str], P: DiscreteDistribution, Q: DiscreteDistribution
 ) -> float:
     """One of the six nonnegative differences among Delta/4 <= I <= h <= 4d."""
-    mid = measure if isinstance(measure, MeasureId) else MeasureId.parse(measure)
+    mid = _measure_id(measure)
     if mid.tag not in DIFF_TAGS:
         raise ArgumentError(f"{mid.tag!r} is not a difference tag")
-    p, q = _arrays(P, Q)
-    return float(
-        sum(c * _BASE_FUNCS[tag](p, q) for c, tag in _DIFF_COMBOS[mid.tag])
-    )
+    return _value(mid, P, Q)
 
 
 def measure_value(
     measure: Union[MeasureId, str], P: DiscreteDistribution, Q: DiscreteDistribution
 ) -> float:
     """Dispatch any measure id (base, family, or difference)."""
-    mid = measure if isinstance(measure, MeasureId) else MeasureId.parse(measure)
-    if mid.tag == "zeta":
-        return zeta(mid.s, P, Q)
-    if mid.tag == "xi":
-        return xi(mid.s, P, Q)
-    if mid.tag in DIFF_TAGS:
-        return difference_measure(mid, P, Q)
-    return base_measure(mid, P, Q)
+    return _value(_measure_id(measure), P, Q)
 
 
 # ---------------------------------------------------------------------------
 # inequality chains
 # ---------------------------------------------------------------------------
+
+
+CHAIN_LABELS = {
+    "eq7": ("Delta/4", "I", "h", "4d", "J/8", "T", "Psi/16"),
+    "eq39": (
+        "D_IDelta",
+        "2/3*D_hDelta",
+        "8/15*D_dDelta",
+        "8/3*D_dh",
+        "8/7*D_dI",
+        "2*D_hI",
+    ),
+}
+
+
+def chain_values(which: str, p: np.ndarray, q: np.ndarray) -> list:
+    """The values of one chain, in CHAIN_LABELS order, reduced over the last axis."""
+    if which == "eq7":
+        return [
+            0.25 * _delta(p, q),
+            _jensen_shannon(p, q),
+            _hellinger(p, q),
+            4.0 * _ddiv(p, q),
+            0.125 * _jdiv(p, q),
+            _tdiv(p, q),
+            _psi(p, q) / 16.0,
+        ]
+    if which == "eq39":
+        d4 = 4.0 * _ddiv(p, q)
+        dq = 0.25 * _delta(p, q)
+        h = _hellinger(p, q)
+        i = _jensen_shannon(p, q)
+        return [
+            i - dq,
+            (2.0 / 3.0) * (h - dq),
+            (8.0 / 15.0) * (d4 - dq),
+            (8.0 / 3.0) * (d4 - h),
+            (8.0 / 7.0) * (d4 - i),
+            2.0 * (h - i),
+        ]
+    raise ArgumentError(f"unknown chain {which!r} (expected 'eq7' or 'eq39')")
+
+
+def chain_slack(values: np.ndarray):
+    """Adjacent-pair slacks along the last axis of chain values.
+
+    Returns (raw, normalised, violated): right - left, that slack over
+    1 + right, and whether it breaks CHAIN_TOL.  A pair whose larger side
+    is infinite satisfies the inequality: its normalised slack is +inf and
+    it is never violated.
+    """
+    left, right = values[..., :-1], values[..., 1:]
+    closed = np.isinf(right)
+    scale = 1.0 + right
+    with np.errstate(invalid="ignore", divide="ignore"):
+        raw = right - left
+        normalised = raw / scale
+        violated = raw < -CHAIN_TOL * scale
+    normalised[closed] = math.inf
+    violated &= ~closed
+    return raw, normalised, violated
 
 
 @dataclass(frozen=True)
@@ -276,25 +379,17 @@ class ChainReport:
     @property
     def worst_slack(self) -> float:
         """Most negative normalised slack over adjacent pairs (inf if none finite)."""
-        worst = math.inf
-        for i in range(len(self.values) - 1):
-            left, right = self.values[i][1], self.values[i + 1][1]
-            if math.isinf(right):
-                continue
-            worst = min(worst, (right - left) / (1.0 + right))
-        return worst
+        _, normalised, _ = chain_slack(np.array([v for _, v in self.values]))
+        return min([math.inf, *normalised.tolist()])
 
 
 def _chain_report(entries: Sequence[Tuple[str, float]]) -> ChainReport:
-    violations = []
-    for i in range(len(entries) - 1):
-        (ll, lv), (rl, rv) = entries[i], entries[i + 1]
-        if math.isinf(rv):
-            continue  # +inf on the larger side satisfies the inequality
-        slack = rv - lv
-        if slack < -CHAIN_TOL * (1.0 + rv):
-            violations.append((f"{ll} <= {rl}", slack))
-    return ChainReport(values=tuple(entries), violations=tuple(violations))
+    raw, _, violated = chain_slack(np.array([v for _, v in entries]))
+    violations = tuple(
+        (f"{entries[i][0]} <= {entries[i + 1][0]}", float(raw[i]))
+        for i in np.flatnonzero(violated)
+    )
+    return ChainReport(values=tuple(entries), violations=violations)
 
 
 def chain_check(
@@ -307,29 +402,5 @@ def chain_check(
                      <= (8/3) D_dh <= (8/7) D_dI <= 2 D_hI
     """
     p, q = _arrays(P, Q)
-    if which == "eq7":
-        entries = [
-            ("Delta/4", 0.25 * _delta(p, q)),
-            ("I", _jensen_shannon(p, q)),
-            ("h", _hellinger(p, q)),
-            ("4d", 4.0 * _ddiv(p, q)),
-            ("J/8", 0.125 * _jdiv(p, q)),
-            ("T", _tdiv(p, q)),
-            ("Psi/16", _psi(p, q) / 16.0),
-        ]
-    elif which == "eq39":
-        d4 = 4.0 * _ddiv(p, q)
-        dq = 0.25 * _delta(p, q)
-        h = _hellinger(p, q)
-        i = _jensen_shannon(p, q)
-        entries = [
-            ("D_IDelta", i - dq),
-            ("2/3*D_hDelta", (2.0 / 3.0) * (h - dq)),
-            ("8/15*D_dDelta", (8.0 / 15.0) * (d4 - dq)),
-            ("8/3*D_dh", (8.0 / 3.0) * (d4 - h)),
-            ("8/7*D_dI", (8.0 / 7.0) * (d4 - i)),
-            ("2*D_hI", 2.0 * (h - i)),
-        ]
-    else:
-        raise ArgumentError(f"unknown chain {which!r} (expected 'eq7' or 'eq39')")
-    return _chain_report(entries)
+    values = chain_values(which, p, q)
+    return _chain_report([(label, float(v)) for label, v in zip(CHAIN_LABELS[which], values)])

@@ -10,24 +10,49 @@ seeded with (seed, suite index) and checks one family of invariants:
   comparisons              sharpness orderings between difference bounds
 
 Inequality suites report the most negative slack seen; equality suites
-report the largest deviation.  Results are reduced in trial order, so a
-fixed (trials, seed, n_max) triple yields byte-identical reports.
+report the largest deviation.
+
+The suites are evaluated in fixed blocks of up to BLOCK_TRIALS trials.
+Trials are drawn one after another in a fixed order; a block is then
+grouped by alphabet size n (problem size k for the bound suites), and each
+group is one C-contiguous (m, n) array that the measure, Csiszar-sum and
+posterior-averaging kernels reduce row by row.  The bound suites then
+assemble each problem's report on its own (its bisections stay scalar).
+Results are reduced in trial order, so the reports equal, byte for byte,
+checking one trial at a time with chain_check, measure_value, csiszar_sum,
+bound_report and comparison_check, and a fixed (trials, seed, n_max)
+triple yields byte-identical reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .bounds import TwoClassProblem, bound_report, comparison_check
-from .distributions import STRICT, DiscreteDistribution, validate
-from .generators import CATALOG_KEYS, STAR_SYM_TOL, generator, star, star_symmetry_defect
+from .bounds import (
+    COMPARISON_TAGS,
+    TwoClassProblem,
+    assemble_report,
+    compare_averages,
+    min_mass_sum,
+    posterior_arrays,
+    posterior_averages,
+    report_generators,
+)
+from .distributions import STRICT, DiscreteDistribution, invalid_rows, validate
+from .generators import (
+    CATALOG_KEYS,
+    STAR_SYM_TOL,
+    csiszar_rows,
+    generator,
+    star,
+    star_symmetry_defect,
+)
 from .kernel import ArgumentError
-from .measures import ChainReport, _chain_report, chain_check, measure_value
-from . import generators as _generators
+from .measures import CHAIN_LABELS, _chain_report, chain_slack, chain_values, measure_rows
 
 SUITE_NAMES = (
     "eq7_chain",
@@ -47,6 +72,11 @@ REDUCED_FACTOR = 10
 
 _VERIFY_S_GRID = (-1.0, 0.0, 0.5, 2.0)
 
+# A block holds at most this many trials, and stops early once its pairs
+# hold this many cells each side, which bounds memory at a large --n-max.
+BLOCK_TRIALS = 1024
+BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -61,80 +91,161 @@ class SuiteResult:
         return self.failures == 0
 
 
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    w = np.exp(z)
+    return w / np.sum(w, axis=-1, keepdims=True)
+
+
 def random_strict_pair(
     rng: np.random.Generator, n: int
 ) -> Tuple[DiscreteDistribution, DiscreteDistribution]:
     """Strictly positive pair: normalised exponentials of standard normals."""
-    out = []
-    for _ in range(2):
-        w = np.exp(rng.standard_normal(n))
-        out.append(validate(w / w.sum(), STRICT))
-    return out[0], out[1]
+    p, q = _softmax_rows(rng.standard_normal((2, n)))
+    return validate(p, STRICT), validate(q, STRICT)
 
 
 def random_problem(rng: np.random.Generator, k: int) -> TwoClassProblem:
     """Priors uniform on (0.05, 0.95), conditionals softmax of standard normals."""
     p1 = float(rng.uniform(0.05, 0.95))
-    conds = []
-    for _ in range(2):
-        w = np.exp(rng.standard_normal(k))
-        conds.append(w / w.sum())
-    return TwoClassProblem.from_arrays((p1, 1.0 - p1), conds[0], conds[1])
+    c1, c2 = _softmax_rows(rng.standard_normal((2, k)))
+    return TwoClassProblem.from_arrays((p1, 1.0 - p1), c1, c2)
 
 
-def _echo_pair(i: int, P: DiscreteDistribution, Q: DiscreteDistribution, detail: str) -> str:
-    return f"trial {i}: P={P.probs.tolist()!r} Q={Q.probs.tolist()!r} {detail}"
+def _echo_pair(i: int, p: np.ndarray, q: np.ndarray, detail: str) -> str:
+    return f"trial {i}: P={p.tolist()!r} Q={q.tolist()!r} {detail}"
+
+
+# ---------------------------------------------------------------------------
+# blocks of strictly positive pairs
+# ---------------------------------------------------------------------------
+
+# (block positions, P block, Q block) of one alphabet size, positions ascending
+PairGroup = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _pair_blocks(
+    trials: int, rng: np.random.Generator, n_max: int
+) -> Iterator[Tuple[int, List[PairGroup]]]:
+    """(first trial index, size groups) per block, drawing as random_strict_pair does.
+
+    A block's group list is emptied before the next block is drawn, so one
+    block is held at a time.
+    """
+    start = 0
+    while start < trials:
+        groups = _pair_groups(_draw_normals(rng, trials - start, n_max))
+        yield start, groups
+        start += sum(len(idx) for idx, _, _ in groups)
+        groups.clear()
+
+
+def _draw_normals(rng: np.random.Generator, left: int, n_max: int) -> List[np.ndarray]:
+    normals = []
+    cells = 0
+    while len(normals) < min(left, BLOCK_TRIALS) and cells < BLOCK_CELLS:
+        n = int(rng.integers(2, n_max + 1))
+        normals.append(rng.standard_normal((2, n)))
+        cells += n
+    return normals
+
+
+def _pair_groups(normals: List[np.ndarray]) -> List[PairGroup]:
+    sizes = np.array([z.shape[1] for z in normals])
+    groups = []
+    for n in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
+        idx = np.flatnonzero(sizes == n)
+        P = _softmax_rows(np.stack([normals[i][0] for i in idx]))
+        Q = _softmax_rows(np.stack([normals[i][1] for i in idx]))
+        for i in idx:
+            normals[i] = None  # grouped: hold each draw once
+        groups.append((idx, P, Q))
+    # validate every pair; the earliest rejected one raises validate's error
+    rejected = []
+    for idx, P, Q in groups:
+        bad = invalid_rows(P, STRICT) | invalid_rows(Q, STRICT)
+        if bad.any():
+            rejected.append((idx[bad][0], P[bad][0], Q[bad][0]))
+    if rejected:
+        _, p, q = min(rejected, key=lambda r: r[0])
+        validate(p, STRICT)
+        validate(q, STRICT)
+    return groups
+
+
+def _in_trial_order(groups: List[PairGroup], evaluate: Callable) -> np.ndarray:
+    """evaluate(P, Q) on each size group, its rows put back in trial order."""
+    out = None
+    count = sum(len(idx) for idx, _, _ in groups)
+    for idx, P, Q in groups:
+        rows = evaluate(P, Q)
+        if out is None:
+            out = np.empty((count,) + rows.shape[1:])
+        out[idx] = rows
+    return out
+
+
+def _pair_at(groups: List[PairGroup], i: int) -> Tuple[np.ndarray, np.ndarray]:
+    for idx, P, Q in groups:
+        j = int(np.searchsorted(idx, i))
+        if j < len(idx) and idx[j] == i:
+            return P[j], Q[j]
+    raise IndexError(i)
 
 
 def _chain_suite(
     name: str, which: str, trials: int, rng: np.random.Generator, n_max: int, corrupt: bool
 ) -> SuiteResult:
+    labels = CHAIN_LABELS[which]
     failures = 0
     worst = math.inf
     first: Optional[str] = None
-    for i in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        P, Q = random_strict_pair(rng, n)
-        report = chain_check(P, Q, which)
-        if corrupt and i == 0:
-            report = _corrupt(report)
-        worst = min(worst, report.worst_slack)
-        if not report.ok:
-            failures += 1
-            if first is None:
-                first = _echo_pair(i, P, Q, f"violations={list(report.violations)!r}")
+    for start, groups in _pair_blocks(trials, rng, n_max):
+        values = _in_trial_order(groups, lambda P, Q: np.stack(chain_values(which, P, Q), axis=-1))
+        if corrupt and start == 0:
+            # test hook: force a detectable violation by deflating one interior value
+            values[0, 2] -= 10.0 * (1.0 + abs(values[0, 2]))
+        _, normalised, violated = chain_slack(values)
+        # Python's min in trial order: a nan never replaces the running
+        # minimum, and of equal values the earliest (and its sign) stays
+        worst = min([worst, *normalised.reshape(-1).tolist()])
+        bad = np.flatnonzero(violated.any(axis=-1))
+        failures += bad.size
+        if first is None and bad.size:
+            i = int(bad[0])
+            report = _chain_report(list(zip(labels, values[i].tolist())))
+            first = _echo_pair(
+                start + i, *_pair_at(groups, i), f"violations={list(report.violations)!r}"
+            )
     return SuiteResult(name, trials, failures, worst, first)
 
 
-def _corrupt(report: ChainReport) -> ChainReport:
-    # test hook: force a detectable violation by deflating one interior value
-    entries = list(report.values)
-    label, value = entries[2]
-    entries[2] = (label, value - 10.0 * (1.0 + abs(value)))
-    return _chain_report(entries)
-
-
 def _csiszar_suite(trials: int, rng: np.random.Generator, n_max: int) -> SuiteResult:
+    gens = [generator(key) for key in CATALOG_KEYS]
+
+    def evaluate(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        direct = [measure_rows(key, P, Q) for key in CATALOG_KEYS]
+        summed = [csiszar_rows(g, P, Q) for g in gens]
+        return np.stack([np.stack(direct, axis=-1), np.stack(summed, axis=-1)], axis=1)
+
     failures = 0
     worst = 0.0
     first: Optional[str] = None
-    checks = 0
-    for i in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        P, Q = random_strict_pair(rng, n)
-        for key in CATALOG_KEYS:
-            direct = measure_value(key, P, Q)
-            summed = _generators.csiszar_sum(generator(key), P, Q)
-            dev = abs(summed - direct) / (1.0 + abs(direct))
-            worst = max(worst, dev)
-            checks += 1
-            if dev > CSISZAR_TOL:
-                failures += 1
-                if first is None:
-                    first = _echo_pair(
-                        i, P, Q, f"key={key.label()} direct={direct!r} sum={summed!r}"
-                    )
-    return SuiteResult("csiszar_equiv", checks, failures, worst, first)
+    for start, groups in _pair_blocks(trials, rng, n_max):
+        both = _in_trial_order(groups, evaluate)
+        direct, summed = both[:, 0], both[:, 1]
+        dev = np.abs(summed - direct) / (1.0 + np.abs(direct))
+        worst = max([worst, *dev.reshape(-1).tolist()])
+        failing = dev > CSISZAR_TOL
+        failures += int(np.count_nonzero(failing))
+        if first is None and failing.any():
+            i, j = divmod(int(np.argmax(failing.reshape(-1))), len(CATALOG_KEYS))
+            first = _echo_pair(
+                start + i,
+                *_pair_at(groups, i),
+                f"key={CATALOG_KEYS[j].label()} direct={float(direct[i, j])!r} "
+                f"sum={float(summed[i, j])!r}",
+            )
+    return SuiteResult("csiszar_equiv", trials * len(CATALOG_KEYS), failures, worst, first)
 
 
 def _star_suite() -> SuiteResult:
@@ -165,32 +276,67 @@ def _star_suite() -> SuiteResult:
     return SuiteResult("star_transform", checks, failures, worst, first)
 
 
+# ---------------------------------------------------------------------------
+# blocks of two-class problems
+# ---------------------------------------------------------------------------
+
+
+def _problem_trials(
+    trials: int, rng: np.random.Generator, gens
+) -> Iterator[Tuple[int, TwoClassProblem, float, dict]]:
+    """(trial index, problem, exact error, averages by key) per trial.
+
+    Stage 1 of the bound report runs per block, one size group at a time:
+    every outcome of a drawn problem is live, since its conditionals are
+    strictly positive.
+    """
+    start = 0
+    while start < trials:
+        count = min(BLOCK_TRIALS, trials - start)
+        problems = [random_problem(rng, int(rng.integers(2, 17))) for _ in range(count)]
+        sizes = np.array([problem.k for problem in problems])
+        pe = np.empty(count)
+        averages = {g.key: np.empty(count) for g in gens}
+        for k in sorted(set(sizes.tolist())):
+            idx = np.flatnonzero(sizes == k)
+            group = [problems[i] for i in idx]
+            w1, w2, px, a2 = posterior_arrays(
+                np.array([[problem.p1] for problem in group]),
+                np.array([[problem.p2] for problem in group]),
+                np.stack([problem.cond1.probs for problem in group]),
+                np.stack([problem.cond2.probs for problem in group]),
+            )
+            pe[idx] = min_mass_sum(w1, w2)
+            for key, rows in posterior_averages(px, a2, gens).items():
+                averages[key][idx] = rows
+        for j, problem in enumerate(problems):
+            by_key = {key: float(rows[j]) for key, rows in averages.items()}
+            yield start + j, problem, float(pe[j]), by_key
+        start += count
+
+
+def _problem_text(problem: TwoClassProblem) -> str:
+    return (
+        f"priors=({problem.p1!r}, {problem.p2!r}) "
+        f"cond1={problem.cond1.probs.tolist()!r} "
+        f"cond2={problem.cond2.probs.tolist()!r}"
+    )
+
+
 def _sandwich_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
     failures = 0
     worst = math.inf
     first: Optional[str] = None
-    for i in range(trials):
-        k = int(rng.integers(2, 17))
-        problem = random_problem(rng, k)
-        report = bound_report(problem, _VERIFY_S_GRID)
-        for e in report.entries:
-            if not e.applicable:
-                continue
-            slack = (
-                report.exact_pe - e.value
-                if e.kind == "lower"
-                else e.value - report.exact_pe
-            )
+    gens = report_generators(_VERIFY_S_GRID)
+    for i, problem, pe, averages in _problem_trials(trials, rng, gens):
+        report = assemble_report(problem, _VERIFY_S_GRID, pe, averages)
+        for _, slack in report.slacks():
             worst = min(worst, slack)
         bad = report.sandwich_violations()
         if bad:
             failures += 1
             if first is None:
-                first = (
-                    f"trial {i}: priors=({problem.p1!r}, {problem.p2!r}) "
-                    f"cond1={problem.cond1.probs.tolist()!r} "
-                    f"cond2={problem.cond2.probs.tolist()!r} violations={bad!r}"
-                )
+                first = f"trial {i}: {_problem_text(problem)} violations={bad!r}"
     return SuiteResult("sandwich", trials, failures, worst, first)
 
 
@@ -199,10 +345,9 @@ def _comparison_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
     worst = math.inf
     first: Optional[str] = None
     checks = 0
-    for i in range(trials):
-        k = int(rng.integers(2, 17))
-        problem = random_problem(rng, k)
-        for res in comparison_check(problem):
+    gens = [generator(tag) for tag in COMPARISON_TAGS]
+    for i, problem, _, averages in _problem_trials(trials, rng, gens):
+        for res in compare_averages(averages):
             checks += 1
             worst = min(worst, res.slack)
             if not res.satisfied:
@@ -210,9 +355,7 @@ def _comparison_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
                 if first is None:
                     first = (
                         f"trial {i}: relation={res.relation} slack={res.slack!r} "
-                        f"priors=({problem.p1!r}, {problem.p2!r}) "
-                        f"cond1={problem.cond1.probs.tolist()!r} "
-                        f"cond2={problem.cond2.probs.tolist()!r}"
+                        f"{_problem_text(problem)}"
                     )
     return SuiteResult("comparisons", checks, failures, worst, first)
 

@@ -19,6 +19,7 @@ from divbound.bounds import (
     kailath_bound,
     lower_bound_family,
     posteriors,
+    report_generators,
     toussaint_bounds,
     upper_bound_difference,
     upper_bound_xi,
@@ -26,7 +27,9 @@ from divbound.bounds import (
     xi_point,
     zeta_point,
 )
+from divbound import bounds as bounds_mod
 from divbound.distributions import ValidationFailure
+from divbound.kernel import DomainError
 from divbound.generators import generator, star
 from divbound.measures import DIFF_TAGS, MeasureId
 
@@ -203,6 +206,18 @@ class TestPointwiseForms:
             g = generator(MeasureId("xi", s))
             for a in (0.05, 0.2, 0.5, 0.9):
                 assert xi_point(s, a) == pytest.approx(star(g, a), rel=1e-12)
+
+    def test_family_generator_resolved_once(self):
+        for family in ("zeta", "xi"):
+            g = bounds_mod._family_generator(family, 0.5)
+            assert bounds_mod._family_generator(family, 0.5) is g
+            assert g is generator(MeasureId(family, 0.5))
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order_rejected(self, s):
+        for point in (zeta_point, xi_point):
+            with pytest.raises(DomainError):
+                point(s, 0.3)
 
     def test_endpoint_conventions(self):
         assert zeta_point(0.5, 0.0) == 4.0
@@ -402,6 +417,37 @@ class TestBoundReport:
             if e.applicable and e.kind == "upper":
                 assert abs(e.value) <= 1e-12
         assert report.sandwich_ok
+
+    @pytest.mark.parametrize(
+        "priors,cond1,cond2",
+        [
+            ((0.3, 0.7), [0.2, 0.5, 0.3], [0.6, 0.1, 0.3]),
+            ((0.5, 0.5), [0.5, 0.5, 0.0], [0.25, 0.75, 0.0]),  # a dead outcome
+            ((0.4, 0.6), [1.0, 0.0], [0.0, 1.0]),  # disjoint: infinite averages
+        ],
+    )
+    def test_report_equals_the_single_bounds(self, priors, cond1, cond2):
+        problem = TwoClassProblem.from_arrays(priors, cond1, cond2)
+        grid = (-1.0, 0.0, 0.5, 2.0)
+        by_name = {e.name: e for e in bound_report(problem, grid).entries}
+        general, via_inversion = toussaint_bounds(problem)
+        assert by_name["toussaint_inversion"].value == via_inversion
+        assert by_name["toussaint_general"].value == (0.0 if general is None else general)
+        for family, upper in (("zeta", upper_bound_zeta), ("xi", upper_bound_xi)):
+            for s in grid:
+                low = by_name[f"{family}_lower(s={s!r})"]
+                assert (low.value, low.note) == lower_bound_family(problem, family, s)
+                up = by_name[f"{family}_upper(s={s!r})"]
+                try:
+                    assert (up.value, up.applicable) == (upper(problem, s), True)
+                except BoundUnavailable as exc:
+                    assert (up.value, up.applicable, up.note) == (0.5, False, str(exc))
+        for tag in DIFF_TAGS:
+            assert by_name[f"diff_upper({tag})"].value == upper_bound_difference(problem, tag)
+
+    def test_report_averages_each_generator_once(self):
+        keys = [g.key for g in report_generators((-1.0, 0.0, 0.5, 2.0))]
+        assert len(keys) == len(set(keys)) == 14
 
     @given(problems())
     @settings(max_examples=40)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import oracle_reference as oracle
 from divbound import bounds as bounds_mod
 from divbound import cli
 from divbound.cli import main
@@ -199,6 +205,19 @@ class TestVerifyCommand:
         assert code == 1
         assert "eq7_chain" in err
 
+    def test_machine_output_matches_golden_file(self):
+        # captured from the one-trial-at-a-time suites; the blocked engine
+        # must reproduce it byte for byte
+        golden = Path(__file__).parent / "data" / "verify_10000_seed42_machine.txt"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("DIVBOUND_")}
+        run = subprocess.run(
+            [sys.executable, "-m", "divbound", "verify", "--trials", "10000",
+             "--seed", "42", "--format", "machine"],
+            capture_output=True, timeout=300, env=env,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == golden.read_bytes()
+
     def test_seed_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("DIVBOUND_SEED", "5")
         _, out_env, _ = run(capsys, ["verify", "--trials", "30", "--format", "machine"])
@@ -293,3 +312,20 @@ class TestExtremeOrders:
         )
         assert (code, err) == (0, "")
         assert out.splitlines()[1].split("\t")[2] == "inf"
+
+    @pytest.mark.parametrize("spec", ["xi:60", "xi:-60", "zeta:60"])
+    def test_measure_small_masses_match_oracle(self, capsys, tmp_path, spec):
+        # the direct power form is inf * 0 = nan here; the value must not be
+        p_text, q_text = "0.0000000001 0.9999999999", "0.0000000002 0.9999999998"
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        p.write_text(p_text + "\n")
+        q.write_text(q_text + "\n")
+        code, out, err = run(
+            capsys,
+            ["measure", "--p", str(p), "--q", str(q), "--measure", spec, "--format", "machine"],
+        )
+        assert (code, err) == (0, "")
+        tag, s = spec.split(":")
+        P, Q = ([float(v) for v in text.split()] for text in (p_text, q_text))
+        want = float(getattr(oracle, tag)(float(s), P, Q))
+        assert float(out.splitlines()[1].split("\t")[2]) == pytest.approx(want, rel=1e-12)

@@ -11,6 +11,7 @@ from divbound.distributions import (
     SumNotOne,
     ValidationFailure,
     ZeroEntry,
+    invalid_rows,
     require_same_alphabet,
     validate,
 )
@@ -85,3 +86,26 @@ def test_normalised_vectors_validate(weights):
     w = np.asarray(weights)
     d = validate(w / w.sum(), STRICT)
     assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", [STRICT, PERMISSIVE])
+def test_invalid_rows_flags_what_validate_rejects(mode):
+    block = np.array(
+        [
+            [0.5, 0.5, 0.0],
+            [0.25, 0.25, 0.5],
+            [0.6, 0.6, -0.2],
+            [0.5, 0.5, np.nan],
+            [0.5, np.inf, 0.5],
+            [0.5, 0.5, 1e-11],
+            [0.5, 0.5, 1e-13],
+        ]
+    )
+    flags = invalid_rows(block, mode)
+    for row, flagged in zip(block, flags):
+        try:
+            validate(row, mode)
+            rejected = False
+        except ValidationFailure:
+            rejected = True
+        assert flagged == rejected, row

@@ -7,14 +7,18 @@ from hypothesis import given, strategies as st
 import oracle_reference as oracle
 from conftest import make_pair
 from divbound.distributions import PERMISSIVE, validate
+from divbound.generators import CATALOG_KEYS
 from divbound.kernel import ArgumentError
 from divbound.measures import (
     BASE_TAGS,
     DIFF_TAGS,
     MeasureId,
+    CHAIN_LABELS,
     _chain_report,
     base_measure,
     chain_check,
+    chain_values,
+    measure_rows,
     difference_measure,
     measure_value,
     xi,
@@ -303,3 +307,63 @@ class TestChains:
         Q = validate([0.25, 0.5, 0.25], PERMISSIVE)
         report = chain_check(P, Q, "eq7")  # J/8, T, Psi/16 are all +inf
         assert report.ok
+
+
+class TestRowKernels:
+    """One kernel serves a pair and an (m, n) block of pairs, row for row."""
+
+    @pytest.fixture
+    def block(self):
+        rng = np.random.default_rng(20240811)
+        w = np.exp(rng.standard_normal((2, 9, 23)))  # 23 cells: past numpy's 8-way unrolled sum
+        P, Q = w / w.sum(axis=-1, keepdims=True)
+        return P, Q
+
+    def test_every_measure_bit_identical_per_row(self, block):
+        P, Q = block
+        for key in list(CATALOG_KEYS) + [MeasureId("zeta", 0.0), MeasureId("xi", 1.0)]:
+            rows = measure_rows(key, P, Q)
+            assert rows.shape == (P.shape[0],)
+            for i in range(P.shape[0]):
+                assert rows[i] == measure_value(key, validate(P[i]), validate(Q[i])), key
+
+    def test_chain_values_bit_identical_per_row(self, block):
+        P, Q = block
+        for which in ("eq7", "eq39"):
+            rows = np.stack(chain_values(which, P, Q), axis=-1)
+            for i in range(P.shape[0]):
+                report = chain_check(validate(P[i]), validate(Q[i]), which)
+                assert report.values == tuple(zip(CHAIN_LABELS[which], rows[i].tolist()))
+
+    def test_dead_cells_in_a_block_contribute_nothing(self):
+        P = np.array([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]])
+        Q = np.array([[0.25, 0.75, 0.0], [0.6, 0.4, 0.0]])
+        for s in (-3.0, 0.5, 4.0):
+            for tag in ("zeta", "xi"):
+                rows = measure_rows(MeasureId(tag, s), P, Q)
+                for i in range(2):
+                    pair = (validate(P[i], PERMISSIVE), validate(Q[i], PERMISSIVE))
+                    assert rows[i] == measure_value(MeasureId(tag, s), *pair)
+
+
+# Small masses at |s| = 60: the direct power form multiplies an overflowing
+# by an underflowing power there, which is inf * 0 = nan.
+SMALL_P = [0.0000000001, 0.9999999999]
+SMALL_Q = [0.0000000002, 0.9999999998]
+
+
+@pytest.mark.filterwarnings("error")
+class TestExtremeOrderSmallMasses:
+    @pytest.mark.parametrize("spec", ["xi:60", "xi:-60", "zeta:60", "zeta:-60"])
+    def test_matches_oracle(self, spec):
+        tag, s = spec.split(":")
+        want = float(getattr(oracle, tag)(float(s), SMALL_P, SMALL_Q))
+        got = measure_value(spec, validate(SMALL_P), validate(SMALL_Q))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_zero_mass_gives_inf_not_nan(self):
+        # a vanishing mass against a tiny one: the true terms are infinite
+        P = validate([0.0, 1.0], PERMISSIVE)
+        Q = validate([1e-300, 1.0 - 1e-300], PERMISSIVE)
+        for spec in ("zeta:60", "xi:60", "zeta:-60"):
+            assert measure_value(spec, P, Q) == math.inf

@@ -1,10 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+from conftest import make_pair
+from divbound import verify
+from divbound.bounds import TwoClassProblem, bound_report, comparison_check
 from divbound.distributions import STRICT
+from divbound.generators import CATALOG_KEYS, csiszar_sum, generator
 from divbound.kernel import ArgumentError
+from divbound.measures import _chain_report, chain_check, measure_value
 from divbound.verify import (
+    CSISZAR_TOL,
     SUITE_NAMES,
+    SuiteResult,
     random_problem,
     random_strict_pair,
     run_verify,
@@ -60,3 +69,178 @@ def test_random_problem_is_valid():
     assert prob.k == 5
     assert 0.05 <= prob.p1 <= 0.95
     assert prob.p1 + prob.p2 == pytest.approx(1.0, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The batched suites against the per-trial definition
+#
+# The reference checks one trial at a time through the public scalar API
+# (chain_check, measure_value, csiszar_sum, bound_report, comparison_check)
+# on the same draws, and reduces with Python's min and max.
+# ---------------------------------------------------------------------------
+
+
+def _reference_problem(rng, k):
+    p1 = float(rng.uniform(0.05, 0.95))
+    conds = []
+    for _ in range(2):
+        w = np.exp(rng.standard_normal(k))
+        conds.append(w / w.sum())
+    return TwoClassProblem.from_arrays((p1, 1.0 - p1), conds[0], conds[1])
+
+
+def _echo(i, P, Q, detail):
+    return f"trial {i}: P={P.probs.tolist()!r} Q={Q.probs.tolist()!r} {detail}"
+
+
+def _problem_text(problem):
+    return (
+        f"priors=({problem.p1!r}, {problem.p2!r}) "
+        f"cond1={problem.cond1.probs.tolist()!r} "
+        f"cond2={problem.cond2.probs.tolist()!r}"
+    )
+
+
+def _reference_chain(name, which, trials, rng, n_max, corrupt):
+    failures, worst, first = 0, math.inf, None
+    for i in range(trials):
+        P, Q = make_pair(rng, int(rng.integers(2, n_max + 1)))
+        report = chain_check(P, Q, which)
+        if corrupt and i == 0:
+            entries = list(report.values)
+            label, value = entries[2]
+            entries[2] = (label, value - 10.0 * (1.0 + abs(value)))
+            report = _chain_report(entries)
+        worst = min(worst, report.worst_slack)
+        if not report.ok:
+            failures += 1
+            if first is None:
+                first = _echo(i, P, Q, f"violations={list(report.violations)!r}")
+    return SuiteResult(name, trials, failures, worst, first)
+
+
+def _reference_csiszar(trials, rng, n_max):
+    failures, worst, first, checks = 0, 0.0, None, 0
+    for i in range(trials):
+        P, Q = make_pair(rng, int(rng.integers(2, n_max + 1)))
+        for key in CATALOG_KEYS:
+            direct = measure_value(key, P, Q)
+            summed = csiszar_sum(generator(key), P, Q)
+            dev = abs(summed - direct) / (1.0 + abs(direct))
+            worst = max(worst, dev)
+            checks += 1
+            if dev > CSISZAR_TOL:
+                failures += 1
+                if first is None:
+                    first = _echo(i, P, Q, f"key={key.label()} direct={direct!r} sum={summed!r}")
+    return SuiteResult("csiszar_equiv", checks, failures, worst, first)
+
+
+def _reference_sandwich(trials, rng):
+    failures, worst, first = 0, math.inf, None
+    for i in range(trials):
+        problem = _reference_problem(rng, int(rng.integers(2, 17)))
+        report = bound_report(problem, (-1.0, 0.0, 0.5, 2.0))
+        for e in report.entries:
+            if e.applicable:
+                pe = report.exact_pe
+                slack = pe - e.value if e.kind == "lower" else e.value - pe
+                worst = min(worst, slack)
+        bad = report.sandwich_violations()
+        if bad:
+            failures += 1
+            if first is None:
+                first = f"trial {i}: {_problem_text(problem)} violations={bad!r}"
+    return SuiteResult("sandwich", trials, failures, worst, first)
+
+
+def _reference_comparisons(trials, rng):
+    failures, worst, first, checks = 0, math.inf, None, 0
+    for i in range(trials):
+        problem = _reference_problem(rng, int(rng.integers(2, 17)))
+        for res in comparison_check(problem):
+            checks += 1
+            worst = min(worst, res.slack)
+            if not res.satisfied:
+                failures += 1
+                if first is None:
+                    first = (
+                        f"trial {i}: relation={res.relation} slack={res.slack!r} "
+                        f"{_problem_text(problem)}"
+                    )
+    return SuiteResult("comparisons", checks, failures, worst, first)
+
+
+def reference_verify(trials, seed, n_max=64, corrupt=False):
+    reduced = max(1, trials // 10)
+
+    def rng(idx):
+        return np.random.default_rng([seed, idx])
+
+    return [
+        _reference_chain("eq7_chain", "eq7", trials, rng(0), n_max, corrupt),
+        _reference_chain("eq39_chain", "eq39", trials, rng(1), n_max, corrupt),
+        _reference_csiszar(reduced, rng(2), n_max),
+        verify._star_suite(),  # a fixed grid, not drawn trials
+        _reference_sandwich(reduced, rng(3)),
+        _reference_comparisons(reduced, rng(4)),
+    ]
+
+
+def test_draws_match_one_vector_at_a_time():
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    for n in (2, 9, 40):
+        P, Q = random_strict_pair(a, n)
+        P0, Q0 = make_pair(b, n)
+        assert P.probs.tolist() == P0.probs.tolist()
+        assert Q.probs.tolist() == Q0.probs.tolist()
+    for k in (1, 3, 16):
+        problem, problem0 = random_problem(a, k), _reference_problem(b, k)
+        assert _problem_text(problem) == _problem_text(problem0)
+
+
+def _exact(results):
+    # repr keeps what == would blur: the sign of a zero, and nan
+    return [(r.suite, r.checks, r.failures, repr(r.worst), r.first_failure) for r in results]
+
+
+@pytest.mark.parametrize(
+    "trials,seed,n_max,block",
+    [
+        (1500, 7, 64, None),  # two blocks, the second partial
+        (1100, 3, 2, None),  # one alphabet size only
+        (130, 11, 64, 16),  # many small blocks in every suite
+        (200, 5, 3000, None),  # large alphabets: blocks end on the cell budget
+        (25, 42, 9, 4),
+    ],
+)
+def test_batched_suites_equal_per_trial_definition(monkeypatch, trials, seed, n_max, block):
+    if block is not None:
+        monkeypatch.setattr(verify, "BLOCK_TRIALS", block)
+    got = run_verify(trials, seed, n_max)
+    want = reference_verify(trials, seed, n_max)
+    assert got == want
+    assert _exact(got) == _exact(want)
+
+
+@pytest.mark.parametrize("trials,seed,block", [(40, 3, None), (1100, 9, None), (40, 3, 8)])
+def test_corruption_hook_matches_per_trial_definition(monkeypatch, trials, seed, block):
+    if block is not None:
+        monkeypatch.setattr(verify, "BLOCK_TRIALS", block)
+    got = run_verify(trials, seed, corrupt=True)
+    want = reference_verify(trials, seed, corrupt=True)
+    assert _exact(got) == _exact(want)
+    for r in got[:2]:
+        assert r.failures >= 1
+        assert r.first_failure.startswith("trial 0: ")
+
+
+def test_large_alphabet_blocks_stay_small():
+    # one block may not hold more than BLOCK_CELLS cells of either side
+    rng = np.random.default_rng(1)
+    for _, groups in verify._pair_blocks(300, rng, 5000):
+        cells = sum(P.size for _, P, _ in groups)
+        assert cells < verify.BLOCK_CELLS + 5000
+        for idx, P, Q in groups:
+            assert P.flags.c_contiguous and Q.flags.c_contiguous
+            assert P.shape == Q.shape == (len(idx), P.shape[1])
