@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .distributions import (
     validate,
 )
 from .generators import LN2, GeneratingFunction, generator, star, star_extended
-from .kernel import ArgumentError, DivboundError, OrderParameter, invert_decreasing
+from .kernel import ArgumentError, DivboundError, OrderParameter, invert_decreasing, row_sum
 from .measures import DIFF_TAGS, FAMILY_TAGS, MeasureId, zeta as zeta_measure
 
 PRIOR_TOL = 1e-12
@@ -139,7 +139,7 @@ def _live_posterior_arrays(problem: TwoClassProblem) -> Tuple[np.ndarray, np.nda
 
 def min_mass_sum(w1: np.ndarray, w2: np.ndarray):
     """sum_x min(w1, w2) over the last axis: the Bayes error of p1 c1, p2 c2."""
-    return np.sum(np.minimum(w1, w2), axis=-1)
+    return row_sum(np.minimum, w1, w2)
 
 
 def bayes_error(problem: TwoClassProblem) -> float:
@@ -190,7 +190,11 @@ def posterior_averages(px: np.ndarray, a2: np.ndarray, gens: Iterable[Generating
     (m, k) block gives each of m problems' averages, bit-identical to the
     problem on its own.
     """
-    return {g.key: np.sum(px * star_extended(g, a2), axis=-1) for g in gens}
+    return {g.key: row_sum(_average_term, px, a2, g) for g in gens}
+
+
+def _average_term(px: np.ndarray, a2: np.ndarray, g: GeneratingFunction) -> np.ndarray:
+    return px * star_extended(g, a2)
 
 
 def problem_averages(problem: TwoClassProblem, gens: Iterable[GeneratingFunction]) -> dict:
@@ -209,10 +213,24 @@ def average_f_divergence(problem: TwoClassProblem, g: GeneratingFunction) -> flo
 # ---------------------------------------------------------------------------
 
 
+def _bisected(g: GeneratingFunction) -> Callable[[float], float]:
+    """star(g, a) for a float a in the bisection bracket, without star's
+    per-call type and domain checks: the bracket lies inside (0, 1)."""
+    fn = g.fn
+
+    def f(a: float) -> float:
+        try:
+            return float(a * fn((1.0 - a) / a))
+        except OverflowError:
+            return star(g, a)
+
+    return f
+
+
 def _lower_from_average(g: GeneratingFunction, v: float) -> Tuple[float, str]:
     if math.isinf(v):
         return 0.0, "vacuous: averaged divergence is infinite"
-    val = invert_decreasing(lambda a: star(g, a), v, LOWER_BRACKET_LO, 0.5)
+    val = invert_decreasing(_bisected(g), v, LOWER_BRACKET_LO, 0.5)
     if val <= LOWER_BRACKET_LO:
         return val, "near-vacuous: target above inversion bracket"
     return val, ""

@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 property violation, 2 usage or parse error,
 3 validation error, 4 internal error (any other exception; its traceback
 follows the one-line report on stderr).  The environment variable
-DIVBOUND_SEED overrides the default --seed; DIVBOUND_VERIFY_CORRUPT=1 is a
-test hook that injects a chain violation so the detector path can be
-exercised end to end.
+DIVBOUND_SEED overrides the default --seed; when verify reads it (no --seed
+given), a value that is not an integer is a usage error (exit 2).
+DIVBOUND_VERIFY_CORRUPT=1 is a test hook that injects a chain violation so
+the detector path can be exercised end to end.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ EXIT_INTERNAL = 4
 
 def _default_seed() -> int:
     env = os.environ.get("DIVBOUND_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 42
+    if env is None:
+        return 42
+    try:
+        return int(env)
+    except ValueError:
+        raise ArgumentError(f"DIVBOUND_SEED must be an integer, got {env!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, require_same_alphabet
+from .distributions import STRICT, DiscreteDistribution, require_same_alphabet
 from .kernel import (
     ArgumentError,
     DivboundError,
@@ -30,6 +30,7 @@ from .kernel import (
     OrderParameter,
     Regime,
     convexity_probe,
+    row_sum,
 )
 from .measures import _DIFF_COMBOS, BASE_TAGS, DIFF_TAGS, MeasureId
 
@@ -296,13 +297,19 @@ def limit_constants(g: GeneratingFunction) -> LimitConstants:
     )
 
 
+def _csiszar_term(p: np.ndarray, q: np.ndarray, fn: Callable):
+    return q * np.asarray(fn(p / q), dtype=float)
+
+
 def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray):
     """sum q f(p/q) over the last axis, for strictly positive masses.
 
     One call serves a single pair of vectors or an (m, n) block of pairs,
-    row for row bit-identical to the single-pair sums.
+    row for row bit-identical to the single-pair sums.  A generator power
+    that overflows gives +inf silently.
     """
-    return np.sum(q * np.asarray(g.fn(p / q), dtype=float), axis=-1)
+    with np.errstate(over="ignore"):
+        return row_sum(_csiszar_term, p, q, g.fn)
 
 
 def csiszar_sum(
@@ -311,6 +318,9 @@ def csiszar_sum(
     """sum_i q_i f(p_i/q_i) under the zero conventions; +inf is a flagged value."""
     require_same_alphabet(P, Q)
     p, q = P.probs, Q.probs
+    if P.mode == STRICT and Q.mode == STRICT:
+        # validate guarantees every strict entry is > 0
+        return float(csiszar_rows(g, p, q))
     both = (p > 0.0) & (q > 0.0)
     if both.all():
         return float(csiszar_rows(g, p, q))

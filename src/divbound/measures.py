@@ -36,7 +36,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .distributions import DiscreteDistribution, require_same_alphabet
-from .kernel import ArgumentError, OrderParameter, Regime, _xlogy
+from .kernel import ArgumentError, OrderParameter, Regime, _xlogy, row_sum
 
 # Relative slack tolerance for the inequality chains, scaled by the larger
 # side: absolute slacks shrink quadratically as P -> Q.
@@ -113,99 +113,134 @@ class MeasureId:
 # ---------------------------------------------------------------------------
 # raw-array measure kernels (inputs are validated nonnegative vectors)
 #
-# Each kernel reduces over the last axis, so one call serves a single pair
-# of (n,) vectors and an (m, n) block of m same-size pairs alike.  Row i of
-# a C-contiguous block gives the value of pair i bit for bit: every step is
-# elementwise or a last-axis sum, and numpy sums each row exactly as it sums
-# the row on its own.
+# Each kernel is a per-cell term summed by kernel.row_sum over the last
+# axis, so one call serves a single pair of (n,) vectors and an (m, n)
+# block of m same-size pairs alike.  Row i of a C-contiguous block gives
+# the value of pair i bit for bit: every term is elementwise, and numpy sums
+# each row exactly as it sums the row on its own.
 # ---------------------------------------------------------------------------
 
 
-def _delta(p: np.ndarray, q: np.ndarray):
+def _delta_term(p: np.ndarray, q: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (p - q) ** 2 / (p + q)
-    return np.sum(np.where(p + q > 0.0, t, 0.0), axis=-1)
+    return np.where(p + q > 0.0, t, 0.0)
 
 
-def _hellinger(p: np.ndarray, q: np.ndarray):
-    return 0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1)
+def _hellinger_term(p: np.ndarray, q: np.ndarray):
+    return (np.sqrt(p) - np.sqrt(q)) ** 2
 
 
-def _jensen_shannon(p: np.ndarray, q: np.ndarray):
+def _jensen_shannon_term(p: np.ndarray, q: np.ndarray):
     m = p + q
-    return 0.5 * np.sum(_xlogy(p, p) + _xlogy(q, q) - _xlogy(m, 0.5 * m), axis=-1)
+    return _xlogy(p, p) + _xlogy(q, q) - _xlogy(m, 0.5 * m)
 
 
-def _ddiv(p: np.ndarray, q: np.ndarray):
-    return 1.0 - np.sum(0.5 * (np.sqrt(p) + np.sqrt(q)) * np.sqrt(0.5 * (p + q)), axis=-1)
+def _ddiv_term(p: np.ndarray, q: np.ndarray):
+    return 0.5 * (np.sqrt(p) + np.sqrt(q)) * np.sqrt(0.5 * (p + q))
 
 
-def _jdiv(p: np.ndarray, q: np.ndarray):
+def _jdiv_term(p: np.ndarray, q: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (p - q) * (np.log(p) - np.log(q))
-        t = np.where((p == 0.0) & (q == 0.0), 0.0, t)
-    return np.sum(t, axis=-1)
+        return np.where((p == 0.0) & (q == 0.0), 0.0, t)
 
 
-def _tdiv(p: np.ndarray, q: np.ndarray):
+def _tdiv_term(p: np.ndarray, q: np.ndarray):
     m = 0.5 * (p + q)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = _xlogy(m, m) - 0.5 * m * (np.log(p) + np.log(q))
-        t = np.where(m == 0.0, 0.0, t)
-    return np.sum(t, axis=-1)
+        return np.where(m == 0.0, 0.0, t)
+
+
+def _psi_term(p: np.ndarray, q: np.ndarray):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (p - q) ** 2 * (p + q) / (p * q)
+        return np.where((p == 0.0) & (q == 0.0), 0.0, t)
+
+
+def _delta(p: np.ndarray, q: np.ndarray):
+    return row_sum(_delta_term, p, q)
+
+
+def _hellinger(p: np.ndarray, q: np.ndarray):
+    return 0.5 * row_sum(_hellinger_term, p, q)
+
+
+def _jensen_shannon(p: np.ndarray, q: np.ndarray):
+    return 0.5 * row_sum(_jensen_shannon_term, p, q)
+
+
+def _ddiv(p: np.ndarray, q: np.ndarray):
+    return 1.0 - row_sum(_ddiv_term, p, q)
+
+
+def _jdiv(p: np.ndarray, q: np.ndarray):
+    return row_sum(_jdiv_term, p, q)
+
+
+def _tdiv(p: np.ndarray, q: np.ndarray):
+    return row_sum(_tdiv_term, p, q)
 
 
 def _psi(p: np.ndarray, q: np.ndarray):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (p - q) ** 2 * (p + q) / (p * q)
-        t = np.where((p == 0.0) & (q == 0.0), 0.0, t)
-    return np.sum(t, axis=-1)
+    return row_sum(_psi_term, p, q)
 
 
-def _family_sum(p: np.ndarray, q: np.ndarray, direct, ratio):
-    """Last-axis sum of a family's per-cell terms.
+def _family_term(p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
+    # the direct power form is inf*0 = nan where one power overflows and the
+    # other underflows (|s| large, small masses); only those cells are
+    # recomputed in the ratio form, which has no such product and gives 0 on
+    # a cell where both masses vanish
+    terms = direct(p, q, s)
+    bad = np.isnan(terms)
+    if bad.any():
+        terms[bad] = ratio(p[bad], q[bad], s)
+    return terms
 
-    The direct power form is inf*0 = nan where one power overflows and the
-    other underflows (|s| large, small masses); only those cells are
-    recomputed in the ratio form, which has no such product and gives 0 on
-    a cell where both masses vanish.  A single vector drops those cells
-    first, so its sum runs over the live cells only.
+
+def _family_sum(p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
+    """Last-axis sum of a family's per-cell terms, direct(p, q, s) per cell
+    and ratio(p, q, s) where that is nan.
+
+    A single vector drops the cells where both masses vanish first, so its
+    sum runs over the live cells only.
     """
     if p.ndim == 1:
         live = (p + q) > 0.0
         if not live.all():
             p, q = p[live], q[live]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = direct(p, q)
-        bad = np.isnan(terms)
-        if bad.any():
-            terms[bad] = ratio(p[bad], q[bad])
-    return np.sum(terms, axis=-1)
+        return row_sum(_family_term, p, q, s, direct, ratio)
+
+
+def _zeta_direct(p: np.ndarray, q: np.ndarray, s: float):
+    return p**s * q ** (1.0 - s) + p ** (1.0 - s) * q**s
+
+
+def _zeta_ratio(p: np.ndarray, q: np.ndarray, s: float):
+    # hi * (r^s + r^(1-s)) with r = lo/hi <= 1: the direct term, symmetric in p, q
+    hi = np.maximum(p, q)
+    r = np.minimum(p, q) / hi
+    return np.where(hi > 0.0, hi * (r**s + r ** (1.0 - s)), 0.0)
+
+
+def _xi_direct(p: np.ndarray, q: np.ndarray, s: float):
+    return 0.5 * (p ** (1.0 - s) + q ** (1.0 - s)) * (0.5 * (p + q)) ** s
+
+
+def _xi_ratio(p: np.ndarray, q: np.ndarray, s: float):
+    # m ((p/m)^(1-s) + (q/m)^(1-s)) / 2 with m = (p+q)/2, so p/m, q/m <= 2
+    m = 0.5 * (p + q)
+    return np.where(m > 0.0, 0.5 * m * ((p / m) ** (1.0 - s) + (q / m) ** (1.0 - s)), 0.0)
 
 
 def _zeta_regular(s: float, p: np.ndarray, q: np.ndarray):
-    def direct(p, q):
-        return p**s * q ** (1.0 - s) + p ** (1.0 - s) * q**s
-
-    def ratio(p, q):
-        # hi * (r^s + r^(1-s)) with r = lo/hi <= 1: the direct term, symmetric in p, q
-        hi = np.maximum(p, q)
-        r = np.minimum(p, q) / hi
-        return np.where(hi > 0.0, hi * (r**s + r ** (1.0 - s)), 0.0)
-
-    return (_family_sum(p, q, direct, ratio) - 2.0) / (s * (s - 1.0))
+    return (_family_sum(p, q, s, _zeta_direct, _zeta_ratio) - 2.0) / (s * (s - 1.0))
 
 
 def _xi_regular(s: float, p: np.ndarray, q: np.ndarray):
-    def direct(p, q):
-        return 0.5 * (p ** (1.0 - s) + q ** (1.0 - s)) * (0.5 * (p + q)) ** s
-
-    def ratio(p, q):
-        # m ((p/m)^(1-s) + (q/m)^(1-s)) / 2 with m = (p+q)/2, so p/m, q/m <= 2
-        m = 0.5 * (p + q)
-        return np.where(m > 0.0, 0.5 * m * ((p / m) ** (1.0 - s) + (q / m) ** (1.0 - s)), 0.0)
-
-    return (_family_sum(p, q, direct, ratio) - 1.0) / (s * (s - 1.0))
+    return (_family_sum(p, q, s, _xi_direct, _xi_ratio) - 1.0) / (s * (s - 1.0))
 
 
 _BASE_FUNCS = {

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracle_reference
 
+import divbound
 from divbound import STRICT, validate
 
 settings.register_profile(
@@ -35,3 +37,12 @@ def canonical_pair():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def subprocesses_import_this_divbound():
+    """CLI subprocesses import the divbound the tests import, wherever it is."""
+    here = str(Path(divbound.__file__).resolve().parent.parent)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")])))
+        yield

@@ -28,8 +28,9 @@ from divbound.bounds import (
     zeta_point,
 )
 from divbound import bounds as bounds_mod
+from divbound import kernel
 from divbound.distributions import ValidationFailure
-from divbound.kernel import DomainError
+from divbound.kernel import DomainError, invert_decreasing
 from divbound.generators import generator, star
 from divbound.measures import DIFF_TAGS, MeasureId
 
@@ -257,6 +258,21 @@ class TestLowerBounds:
         with pytest.raises(Exception):
             lower_bound_family(flip_problem, "theta", 0.5)
 
+    @pytest.mark.parametrize(
+        "family, s", [("zeta", 0.0), ("zeta", 2.0), ("zeta", 60.0), ("xi", -1.0), ("xi", -60.0)]
+    )
+    def test_bisected_function_is_star(self, family, s):
+        g = bounds_mod._family_generator(family, s)
+        f = bounds_mod._bisected(g)
+        lo = bounds_mod.LOWER_BRACKET_LO
+        for a in (lo, 1e-9, 0.01, 0.2, 0.3, 0.4999, 0.5):
+            assert repr(f(a)) == repr(star(g, a)), a  # inf where a power overflows
+        for a in (0.01, 0.2, 0.4, 0.49):
+            target = star(g, a)
+            assert invert_decreasing(f, target, lo, 0.5) == invert_decreasing(
+                lambda x: star(g, x), target, lo, 0.5
+            )
+
 
 class TestKailath:
     def test_frozen_value(self, flip_problem):
@@ -444,6 +460,18 @@ class TestBoundReport:
                     assert (up.value, up.applicable, up.note) == (0.5, False, str(exc))
         for tag in DIFF_TAGS:
             assert by_name[f"diff_upper({tag})"].value == upper_bound_difference(problem, tag)
+
+    def test_large_k_report_matches_single_sums(self, monkeypatch):
+        # k past kernel.SUM_LEAF: the averages and P_e are summed leaf by leaf
+        k = 3 * 8192 + 5
+        rng = np.random.default_rng(k)
+        c1, c2 = np.exp(2.0 * rng.standard_normal((2, k)))
+        c1[:40] = 0.0
+        c2[20:60] = 0.0  # outcomes 20-39 are dead
+        problem = TwoClassProblem.from_arrays((0.3, 0.7), c1 / c1.sum(), c2 / c2.sum())
+        blocked = repr(bound_report(problem))
+        monkeypatch.setattr(kernel, "SUM_LEAF", k + 1)
+        assert blocked == repr(bound_report(problem))
 
     def test_report_averages_each_generator_once(self):
         keys = [g.key for g in report_generators((-1.0, 0.0, 0.5, 2.0))]

@@ -227,6 +227,14 @@ class TestVerifyCommand:
         )
         assert out_env == out_explicit
 
+    @pytest.mark.parametrize("value", ["abc", "4.5", ""])
+    def test_bad_seed_env_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("DIVBOUND_SEED", value)
+        code, out, err = run(capsys, ["verify", "--trials", "5"])
+        assert code == cli.EXIT_USAGE == 2
+        assert out == ""
+        assert err.startswith("usage error: DIVBOUND_SEED must be an integer")
+
 
 class TestUsage:
     def test_no_command_exits_2(self, capsys):

@@ -267,6 +267,23 @@ class TestCsiszarSum:
         P2, Q2 = validate([0.5, 0.5]), validate([0.25, 0.75])
         assert csiszar_sum(g, P, Q) == csiszar_sum(g, P2, Q2)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", ["xi:60", "zeta:60", "zeta:-60"])
+    def test_overflow_gives_inf_silently(self, spec):
+        P = validate([0.9999999999999, 0.0000000000001])
+        Q = validate([0.5, 0.5])
+        assert csiszar_sum(generator(spec), P, Q) == math.inf
+
+    def test_strict_pairs_skip_the_zero_scan_with_the_same_value(self):
+        rng = np.random.default_rng(11)
+        w = np.exp(2.0 * rng.standard_normal((2, 37)))
+        p, q = w / w.sum(axis=-1, keepdims=True)
+        for key in CATALOG_KEYS:
+            g = generator(key)
+            strict = csiszar_sum(g, validate(p), validate(q))
+            permissive = csiszar_sum(g, validate(p, PERMISSIVE), validate(q, PERMISSIVE))
+            assert strict == permissive, key
+
 
 class TestConvexity:
     @pytest.mark.parametrize("key", CATALOG_KEYS, ids=lambda k: k.label())

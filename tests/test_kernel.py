@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from divbound import kernel
 from divbound.kernel import (
+    SUM_LEAF,
     SWITCH_EPS,
     ArgumentError,
     DomainError,
@@ -13,6 +15,7 @@ from divbound.kernel import (
     Regime,
     convexity_probe,
     invert_decreasing,
+    row_sum,
     x_ln_x,
 )
 from divbound.generators import GENERATOR_GRID, generator
@@ -154,3 +157,68 @@ class TestConvexityProbe:
             convexity_probe(lambda x: x, 0.1, 2.0, 2)
         with pytest.raises(ArgumentError):
             convexity_probe(lambda x: x, -1.0, 2.0, 10, log_spaced=True)
+
+
+def _term(p, q):
+    return p * np.log(q) + q
+
+
+def _cells(shape, seed):
+    rng = np.random.default_rng(seed)
+    # masses spread over many binades, so the summation order shows in the bits
+    return np.exp(3.0 * rng.standard_normal((2,) + shape))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestRowSum:
+    """row_sum equals the whole-row np.sum bit for bit, at every size."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 3 * 8192 + 5, 2**20, 1_000_003],
+    )
+    def test_matches_single_sum(self, monkeypatch, n):
+        p, q = _cells((n,), n)
+        blocked = row_sum(_term, p, q)
+        monkeypatch.setattr(kernel, "SUM_LEAF", n + 1)
+        single = row_sum(_term, p, q)
+        assert _bits(blocked) == _bits(single) == _bits(np.sum(_term(p, q)))
+
+    # 128 cells is the smallest leaf: numpy sums a row of at most 128 cells
+    # with eight accumulators instead of halving it
+    @pytest.mark.parametrize("n", [129, 136, 256, 257, 1000, 4099, 12345, 100_003])
+    def test_deep_trees(self, monkeypatch, n):
+        p, q = _cells((n,), n)
+        monkeypatch.setattr(kernel, "SUM_LEAF", 128)
+        assert _bits(row_sum(_term, p, q)) == _bits(np.sum(_term(p, q)))
+
+    @pytest.mark.parametrize("leaf, shape", [(SUM_LEAF, (5, 3 * 8192 + 5)), (128, (4, 1001))])
+    def test_blocks_reduce_row_by_row(self, monkeypatch, leaf, shape):
+        monkeypatch.setattr(kernel, "SUM_LEAF", leaf)
+        p, q = _cells(shape, shape[1])
+        rows = row_sum(_term, p, q)
+        assert rows.shape == (shape[0],)
+        assert _bits(rows) == _bits(np.sum(_term(p, q), axis=-1))
+        for i in range(shape[0]):
+            assert _bits(rows[i]) == _bits(row_sum(_term, p[i], q[i]))
+
+    @pytest.mark.parametrize("n", [8193, 3 * 8192 + 5, 2**20])
+    def test_leaves_tile_the_row_in_order(self, n):
+        seen = []
+
+        def term(p, q, extra):
+            seen.append((p[0], p.shape[0], extra))
+            return p + q
+
+        p = np.arange(n, dtype=float)
+        row_sum(term, p, p, "x")
+        starts = [int(first) for first, _, _ in seen]
+        sizes = [size for _, size, _ in seen]
+        assert max(sizes) <= SUM_LEAF
+        assert starts == list(np.cumsum([0] + sizes[:-1]))
+        assert sum(sizes) == n
+        assert all(size % 8 == 0 for size in sizes[:-1])
+        assert {extra for _, _, extra in seen} == {"x"}

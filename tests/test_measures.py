@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 import oracle_reference as oracle
 from conftest import make_pair
-from divbound.distributions import PERMISSIVE, validate
-from divbound.generators import CATALOG_KEYS
+from divbound import kernel
+from divbound.distributions import PERMISSIVE, STRICT, validate
+from divbound.generators import CATALOG_KEYS, csiszar_sum, generator
 from divbound.kernel import ArgumentError
 from divbound.measures import (
     BASE_TAGS,
@@ -344,6 +345,55 @@ class TestRowKernels:
                 for i in range(2):
                     pair = (validate(P[i], PERMISSIVE), validate(Q[i], PERMISSIVE))
                     assert rows[i] == measure_value(MeasureId(tag, s), *pair)
+
+
+BLOCKED_KEYS = list(CATALOG_KEYS) + [
+    MeasureId("xi", 60.0),
+    MeasureId("xi", -60.0),
+    MeasureId("zeta", 60.0),
+    MeasureId("zeta", 0.0),
+    MeasureId("xi", 0.0),
+    MeasureId("xi", 1.0),
+]
+
+
+def _large_pair(mode: str, n: int = 3 * 8192 + 5):
+    rng = np.random.default_rng([n, int(mode == STRICT)])
+    p, q = np.exp(3.0 * rng.standard_normal((2, n)))
+    if mode == PERMISSIVE:
+        cells = rng.choice(n, size=300, replace=False)
+        p[cells[:100]] = 0.0  # zero against a live cell, both ways
+        q[cells[100:200]] = 0.0
+        p[cells[200:]] = q[cells[200:]] = 0.0  # dead cells
+    return validate(p / p.sum(), mode), validate(q / q.sum(), mode)
+
+
+@pytest.mark.filterwarnings("error")
+class TestBlockedSums:
+    """Rows past kernel.SUM_LEAF are summed leaf by leaf, with the same bits
+    as one np.sum over the whole row (SUM_LEAF raised past n)."""
+
+    def _values(self, P, Q):
+        out = [chain_check(P, Q, which).values for which in ("eq7", "eq39")]
+        for key in BLOCKED_KEYS:
+            out.append((key, measure_value(key, P, Q), csiszar_sum(generator(key), P, Q)))
+        return repr(out)
+
+    @pytest.mark.parametrize("mode", [STRICT, PERMISSIVE])
+    def test_every_measure_and_chain(self, monkeypatch, mode):
+        P, Q = _large_pair(mode)
+        blocked = self._values(P, Q)
+        monkeypatch.setattr(kernel, "SUM_LEAF", P.n + 1)
+        assert blocked == self._values(P, Q)
+
+    def test_block_rows_match_pairs(self):
+        rng = np.random.default_rng(5)
+        w = np.exp(rng.standard_normal((2, 3, 8192 + 77)))
+        P, Q = w / w.sum(axis=-1, keepdims=True)
+        for key in BLOCKED_KEYS:
+            rows = measure_rows(key, P, Q)
+            for i in range(P.shape[0]):
+                assert rows[i] == measure_value(key, validate(P[i]), validate(Q[i])), key
 
 
 # Small masses at |s| = 60: the direct power form multiplies an overflowing
