@@ -7,6 +7,11 @@ DIVBOUND_SEED overrides the default --seed; when verify reads it (no --seed
 given), a value that is not an integer is a usage error (exit 2).
 DIVBOUND_VERIFY_CORRUPT=1 is a test hook that injects a chain violation so
 the detector path can be exercised end to end.
+
+verify runs its suites in worker processes when more than one CPU is
+available; its output is byte-identical for a given (--trials, --seed,
+--n-max) either way, and an error raised in a worker is reported as it
+would be in this process.
 """
 
 from __future__ import annotations

@@ -60,6 +60,10 @@ class ProbeFailure(DivboundError):
         self.value = float(value)
         super().__init__(f"non-finite value {value!r} at x={x!r}")
 
+    def __reduce__(self):
+        # the default rebuilds from self.args, the message alone
+        return type(self), (self.x, self.value), self.__dict__
+
 
 class Regime(enum.Enum):
     AT_ZERO = "at_zero"

@@ -3,11 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracle_reference as oracle
 from divbound import bounds as bounds_mod
 from divbound import cli
+from divbound import verify as verify_mod
 from divbound.cli import main
 from divbound.distributions import validate
 from divbound.measures import measure_value
@@ -217,6 +219,27 @@ class TestVerifyCommand:
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout == golden.read_bytes()
+
+    def test_validation_failure_in_a_worker_exits_3(self, capsys, monkeypatch):
+        # unnormalised draws fail validation in every drawn suite; from the
+        # workers, the first suite's error is shown, as on one CPU
+        monkeypatch.setattr(verify_mod, "_softmax_rows", np.exp)
+        argv = ["verify", "--trials", "20", "--seed", "5"]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert err.startswith("validation error: ")
+        assert err.count("\n") == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run(capsys, argv) == (code, out, err)
+
+    def test_import_loads_no_process_pool(self):
+        code = (
+            "import sys, divbound.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
     def test_seed_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("DIVBOUND_SEED", "5")

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -222,3 +223,42 @@ class TestRowSum:
         assert sum(sizes) == n
         assert all(size % 8 == 0 for size in sizes[:-1])
         assert {extra for _, _, extra in seen} == {"x"}
+
+
+def _error_classes(cls=kernel.DivboundError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def _all_error_classes():
+    """DivboundError and its subclasses, every module of the package imported."""
+    import importlib
+    import pkgutil
+
+    import divbound
+
+    for mod in pkgutil.iter_modules(divbound.__path__):
+        if not mod.name.startswith("_"):
+            importlib.import_module(f"divbound.{mod.name}")
+    return [kernel.DivboundError, *_error_classes()]
+
+
+# Constructor arguments of the errors that take more than a message.
+_ERROR_ARGS = {ProbeFailure: (0.5, math.nan)}
+
+
+def test_error_classes_cover_the_package():
+    names = {cls.__name__ for cls in _all_error_classes()}
+    assert {"ProbeFailure", "ValidationFailure", "ParseFailure", "BoundUnavailable"} <= names
+
+
+@pytest.mark.parametrize("cls", _all_error_classes(), ids=lambda cls: cls.__name__)
+def test_errors_survive_pickling(cls):
+    # verify's worker processes send a suite's error back to the parent by pickle
+    err = cls(*_ERROR_ARGS.get(cls, ("bad input at line 3",)))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls
+    assert str(back) == str(err)
+    assert repr(back.args) == repr(err.args)
+    assert repr(vars(back)) == repr(vars(err))

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from conftest import make_pair
 from divbound import verify
 from divbound.bounds import TwoClassProblem, bound_report, comparison_check
-from divbound.distributions import STRICT
+from divbound.distributions import STRICT, ZeroEntry
 from divbound.generators import CATALOG_KEYS, csiszar_sum, generator
 from divbound.kernel import ArgumentError
 from divbound.measures import _chain_report, chain_check, measure_value
@@ -199,6 +202,10 @@ def test_draws_match_one_vector_at_a_time():
         assert _problem_text(problem) == _problem_text(problem0)
 
 
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 def _exact(results):
     # repr keeps what == would blur: the sign of a zero, and nan
     return [(r.suite, r.checks, r.failures, repr(r.worst), r.first_failure) for r in results]
@@ -215,6 +222,7 @@ def _exact(results):
     ],
 )
 def test_batched_suites_equal_per_trial_definition(monkeypatch, trials, seed, n_max, block):
+    _cpus(monkeypatch, 2)  # worker processes, which must see the block size set here
     if block is not None:
         monkeypatch.setattr(verify, "BLOCK_TRIALS", block)
     got = run_verify(trials, seed, n_max)
@@ -225,6 +233,7 @@ def test_batched_suites_equal_per_trial_definition(monkeypatch, trials, seed, n_
 
 @pytest.mark.parametrize("trials,seed,block", [(40, 3, None), (1100, 9, None), (40, 3, 8)])
 def test_corruption_hook_matches_per_trial_definition(monkeypatch, trials, seed, block):
+    _cpus(monkeypatch, 2)
     if block is not None:
         monkeypatch.setattr(verify, "BLOCK_TRIALS", block)
     got = run_verify(trials, seed, corrupt=True)
@@ -244,3 +253,95 @@ def test_large_alphabet_blocks_stay_small():
         for idx, P, Q in groups:
             assert P.flags.c_contiguous and Q.flags.c_contiguous
             assert P.shape == Q.shape == (len(idx), P.shape[1])
+
+
+# ---------------------------------------------------------------------------
+# Worker processes
+# ---------------------------------------------------------------------------
+
+
+def _pid_suite():
+    return SuiteResult("star_transform", os.getpid(), 0, 0.0)
+
+
+def _star_suite_pid(monkeypatch):
+    """The pid of the process that ran the star suite."""
+    monkeypatch.setattr(verify, "_star_suite", _pid_suite)
+    return run_verify(20, 1)[SUITE_NAMES.index("star_transform")].checks
+
+
+@pytest.mark.parametrize("cpus,in_workers", [(1, False), (2, True), (8, True)])
+def test_suites_run_in_workers_when_cpus_allow(monkeypatch, cpus, in_workers):
+    _cpus(monkeypatch, cpus)
+    assert (_star_suite_pid(monkeypatch) != os.getpid()) == in_workers
+
+
+def test_no_fork_start_method_runs_serially(monkeypatch):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _star_suite_pid(monkeypatch) == os.getpid()
+
+
+def _block_trials_suite():
+    return SuiteResult("star_transform", verify.BLOCK_TRIALS, 0, 0.0)
+
+
+def test_workers_see_monkeypatched_globals(monkeypatch):
+    # the workers are forked, so the block size a test sets is the one they use
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "BLOCK_TRIALS", 5)
+    monkeypatch.setattr(verify, "_star_suite", _block_trials_suite)
+    assert run_verify(20, 1)[SUITE_NAMES.index("star_transform")].checks == 5
+
+
+@pytest.mark.parametrize("trials,seed,n_max", [(1, 3, 200), (999, 1, 200), (2049, 42, 64)])
+def test_one_cpu_runs_serially_with_the_same_results(monkeypatch, trials, seed, n_max):
+    _cpus(monkeypatch, 2)
+    parallel = run_verify(trials, seed, n_max)
+    _cpus(monkeypatch, 1)
+    assert _exact(run_verify(trials, seed, n_max)) == _exact(parallel)
+
+
+def _failing_suite(*args):
+    raise ZeroEntry("entry 3 is 0")
+
+
+def _slow_suite(*args):
+    time.sleep(60)
+
+
+def test_worker_error_stops_the_other_suites(monkeypatch):
+    # both chain suites fail at once; the sandwich suite, submitted first,
+    # is not waited for
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "_chain_suite", _failing_suite)
+    monkeypatch.setattr(verify, "_sandwich_suite", _slow_suite)
+    start = time.monotonic()
+    with pytest.raises(ZeroEntry, match="entry 3 is 0"):
+        run_verify(20, 1)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def _verify_in_daemon(conn, trials, seed):
+    conn.send(_exact(run_verify(trials, seed)))
+    conn.close()
+
+
+def test_daemonic_caller_runs_serially(monkeypatch):
+    # a daemonic process may not have children
+    _cpus(monkeypatch, 2)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_verify_in_daemon, args=(send, 300, 5), daemon=True)
+    proc.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the daemonic run did not finish"
+        got = recv.recv()
+    finally:
+        proc.join(10)
+    assert not proc.is_alive()
+    assert proc.exitcode == 0
+    _cpus(monkeypatch, 1)
+    assert got == _exact(run_verify(300, 5))
