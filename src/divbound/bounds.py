@@ -42,8 +42,9 @@ from .measures import DIFF_TAGS, FAMILY_TAGS, MeasureId, zeta as zeta_measure
 PRIOR_TOL = 1e-12
 SANDWICH_TOL = 1e-10
 
-# Bracket for inverting the decreasing P_e-functions; targets above the
-# value at the lower endpoint clamp there and are flagged near-vacuous.
+# Bracket for inverting the decreasing P_e-functions.  A target above the
+# value at the lower endpoint only shows P_e < LOWER_BRACKET_LO, so the
+# certified lower bound there is 0, flagged near-vacuous.
 LOWER_BRACKET_LO = 1e-12
 
 
@@ -232,7 +233,7 @@ def _lower_from_average(g: GeneratingFunction, v: float) -> Tuple[float, str]:
         return 0.0, "vacuous: averaged divergence is infinite"
     val = invert_decreasing(_bisected(g), v, LOWER_BRACKET_LO, 0.5)
     if val <= LOWER_BRACKET_LO:
-        return val, "near-vacuous: target above inversion bracket"
+        return 0.0, "near-vacuous: target above inversion bracket"
     return val, ""
 
 

@@ -33,7 +33,6 @@ suites ran.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -58,7 +57,7 @@ from .generators import (
     star,
     star_symmetry_defect,
 )
-from .kernel import ArgumentError
+from .kernel import ArgumentError, usable_cpus
 from .measures import CHAIN_LABELS, _chain_report, chain_slack, chain_values, measure_rows
 
 SUITE_NAMES = (
@@ -383,13 +382,11 @@ def _worker_count() -> int:
     """Processes to run the suites in; 0 runs them in this process.
 
     Workers are forked, so they start from this process's state (module
-    globals included) without importing anything again.  A daemonic
-    process may not have children.
+    globals included) without importing anything again.  No divbound
+    thread is alive at the fork: row_sum joins its helpers before it
+    returns.  A daemonic process may not have children.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     if cpus < 2:
         return 0
     import multiprocessing

@@ -28,6 +28,11 @@ def make_pair(rng: np.random.Generator, n: int):
     return out[0], out[1]
 
 
+def set_cpus(monkeypatch, count: int):
+    """Make `count` CPUs usable, for row_sum's helper threads and verify's workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 @pytest.fixture
 def canonical_pair():
     """The worked example pair used throughout the frozen-value tests."""

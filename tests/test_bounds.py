@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_pair
 from divbound.bounds import (
+    DEFAULT_S_GRID,
     BoundUnavailable,
     InvalidPriors,
     TwoClassProblem,
@@ -254,6 +255,20 @@ class TestLowerBounds:
         val, note = lower_bound_family(prob, "zeta", 2.0)
         assert val <= 1e-12 and "near-vacuous" in note
 
+    def test_clamped_bounds_stay_below_tiny_error(self):
+        # P_e = 1e-20 lies below the bracket, so a clamped bound must be 0
+        prob = TwoClassProblem.from_arrays((0.99999999999999999999, 1e-20), [0.3, 0.7], [0.3, 0.7])
+        report = bound_report(prob)
+        assert report.exact_pe == 1e-20
+        lowers = [e for e in report.entries if e.kind == "lower" and e.applicable]
+        assert len(lowers) == 10
+        for entry in lowers:
+            assert entry.value <= report.exact_pe, entry
+        for family in ("zeta", "xi"):
+            for s in DEFAULT_S_GRID:
+                val, note = lower_bound_family(prob, family, s)
+                assert val == 0.0 and "near-vacuous" in note
+
     def test_unknown_family(self, flip_problem):
         with pytest.raises(Exception):
             lower_bound_family(flip_problem, "theta", 0.5)
@@ -463,7 +478,7 @@ class TestBoundReport:
 
     def test_large_k_report_matches_single_sums(self, monkeypatch):
         # k past kernel.SUM_LEAF: the averages and P_e are summed leaf by leaf
-        k = 3 * 8192 + 5
+        k = 3 * kernel.SUM_LEAF + 5
         rng = np.random.default_rng(k)
         c1, c2 = np.exp(2.0 * rng.standard_normal((2, k)))
         c1[:40] = 0.0

@@ -1,10 +1,15 @@
 import math
 import pickle
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import set_cpus
 from divbound import kernel
 from divbound.kernel import (
     SUM_LEAF,
@@ -174,12 +179,36 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+_THREAD_SIZES = [SUM_LEAF + 1, 2 * SUM_LEAF, 3 * SUM_LEAF + 5, 2**20]
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+class _TermError(ArithmeticError):
+    pass
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    set_cpus(monkeypatch, 3)
+    assert kernel.usable_cpus() == 3
+    monkeypatch.delattr(kernel.os, "sched_getaffinity")  # not on every platform
+    monkeypatch.setattr(kernel.os, "cpu_count", lambda: None)
+    assert kernel.usable_cpus() == 1
+
+
 class TestRowSum:
     """row_sum equals the whole-row np.sum bit for bit, at every size."""
 
     @pytest.mark.parametrize(
         "n",
-        [1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 3 * 8192 + 5, 2**20, 1_000_003],
+        [1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 3 * 8192 + 5, 2**20, 1_000_003]
+        + [SUM_LEAF - 1, SUM_LEAF, SUM_LEAF + 1, 3 * SUM_LEAF + 5],
     )
     def test_matches_single_sum(self, monkeypatch, n):
         p, q = _cells((n,), n)
@@ -196,7 +225,23 @@ class TestRowSum:
         monkeypatch.setattr(kernel, "SUM_LEAF", 128)
         assert _bits(row_sum(_term, p, q)) == _bits(np.sum(_term(p, q)))
 
-    @pytest.mark.parametrize("leaf, shape", [(SUM_LEAF, (5, 3 * 8192 + 5)), (128, (4, 1001))])
+    @pytest.mark.parametrize("n", [129, 1000, 4099, 100_003])
+    def test_threaded_deep_trees(self, monkeypatch, n):
+        # more helpers than cores, switching threads as often as it can
+        set_cpus(monkeypatch, 8)
+        p, q = _cells((n,), n)
+        monkeypatch.setattr(kernel, "SUM_LEAF", 128)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = row_sum(_term, p, q)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _bits(got) == _bits(np.sum(_term(p, q)))
+
+    @pytest.mark.parametrize(
+        "leaf, shape", [(8192, (5, 3 * 8192 + 5)), (128, (4, 1001)), (SUM_LEAF, (3, 3 * SUM_LEAF + 5))]
+    )
     def test_blocks_reduce_row_by_row(self, monkeypatch, leaf, shape):
         monkeypatch.setattr(kernel, "SUM_LEAF", leaf)
         p, q = _cells(shape, shape[1])
@@ -206,8 +251,9 @@ class TestRowSum:
         for i in range(shape[0]):
             assert _bits(rows[i]) == _bits(row_sum(_term, p[i], q[i]))
 
-    @pytest.mark.parametrize("n", [8193, 3 * 8192 + 5, 2**20])
-    def test_leaves_tile_the_row_in_order(self, n):
+    @pytest.mark.parametrize("n", [8193, 3 * 8192 + 5, 2**20, SUM_LEAF + 1, 3 * SUM_LEAF + 5])
+    def test_leaves_tile_the_row_in_order(self, monkeypatch, n):
+        set_cpus(monkeypatch, 1)  # helper threads would visit the leaves out of order
         seen = []
 
         def term(p, q, extra):
@@ -223,6 +269,113 @@ class TestRowSum:
         assert sum(sizes) == n
         assert all(size % 8 == 0 for size in sizes[:-1])
         assert {extra for _, _, extra in seen} == {"x"}
+
+    # helper threads change neither the bits nor the errors, and none
+    # outlives the call
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", _THREAD_SIZES)
+    def test_threads_match_single_sum(self, monkeypatch, cpus, n):
+        set_cpus(monkeypatch, cpus)
+        p, q = _cells((n,), n)
+        assert _bits(row_sum(_term, p, q)) == _bits(np.sum(_term(p, q)))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("shape", [(2, SUM_LEAF + 1), (4, 3 * SUM_LEAF + 5)])
+    def test_threaded_blocks_match_single_sum(self, monkeypatch, cpus, shape):
+        set_cpus(monkeypatch, cpus)
+        p, q = _cells(shape, shape[1])
+        assert _bits(row_sum(_term, p, q)) == _bits(np.sum(_term(p, q), axis=-1))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", _THREAD_SIZES)
+    def test_helpers_stay_within_the_cpus(self, monkeypatch, cpus, n):
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(_CountedThread, "started", 0)
+        monkeypatch.setattr(threading, "Thread", _CountedThread)
+        leaves = []
+
+        def term(p, q):
+            leaves.append(p.shape[-1])
+            return p + q
+
+        before = threading.active_count()
+        p = np.ones(n)
+        assert row_sum(term, p, p) == 2.0 * n
+        assert _CountedThread.started == min(cpus, len(leaves)) - 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_left_half_error_is_raised_here(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        caller = threading.get_ident()
+        where = []
+
+        def term(p, q):
+            if p[0] == 0.0:  # the first leaf, in the left half
+                where.append(threading.get_ident())
+                raise _TermError("left half")
+            return p + q
+
+        before = threading.active_count()
+        p = np.arange(3 * SUM_LEAF + 5, dtype=float)
+        with pytest.raises(_TermError, match="left half"):
+            row_sum(term, p, p)
+        assert where and where[0] != caller  # raised on a helper
+        assert threading.active_count() == before
+
+    def test_caller_error_joins_the_helper(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        n = 3 * SUM_LEAF + 5
+        left_done = []
+
+        def term(p, q):
+            if p[-1] == n - 1:  # the last leaf, computed by the caller
+                raise _TermError("right half")
+            left_done.append(p[0])
+            return p + q
+
+        before = threading.active_count()
+        p = np.arange(n, dtype=float)
+        with pytest.raises(_TermError, match="right half"):
+            row_sum(term, p, p)
+        assert threading.active_count() == before
+        assert 0.0 in left_done  # the helper ran its half to the end
+
+    def test_interrupt_waits_for_the_helper(self, monkeypatch):
+        # Ctrl-C (here SIGALRM raising KeyboardInterrupt) while the caller
+        # waits for its helper: the helper still ends before the interrupt
+        # leaves row_sum
+        set_cpus(monkeypatch, 2)
+        left_done = []
+
+        def term(p, q):
+            if p[0] == 0.0:  # the first leaf, on the helper
+                time.sleep(0.5)
+                left_done.append(True)
+            return p + q
+
+        before = threading.active_count()
+        p = np.arange(2 * SUM_LEAF, dtype=float)
+        handler = signal.signal(signal.SIGALRM, signal.default_int_handler)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.1)
+            with pytest.raises(KeyboardInterrupt):
+                row_sum(term, p, p)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        assert left_done == [True]
+        assert threading.active_count() == before
+
+    def test_verify_forks_cleanly_after_threaded_sums(self, monkeypatch):
+        from divbound.verify import run_verify
+
+        set_cpus(monkeypatch, 2)
+        p, q = _cells((2**20,), 3)
+        row_sum(_term, p, q)
+        parallel = repr(run_verify(300, 7))
+        set_cpus(monkeypatch, 1)
+        assert repr(run_verify(300, 7)) == parallel
 
 
 def _error_classes(cls=kernel.DivboundError):

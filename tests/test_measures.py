@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle_reference as oracle
-from conftest import make_pair
+from conftest import make_pair, set_cpus
 from divbound import kernel
 from divbound.distributions import PERMISSIVE, STRICT, validate
 from divbound.generators import CATALOG_KEYS, csiszar_sum, generator
@@ -357,7 +357,7 @@ BLOCKED_KEYS = list(CATALOG_KEYS) + [
 ]
 
 
-def _large_pair(mode: str, n: int = 3 * 8192 + 5):
+def _large_pair(mode: str, n: int = 3 * kernel.SUM_LEAF + 5):
     rng = np.random.default_rng([n, int(mode == STRICT)])
     p, q = np.exp(3.0 * rng.standard_normal((2, n)))
     if mode == PERMISSIVE:
@@ -370,8 +370,12 @@ def _large_pair(mode: str, n: int = 3 * 8192 + 5):
 
 @pytest.mark.filterwarnings("error")
 class TestBlockedSums:
-    """Rows past kernel.SUM_LEAF are summed leaf by leaf, with the same bits
-    as one np.sum over the whole row (SUM_LEAF raised past n)."""
+    """Rows past kernel.SUM_LEAF are summed leaf by leaf, on two CPUs, with
+    the same bits as one np.sum over the whole row (SUM_LEAF raised past n)."""
+
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
 
     def _values(self, P, Q):
         out = [chain_check(P, Q, which).values for which in ("eq7", "eq39")]
@@ -388,7 +392,7 @@ class TestBlockedSums:
 
     def test_block_rows_match_pairs(self):
         rng = np.random.default_rng(5)
-        w = np.exp(rng.standard_normal((2, 3, 8192 + 77)))
+        w = np.exp(rng.standard_normal((2, 3, kernel.SUM_LEAF + 77)))
         P, Q = w / w.sum(axis=-1, keepdims=True)
         for key in BLOCKED_KEYS:
             rows = measure_rows(key, P, Q)
@@ -417,3 +421,34 @@ class TestExtremeOrderSmallMasses:
         Q = validate([1e-300, 1.0 - 1e-300], PERMISSIVE)
         for spec in ("zeta:60", "xi:60", "zeta:-60"):
             assert measure_value(spec, P, Q) == math.inf
+
+
+def _long_pair(p, q, n: int = 3 * kernel.SUM_LEAF + 5):
+    """p and q with uniform cells appended up to n, renormalised: the given
+    cells land in the left half of row_sum's tree, on a helper thread."""
+    fill = np.full(n - len(p), 1.0 / n)
+    out = []
+    for w in (p, q):
+        w = np.concatenate([w, fill])
+        out.append(validate(w / w.sum()))
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+class TestErrstateReachesHelpers:
+    """The helper threads of row_sum keep the caller's np.errstate."""
+
+    @pytest.mark.parametrize("spec", ["xi:60", "zeta:60", "zeta:-60"])
+    def test_overflow_is_silent_inf(self, monkeypatch, spec):
+        set_cpus(monkeypatch, 2)
+        P, Q = _long_pair([0.9999999999999, 1e-13], [0.5, 0.5])
+        assert csiszar_sum(generator(spec), P, Q) == math.inf
+
+    @pytest.mark.parametrize("spec", ["xi:60", "xi:-60", "zeta:60", "zeta:-60"])
+    def test_small_masses_match_serial(self, monkeypatch, spec):
+        P, Q = _long_pair(SMALL_P, SMALL_Q)
+        set_cpus(monkeypatch, 2)
+        threaded = measure_value(spec, P, Q)
+        set_cpus(monkeypatch, 1)
+        assert repr(threaded) == repr(measure_value(spec, P, Q))
+        assert math.isfinite(threaded)
