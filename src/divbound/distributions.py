@@ -48,7 +48,14 @@ class AlphabetMismatch(ValidationFailure):
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Probability masses over a finite alphabet, plus the mode they passed."""
+    """Probability masses over a finite alphabet, plus the mode they passed.
+
+    validate stores probs as a read-only array that owns its data, so the
+    masses of a validated distribution never change.  That is what lets
+    the measures reuse the base sums of the most recent pair when they are
+    called on it again; a distribution built directly on a writable array
+    is summed afresh on every call.
+    """
 
     probs: np.ndarray = field(repr=False)
     mode: str

@@ -30,6 +30,7 @@ from .kernel import (
     OrderParameter,
     Regime,
     convexity_probe,
+    order_divisors,
     row_sum,
 )
 from .measures import _DIFF_COMBOS, BASE_TAGS, DIFF_TAGS, MeasureId
@@ -111,8 +112,10 @@ def _f_d(u):
 
 
 def _f_zeta(s: float) -> Callable:
+    a, b = order_divisors(s)
+
     def fn(u):
-        return (u**s + u ** (1.0 - s) - (u + 1.0)) / (s * (s - 1.0))
+        return (u**s + u ** (1.0 - s) - (u + 1.0)) / a / b
 
     return fn
 
@@ -120,12 +123,12 @@ def _f_zeta(s: float) -> Callable:
 def _f_xi(s: float) -> Callable:
     # ((u^(1-s)+1)/2 ((u+1)/2)^s - (u+1)/2) / (s(s-1)) with ((u+1)/2)^s folded
     # into both powers: the direct form is inf*0 = nan for large u and s << 0.
+    a, b = order_divisors(s)
+
     def fn(u):
         v = u + 1.0
         w = 2.0 / v
-        return 0.5 * v * (0.5 * ((u * w) ** (1.0 - s) + w ** (1.0 - s)) - 1.0) / (
-            s * (s - 1.0)
-        )
+        return 0.5 * v * (0.5 * ((u * w) ** (1.0 - s) + w ** (1.0 - s)) - 1.0) / a / b
 
     return fn
 
@@ -145,7 +148,20 @@ def xi_f_inf(s) -> float:
         return 0.5 * LN2
     if op.regime is Regime.AT_ONE or op.s >= 1.0:
         return INF
-    return (2.0 ** (-op.s) - 1.0) / (2.0 * op.s * (op.s - 1.0))
+    try:
+        return (2.0 ** (-op.s) - 1.0) / (2.0 * op.s * (op.s - 1.0))
+    except OverflowError:
+        pass
+    # 2^(-s) overflows below s = -1024, while the quotient is finite down to
+    # s = -1045: carry the powers of two of 2^(-s), s and s - 1 as one
+    # exponent (the -1 lies far below an ulp there)
+    k = math.floor(-op.s)
+    m_s, e_s = math.frexp(op.s)
+    m_t, e_t = math.frexp(op.s - 1.0)
+    try:
+        return math.ldexp(2.0 ** (-op.s - k) / (2.0 * m_s * m_t), k - e_s - e_t)
+    except OverflowError:
+        return INF
 
 
 _BASE_SPECS = {

@@ -3,7 +3,8 @@
 Everything downstream leans on five things defined here: the limit-band
 classification of the family order parameter s (the closed-form limit rows
 are used inside a band of half-width SWITCH_EPS around s = 0 and s = 1,
-because the 1/(s(s-1)) normalisation cancels catastrophically there), the
+because the 1/(s(s-1)) normalisation cancels catastrophically there;
+order_divisors splits that normalisation in two where s(s-1) overflows), the
 continuous extension of x*ln(x) at zero, the cache-blocked cell sum that
 every measure, Csiszar sum and posterior average reduces with, monotone
 bisection for turning divergence inequalities into numeric error bounds,
@@ -101,6 +102,20 @@ class OrderParameter:
         if not math.isfinite(s):
             raise DomainError(f"order parameter must be finite, got {s!r}")
         return cls(s)
+
+
+def order_divisors(s: float) -> tuple:
+    """(a, b) such that x / a / b is the family normalisation x / (s(s-1)).
+
+    Normally (s(s-1), 1.0): dividing by 1.0 is exact, so x / a / b has the
+    bits of x / (s(s-1)).  Where s(s-1) overflows (|s| above about
+    1.34e154) it is (s, s - 1), so an infinite x stays inf instead of
+    becoming inf/inf = nan.
+    """
+    a = s * (s - 1.0)
+    if math.isinf(a):
+        return s, s - 1.0
+    return a, 1.0
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -25,18 +25,30 @@ Zero entries (permissive mode): J, Psi and T blow up on cells where exactly
 one mass vanishes and the value is reported as +inf; Delta, h, d and I stay
 finite under the 0*ln(0) = 0 convention.  Cells where both masses vanish
 contribute nothing to any measure.
+
+Shared base sums.  The two chains, the six differences and the limit
+orders of the families are combinations of the seven base measures, so a
+pair has seven distinct base sums.  A BaseSums table computes each of them
+the first time it is asked for and keeps it.  The pair-level calls
+(measure_value, base_measure, difference_measure, zeta, xi, chain_check)
+reuse the table of the most recent validated pair: when P and Q are the
+same objects as in the previous call and both probs arrays are read-only
+arrays that own their data, as validate makes them, that pair's base sums
+are not summed again.  Any other pair, or a pair built on a writable array,
+is summed afresh.  The values are bit-identical either way.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .distributions import DiscreteDistribution, require_same_alphabet
-from .kernel import ArgumentError, OrderParameter, Regime, _xlogy, row_sum
+from .kernel import ArgumentError, OrderParameter, Regime, _xlogy, order_divisors, row_sum
 
 # Relative slack tolerance for the inequality chains, scaled by the larger
 # side: absolute slacks shrink quadratically as P -> Q.
@@ -204,9 +216,10 @@ def _family_sum(p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
     and ratio(p, q, s) where that is nan.
 
     A single vector drops the cells where both masses vanish first, so its
-    sum runs over the live cells only.
+    sum runs over the live cells only.  Masses are nonnegative, so a cell is
+    dead only where both vanish: without a zero in p or in q there is none.
     """
-    if p.ndim == 1:
+    if p.ndim == 1 and not (p.all() or q.all()):
         live = (p + q) > 0.0
         if not live.all():
             p, q = p[live], q[live]
@@ -236,11 +249,13 @@ def _xi_ratio(p: np.ndarray, q: np.ndarray, s: float):
 
 
 def _zeta_regular(s: float, p: np.ndarray, q: np.ndarray):
-    return (_family_sum(p, q, s, _zeta_direct, _zeta_ratio) - 2.0) / (s * (s - 1.0))
+    a, b = order_divisors(s)
+    return (_family_sum(p, q, s, _zeta_direct, _zeta_ratio) - 2.0) / a / b
 
 
 def _xi_regular(s: float, p: np.ndarray, q: np.ndarray):
-    return (_family_sum(p, q, s, _xi_direct, _xi_ratio) - 1.0) / (s * (s - 1.0))
+    a, b = order_divisors(s)
+    return (_family_sum(p, q, s, _xi_direct, _xi_ratio) - 1.0) / a / b
 
 
 _BASE_FUNCS = {
@@ -264,9 +279,101 @@ _DIFF_COMBOS = {
 }
 
 
-def _arrays(P: DiscreteDistribution, Q: DiscreteDistribution):
+class BaseSums:
+    """The seven base sums of one pair, or of an (m, n) block of pairs.
+
+    Each sum is computed by its kernel the first time it is asked for and
+    kept, so every measure and chain read from one table sums each base
+    measure once.  p and q must not change while the table is in use.
+    """
+
+    __slots__ = ("p", "q", "_sums")
+
+    def __init__(self, p: np.ndarray, q: np.ndarray, sums: Optional[dict] = None):
+        self.p, self.q = p, q
+        self._sums = {} if sums is None else sums
+
+    def __getitem__(self, tag: str):
+        value = self._sums.get(tag)
+        if value is None:
+            value = self._sums[tag] = _BASE_FUNCS[tag](self.p, self.q)
+        return value
+
+    def measure(self, mid: MeasureId):
+        """Any measure, reduced over the last axis like the kernels."""
+        if mid.tag == "zeta":
+            op = OrderParameter.of(mid.s)
+            if op.regime is Regime.REGULAR:
+                return _zeta_regular(op.s, self.p, self.q)
+            return self["J"]
+        if mid.tag == "xi":
+            op = OrderParameter.of(mid.s)
+            if op.regime is Regime.AT_ZERO:
+                return self["I"]
+            if op.regime is Regime.AT_ONE:
+                return self["T"]
+            return _xi_regular(op.s, self.p, self.q)
+        if mid.tag in DIFF_TAGS:
+            return sum(c * self[tag] for c, tag in _DIFF_COMBOS[mid.tag])
+        return self[mid.tag]
+
+    def chain(self, which: str) -> list:
+        """The values of one chain, in CHAIN_LABELS order."""
+        if which == "eq7":
+            return [
+                0.25 * self["Delta"],
+                self["I"],
+                self["h"],
+                4.0 * self["d"],
+                0.125 * self["J"],
+                self["T"],
+                self["Psi"] / 16.0,
+            ]
+        if which == "eq39":
+            d4 = 4.0 * self["d"]
+            dq = 0.25 * self["Delta"]
+            h = self["h"]
+            i = self["I"]
+            return [
+                i - dq,
+                (2.0 / 3.0) * (h - dq),
+                (8.0 / 15.0) * (d4 - dq),
+                (8.0 / 3.0) * (d4 - h),
+                (8.0 / 7.0) * (d4 - i),
+                2.0 * (h - i),
+            ]
+        raise ArgumentError(f"unknown chain {which!r} (expected 'eq7' or 'eq39')")
+
+
+# The most recent pair whose probs were frozen: weak references to P and Q
+# and the sums of their table, which are numbers, so no array is kept alive.
+# Threads need no lock: the slot is read and replaced as one tuple, a lost
+# replacement only costs a later call its sums, and two threads that sum
+# the same base of the same pair store the same number.
+_last_pair = (None, None, None)
+
+
+def _frozen(probs: np.ndarray) -> bool:
+    """True for masses nothing can change in place: read-only and owning
+    their data, as validate makes them (a read-only view of a writable
+    array could still change)."""
+    return not probs.flags.writeable and probs.flags.owndata
+
+
+def _pair_sums(P: DiscreteDistribution, Q: DiscreteDistribution) -> BaseSums:
+    """The base sums of a validated pair, shared with the previous call on
+    the same two objects."""
+    global _last_pair
     require_same_alphabet(P, Q)
-    return P.probs, Q.probs
+    p, q = P.probs, Q.probs
+    if not (_frozen(p) and _frozen(q)):
+        return BaseSums(p, q)
+    ref_p, ref_q, sums = _last_pair
+    if ref_p is not None and ref_p() is P and ref_q() is Q:
+        return BaseSums(p, q, sums)
+    table = BaseSums(p, q)
+    _last_pair = (weakref.ref(P), weakref.ref(Q), table._sums)
+    return table
 
 
 def _measure_id(measure: Union[MeasureId, str]) -> MeasureId:
@@ -275,26 +382,11 @@ def _measure_id(measure: Union[MeasureId, str]) -> MeasureId:
 
 def measure_rows(mid: MeasureId, p: np.ndarray, q: np.ndarray):
     """Any measure on raw mass arrays, reduced over the last axis like the kernels."""
-    if mid.tag == "zeta":
-        op = OrderParameter.of(mid.s)
-        if op.regime is Regime.REGULAR:
-            return _zeta_regular(op.s, p, q)
-        return _jdiv(p, q)
-    if mid.tag == "xi":
-        op = OrderParameter.of(mid.s)
-        if op.regime is Regime.AT_ZERO:
-            return _jensen_shannon(p, q)
-        if op.regime is Regime.AT_ONE:
-            return _tdiv(p, q)
-        return _xi_regular(op.s, p, q)
-    if mid.tag in DIFF_TAGS:
-        return sum(c * _BASE_FUNCS[tag](p, q) for c, tag in _DIFF_COMBOS[mid.tag])
-    return _BASE_FUNCS[mid.tag](p, q)
+    return BaseSums(p, q).measure(mid)
 
 
 def _value(mid: MeasureId, P: DiscreteDistribution, Q: DiscreteDistribution) -> float:
-    p, q = _arrays(P, Q)
-    return float(measure_rows(mid, p, q))
+    return float(_pair_sums(P, Q).measure(mid))
 
 
 def base_measure(
@@ -354,30 +446,7 @@ CHAIN_LABELS = {
 
 def chain_values(which: str, p: np.ndarray, q: np.ndarray) -> list:
     """The values of one chain, in CHAIN_LABELS order, reduced over the last axis."""
-    if which == "eq7":
-        return [
-            0.25 * _delta(p, q),
-            _jensen_shannon(p, q),
-            _hellinger(p, q),
-            4.0 * _ddiv(p, q),
-            0.125 * _jdiv(p, q),
-            _tdiv(p, q),
-            _psi(p, q) / 16.0,
-        ]
-    if which == "eq39":
-        d4 = 4.0 * _ddiv(p, q)
-        dq = 0.25 * _delta(p, q)
-        h = _hellinger(p, q)
-        i = _jensen_shannon(p, q)
-        return [
-            i - dq,
-            (2.0 / 3.0) * (h - dq),
-            (8.0 / 15.0) * (d4 - dq),
-            (8.0 / 3.0) * (d4 - h),
-            (8.0 / 7.0) * (d4 - i),
-            2.0 * (h - i),
-        ]
-    raise ArgumentError(f"unknown chain {which!r} (expected 'eq7' or 'eq39')")
+    return BaseSums(p, q).chain(which)
 
 
 def chain_slack(values: np.ndarray):
@@ -436,6 +505,5 @@ def chain_check(
     "eq39": D_IDelta <= (2/3) D_hDelta <= (8/15) D_dDelta
                      <= (8/3) D_dh <= (8/7) D_dI <= 2 D_hI
     """
-    p, q = _arrays(P, Q)
-    values = chain_values(which, p, q)
+    values = _pair_sums(P, Q).chain(which)
     return _chain_report([(label, float(v)) for label, v in zip(CHAIN_LABELS[which], values)])

@@ -84,6 +84,12 @@ def xi(s, P, Q):
     return (tot - 1) / (s * (s - 1))
 
 
+def xi_f_inf(s):
+    """lim_{u -> inf} f(u)/u of the xi generator, for s < 1 off the limit points."""
+    s = _exact(s)
+    return (2 ** (-s) - 1) / (2 * s * (s - 1))
+
+
 BASE = {
     "Delta": delta,
     "I": jensen_shannon,

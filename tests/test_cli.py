@@ -344,6 +344,47 @@ class TestExtremeOrders:
         assert (code, err) == (0, "")
         assert out.splitlines()[1].split("\t")[2] == "inf"
 
+    @pytest.mark.parametrize("spec", ["zeta:2e154", "xi:2e154", "zeta:1e308", "xi:-1e308"])
+    def test_measure_order_product_overflow_prints_inf(self, capsys, tmp_path, spec):
+        # s(s-1) overflows to inf at these orders; inf/inf would print nan
+        p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+        p.write_text("0.3 0.7\n")
+        q.write_text("0.6 0.4\n")
+        code, out, err = run(
+            capsys,
+            ["measure", "--p", str(p), "--q", str(q), "--measure", spec, "--format", "machine"],
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split("\t")[2] == "inf"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--s-grid=-1100"],
+            ["bounds", "--s-grid=2e154"],
+            ["bounds", "--s-grid=-2e154"],
+            ["sweep", "--family", "xi", "--s-grid=-2000:-1000:3"],
+            ["sweep", "--family", "zeta", "--s-grid=-2000:-1000:3"],
+        ],
+    )
+    def test_orders_past_the_double_range(self, capsys, problem, argv):
+        # 2^(-s) overflows below s = -1024 and s(s-1) above |s| = 1.34e154
+        text = "priors: 0.5 0.5\ncond1: 0.3 0.7\ncond2: 0.6 0.4\n"
+        code, out, err = run(
+            capsys, argv[:1] + ["--problem", problem(text)] + argv[1:] + ["--format", "machine"]
+        )
+        assert (code, err) == (0, "")
+        assert "nan" not in out
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        if argv[0] == "bounds":
+            lower = [r for r in rows if r[0].startswith(("zeta_lower", "xi_lower"))]
+            for _name, _kind, value, applicable, note in lower:
+                assert applicable == "true" and 0.0 <= float(value) <= 0.35
+            assert any("vacuous" in r[4] for r in lower)
+        else:
+            for _s, averaged, lower, _upper in rows:
+                assert float(averaged) > 0.0 and 0.0 <= float(lower) <= 0.35
+
     @pytest.mark.parametrize("spec", ["xi:60", "xi:-60", "zeta:60"])
     def test_measure_small_masses_match_oracle(self, capsys, tmp_path, spec):
         # the direct power form is inf * 0 = nan here; the value must not be

@@ -99,6 +99,20 @@ class TestCatalog:
         assert math.isinf(xi_f_inf(1.0))
         assert math.isinf(xi_f_inf(2.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "s", [-1000.0, -1024.0, -1024.5, -1030.0, -1030.3, -1045.0, -1046.0, -2e154, -1e308]
+    )
+    def test_xi_f_inf_where_two_to_minus_s_overflows(self, s):
+        # 2^(-s) leaves the double range below s = -1024; f_inf stays finite
+        # down to s = -1045 and is inf beyond
+        want = float(oracle.xi_f_inf(s))
+        if math.isinf(want):
+            assert xi_f_inf(s) == math.inf
+        else:
+            assert xi_f_inf(s) == pytest.approx(want, rel=1e-15)
+        assert generator(MeasureId("xi", s)).f_infinity == xi_f_inf(s)
+
     def test_unknown_key(self):
         with pytest.raises(ArgumentError):
             generator("nope")
@@ -273,6 +287,17 @@ class TestCsiszarSum:
         P = validate([0.9999999999999, 0.0000000000001])
         Q = validate([0.5, 0.5])
         assert csiszar_sum(generator(spec), P, Q) == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "spec", ["zeta:2e154", "xi:2e154", "zeta:-2e154", "zeta:1e308", "xi:-1e308"]
+    )
+    def test_order_product_overflow_gives_inf_not_nan(self, spec):
+        # s(s-1) overflows: the generator divides by s and s - 1 in turn
+        g = generator(spec)
+        assert star(g, 0.3) == math.inf
+        assert star(g, np.array([0.3, 0.5])).tolist() == [math.inf, 0.0]
+        assert csiszar_sum(g, validate([0.3, 0.7]), validate([0.6, 0.4])) == math.inf
 
     def test_strict_pairs_skip_the_zero_scan_with_the_same_value(self):
         rng = np.random.default_rng(11)

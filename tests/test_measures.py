@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -6,8 +10,14 @@ from hypothesis import given, strategies as st
 
 import oracle_reference as oracle
 from conftest import make_pair, set_cpus
-from divbound import kernel
-from divbound.distributions import PERMISSIVE, STRICT, validate
+from divbound import generators, kernel, measures
+from divbound.distributions import (
+    PERMISSIVE,
+    STRICT,
+    AlphabetMismatch,
+    DiscreteDistribution,
+    validate,
+)
 from divbound.generators import CATALOG_KEYS, csiszar_sum, generator
 from divbound.kernel import ArgumentError
 from divbound.measures import (
@@ -415,6 +425,15 @@ class TestExtremeOrderSmallMasses:
         got = measure_value(spec, validate(SMALL_P), validate(SMALL_Q))
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "spec", ["zeta:2e154", "xi:2e154", "zeta:-2e154", "zeta:1e308", "xi:-1e308"]
+    )
+    def test_order_product_overflow_gives_inf_not_nan(self, spec):
+        # s(s-1) overflows; the family sum is inf, divided by s and s - 1 in turn
+        P, Q = validate([0.3, 0.7]), validate([0.6, 0.4])
+        assert measure_value(spec, P, Q) == math.inf
+        assert measure_value(spec, P, P) == 0.0
+
     def test_zero_mass_gives_inf_not_nan(self):
         # a vanishing mass against a tiny one: the true terms are infinite
         P = validate([0.0, 1.0], PERMISSIVE)
@@ -452,3 +471,168 @@ class TestErrstateReachesHelpers:
         set_cpus(monkeypatch, 1)
         assert repr(threaded) == repr(measure_value(spec, P, Q))
         assert math.isfinite(threaded)
+
+
+def _workload_values(P, Q):
+    """A pair's two chains, 19 measures and 19 Csiszar sums, as reprs."""
+    out = [repr(chain_check(P, Q, which).values) for which in ("eq7", "eq39")]
+    out += [repr(measure_value(key, P, Q)) for key in CATALOG_KEYS]
+    out += [repr(csiszar_sum(generator(key), P, Q)) for key in CATALOG_KEYS]
+    return out
+
+
+def _reference_values(P, Q):
+    """_workload_values from the raw arrays, which share no sums with any call."""
+    p, q = P.probs, Q.probs
+    out = [_rows_call("chain", which, p, q) for which in ("eq7", "eq39")]
+    out += [_rows_call("measure", key, p, q) for key in CATALOG_KEYS]
+    out += [repr(csiszar_sum(generator(key), P, Q)) for key in CATALOG_KEYS]
+    return out
+
+
+def _fresh(D):
+    return validate(D.probs.copy(), D.mode)
+
+
+SHARED_PAIRS = {
+    "n16": lambda: make_pair(np.random.default_rng(16), 16),
+    "long": lambda: _large_pair(STRICT),
+    "zeros": lambda: (
+        validate([0.5, 0.5, 0.0, 0.0], PERMISSIVE),
+        validate([0.25, 0.5, 0.25, 0.0], PERMISSIVE),
+    ),
+    "long_zeros": lambda: _large_pair(PERMISSIVE),
+}
+
+# Both chains, every catalog key, and the family orders read from base sums.
+SHARED_CALLS = (
+    [("chain", which) for which in ("eq7", "eq39")]
+    + [("measure", key) for key in CATALOG_KEYS]
+    + [("measure", MeasureId(tag, s)) for tag, s in (("zeta", 0.0), ("xi", 0.0), ("xi", 1.0))]
+)
+
+
+def _shared_call(kind, arg, P, Q):
+    if kind == "chain":
+        return repr(chain_check(P, Q, arg).values)
+    return repr(measure_value(arg, P, Q))
+
+
+def _rows_call(kind, arg, p, q):
+    if kind == "chain":
+        return repr(tuple(zip(CHAIN_LABELS[arg], map(float, chain_values(arg, p, q)))))
+    return repr(float(measure_rows(arg, p, q)))
+
+
+class TestSharedBaseSums:
+    """Pair-level calls share one table of base sums per validated pair."""
+
+    @pytest.mark.parametrize("name", sorted(SHARED_PAIRS))
+    def test_repeated_shuffled_calls_are_bit_equal(self, name):
+        P, Q = SHARED_PAIRS[name]()
+        # each reference call is on new objects, so it sums every base afresh
+        want = [_shared_call(kind, arg, _fresh(P), _fresh(Q)) for kind, arg in SHARED_CALLS]
+        assert want == [_rows_call(kind, arg, P.probs, Q.probs) for kind, arg in SHARED_CALLS]
+        rng = np.random.default_rng(7)
+        for _ in range(2):
+            for i in rng.permutation(len(SHARED_CALLS)):
+                assert _shared_call(*SHARED_CALLS[i], P, Q) == want[i], SHARED_CALLS[i]
+
+    def test_workload_sequence_sums_32_rows(self, monkeypatch):
+        passes = []
+
+        def counting(row_sum):
+            def counted(*args):
+                passes.append(args[0])
+                return row_sum(*args)
+
+            return counted
+
+        for module in (measures, generators):
+            monkeypatch.setattr(module, "row_sum", counting(module.row_sum))
+        P, Q = make_pair(np.random.default_rng(32), 16)
+        _workload_values(P, Q)
+        # 7 base sums, 6 family sums at regular orders and 19 Csiszar sums;
+        # summing the bases per call, the chains and measures take 36, not 13
+        assert len(passes) == 32
+        passes.clear()
+        _workload_values(P, Q)
+        assert len(passes) == 6 + 19
+
+    def test_slot_keeps_no_pair_alive(self):
+        P, Q = make_pair(np.random.default_rng(3), 16)
+        measure_value("J", P, Q)
+        refs = [weakref.ref(P), weakref.ref(Q), weakref.ref(P.probs), weakref.ref(Q.probs)]
+        del P, Q
+        gc.collect()
+        assert [r() for r in refs] == [None] * 4
+
+    def test_alternating_pairs_get_their_own_values(self):
+        (A, Q), (B, R) = (make_pair(np.random.default_rng(seed), 16) for seed in (1, 2))
+        pairs = [(A, Q), (B, Q), (B, R), (A, R)]  # a change of P alone, then of Q alone
+        want = [_reference_values(*X) for X in pairs]
+        for i in (0, 1, 2, 3, 0, 2):
+            assert _workload_values(*pairs[i]) == want[i]
+
+    def test_writable_probs_are_read_again(self):
+        Q = validate([0.25, 0.25, 0.5])
+        before, after = [0.5, 0.25, 0.25], [0.2, 0.3, 0.5]
+
+        def values(P):  # eq39 and the 19 measures: items 1 to n of _reference_values
+            return [repr(chain_check(P, Q, "eq39").values)] + [
+                repr(measure_value(key, P, Q)) for key in CATALOG_KEYS
+            ]
+
+        n = 2 + len(CATALOG_KEYS)
+        p = np.array(before)
+        view = p.view()
+        view.setflags(write=False)  # read-only, but p can still change it
+        for probs in (p, view):
+            p[:] = before
+            P = DiscreteDistribution(probs, STRICT)
+            first = values(P)
+            p[:] = after
+            second = values(P)
+            assert first == _reference_values(validate(before), Q)[1:n]
+            assert second == _reference_values(validate(after), Q)[1:n]
+
+    def test_alphabet_mismatch_raised_first(self):
+        P, Q = validate([0.5, 0.5]), validate([0.25, 0.75])
+        R = validate([0.2, 0.3, 0.5])
+        measure_value("h", P, Q)
+        for call in (
+            lambda: measure_value("h", P, R),
+            lambda: chain_check(P, R, "eq7"),
+            lambda: chain_check(R, Q, "eq99"),
+            lambda: zeta(0.5, R, Q),
+        ):
+            with pytest.raises(AlphabetMismatch):
+                call()
+
+    def test_threads_alternating_pairs(self):
+        # more threads than CPUs, each alternating between two pairs, so the
+        # slot changes hands between the lookup and the sums of a call
+        pairs = [make_pair(np.random.default_rng(seed), 16) for seed in (4, 5)]
+        want = [_reference_values(*X) for X in pairs]
+        got = [[] for _ in range(4)]
+
+        def work(t):
+            for k in range(40):
+                i = (t + k) % 2
+                got[t].append((i, _workload_values(*pairs[i])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for results in got:
+            assert len(results) == 40
+            for i, values in results:
+                assert values == want[i]
