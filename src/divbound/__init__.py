@@ -52,7 +52,6 @@ from .bounds import (
     BoundReport,
     BoundUnavailable,
     ComparisonResult,
-    PosteriorPoint,
     TwoClassProblem,
     average_f_divergence,
     averaged_xi,
@@ -63,7 +62,6 @@ from .bounds import (
     generic_upper_bound,
     kailath_bound,
     lower_bound_family,
-    posteriors,
     toussaint_bounds,
     upper_bound_difference,
     upper_bound_xi,

@@ -11,9 +11,11 @@ certified lower and upper error bounds:
   * the square-root lower bound 1/2 - 1/2 sqrt(1 - 4 exp(-2H - J)) and the
     sharper J-inversion variant;
   * upper bounds from every generator with finite f_inf:
-    P_e <= (f_inf - avg)/(2 f_inf - f(1)), for both families and the six
+    P_e <= (f_inf - avg)/(2 f_inf), for both families and the six
     difference measures, with the documented sharpness comparisons between
-    them.
+    them.  Every catalog star transform is symmetric with f*(0) = f*(1) =
+    f_inf and f*(1/2) = 0, so this one formula serves them all; an average
+    too large for a double gives the vacuous bound 1/2, flagged.
 
 Every posterior form is the star transform f*(a) = a f((1-a)/a) of the
 catalog generator; nothing here restates a generator in closed form.
@@ -89,31 +91,6 @@ class TwoClassProblem:
                 f"conditionals have different alphabet sizes: {c1.n} vs {c2.n}"
             )
         return cls(p1=p1, p2=p2, cond1=c1, cond2=c2, label=label)
-
-
-@dataclass(frozen=True)
-class PosteriorPoint:
-    """Marginal mass and the two posteriors at one outcome."""
-
-    px: float
-    post1: float
-    post2: float
-
-    @property
-    def live(self) -> bool:
-        return self.px > 0.0
-
-
-def posteriors(problem: TwoClassProblem) -> List[PosteriorPoint]:
-    """Bayes posteriors per outcome; zero-marginal outcomes carry nan posteriors."""
-    w1, _, px, post2 = posterior_arrays(
-        problem.p1, problem.p2, problem.cond1.probs, problem.cond2.probs
-    )
-    with np.errstate(invalid="ignore"):  # 0/0 = nan where px == 0
-        post1 = w1 / px
-    return [
-        PosteriorPoint(*point) for point in zip(px.tolist(), post1.tolist(), post2.tolist())
-    ]
 
 
 def posterior_arrays(p1, p2, cond1: np.ndarray, cond2: np.ndarray):
@@ -286,6 +263,9 @@ _FAMILY_UPPER_REQUIRES = {
 def _family_upper_generator(family: str, s) -> GeneratingFunction:
     g = _family_generator(family, s)
     if math.isinf(g.f_infinity):
+        # below s = -1045 the xi constant (2^(-s) - 1)/(2s(s-1)) overflows
+        if family == "xi" and OrderParameter.of(s).s < 0.0:
+            raise BoundUnavailable("xi upper bound needs f_inf, which exceeds the double range")
         raise BoundUnavailable(_FAMILY_UPPER_REQUIRES[family])
     return g
 
@@ -308,37 +288,34 @@ def upper_bound_difference(problem: TwoClassProblem, tag: str) -> float:
 
 
 def generic_upper_bound(problem: TwoClassProblem, g: GeneratingFunction) -> float:
-    """Upper bound from any catalog generator with the required finite constants.
+    """Upper bound (f_inf - avg)/(2 f_inf) from any catalog generator.
 
-    Uses the symmetric-star simplification when it applies, otherwise the
-    general constants route; raises BoundUnavailable when both need an
-    infinite constant.  The result is clamped to [0, 1/2].
+    Raises BoundUnavailable when f_inf is infinite.  The result is clamped
+    to [0, 1/2], and is 1/2 when the average is too large for a double.
     """
-    return _upper_from_average(problem, g, average_f_divergence(problem, g))
+    return _upper_from_average(g, average_f_divergence(problem, g))[0]
 
 
-def _upper_from_average(problem: TwoClassProblem, g: GeneratingFunction, c: float) -> float:
-    if g.star_symmetric and math.isfinite(g.f_infinity):
-        val = (g.f_infinity - c) / (2.0 * g.f_infinity - g.f_at_one)
-    elif math.isfinite(g.f_at_zero) and math.isfinite(g.f_infinity):
-        f2 = g.f_at_zero + g.f_infinity
-        val = (g.f_at_zero * problem.p2 + g.f_infinity * problem.p1 - c) / (
-            f2 - g.f_at_one
-        )
-    else:
-        raise BoundUnavailable(f"{g.key}: required limit constants are infinite")
-    return min(max(val, 0.0), 0.5)
+def _upper_from_average(g: GeneratingFunction, c: float) -> Tuple[float, str]:
+    f_inf = g.f_infinity
+    if math.isinf(f_inf):
+        raise BoundUnavailable(f"{g.key}: f_inf is infinite")
+    if not math.isfinite(c):
+        return 0.5, "vacuous: averaged divergence is infinite"
+    # halving the quotient, not doubling f_inf, keeps f_inf near the top of
+    # the double range finite
+    return min(max(0.5 * ((f_inf - c) / f_inf), 0.0), 0.5), ""
 
 
 def family_bounds(
     problem: TwoClassProblem, family: str, s
-) -> Tuple[float, Tuple[float, str], Optional[float]]:
-    """(averaged value, (lower bound, note), upper bound or None if unavailable)
-    of one family member, all from one posterior average."""
+) -> Tuple[float, Tuple[float, str], Optional[Tuple[float, str]]]:
+    """(averaged value, (lower bound, note), (upper bound, note) or None if
+    unavailable) of one family member, all from one posterior average."""
     g = _family_generator(family, s)
     v = average_f_divergence(problem, g)
     try:
-        upper = _upper_from_average(problem, _family_upper_generator(family, s), v)
+        upper = _upper_from_average(_family_upper_generator(family, s), v)
     except BoundUnavailable:
         upper = None
     return v, _lower_from_average(g, v), upper
@@ -449,15 +426,15 @@ def assemble_report(
             name = f"{family}_upper(s={float(s)!r})"
             try:
                 g = _family_upper_generator(family, s)
-                val = _upper_from_average(problem, g, averages[g.key])
-                entries.append(BoundEntry(name, "upper", val, True, ""))
+                val, note = _upper_from_average(g, averages[g.key])
+                entries.append(BoundEntry(name, "upper", val, True, note))
             except BoundUnavailable as exc:
                 entries.append(BoundEntry(name, "upper", 0.5, False, str(exc)))
 
     for tag in DIFF_TAGS:
         g = generator(tag)
-        val = _upper_from_average(problem, g, averages[g.key])
-        entries.append(BoundEntry(f"diff_upper({tag})", "upper", val, True, ""))
+        val, note = _upper_from_average(g, averages[g.key])
+        entries.append(BoundEntry(f"diff_upper({tag})", "upper", val, True, note))
 
     return BoundReport(exact_pe=pe, entries=tuple(entries))
 

@@ -145,7 +145,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for s in grid:
         averaged, (lower, _note), upper = _bounds.family_bounds(problem, args.family, s)
-        upper_cell = "n/a" if upper is None else fmt_real(upper)
+        upper_cell = "n/a" if upper is None else fmt_real(upper[0])
         rows.append((fmt_real(s), fmt_real(averaged), fmt_real(lower), upper_cell))
     sys.stdout.write(render_rows(("s", "averaged", "lower", "upper"), rows, args.format))
     return EXIT_OK

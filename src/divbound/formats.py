@@ -123,6 +123,10 @@ def parse_s_grid(spec: str, source: str = "--s-grid") -> List[float]:
             raise ParseFailure(f"{source}: range spec needs n >= 2, got {n}")
         if not a < b:
             raise ParseFailure(f"{source}: range spec needs a < b, got {spec!r}")
+        if math.isinf(b - a) and math.isfinite(a) and math.isfinite(b):
+            # the width overflows: interpolate between the ends, which stays finite
+            ts = [i / (n - 1) for i in range(n)]
+            return [_snap(a * (1.0 - t) + b * t) for t in ts]
         step = (b - a) / (n - 1)
         return [_snap(a + i * step) for i in range(n)]
     try:

@@ -5,8 +5,10 @@ for a convex generator f on (0, inf) with f(1) = 0, under the conventions
 0*f(0/0) = 0 and 0*f(a/0) = a*f_inf where f_inf = lim f(u)/u.  The star
 transform f*(x) = x*f((1-x)/x) maps generators to functions on (0, 1); it
 is symmetric about 1/2 exactly when the measure is symmetric, and its
-endpoint limit f*(0+) equals f_inf.  Finiteness of f_inf is what gates the
-existence of an upper bound on the Bayes error.
+endpoint limit f*(0+) equals f_inf.  Every member is symmetric, so f*(1-),
+which is f(0+), equals f_inf too: the one constant f_inf fixes both ends of
+f*, and with f*(1/2) = f(1)/2 = 0 it gives every upper bound on the Bayes
+error.  Finiteness of f_inf is what gates the existence of that bound.
 
 The catalog is closed: base measures, the two families at any order s, and
 the six difference measures (built as pointwise linear combinations of
@@ -43,8 +45,8 @@ INF = math.inf
 GENERATOR_GRID = (1e-3, 1e3, 301)
 STAR_GRID = (1e-3, 1.0 - 1e-3, 1001)
 
-# Grid used for the star-symmetry field: 1001 interior points of (0, 1),
-# and the largest defect, normalised by (1 + |f*|), that counts as symmetric.
+# Grid of the star-symmetry check: 1001 interior points of (0, 1), and the
+# largest defect, normalised by (1 + |f*|), that counts as symmetric.
 _SYM_GRID = np.arange(1, 1002) / 1002.0
 STAR_SYM_TOL = 1e-12
 
@@ -56,14 +58,11 @@ _CROSS_TOL = 1e-5
 
 @dataclass(frozen=True)
 class GeneratingFunction:
-    """A convex generator with its limit constants and symmetry flag."""
+    """A convex generator and its limit constant, which is also f(0+)."""
 
     key: str
     fn: Callable  # vectorised map u in (0, inf) -> real
-    f_at_zero: float  # lim_{u -> 0+} f(u)
-    f_infinity: float  # lim_{u -> inf} f(u)/u
-    f_at_one: float = 0.0
-    star_symmetric: bool = True
+    f_infinity: float  # lim_{u -> inf} f(u)/u = lim_{u -> 0+} f(u)
 
 
 @dataclass(frozen=True)
@@ -165,14 +164,14 @@ def xi_f_inf(s) -> float:
 
 
 _BASE_SPECS = {
-    # tag: (fn, f_at_zero, f_infinity)
-    "Delta": (_f_delta, 1.0, 1.0),
-    "I": (_f_I, 0.5 * LN2, 0.5 * LN2),
-    "h": (_f_h, 0.5, 0.5),
-    "d": (_f_d, 0.25 * (2.0 - math.sqrt(2.0)), 0.25 * (2.0 - math.sqrt(2.0))),
-    "J": (_f_J, INF, INF),
-    "T": (_f_T, INF, INF),
-    "Psi": (_f_psi, INF, INF),
+    # tag: (fn, f_infinity)
+    "Delta": (_f_delta, 1.0),
+    "I": (_f_I, 0.5 * LN2),
+    "h": (_f_h, 0.5),
+    "d": (_f_d, 0.25 * (2.0 - math.sqrt(2.0))),
+    "J": (_f_J, INF),
+    "T": (_f_T, INF),
+    "Psi": (_f_psi, INF),
 }
 
 def _combo_fn(combo) -> Callable:
@@ -187,27 +186,22 @@ def _combo_fn(combo) -> Callable:
 @lru_cache(maxsize=None)
 def _build(tag: str, s: float | None) -> GeneratingFunction:
     if tag in BASE_TAGS:
-        fn, f0, finf = _BASE_SPECS[tag]
-        g = GeneratingFunction(key=tag, fn=fn, f_at_zero=f0, f_infinity=finf)
-    elif tag in DIFF_TAGS:
+        fn, finf = _BASE_SPECS[tag]
+        return GeneratingFunction(key=tag, fn=fn, f_infinity=finf)
+    if tag in DIFF_TAGS:
         # differences are the measures' linear combinations, and so are
         # their generators and limit constants
         combo = _DIFF_COMBOS[tag]
-        g = GeneratingFunction(
+        return GeneratingFunction(
             key=tag,
             fn=_combo_fn(combo),
-            f_at_zero=sum(c * _BASE_SPECS[base][1] for c, base in combo),
-            f_infinity=sum(c * _BASE_SPECS[base][2] for c, base in combo),
+            f_infinity=sum(c * _BASE_SPECS[base][1] for c, base in combo),
         )
-    elif tag == "zeta":
+    if tag == "zeta":
         op = OrderParameter.of(s)
-        if op.regime is Regime.REGULAR:
-            fn = _f_zeta(op.s)
-        else:
-            fn = _f_J
-        c = zeta_f_inf(op)
-        g = GeneratingFunction(key=f"zeta:{s!r}", fn=fn, f_at_zero=c, f_infinity=c)
-    elif tag == "xi":
+        fn = _f_zeta(op.s) if op.regime is Regime.REGULAR else _f_J
+        return GeneratingFunction(key=f"zeta:{s!r}", fn=fn, f_infinity=zeta_f_inf(op))
+    if tag == "xi":
         op = OrderParameter.of(s)
         if op.regime is Regime.AT_ZERO:
             fn = _f_I
@@ -215,18 +209,8 @@ def _build(tag: str, s: float | None) -> GeneratingFunction:
             fn = _f_T
         else:
             fn = _f_xi(op.s)
-        c = xi_f_inf(op)
-        g = GeneratingFunction(key=f"xi:{s!r}", fn=fn, f_at_zero=c, f_infinity=c)
-    else:
-        raise ArgumentError(f"unknown generator key {tag!r}")
-    return GeneratingFunction(
-        key=g.key,
-        fn=g.fn,
-        f_at_zero=g.f_at_zero,
-        f_infinity=g.f_infinity,
-        f_at_one=float(g.fn(1.0)),
-        star_symmetric=bool(star_symmetry_defect(g) <= STAR_SYM_TOL),
-    )
+        return GeneratingFunction(key=f"xi:{s!r}", fn=fn, f_infinity=xi_f_inf(op))
+    raise ArgumentError(f"unknown generator key {tag!r}")
 
 
 def generator(measure: Union[MeasureId, str]) -> GeneratingFunction:
@@ -262,15 +246,13 @@ def star(g: GeneratingFunction, x):
 
 
 def star_extended(g: GeneratingFunction, x):
-    """star() extended to [0, 1]: f*(0) = f_inf and f*(1) = f(0+); elementwise on arrays."""
+    """star() extended to [0, 1]: f*(0) = f*(1) = f_inf; elementwise on arrays."""
     if isinstance(x, (int, float)):
-        if x == 0.0:
+        if x == 0.0 or x == 1.0:
             return g.f_infinity
-        if x == 1.0:
-            return g.f_at_zero
         return star(g, x)
     arr = np.asarray(x, dtype=float)
-    out = np.where(arr == 0.0, g.f_infinity, g.f_at_zero)
+    out = np.full(arr.shape, g.f_infinity)
     inner = (arr != 0.0) & (arr != 1.0)
     out[inner] = star(g, arr[inner])
     return out
@@ -302,13 +284,14 @@ def _check_limit(g: GeneratingFunction, const: float, near_zero: bool) -> None:
 
 
 def limit_constants(g: GeneratingFunction) -> LimitConstants:
-    """f1 exactly, f0/f_inf from the stored constants with a numeric cross-check."""
-    _check_limit(g, g.f_at_zero, near_zero=True)
+    """f1 exactly, f0 = f_inf from the stored constant, with fn cross-checked
+    against it near 0 and near infinity."""
+    _check_limit(g, g.f_infinity, near_zero=True)
     _check_limit(g, g.f_infinity, near_zero=False)
     return LimitConstants(
-        f0=g.f_at_zero,
+        f0=g.f_infinity,
         f1=float(g.fn(1.0)),
-        f2=g.f_at_zero + g.f_infinity,
+        f2=g.f_infinity + g.f_infinity,
         f_inf=g.f_infinity,
     )
 
@@ -343,7 +326,7 @@ def csiszar_sum(
     total = float(csiszar_rows(g, p[both], q[both]))
     p_zero = (p == 0.0) & (q > 0.0)
     if np.any(p_zero):
-        total += float(np.sum(q[p_zero])) * g.f_at_zero
+        total += float(np.sum(q[p_zero])) * g.f_infinity
     q_zero = (q == 0.0) & (p > 0.0)
     if np.any(q_zero):
         total += float(np.sum(p[q_zero])) * g.f_infinity

@@ -18,8 +18,10 @@ from divbound.bounds import (
     comparison_check,
     generic_upper_bound,
     kailath_bound,
+    family_bounds,
     lower_bound_family,
-    posteriors,
+    posterior_arrays,
+    problem_averages,
     report_generators,
     toussaint_bounds,
     upper_bound_difference,
@@ -32,7 +34,7 @@ from divbound import bounds as bounds_mod
 from divbound import kernel
 from divbound.distributions import ValidationFailure
 from divbound.kernel import DomainError, invert_decreasing
-from divbound.generators import generator, star
+from divbound.generators import generator, star, xi_f_inf
 from divbound.measures import DIFF_TAGS, MeasureId
 
 LN2 = math.log(2.0)
@@ -99,30 +101,39 @@ class TestProblemConstruction:
         assert bayes_error(p) == pytest.approx(0.3, abs=1e-15)
 
 
+def posteriors_of(problem):
+    """(marginal, class-1 posterior, class-2 posterior) arrays of a problem."""
+    w1, _, px, post2 = posterior_arrays(
+        problem.p1, problem.p2, problem.cond1.probs, problem.cond2.probs
+    )
+    with np.errstate(invalid="ignore"):  # 0/0 = nan where px == 0
+        return px, w1 / px, post2
+
+
 class TestPosteriors:
     def test_hand_example(self, flip_problem):
-        pts = posteriors(flip_problem)
-        assert [p.px for p in pts] == pytest.approx([0.5, 0.5], abs=1e-15)
-        assert [p.post1 for p in pts] == pytest.approx([0.8, 0.2], abs=1e-15)
-        assert all(p.post1 + p.post2 == pytest.approx(1.0, abs=1e-12) for p in pts)
+        px, post1, post2 = posteriors_of(flip_problem)
+        assert px.tolist() == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert post1.tolist() == pytest.approx([0.8, 0.2], abs=1e-15)
+        assert (post1 + post2).tolist() == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_identical_conditionals_give_prior(self):
         prob = TwoClassProblem.from_arrays((0.7, 0.3), [0.4, 0.6], [0.4, 0.6])
-        for p in posteriors(prob):
-            assert p.post1 == pytest.approx(0.7, abs=1e-15)
+        _, post1, _ = posteriors_of(prob)
+        assert post1.tolist() == pytest.approx([0.7, 0.7], abs=1e-15)
 
     def test_prior_domination(self):
         eps = 1e-9
         prob = TwoClassProblem.from_arrays((1 - eps, eps), [0.5, 0.5], [0.5, 0.5])
-        for p in posteriors(prob):
-            assert p.post1 > 1.0 - 1e-8
+        _, post1, _ = posteriors_of(prob)
+        assert np.all(post1 > 1.0 - 1e-8)
 
     def test_zero_marginal_flagged_and_excluded(self):
         prob = TwoClassProblem.from_arrays(
             (0.5, 0.5), [0.5, 0.5, 0.0], [0.3, 0.7, 0.0]
         )
-        pts = posteriors(prob)
-        assert not pts[2].live and math.isnan(pts[2].post1)
+        px, post1, post2 = posteriors_of(prob)
+        assert px[2] == 0.0 and math.isnan(post1[2]) and math.isnan(post2[2])
         small = TwoClassProblem.from_arrays((0.5, 0.5), [0.5, 0.5], [0.3, 0.7])
         assert averaged_zeta(prob, 0.5) == averaged_zeta(small, 0.5)
 
@@ -394,6 +405,84 @@ class TestGenericUpperBound:
     def test_unbounded_generators_unavailable(self, flip_problem, tag):
         with pytest.raises(BoundUnavailable):
             generic_upper_bound(flip_problem, generator(tag))
+
+    def test_one_formula_on_a_seeded_corpus(self):
+        # every upper bound is (f_inf - avg)/(2 f_inf), bit for bit, clamped
+        # to [0, 1/2]
+        rng = np.random.default_rng(20111)
+        gens = [g for g in report_generators() if math.isfinite(g.f_infinity)]
+        for _ in range(1000):
+            p1 = float(rng.uniform(0.05, 0.95))
+            c1, c2 = make_pair(rng, int(rng.integers(2, 13)))
+            problem = TwoClassProblem.from_arrays((p1, 1.0 - p1), c1.probs, c2.probs)
+            averages = problem_averages(problem, report_generators())
+            by_name = {e.name: e.value for e in bound_report(problem).entries}
+            for g in gens:
+                f_inf, c = g.f_infinity, averages[g.key]
+                want = min(max((f_inf - c) / (2.0 * f_inf), 0.0), 0.5)
+                tag, _, s = g.key.partition(":")
+                name = f"{tag}_upper(s={float(s)!r})" if s else f"diff_upper({tag})"
+                assert by_name[name] == want, (g.key, by_name[name], want)
+                assert generic_upper_bound(problem, g) == want
+
+
+# Two problems whose xi upper bounds overflowed: the posterior average is
+# inf at s <= -1040 in the first, and 2 f_inf is inf at s = -1045 in both.
+OVERFLOW_REPROS = [
+    ((0.5, 0.5), [0.001, 0.999], [0.5, 0.5]),
+    ((0.5, 0.5), [0.3, 0.7], [0.6, 0.4]),
+]
+NEAR_RANGE_ORDERS = (-1046.0, -1045.5, -1045.0, -1044.9, -1044.0, -1040.0, -1030.0, -1016.0, -1000.0)
+
+
+@pytest.mark.filterwarnings("error")
+class TestUpperBoundsNearTheDoubleRange:
+    @pytest.mark.parametrize("priors,cond1,cond2", OVERFLOW_REPROS)
+    def test_certified_flagged_and_never_nan(self, priors, cond1, cond2):
+        problem = TwoClassProblem.from_arrays(priors, cond1, cond2)
+        report = bound_report(problem, NEAR_RANGE_ORDERS)
+        pe = report.exact_pe
+        by_name = {e.name: e for e in report.entries}
+        for e in report.entries:
+            assert not math.isnan(e.value), e
+            if e.kind == "upper" and e.applicable:
+                assert e.value >= pe, e
+        assert report.sandwich_ok, report.sandwich_violations()
+        for family in ("zeta", "xi"):
+            for s in NEAR_RANGE_ORDERS:
+                finite = math.isfinite(generator(MeasureId(family, s)).f_infinity)
+                entry = by_name[f"{family}_upper(s={s!r})"]
+                assert entry.applicable == finite, entry
+                averaged, (lower, _), upper = family_bounds(problem, family, s)
+                assert not math.isnan(averaged) and not math.isnan(lower)
+                if finite:
+                    assert upper == (entry.value, entry.note)
+                else:
+                    assert upper is None and entry.value == 0.5
+
+    def test_infinite_average_gives_flagged_half(self):
+        problem = TwoClassProblem.from_arrays(*OVERFLOW_REPROS[0])
+        entry = {e.name: e for e in bound_report(problem, (-1040.0,)).entries}["xi_upper(s=-1040.0)"]
+        assert (entry.value, entry.applicable, entry.note) == (
+            0.5, True, "vacuous: averaged divergence is infinite"
+        )
+
+    def test_twice_f_inf_overflows(self):
+        # f_inf(-1045) is finite, 2 f_inf is not: the bound is just below 1/2
+        assert math.isfinite(xi_f_inf(-1045.0))
+        assert math.isinf(2.0 * xi_f_inf(-1045.0))
+        problem = TwoClassProblem.from_arrays(*OVERFLOW_REPROS[1])
+        entry = {e.name: e for e in bound_report(problem, (-1045.0,)).entries}["xi_upper(s=-1045.0)"]
+        assert (entry.applicable, entry.note) == (True, "")
+        assert 0.35 < entry.value <= 0.5
+        assert upper_bound_xi(problem, -1045.0) == entry.value
+
+    def test_f_inf_past_the_double_range_note(self):
+        problem = TwoClassProblem.from_arrays(*OVERFLOW_REPROS[1])
+        with pytest.raises(BoundUnavailable, match="exceeds the double range"):
+            upper_bound_xi(problem, -1100.0)
+        with pytest.raises(BoundUnavailable, match="requires s < 1"):
+            upper_bound_xi(problem, 2.0)
 
 
 class TestBoundReport:

@@ -385,6 +385,52 @@ class TestExtremeOrders:
             for _s, averaged, lower, _upper in rows:
                 assert float(averaged) > 0.0 and 0.0 <= float(lower) <= 0.35
 
+    @pytest.mark.parametrize(
+        "text,grid",
+        [
+            ("priors: 0.5 0.5\ncond1: 0.001 0.999\ncond2: 0.5 0.5\n", "-1040,-1045"),
+            ("priors: 0.5 0.5\ncond1: 0.3 0.7\ncond2: 0.6 0.4\n", "-1045"),
+        ],
+    )
+    def test_xi_upper_where_the_average_or_twice_f_inf_overflows(self, capsys, problem, text, grid):
+        # printed 0.0 or nan below P_e and exited 1
+        code, out, err = run(
+            capsys, ["bounds", "--problem", problem(text), f"--s-grid={grid}", "--format", "machine"]
+        )
+        assert (code, err) == (0, "")
+        assert "nan" not in out
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        pe = float(rows[0][2])
+        for name, kind, value, applicable, note in rows:
+            if name.startswith("xi_upper"):
+                assert applicable == "true" and float(value) >= pe
+                assert float(value) == 0.5 or note == ""
+
+    def test_xi_upper_note_past_the_double_range(self, capsys, problem):
+        text = "priors: 0.5 0.5\ncond1: 0.3 0.7\ncond2: 0.6 0.4\n"
+        code, out, err = run(
+            capsys, ["bounds", "--problem", problem(text), "--s-grid=-1100,2", "--format", "machine"]
+        )
+        assert (code, err) == (0, "")
+        cells = {row.split("\t")[0]: row.split("\t") for row in out.splitlines()[1:]}
+        assert cells["xi_upper(s=-1100.0)"][3:] == [
+            "false", "xi upper bound needs f_inf, which exceeds the double range"
+        ]
+        assert cells["xi_upper(s=2.0)"][3:] == ["false", "xi upper bound requires s < 1"]
+
+    def test_sweep_grid_wider_than_the_double_range(self, capsys, problem):
+        # b - a overflows: the grid was nan and the CLI exited 2
+        text = "priors: 0.5 0.5\ncond1: 0.3 0.7\ncond2: 0.6 0.4\n"
+        code, out, err = run(
+            capsys,
+            ["sweep", "--problem", problem(text), "--family", "zeta",
+             "--s-grid=-1e308:1e308:3", "--format", "machine"],
+        )
+        assert (code, err) == (0, "")
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["-1e+308", "0.0", "1e+308"]
+        assert "nan" not in out
+
     @pytest.mark.parametrize("spec", ["xi:60", "xi:-60", "zeta:60"])
     def test_measure_small_masses_match_oracle(self, capsys, tmp_path, spec):
         # the direct power form is inf * 0 = nan here; the value must not be

@@ -86,6 +86,19 @@ class TestSGrid:
         grid = parse_s_grid("0.0000001:1.0000003:2")
         assert grid == [0.0, 1.0]
 
+    def test_range_wider_than_the_double_range(self):
+        # b - a overflows: interpolating between the ends keeps every point finite
+        assert parse_s_grid("-1e308:1e308:3") == [-1e308, 0.0, 1e308]
+        grid = parse_s_grid("-1.7e308:1.7e308:7")
+        assert grid[0] == -1.7e308 and grid[-1] == 1.7e308
+        assert all(math.isfinite(s) for s in grid) and grid == sorted(grid)
+
+    @pytest.mark.parametrize("spec", ["-1060:-1000:4", "-1100:0.5:12", "-2e154:2e154:5", "0:1e308:3"])
+    def test_range_keeps_its_bits_where_the_width_is_finite(self, spec):
+        a, b, n = (float(t) for t in spec.split(":"))
+        step = (b - a) / (n - 1)
+        assert parse_s_grid(spec) == [a + i * step for i in range(int(n))]
+
     def test_range_errors(self):
         for bad in ("1:0:5", "0:1:1", "0:1", "a:b:3"):
             with pytest.raises(ParseFailure):
