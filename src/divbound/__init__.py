@@ -37,7 +37,6 @@ from .measures import (
 from .generators import (
     CATALOG_KEYS,
     GeneratingFunction,
-    LimitConstants,
     csiszar_sum,
     generator,
     limit_constants,

@@ -43,6 +43,8 @@ from .measures import DIFF_TAGS, FAMILY_TAGS, MeasureId, zeta as zeta_measure
 
 PRIOR_TOL = 1e-12
 SANDWICH_TOL = 1e-10
+COMPARISON_TOL = 1e-12  # a relation holds with slack >= -COMPARISON_TOL (1 + |rhs|)
+RADICAND_SNAP = 1e-12  # a Toussaint radicand in (-RADICAND_SNAP, 0) is 0 up to rounding
 
 # Bracket for inverting the decreasing P_e-functions.  A target above the
 # value at the lower endpoint only shows P_e < LOWER_BRACKET_LO, so the
@@ -236,8 +238,8 @@ def kailath_bound(problem: TwoClassProblem) -> Tuple[Optional[float], str]:
 def _toussaint_general(problem: TwoClassProblem, jbar: float) -> Optional[float]:
     h = -(problem.p1 * math.log(problem.p1) + problem.p2 * math.log(problem.p2))
     radicand = 1.0 - 4.0 * math.exp(-2.0 * h - jbar)
-    if -1e-12 < radicand < 0.0:
-        radicand = 0.0  # exact zero at the equality case, up to rounding
+    if -RADICAND_SNAP < radicand < 0.0:
+        radicand = 0.0
     if radicand < 0.0:
         return None
     return 0.5 - 0.5 * math.sqrt(radicand)
@@ -495,6 +497,6 @@ def compare_averages(dbar) -> List[ComparisonResult]:
     for relation, lhs, rhs in relations:
         slack = rhs - lhs
         out.append(
-            ComparisonResult(relation, slack >= -1e-12 * (1.0 + abs(rhs)), slack)
+            ComparisonResult(relation, slack >= -COMPARISON_TOL * (1.0 + abs(rhs)), slack)
         )
     return out

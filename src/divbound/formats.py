@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence
 
-from .kernel import SWITCH_EPS, DivboundError
+from .kernel import DivboundError, OrderParameter, Regime
 
 
 class ParseFailure(DivboundError, ValueError):
@@ -98,12 +98,11 @@ def _read(path: str) -> str:
         raise ParseFailure(f"{path}: {exc.strerror or exc}")
 
 
+_LIMIT_ORDERS = {Regime.AT_ZERO: 0.0, Regime.AT_ONE: 1.0}
+
+
 def _snap(s: float) -> float:
-    if abs(s) < SWITCH_EPS:
-        return 0.0
-    if abs(s - 1.0) < SWITCH_EPS:
-        return 1.0
-    return s
+    return _LIMIT_ORDERS.get(OrderParameter(s).regime, s)
 
 
 def parse_s_grid(spec: str, source: str = "--s-grid") -> List[float]:

@@ -10,9 +10,9 @@ which is f(0+), equals f_inf too: the one constant f_inf fixes both ends of
 f*, and with f*(1/2) = f(1)/2 = 0 it gives every upper bound on the Bayes
 error.  Finiteness of f_inf is what gates the existence of that bound.
 
-The catalog is closed: base measures, the two families at any order s, and
-the six difference measures (built as pointwise linear combinations of
-their components).
+The catalog is closed: base measures, the two families at any order s (at
+a limit order, the base generator that measures._limit_base names), and
+the six difference measures (the pointwise combinations of _DIFF_COMBOS).
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ from .kernel import (
     DivboundError,
     DomainError,
     OrderParameter,
-    Regime,
     convexity_probe,
     order_divisors,
     row_sum,
 )
-from .measures import _DIFF_COMBOS, BASE_TAGS, DIFF_TAGS, MeasureId
+from .measures import _DIFF_COMBOS, BASE_TAGS, DIFF_TAGS, FAMILY_TAGS, MeasureId, _limit_base
 
 LN2 = math.log(2.0)
 INF = math.inf
@@ -63,14 +62,6 @@ class GeneratingFunction:
     key: str
     fn: Callable  # vectorised map u in (0, inf) -> real
     f_infinity: float  # lim_{u -> inf} f(u)/u = lim_{u -> 0+} f(u)
-
-
-@dataclass(frozen=True)
-class LimitConstants:
-    f0: float
-    f1: float
-    f2: float
-    f_inf: float
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +114,32 @@ def _f_xi(s: float) -> Callable:
     # ((u^(1-s)+1)/2 ((u+1)/2)^s - (u+1)/2) / (s(s-1)) with ((u+1)/2)^s folded
     # into both powers: the direct form is inf*0 = nan for large u and s << 0.
     a, b = order_divisors(s)
+    e = 1.0 - s
+    log_ab = math.log(abs(a)) + math.log(abs(b))
+
+    def carried(u):
+        # the folded form with its exponent carried, for the points where it
+        # overflows (|s| large): (u w)^e + w^e - 2 = exp(L) (1 + r - 2 exp(-L))
+        # with L the log of the larger power and r the smaller over the larger
+        v = u + 1.0
+        w = 2.0 / v
+        with np.errstate(divide="ignore", over="ignore"):
+            lx, ly = e * np.log(u * w), e * np.log(w)
+            big = np.maximum(lx, ly)
+            tail = np.log1p(np.exp(np.minimum(lx, ly) - big) - 2.0 * np.exp(-big))
+            return np.exp(np.log(0.25 * v) + big + tail - log_ab)
 
     def fn(u):
         v = u + 1.0
         w = 2.0 / v
-        return 0.5 * v * (0.5 * ((u * w) ** (1.0 - s) + w ** (1.0 - s)) - 1.0) / a / b
+        out = 0.5 * v * (0.5 * ((u * w) ** e + w ** e) - 1.0) / a / b
+        if isinstance(out, np.ndarray):
+            over = np.isinf(out)
+            if over.any():
+                out[over] = carried(u[over])
+        elif out == INF:
+            out = carried(u)
+        return out
 
     return fn
 
@@ -135,17 +147,19 @@ def _f_xi(s: float) -> Callable:
 def zeta_f_inf(s) -> float:
     """f_inf of the first family: finite only for 0 < s < 1 (regular)."""
     op = OrderParameter.of(s)
-    if op.regime is Regime.REGULAR and 0.0 < op.s < 1.0:
-        return -1.0 / (op.s * (op.s - 1.0))
-    return INF
+    base = _limit_base("zeta", op)
+    if base is None:
+        return -1.0 / (op.s * (op.s - 1.0)) if 0.0 < op.s < 1.0 else INF
+    return _BASE_SPECS[base][1]
 
 
 def xi_f_inf(s) -> float:
     """f_inf of the second family: finite for s < 1, infinite for s >= 1."""
     op = OrderParameter.of(s)
-    if op.regime is Regime.AT_ZERO:
-        return 0.5 * LN2
-    if op.regime is Regime.AT_ONE or op.s >= 1.0:
+    base = _limit_base("xi", op)
+    if base is not None:
+        return _BASE_SPECS[base][1]
+    if op.s >= 1.0:
         return INF
     try:
         return (2.0 ** (-op.s) - 1.0) / (2.0 * op.s * (op.s - 1.0))
@@ -174,6 +188,10 @@ _BASE_SPECS = {
     "Psi": (_f_psi, INF),
 }
 
+_FAMILY_FNS = {"zeta": _f_zeta, "xi": _f_xi}
+_FAMILY_F_INF = {"zeta": zeta_f_inf, "xi": xi_f_inf}
+
+
 def _combo_fn(combo) -> Callable:
     parts = [(c, _BASE_SPECS[tag][0]) for c, tag in combo]
 
@@ -197,19 +215,11 @@ def _build(tag: str, s: float | None) -> GeneratingFunction:
             fn=_combo_fn(combo),
             f_infinity=sum(c * _BASE_SPECS[base][1] for c, base in combo),
         )
-    if tag == "zeta":
+    if tag in FAMILY_TAGS:
         op = OrderParameter.of(s)
-        fn = _f_zeta(op.s) if op.regime is Regime.REGULAR else _f_J
-        return GeneratingFunction(key=f"zeta:{s!r}", fn=fn, f_infinity=zeta_f_inf(op))
-    if tag == "xi":
-        op = OrderParameter.of(s)
-        if op.regime is Regime.AT_ZERO:
-            fn = _f_I
-        elif op.regime is Regime.AT_ONE:
-            fn = _f_T
-        else:
-            fn = _f_xi(op.s)
-        return GeneratingFunction(key=f"xi:{s!r}", fn=fn, f_infinity=xi_f_inf(op))
+        base = _limit_base(tag, op)
+        fn = _FAMILY_FNS[tag](op.s) if base is None else _BASE_SPECS[base][0]
+        return GeneratingFunction(key=f"{tag}:{s!r}", fn=fn, f_infinity=_FAMILY_F_INF[tag](op))
     raise ArgumentError(f"unknown generator key {tag!r}")
 
 
@@ -258,42 +268,27 @@ def star_extended(g: GeneratingFunction, x):
     return out
 
 
-def _check_limit(g: GeneratingFunction, const: float, near_zero: bool) -> None:
-    u1, u2 = _U_NEAR_ZERO if near_zero else _U_NEAR_INF
-
-    def val(u: float) -> float:
-        y = float(g.fn(u))
-        return y if near_zero else y / u
-
-    which = "f0" if near_zero else "f_inf"
-    if math.isinf(const):
-        if not val(u2) > val(u1) > 0.0:
+def limit_constants(g: GeneratingFunction) -> float:
+    """The stored f_inf, cross-checked against f(u) near 0 (f(0+) is f_inf
+    too) and f(u)/u near infinity; raises DivboundError where it fails."""
+    const = g.f_infinity
+    for which, per_u, (u1, u2) in (("f(0+)", False, _U_NEAR_ZERO), ("f_inf", True, _U_NEAR_INF)):
+        v1, v2 = (float(g.fn(u)) / (u if per_u else 1.0) for u in (u1, u2))
+        if math.isinf(const):
+            if not v2 > v1 > 0.0:
+                raise DivboundError(
+                    f"{g.key}: {which} cataloged as infinite but evaluations do not diverge"
+                )
+            continue
+        d1, d2 = abs(v1 - const), abs(v2 - const)
+        # Family tails like u^(1-s) can still be truncating at u = 1e-12; accept
+        # a deviation that is provably shrinking toward the stored constant.
+        if d2 > _CROSS_TOL * (1.0 + abs(const)) and not d2 < 0.5 * d1:
             raise DivboundError(
-                f"{g.key}: {which} cataloged as infinite but evaluations do not diverge"
+                f"{g.key}: stored {which}={const!r} fails numeric cross-check "
+                f"(deviation {d2!r} at u={u2!r})"
             )
-        return
-    d1, d2 = abs(val(u1) - const), abs(val(u2) - const)
-    tol = _CROSS_TOL * (1.0 + abs(const))
-    # Family tails like u^(1-s) can still be truncating at u = 1e-12; accept
-    # a deviation that is provably shrinking toward the stored constant.
-    if d2 > tol and not d2 < 0.5 * d1:
-        raise DivboundError(
-            f"{g.key}: stored {which}={const!r} fails numeric cross-check "
-            f"(deviation {d2!r} at u={u2!r})"
-        )
-
-
-def limit_constants(g: GeneratingFunction) -> LimitConstants:
-    """f1 exactly, f0 = f_inf from the stored constant, with fn cross-checked
-    against it near 0 and near infinity."""
-    _check_limit(g, g.f_infinity, near_zero=True)
-    _check_limit(g, g.f_infinity, near_zero=False)
-    return LimitConstants(
-        f0=g.f_infinity,
-        f1=float(g.fn(1.0)),
-        f2=g.f_infinity + g.f_infinity,
-        f_inf=g.f_infinity,
-    )
+    return const
 
 
 def _csiszar_term(p: np.ndarray, q: np.ndarray, fn: Callable):

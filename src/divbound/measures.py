@@ -26,16 +26,18 @@ one mass vanishes and the value is reported as +inf; Delta, h, d and I stay
 finite under the 0*ln(0) = 0 convention.  Cells where both masses vanish
 contribute nothing to any measure.
 
-Shared base sums.  The two chains, the six differences and the limit
-orders of the families are combinations of the seven base measures, so a
-pair has seven distinct base sums.  A BaseSums table computes each of them
-the first time it is asked for and keeps it.  The pair-level calls
-(measure_value, base_measure, difference_measure, zeta, xi, chain_check)
-reuse the table of the most recent validated pair: when P and Q are the
-same objects as in the previous call and both probs arrays are read-only
-arrays that own their data, as validate makes them, that pair's base sums
-are not summed again.  Any other pair, or a pair built on a writable array,
-is summed afresh.  The values are bit-identical either way.
+Shared base sums.  Each difference is a combination of base measures
+(_DIFF_COMBOS), each chain a list of scaled base or difference measures
+(_CHAIN_LINKS), and a family at a limit order is the base measure that
+_limit_base names, so a pair has seven distinct base sums.  A BaseSums
+table computes each of them the first time it is asked for and keeps it.
+The pair-level calls (measure_value, base_measure, difference_measure,
+zeta, xi, chain_check) reuse the table of the most recent validated pair:
+when P and Q are the same objects as in the previous call and both probs
+arrays are read-only arrays that own their data, as validate makes them,
+that pair's base sums are not summed again.  Any other pair, or a pair
+built on a writable array, is summed afresh.  The values are bit-identical
+either way.
 """
 
 from __future__ import annotations
@@ -120,6 +122,19 @@ class MeasureId:
         if self.tag in FAMILY_TAGS:
             return f"{self.tag}:{self.s!r}"
         return self.tag
+
+
+# The base measure each family equals at the limit orders s = 0 and s = 1.
+_LIMIT_BASES = {
+    "zeta": {Regime.AT_ZERO: "J", Regime.AT_ONE: "J"},
+    "xi": {Regime.AT_ZERO: "I", Regime.AT_ONE: "T"},
+}
+
+
+def _limit_base(family: str, s) -> Optional[str]:
+    """The base tag that family member s reduces to inside the limit band of
+    s = 0 or s = 1, or None at a regular order."""
+    return _LIMIT_BASES[family].get(OrderParameter.of(s).regime)
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +230,10 @@ def _family_sum(p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
     """Last-axis sum of a family's per-cell terms, direct(p, q, s) per cell
     and ratio(p, q, s) where that is nan.
 
-    A single vector drops the cells where both masses vanish first, so its
-    sum runs over the live cells only.  Masses are nonnegative, so a cell is
-    dead only where both vanish: without a zero in p or in q there is none.
+    A cell where both masses vanish adds 0.0 (its direct term is 0 or nan,
+    and its ratio term is 0), so a single pair sums the same cells as a row
+    of a block.
     """
-    if p.ndim == 1 and not (p.all() or q.all()):
-        live = (p + q) > 0.0
-        if not live.all():
-            p, q = p[live], q[live]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return row_sum(_family_term, p, q, s, direct, ratio)
 
@@ -248,14 +259,14 @@ def _xi_ratio(p: np.ndarray, q: np.ndarray, s: float):
     return np.where(m > 0.0, 0.5 * m * ((p / m) ** (1.0 - s) + (q / m) ** (1.0 - s)), 0.0)
 
 
-def _zeta_regular(s: float, p: np.ndarray, q: np.ndarray):
-    a, b = order_divisors(s)
-    return (_family_sum(p, q, s, _zeta_direct, _zeta_ratio) - 2.0) / a / b
+# family: (direct term, ratio term, value of the sum at P = Q)
+_FAMILY_FORMS = {"zeta": (_zeta_direct, _zeta_ratio, 2.0), "xi": (_xi_direct, _xi_ratio, 1.0)}
 
 
-def _xi_regular(s: float, p: np.ndarray, q: np.ndarray):
+def _family_regular(family: str, s: float, p: np.ndarray, q: np.ndarray):
+    direct, ratio, at_equal = _FAMILY_FORMS[family]
     a, b = order_divisors(s)
-    return (_family_sum(p, q, s, _xi_direct, _xi_ratio) - 1.0) / a / b
+    return (_family_sum(p, q, s, direct, ratio) - at_equal) / a / b
 
 
 _BASE_FUNCS = {
@@ -268,7 +279,7 @@ _BASE_FUNCS = {
     "Psi": _psi,
 }
 
-# difference = combination of (coefficient, base tag) pairs
+# difference = c1 * base1 + c2 * base2, as ((c1, base1), (c2, base2))
 _DIFF_COMBOS = {
     "D_dDelta": ((4.0, "d"), (-0.25, "Delta")),
     "D_dh": ((4.0, "d"), (-1.0, "h")),
@@ -301,48 +312,23 @@ class BaseSums:
 
     def measure(self, mid: MeasureId):
         """Any measure, reduced over the last axis like the kernels."""
-        if mid.tag == "zeta":
+        if mid.tag in FAMILY_TAGS:
             op = OrderParameter.of(mid.s)
-            if op.regime is Regime.REGULAR:
-                return _zeta_regular(op.s, self.p, self.q)
-            return self["J"]
-        if mid.tag == "xi":
-            op = OrderParameter.of(mid.s)
-            if op.regime is Regime.AT_ZERO:
-                return self["I"]
-            if op.regime is Regime.AT_ONE:
-                return self["T"]
-            return _xi_regular(op.s, self.p, self.q)
-        if mid.tag in DIFF_TAGS:
-            return sum(c * self[tag] for c, tag in _DIFF_COMBOS[mid.tag])
-        return self[mid.tag]
+            base = _limit_base(mid.tag, op)
+            if base is None:
+                return _family_regular(mid.tag, op.s, self.p, self.q)
+            return self[base]
+        if mid.tag not in DIFF_TAGS:
+            return self[mid.tag]
+        (c1, t1), (c2, t2) = _DIFF_COMBOS[mid.tag]
+        return c1 * self[t1] + c2 * self[t2]
 
     def chain(self, which: str) -> list:
         """The values of one chain, in CHAIN_LABELS order."""
-        if which == "eq7":
-            return [
-                0.25 * self["Delta"],
-                self["I"],
-                self["h"],
-                4.0 * self["d"],
-                0.125 * self["J"],
-                self["T"],
-                self["Psi"] / 16.0,
-            ]
-        if which == "eq39":
-            d4 = 4.0 * self["d"]
-            dq = 0.25 * self["Delta"]
-            h = self["h"]
-            i = self["I"]
-            return [
-                i - dq,
-                (2.0 / 3.0) * (h - dq),
-                (8.0 / 15.0) * (d4 - dq),
-                (8.0 / 3.0) * (d4 - h),
-                (8.0 / 7.0) * (d4 - i),
-                2.0 * (h - i),
-            ]
-        raise ArgumentError(f"unknown chain {which!r} (expected 'eq7' or 'eq39')")
+        links = _CHAIN_LINKS.get(which)
+        if links is None:
+            raise ArgumentError(f"unknown chain {which!r} (expected 'eq7' or 'eq39')")
+        return [c * self.measure(mid) for _, c, mid in links]
 
 
 # The most recent pair whose probs were frozen: weak references to P and Q
@@ -431,17 +417,28 @@ def measure_value(
 # ---------------------------------------------------------------------------
 
 
-CHAIN_LABELS = {
-    "eq7": ("Delta/4", "I", "h", "4d", "J/8", "T", "Psi/16"),
+# Each chain as its links, smallest first: (label, coefficient, measure).
+# eq7 scales the base measures, eq39 the differences.
+_CHAIN_LINKS = {
+    "eq7": (
+        ("Delta/4", 0.25, MeasureId("Delta")),
+        ("I", 1.0, MeasureId("I")),
+        ("h", 1.0, MeasureId("h")),
+        ("4d", 4.0, MeasureId("d")),
+        ("J/8", 0.125, MeasureId("J")),
+        ("T", 1.0, MeasureId("T")),
+        ("Psi/16", 1.0 / 16.0, MeasureId("Psi")),
+    ),
     "eq39": (
-        "D_IDelta",
-        "2/3*D_hDelta",
-        "8/15*D_dDelta",
-        "8/3*D_dh",
-        "8/7*D_dI",
-        "2*D_hI",
+        ("D_IDelta", 1.0, MeasureId("D_IDelta")),
+        ("2/3*D_hDelta", 2.0 / 3.0, MeasureId("D_hDelta")),
+        ("8/15*D_dDelta", 8.0 / 15.0, MeasureId("D_dDelta")),
+        ("8/3*D_dh", 8.0 / 3.0, MeasureId("D_dh")),
+        ("8/7*D_dI", 8.0 / 7.0, MeasureId("D_dI")),
+        ("2*D_hI", 2.0, MeasureId("D_hI")),
     ),
 }
+CHAIN_LABELS = {which: tuple(link[0] for link in links) for which, links in _CHAIN_LINKS.items()}
 
 
 def chain_values(which: str, p: np.ndarray, q: np.ndarray) -> list:

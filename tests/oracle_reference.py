@@ -152,5 +152,16 @@ def star_family(tag: str, s: float, x):
     raise KeyError(tag)
 
 
+def averaged_family(tag: str, s: float, priors, cond1, cond2):
+    """sum_x P(x) f*(P(C2|x)) of a family member over the outcomes with P(x) > 0."""
+    p1, p2 = (_exact(v) for v in priors)
+    total = mpf(0)
+    for c1, c2 in _pairs(cond1, cond2):
+        px = p1 * c1 + p2 * c2
+        if px > 0:
+            total += px * star_family(tag, s, p2 * c2 / px)
+    return total
+
+
 def as_float(v) -> float:
     return float(v)

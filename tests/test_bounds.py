@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_reference as oracle
 from conftest import make_pair
 from divbound.bounds import (
     DEFAULT_S_GRID,
@@ -426,8 +427,9 @@ class TestGenericUpperBound:
                 assert generic_upper_bound(problem, g) == want
 
 
-# Two problems whose xi upper bounds overflowed: the posterior average is
-# inf at s <= -1040 in the first, and 2 f_inf is inf at s = -1045 in both.
+# Two problems whose xi upper bounds overflowed: the xi generator overflowed
+# at the posterior 0.998 of the first, which made its average inf from
+# s = -1040 down, and 2 f_inf is inf at s = -1045 in both.
 OVERFLOW_REPROS = [
     ((0.5, 0.5), [0.001, 0.999], [0.5, 0.5]),
     ((0.5, 0.5), [0.3, 0.7], [0.6, 0.4]),
@@ -461,11 +463,28 @@ class TestUpperBoundsNearTheDoubleRange:
                     assert upper is None and entry.value == 0.5
 
     def test_infinite_average_gives_flagged_half(self):
+        # the averages of these problems are finite at s = -1040, so the
+        # report is assembled from one whose xi average overflowed
         problem = TwoClassProblem.from_arrays(*OVERFLOW_REPROS[0])
-        entry = {e.name: e for e in bound_report(problem, (-1040.0,)).entries}["xi_upper(s=-1040.0)"]
+        grid = (-1040.0,)
+        averages = bounds_mod.problem_averages(problem, bounds_mod.report_generators(grid))
+        averages["xi:-1040.0"] = math.inf
+        report = bounds_mod.assemble_report(problem, grid, bayes_error(problem), averages)
+        entry = {e.name: e for e in report.entries}["xi_upper(s=-1040.0)"]
         assert (entry.value, entry.applicable, entry.note) == (
             0.5, True, "vacuous: averaged divergence is infinite"
         )
+
+    @pytest.mark.parametrize("s", [-1044.0, -1040.0, -1035.5, -1030.0, -1026.0])
+    def test_xi_average_where_the_generator_powers_overflow(self, s):
+        priors, cond1, cond2 = OVERFLOW_REPROS[0]
+        problem = TwoClassProblem.from_arrays(priors, cond1, cond2)
+        pe = bayes_error(problem)
+        averaged, lower, upper = bounds_mod.family_bounds(problem, "xi", s)
+        want = float(oracle.averaged_family("xi", s, priors, cond1, cond2))
+        assert averaged == pytest.approx(want, rel=1e-10)
+        assert 0.0 < lower[0] <= pe and lower[1] == ""
+        assert pe <= upper[0] <= 0.5 and upper[1] == ""
 
     def test_twice_f_inf_overflows(self):
         # f_inf(-1045) is finite, 2 f_inf is not: the bound is just below 1/2

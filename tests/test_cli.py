@@ -406,6 +406,25 @@ class TestExtremeOrders:
                 assert applicable == "true" and float(value) >= pe
                 assert float(value) == 0.5 or note == ""
 
+    def test_xi_sweep_where_the_generator_powers_overflow(self, capsys, problem):
+        # averaged printed inf, with the vacuous bounds 0 and 1/2
+        priors, cond1, cond2 = (0.5, 0.5), (0.001, 0.999), (0.5, 0.5)
+        text = "priors: 0.5 0.5\ncond1: 0.001 0.999\ncond2: 0.5 0.5\n"
+        code, out, err = run(
+            capsys,
+            ["sweep", "--problem", problem(text), "--family", "xi", "--s-grid=-1044:-1026:7",
+             "--format", "machine"],
+        )
+        assert (code, err) == (0, "")
+        pe = 0.2505
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [-1044.0 + 3.0 * i for i in range(7)]
+        for s, averaged, lower, upper in rows:
+            want = float(oracle.averaged_family("xi", float(s), priors, cond1, cond2))
+            assert float(averaged) == pytest.approx(want, rel=1e-10)
+            assert 0.0 < float(lower) <= pe
+            assert pe <= float(upper) <= 0.5
+
     def test_xi_upper_note_past_the_double_range(self, capsys, problem):
         text = "priors: 0.5 0.5\ncond1: 0.3 0.7\ncond2: 0.6 0.4\n"
         code, out, err = run(

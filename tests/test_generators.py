@@ -129,6 +129,43 @@ class TestCatalog:
             generator("nope")
 
 
+def _folded_xi(s: float, u):
+    """The xi generator's folded power form, as written, overflow and all."""
+    v = u + 1.0
+    w = 2.0 / v
+    with np.errstate(over="ignore"):
+        return 0.5 * v * (0.5 * ((u * w) ** (1.0 - s) + w ** (1.0 - s)) - 1.0) / (s * (s - 1.0))
+
+
+class TestXiGeneratorOverflow:
+    """Where the folded powers of the xi generator overflow, the points are
+    recomputed with the exponent carried; every other point keeps its bits."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [-1044.0, -1040.0, -1030.0, -1000.0, -10.0, 150.0])
+    def test_star_matches_oracle(self, s):
+        # at x = 1e-306 the powers are modest and the product with u + 1 overflows
+        g = generator(MeasureId("xi", s))
+        xs = np.concatenate([[1e-306, 1e-300], np.linspace(0.002, 0.998, 499)])
+        got = star(g, xs)
+        for x, value in zip(xs.tolist(), got):
+            want = float(oracle.star_family("xi", s, x))
+            if want / x > 1.7e308:  # f(u) itself is past the double range
+                continue
+            assert value == pytest.approx(want, rel=1e-10), x
+            assert star(g, x) == pytest.approx(want, rel=1e-10), x
+
+    @pytest.mark.parametrize("s", [-1100.0, -1040.0, -60.0, -1.0, 0.5, 2.0, 60.0, 150.0])
+    def test_finite_folded_points_keep_their_bits(self, s):
+        u = np.logspace(-300, 300, 601)
+        folded = _folded_xi(s, u)
+        with np.errstate(over="ignore"):
+            got = generator(MeasureId("xi", s)).fn(u)
+        finite = np.isfinite(folded)
+        assert np.array_equal(got[finite], folded[finite])
+        assert not np.isnan(got[np.isinf(folded)]).any()
+
+
 class TestStar:
     def test_triangular_at_08(self):
         assert star(generator("Delta"), 0.8) == pytest.approx(0.36, rel=1e-12)
@@ -206,21 +243,30 @@ class TestStar:
 
 
 class TestLimitConstants:
+    # f(1) = 0 is pinned by TestCatalog.test_all_keys_vanish_at_one
     def test_limit_constants_exact(self):
         for tag, expected in EXPECTED_F_INF.items():
-            lc = limit_constants(generator(tag))
-            assert abs(lc.f_inf - expected) <= 1e-15
-            assert lc.f1 == 0.0
-            assert lc.f2 == lc.f0 + lc.f_inf
+            assert abs(limit_constants(generator(tag)) - expected) <= 1e-15
+
+    def test_every_catalog_key_passes(self):
+        for key in CATALOG_KEYS:
+            g = generator(key)
+            assert limit_constants(g) == g.f_infinity, key
+
+    def test_every_corrupted_catalog_key_is_caught(self):
+        for key in CATALOG_KEYS:
+            good = generator(key)
+            wrong = 1.0 if math.isinf(good.f_infinity) else 1.5 * good.f_infinity + 0.1
+            bad = GeneratingFunction(key=good.key, fn=good.fn, f_infinity=wrong)
+            with pytest.raises(DivboundError):
+                limit_constants(bad)
 
     def test_zeta_half_gate(self):
-        lc = limit_constants(generator(MeasureId("zeta", 0.5)))
-        assert lc.f_inf == 4.0
+        assert limit_constants(generator(MeasureId("zeta", 0.5))) == 4.0
 
     def test_infinite_limits_flagged(self):
         for tag in ("J", "T", "Psi"):
-            lc = limit_constants(generator(tag))
-            assert math.isinf(lc.f0) and math.isinf(lc.f_inf) and math.isinf(lc.f2)
+            assert math.isinf(limit_constants(generator(tag)))
 
     def test_cross_check_catches_corruption(self):
         good = generator("h")
@@ -235,8 +281,7 @@ class TestLimitConstants:
     def test_slow_tail_family_still_checks(self):
         # u^(1/4) tails have not converged at u = 1e-12; the shrinking-
         # deviation fallback must accept the correct stored constant
-        lc = limit_constants(generator(MeasureId("xi", 0.75)))
-        assert lc.f_inf == pytest.approx(
+        assert limit_constants(generator(MeasureId("xi", 0.75))) == pytest.approx(
             (2.0 ** -0.75 - 1.0) / (2.0 * 0.75 * (0.75 - 1.0)), abs=1e-15
         )
 

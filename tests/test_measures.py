@@ -349,12 +349,91 @@ class TestRowKernels:
     def test_dead_cells_in_a_block_contribute_nothing(self):
         P = np.array([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]])
         Q = np.array([[0.25, 0.75, 0.0], [0.6, 0.4, 0.0]])
-        for s in (-3.0, 0.5, 4.0):
+        # a pair past SUM_LEAF with dead cells sums them like a block row
+        large = _dead_cell_pair()
+        for s in (-60.0, -3.0, 0.5, 4.0, 60.0):
             for tag in ("zeta", "xi"):
                 rows = measure_rows(MeasureId(tag, s), P, Q)
                 for i in range(2):
                     pair = (validate(P[i], PERMISSIVE), validate(Q[i], PERMISSIVE))
                     assert rows[i] == measure_value(MeasureId(tag, s), *pair)
+                row = measure_rows(MeasureId(tag, s), large[0].probs[None], large[1].probs[None])
+                assert row[0] == measure_value(MeasureId(tag, s), *large), (tag, s)
+
+
+class TestChainLinks:
+    """Each chain link is its coefficient times one catalog measure."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_links_are_scaled_measures_on_pairs(self, seed):
+        P, Q = make_pair(np.random.default_rng(seed), 5 + 7 * seed)
+        for which, links in measures._CHAIN_LINKS.items():
+            values = chain_check(P, Q, which).values
+            assert [label for label, _ in values] == [label for label, _, _ in links]
+            for (_, value), (_, c, mid) in zip(values, links):
+                assert value == c * measure_value(mid, P, Q), mid
+
+    def test_links_are_scaled_measures_on_blocks(self):
+        rng = np.random.default_rng(7)
+        w = np.exp(rng.standard_normal((2, 6, 150)))
+        p, q = w / w.sum(axis=-1, keepdims=True)
+        for which, links in measures._CHAIN_LINKS.items():
+            for value, (_, c, mid) in zip(chain_values(which, p, q), links):
+                assert np.array_equal(value, c * measure_rows(mid, p, q)), mid
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_eq39_is_the_printed_differences(self, seed):
+        # the differences of Delta/4 <= I <= h <= 4d, written out
+        P, Q = make_pair(np.random.default_rng(seed), 9)
+        dq, i, h, d4 = (v for _, v in chain_check(P, Q, "eq7").values[:4])
+        want = [
+            i - dq,
+            (2.0 / 3.0) * (h - dq),
+            (8.0 / 15.0) * (d4 - dq),
+            (8.0 / 3.0) * (d4 - h),
+            (8.0 / 7.0) * (d4 - i),
+            2.0 * (h - i),
+        ]
+        assert [v for _, v in chain_check(P, Q, "eq39").values] == want
+
+
+LIMIT_BASES = {("zeta", 0.0): "J", ("zeta", 1.0): "J", ("xi", 0.0): "I", ("xi", 1.0): "T"}
+
+
+class TestLimitOrders:
+    """Inside the band around s = 0 and s = 1 a family member is its base
+    measure; just outside it is the regular formula, close to it."""
+
+    @pytest.mark.parametrize("family,at", list(LIMIT_BASES))
+    @pytest.mark.parametrize("offset", [0.0, 1e-7, -1e-7, 9.9e-7, -9.9e-7])
+    def test_inside_the_band(self, canonical_pair, family, at, offset):
+        base = LIMIT_BASES[family, at]
+        s = at + offset
+        mid = MeasureId(family, s)
+        assert measures._limit_base(family, s) == base
+        assert measure_value(mid, *canonical_pair) == measure_value(base, *canonical_pair)
+        assert generator(mid).fn is generator(base).fn
+        f_inf = generators.zeta_f_inf if family == "zeta" else generators.xi_f_inf
+        assert f_inf(s) == generator(mid).f_infinity == generator(base).f_infinity
+
+    @pytest.mark.parametrize("family,at", list(LIMIT_BASES))
+    @pytest.mark.parametrize("offset", [1.5e-6, -1.5e-6, 1e-5, -1e-5])
+    def test_just_outside_the_band(self, canonical_pair, family, at, offset):
+        base = LIMIT_BASES[family, at]
+        s = at + offset
+        mid = MeasureId(family, s)
+        assert measures._limit_base(family, s) is None
+        want = measure_value(base, *canonical_pair)
+        assert measure_value(mid, *canonical_pair) == pytest.approx(want, rel=1e-4)
+        u = np.logspace(-6, 6, 49)
+        assert np.allclose(generator(mid).fn(u), generator(base).fn(u), rtol=1e-4, atol=0.0)
+        f_inf = generators.zeta_f_inf if family == "zeta" else generators.xi_f_inf
+        assert f_inf(s) == generator(mid).f_infinity
+        stored = generator(base).f_infinity
+        if math.isinf(stored):
+            assert f_inf(s) > 1e4
+        else:
+            assert f_inf(s) == pytest.approx(stored, rel=1e-4)
 
 
 BLOCKED_KEYS = list(CATALOG_KEYS) + [
@@ -376,6 +455,14 @@ def _large_pair(mode: str, n: int = 3 * kernel.SUM_LEAF + 5):
         q[cells[100:200]] = 0.0
         p[cells[200:]] = q[cells[200:]] = 0.0  # dead cells
     return validate(p / p.sum(), mode), validate(q / q.sum(), mode)
+
+
+def _dead_cell_pair(n: int = 3 * kernel.SUM_LEAF + 5):
+    rng = np.random.default_rng([n, 7])
+    p, q = np.exp(3.0 * rng.standard_normal((2, n)))
+    dead = rng.choice(n, size=300, replace=False)
+    p[dead] = q[dead] = 0.0
+    return validate(p / p.sum(), PERMISSIVE), validate(q / q.sum(), PERMISSIVE)
 
 
 @pytest.mark.filterwarnings("error")
