@@ -195,14 +195,17 @@ def average_f_divergence(problem: TwoClassProblem, g: GeneratingFunction) -> flo
 
 def _bisected(g: GeneratingFunction) -> Callable[[float], float]:
     """star(g, a) for a float a in the bisection bracket, without star's
-    per-call type and domain checks: the bracket lies inside (0, 1)."""
+    per-call type and domain checks: the bracket lies inside (0, 1).  An
+    overflow goes to star, which takes the mirrored form."""
     fn = g.fn
+    inf = math.inf
 
     def f(a: float) -> float:
         try:
-            return float(a * fn((1.0 - a) / a))
+            value = float(a * fn((1.0 - a) / a))
         except OverflowError:
             return star(g, a)
+        return star(g, a) if value == inf else value
 
     return f
 

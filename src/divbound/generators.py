@@ -232,24 +232,34 @@ def generator(measure: Union[MeasureId, str]) -> GeneratingFunction:
 def star(g: GeneratingFunction, x):
     """Star transform f*(x) = x*f((1-x)/x) for x strictly inside (0, 1).
 
-    Scalars give a float, arrays an array; overflow gives +inf silently.
+    Scalars give a float, arrays an array.  Near x = 0, f can pass the
+    double range while f*(x) does not (Delta at x = 1e-300, xi at strongly
+    negative orders).  Every catalog member is star-symmetric, so where
+    x f((1-x)/x) overflows the mirrored form (1-x) f(x/(1-x)) gives the
+    value; where both overflow the result is +inf, silently.
     """
     if isinstance(x, (int, float)):
         if not 0.0 < x < 1.0:
             raise DomainError("star transform requires 0 < x < 1")
         # Bisection calls this at every step: Python float arithmetic is
-        # several times cheaper than numpy scalars under errstate.  Only a
-        # float power overflow takes the array route.
+        # several times cheaper than numpy scalars under errstate.  Only an
+        # overflow takes the array route.
         x = float(x)
         try:
-            return float(x * g.fn((1.0 - x) / x))
+            value = float(x * g.fn((1.0 - x) / x))
+            if value != INF:
+                return value
         except OverflowError:
             pass
     arr = np.asarray(x, dtype=float)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise DomainError("star transform requires 0 < x < 1")
     with np.errstate(over="ignore"):
-        out = arr * g.fn((1.0 - arr) / arr)
+        out = np.asarray(arr * g.fn((1.0 - arr) / arr))  # 0-d stays an array
+        over = out == INF
+        if over.any():
+            y = arr[over]
+            out[over] = (1.0 - y) * g.fn(y / (1.0 - y))
     if out.ndim == 0:
         return float(out)
     return out
@@ -343,7 +353,10 @@ def probe_star(g: GeneratingFunction) -> float:
 def star_symmetry_defect(g: GeneratingFunction) -> float:
     """max over the 1001-point grid of |f*(x) - f*(1-x)| / (1 + |f*(x)|).
 
-    nan when f* overflows on the grid (orders |s| beyond about 100).
+    nan where f* itself passes the double range on the grid (zeta orders
+    |s| beyond about 100, xi orders s beyond about 110).  Where only f
+    does, star's value is the mirrored form, which presumes this symmetry,
+    so those points check little.
     """
     left = star(g, _SYM_GRID)
     right = star(g, 1.0 - _SYM_GRID)

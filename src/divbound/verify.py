@@ -12,15 +12,16 @@ seeded with (seed, suite index) and checks one family of invariants:
 Inequality suites report the most negative slack seen; equality suites
 report the largest deviation.
 
-The suites are evaluated in fixed blocks of up to BLOCK_TRIALS trials.
-Trials are drawn one after another in a fixed order; a block is then
-grouped by alphabet size n (problem size k for the bound suites), and each
-group is one C-contiguous (m, n) array that the measure, Csiszar-sum and
-posterior-averaging kernels reduce row by row.  The bound suites then
-assemble each problem's report on its own (its bisections stay scalar).
-Results are reduced in trial order, so the reports equal, byte for byte,
-checking one trial at a time with chain_check, measure_value, csiszar_sum,
-bound_report and comparison_check.
+Trials are drawn one after another, as random_strict_pair and
+random_problem draw them, in blocks that end once their draws hold
+BLOCK_CELLS cells a side or at the end of the corpus.  A block is grouped
+by alphabet size n (problem size k for the bound suites), and each group
+is one C-contiguous (m, n) array per side that is validated at once and
+that the measure, Csiszar-sum and posterior-averaging kernels reduce row by
+row.  The bound suites then assemble each problem's report on its own (its
+bisections stay scalar).  Results are reduced in trial order, so the
+reports equal, byte for byte, checking one trial at a time with
+chain_check, measure_value, csiszar_sum, bound_report and comparison_check.
 
 The suites share nothing, so run_verify runs them in forked worker
 processes when more than one CPU is available, and in the calling process
@@ -48,7 +49,13 @@ from .bounds import (
     posterior_averages,
     report_generators,
 )
-from .distributions import STRICT, DiscreteDistribution, invalid_rows, validate
+from .distributions import (
+    PERMISSIVE,
+    STRICT,
+    DiscreteDistribution,
+    invalid_rows,
+    validate,
+)
 from .generators import (
     CATALOG_KEYS,
     STAR_SYM_TOL,
@@ -71,7 +78,7 @@ SUITE_NAMES = (
 
 # The order the suites are handed to worker processes: longest first, so
 # that the short ones fill in behind.  At --trials 10000 on one core the
-# suites take about 0.48, 0.37, 0.24, 0.1, 0.1 and 0.001 s in this order.
+# suites take about 0.24, 0.12, 0.10, 0.045, 0.018 and 0.001 s in this order.
 _LONGEST_FIRST = (
     "sandwich",
     "eq7_chain",
@@ -90,9 +97,8 @@ REDUCED_FACTOR = 10
 
 _VERIFY_S_GRID = (-1.0, 0.0, 0.5, 2.0)
 
-# A block holds at most this many trials, and stops early once its pairs
-# hold this many cells each side, which bounds memory at a large --n-max.
-BLOCK_TRIALS = 1024
+# A block of trials ends once its draws hold this many cells a side (or at
+# the end of the corpus), which bounds memory at a large --n-max.
 BLOCK_CELLS = 1 << 16
 
 
@@ -117,13 +123,20 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 def random_strict_pair(
     rng: np.random.Generator, n: int
 ) -> Tuple[DiscreteDistribution, DiscreteDistribution]:
-    """Strictly positive pair: normalised exponentials of standard normals."""
+    """Strictly positive pair: normalised exponentials of standard normals.
+
+    The suites draw the same pairs a block at a time (_pair_blocks).
+    """
     p, q = _softmax_rows(rng.standard_normal((2, n)))
     return validate(p, STRICT), validate(q, STRICT)
 
 
 def random_problem(rng: np.random.Generator, k: int) -> TwoClassProblem:
-    """Priors uniform on (0.05, 0.95), conditionals softmax of standard normals."""
+    """Priors uniform on (0.05, 0.95), conditionals softmax of standard normals.
+
+    The bound suites draw the same problems a block at a time
+    (_problem_blocks).
+    """
     p1 = float(rng.uniform(0.05, 0.95))
     c1, c2 = _softmax_rows(rng.standard_normal((2, k)))
     return TwoClassProblem.from_arrays((p1, 1.0 - p1), c1, c2)
@@ -134,63 +147,94 @@ def _echo_pair(i: int, p: np.ndarray, q: np.ndarray, detail: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# blocks of strictly positive pairs
+# blocks of trials
 # ---------------------------------------------------------------------------
 
-# (block positions, P block, Q block) of one alphabet size, positions ascending
-PairGroup = Tuple[np.ndarray, np.ndarray, np.ndarray]
+# (block positions, first block, second block) of one size, positions
+# ascending: P and Q rows of pairs, or cond1 and cond2 rows of problems
+SizeGroup = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _pair_blocks(
-    trials: int, rng: np.random.Generator, n_max: int
-) -> Iterator[Tuple[int, List[PairGroup]]]:
-    """(first trial index, size groups) per block, drawing as random_strict_pair does.
+def _blocks(
+    trials: int, draw: Callable[[], Tuple[object, np.ndarray]]
+) -> Iterator[Tuple[int, list, List[SizeGroup]]]:
+    """(first trial index, per-trial values, size groups) per block.
 
-    A block's group list is emptied before the next block is drawn, so one
-    block is held at a time.
+    draw() makes one trial's draws and returns (a value kept per trial, its
+    (2, n) standard normals).  A block ends once its trials hold
+    BLOCK_CELLS cells a side, or at the end of the corpus.  Its group list
+    is emptied before the next block is drawn, so one block is held at a
+    time.
     """
     start = 0
     while start < trials:
-        groups = _pair_groups(_draw_normals(rng, trials - start, n_max))
-        yield start, groups
-        start += sum(len(idx) for idx, _, _ in groups)
+        values = []
+        normals = []
+        cells = 0
+        while start + len(normals) < trials and cells < BLOCK_CELLS:
+            value, z = draw()
+            values.append(value)
+            normals.append(z)
+            cells += z.shape[1]
+        groups = _size_groups(normals)
+        yield start, values, groups
+        start += len(values)
         groups.clear()
 
 
-def _draw_normals(rng: np.random.Generator, left: int, n_max: int) -> List[np.ndarray]:
-    normals = []
-    cells = 0
-    while len(normals) < min(left, BLOCK_TRIALS) and cells < BLOCK_CELLS:
-        n = int(rng.integers(2, n_max + 1))
-        normals.append(rng.standard_normal((2, n)))
-        cells += n
-    return normals
+def _size_groups(normals: List[np.ndarray]) -> List[SizeGroup]:
+    """A block's (2, n) normal draws grouped by n, each side's rows softmaxed.
 
-
-def _pair_groups(normals: List[np.ndarray]) -> List[PairGroup]:
+    Each group's sides are C-contiguous (m, n) arrays.  The draws list is
+    emptied as it is grouped, so each draw is held once.
+    """
     sizes = np.array([z.shape[1] for z in normals])
     groups = []
     for n in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
         idx = np.flatnonzero(sizes == n)
-        P = _softmax_rows(np.stack([normals[i][0] for i in idx]))
-        Q = _softmax_rows(np.stack([normals[i][1] for i in idx]))
+        A = _softmax_rows(np.stack([normals[i][0] for i in idx]))
+        B = _softmax_rows(np.stack([normals[i][1] for i in idx]))
         for i in idx:
-            normals[i] = None  # grouped: hold each draw once
-        groups.append((idx, P, Q))
-    # validate every pair; the earliest rejected one raises validate's error
-    rejected = []
-    for idx, P, Q in groups:
-        bad = invalid_rows(P, STRICT) | invalid_rows(Q, STRICT)
-        if bad.any():
-            rejected.append((idx[bad][0], P[bad][0], Q[bad][0]))
-    if rejected:
-        _, p, q = min(rejected, key=lambda r: r[0])
-        validate(p, STRICT)
-        validate(q, STRICT)
+            normals[i] = None
+        groups.append((idx, A, B))
     return groups
 
 
-def _in_trial_order(groups: List[PairGroup], evaluate: Callable) -> np.ndarray:
+def _earliest_rejected(
+    groups: List[SizeGroup], mode: str
+) -> Optional[Tuple[int, np.ndarray, np.ndarray]]:
+    """(block position, first row, second row) of the earliest trial with a
+    row that validate(mode) rejects, or None."""
+    rejected = []
+    for idx, A, B in groups:
+        bad = np.flatnonzero(invalid_rows(A, mode) | invalid_rows(B, mode))
+        if bad.size:
+            j = bad[0]
+            rejected.append((int(idx[j]), A[j], B[j]))
+    return min(rejected, key=lambda r: r[0], default=None)
+
+
+def _pair_blocks(
+    trials: int, rng: np.random.Generator, n_max: int
+) -> Iterator[Tuple[int, List[SizeGroup]]]:
+    """(first trial index, size groups) per block, drawing as random_strict_pair does.
+
+    The earliest rejected pair of a block raises validate's error.
+    """
+
+    def draw() -> Tuple[None, np.ndarray]:
+        return None, rng.standard_normal((2, int(rng.integers(2, n_max + 1))))
+
+    for start, _, groups in _blocks(trials, draw):
+        rejected = _earliest_rejected(groups, STRICT)
+        if rejected is not None:
+            _, p, q = rejected
+            validate(p, STRICT)
+            validate(q, STRICT)
+        yield start, groups
+
+
+def _in_trial_order(groups: List[SizeGroup], evaluate: Callable) -> np.ndarray:
     """evaluate(P, Q) on each size group, its rows put back in trial order."""
     out = None
     count = sum(len(idx) for idx, _, _ in groups)
@@ -202,7 +246,7 @@ def _in_trial_order(groups: List[PairGroup], evaluate: Callable) -> np.ndarray:
     return out
 
 
-def _pair_at(groups: List[PairGroup], i: int) -> Tuple[np.ndarray, np.ndarray]:
+def _pair_at(groups: List[SizeGroup], i: int) -> Tuple[np.ndarray, np.ndarray]:
     for idx, P, Q in groups:
         j = int(np.searchsorted(idx, i))
         if j < len(idx) and idx[j] == i:
@@ -300,38 +344,62 @@ def _star_suite() -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
+def _problem_blocks(
+    trials: int, rng: np.random.Generator
+) -> Iterator[Tuple[int, np.ndarray, List[SizeGroup]]]:
+    """(first trial index, class-1 priors, conditional size groups) per
+    block, drawing as random_problem does with k from integers(2, 17).
+
+    The conditionals of a block are checked as TwoClassProblem.from_arrays
+    checks them (the drawn priors always pass its checks); the earliest
+    rejected problem raises its error.
+    """
+
+    def draw() -> Tuple[float, np.ndarray]:
+        k = int(rng.integers(2, 17))
+        p1 = float(rng.uniform(0.05, 0.95))
+        return p1, rng.standard_normal((2, k))
+
+    for start, priors, groups in _blocks(trials, draw):
+        rejected = _earliest_rejected(groups, PERMISSIVE)
+        if rejected is not None:
+            i, c1, c2 = rejected
+            TwoClassProblem.from_arrays((priors[i], 1.0 - priors[i]), c1, c2)
+        yield start, np.array(priors), groups
+
+
+def _checked_problem(p1: float, c1: np.ndarray, c2: np.ndarray) -> TwoClassProblem:
+    """The problem of _problem_blocks rows, which are checked already."""
+    return TwoClassProblem(
+        p1, 1.0 - p1, DiscreteDistribution(c1, PERMISSIVE), DiscreteDistribution(c2, PERMISSIVE)
+    )
+
+
 def _problem_trials(
     trials: int, rng: np.random.Generator, gens
-) -> Iterator[Tuple[int, TwoClassProblem, float, dict]]:
-    """(trial index, problem, exact error, averages by key) per trial.
+) -> Iterator[Tuple[int, float, np.ndarray, np.ndarray, float, dict]]:
+    """(trial index, p1, cond1, cond2, exact error, averages by key) per trial.
 
-    Stage 1 of the bound report runs per block, one size group at a time:
-    every outcome of a drawn problem is live, since its conditionals are
-    strictly positive.
+    Stage 1 of the bound report runs on each size group of a block at
+    once: every outcome of a drawn problem is live, since its conditionals
+    are strictly positive.
     """
-    start = 0
-    while start < trials:
-        count = min(BLOCK_TRIALS, trials - start)
-        problems = [random_problem(rng, int(rng.integers(2, 17))) for _ in range(count)]
-        sizes = np.array([problem.k for problem in problems])
+    for start, priors, groups in _problem_blocks(trials, rng):
+        count = len(priors)
         pe = np.empty(count)
         averages = {g.key: np.empty(count) for g in gens}
-        for k in sorted(set(sizes.tolist())):
-            idx = np.flatnonzero(sizes == k)
-            group = [problems[i] for i in idx]
-            w1, w2, px, a2 = posterior_arrays(
-                np.array([[problem.p1] for problem in group]),
-                np.array([[problem.p2] for problem in group]),
-                np.stack([problem.cond1.probs for problem in group]),
-                np.stack([problem.cond2.probs for problem in group]),
-            )
+        conds = [None] * count
+        for idx, C1, C2 in groups:
+            prior1 = priors[idx, None]
+            w1, w2, px, a2 = posterior_arrays(prior1, 1.0 - prior1, C1, C2)
             pe[idx] = min_mass_sum(w1, w2)
             for key, rows in posterior_averages(px, a2, gens).items():
                 averages[key][idx] = rows
-        for j, problem in enumerate(problems):
-            by_key = {key: float(rows[j]) for key, rows in averages.items()}
-            yield start + j, problem, float(pe[j]), by_key
-        start += count
+            for j, i in enumerate(idx.tolist()):
+                conds[i] = (C1[j], C2[j])
+        by_key = {key: rows.tolist() for key, rows in averages.items()}
+        for j, (p1, (c1, c2), e) in enumerate(zip(priors.tolist(), conds, pe.tolist())):
+            yield start + j, p1, c1, c2, e, {key: rows[j] for key, rows in by_key.items()}
 
 
 def _problem_text(problem: TwoClassProblem) -> str:
@@ -347,7 +415,8 @@ def _sandwich_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
     worst = math.inf
     first: Optional[str] = None
     gens = report_generators(_VERIFY_S_GRID)
-    for i, problem, pe, averages in _problem_trials(trials, rng, gens):
+    for i, p1, c1, c2, pe, averages in _problem_trials(trials, rng, gens):
+        problem = _checked_problem(p1, c1, c2)
         report = assemble_report(problem, _VERIFY_S_GRID, pe, averages)
         for _, slack in report.slacks():
             worst = min(worst, slack)
@@ -365,7 +434,7 @@ def _comparison_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
     first: Optional[str] = None
     checks = 0
     gens = [generator(tag) for tag in COMPARISON_TAGS]
-    for i, problem, _, averages in _problem_trials(trials, rng, gens):
+    for i, p1, c1, c2, _, averages in _problem_trials(trials, rng, gens):
         for res in compare_averages(averages):
             checks += 1
             worst = min(worst, res.slack)
@@ -374,7 +443,7 @@ def _comparison_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
                 if first is None:
                     first = (
                         f"trial {i}: relation={res.relation} slack={res.slack!r} "
-                        f"{_problem_text(problem)}"
+                        f"{_problem_text(_checked_problem(p1, c1, c2))}"
                     )
     return SuiteResult("comparisons", checks, failures, worst, first)
 

@@ -425,6 +425,25 @@ class TestExtremeOrders:
             assert 0.0 < float(lower) <= pe
             assert pe <= float(upper) <= 0.5
 
+    def test_xi_sweep_where_f_overflows_near_a_zero_posterior(self, capsys, problem):
+        # x f((1-x)/x) overflows at the posterior 1e-13 although f*(x) does
+        # not: averaged printed inf, with the vacuous bounds 0 and 1/2
+        priors, cond1, cond2 = (0.5, 0.5), (0.5, 0.5), (0.0000000000001, 0.9999999999999)
+        code, out, err = run(
+            capsys,
+            ["sweep", "--problem", problem(NEAR_ZERO_PROBLEM), "--family", "xi",
+             "--s-grid=-1044:-1000:5", "--format", "machine"],
+        )
+        assert (code, err) == (0, "")
+        pe = 0.5 * 0.0000000000001 + 0.5 * 0.5
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [-1044.0 + 11.0 * i for i in range(5)]
+        for s, averaged, lower, upper in rows:
+            want = float(oracle.averaged_family("xi", float(s), priors, cond1, cond2))
+            assert float(averaged) == pytest.approx(want, rel=1e-10)
+            assert 0.0 < float(lower) <= pe
+            assert pe <= float(upper) <= 0.5
+
     def test_xi_upper_note_past_the_double_range(self, capsys, problem):
         text = "priors: 0.5 0.5\ncond1: 0.3 0.7\ncond2: 0.6 0.4\n"
         code, out, err = run(

@@ -149,9 +149,8 @@ class TestXiGeneratorOverflow:
         xs = np.concatenate([[1e-306, 1e-300], np.linspace(0.002, 0.998, 499)])
         got = star(g, xs)
         for x, value in zip(xs.tolist(), got):
+            # where f(u) itself is past the double range, the mirrored form
             want = float(oracle.star_family("xi", s, x))
-            if want / x > 1.7e308:  # f(u) itself is past the double range
-                continue
             assert value == pytest.approx(want, rel=1e-10), x
             assert star(g, x) == pytest.approx(want, rel=1e-10), x
 
@@ -206,6 +205,37 @@ class TestStar:
                             assert got == math.inf, (tag, s, x)
                         else:
                             assert got == pytest.approx(ref, rel=1e-11, abs=1e-13), (tag, s, x)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["Delta", "h", "D_dI", "zeta:-60.0", "zeta:2.0", "xi:-1030.0", "xi:-60.0", "xi:150.0"],
+    )
+    def test_finite_direct_points_keep_their_bits(self, key):
+        # the mirrored form serves only where x f((1-x)/x) overflows
+        g = generator(key)
+        xs = np.concatenate(
+            [np.logspace(-300, -1, 300), np.linspace(0.1, 0.9, 81), 1.0 - np.logspace(-1, -15, 15)]
+        )
+        with np.errstate(over="ignore"):
+            direct = xs * g.fn((1.0 - xs) / xs)
+        finite = np.isfinite(direct)
+        assert finite.any()
+        got = star(g, xs)
+        assert np.array_equal(got[finite], direct[finite])
+        assert not np.isnan(got).any()
+        for x in xs.tolist():
+            try:
+                want = float(x * g.fn((1.0 - x) / x))
+            except OverflowError:
+                continue
+            if math.isfinite(want):
+                assert star(g, x) == want, x
+
+    def test_mirrored_form_where_f_overflows(self):
+        # f(1e300) is past the double range; f*(1e-300) = 1 to double precision
+        g = generator("Delta")
+        assert star(g, 1e-300) == 1.0
+        assert star(g, np.array([1e-300, 0.8])).tolist() == [1.0, pytest.approx(0.36)]
 
     @given(st.floats(0.001, 0.999))
     def test_two_point_measure_identity(self, x):

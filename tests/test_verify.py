@@ -8,8 +8,15 @@ import pytest
 
 from conftest import make_pair, set_cpus
 from divbound import verify
-from divbound.bounds import TwoClassProblem, bound_report, comparison_check
-from divbound.distributions import STRICT, ZeroEntry
+from divbound.bounds import (
+    TwoClassProblem,
+    bayes_error,
+    bound_report,
+    comparison_check,
+    problem_averages,
+    report_generators,
+)
+from divbound.distributions import STRICT, NegativeEntry, ZeroEntry
 from divbound.generators import CATALOG_KEYS, csiszar_sum, generator
 from divbound.kernel import ArgumentError
 from divbound.measures import _chain_report, chain_check, measure_value
@@ -208,30 +215,32 @@ def _exact(results):
 
 
 @pytest.mark.parametrize(
-    "trials,seed,n_max,block",
+    "trials,seed,n_max,cells",
     [
-        (1500, 7, 64, None),  # two blocks, the second partial
+        (1500, 7, 64, None),  # one block per suite
+        (1500, 7, 64, 1 << 14),  # chains in four blocks, the last partial
         (1100, 3, 2, None),  # one alphabet size only
+        (400, 9, 64, 100),  # bound suites in several blocks of several sizes
         (130, 11, 64, 16),  # many small blocks in every suite
         (200, 5, 3000, None),  # large alphabets: blocks end on the cell budget
-        (25, 42, 9, 4),
+        (25, 42, 9, 4),  # one or two trials a block
     ],
 )
-def test_batched_suites_equal_per_trial_definition(monkeypatch, trials, seed, n_max, block):
-    set_cpus(monkeypatch, 2)  # worker processes, which must see the block size set here
-    if block is not None:
-        monkeypatch.setattr(verify, "BLOCK_TRIALS", block)
+def test_batched_suites_equal_per_trial_definition(monkeypatch, trials, seed, n_max, cells):
+    set_cpus(monkeypatch, 2)  # worker processes, which must see the budget set here
+    if cells is not None:
+        monkeypatch.setattr(verify, "BLOCK_CELLS", cells)
     got = run_verify(trials, seed, n_max)
     want = reference_verify(trials, seed, n_max)
     assert got == want
     assert _exact(got) == _exact(want)
 
 
-@pytest.mark.parametrize("trials,seed,block", [(40, 3, None), (1100, 9, None), (40, 3, 8)])
-def test_corruption_hook_matches_per_trial_definition(monkeypatch, trials, seed, block):
+@pytest.mark.parametrize("trials,seed,cells", [(40, 3, None), (1100, 9, None), (40, 3, 8)])
+def test_corruption_hook_matches_per_trial_definition(monkeypatch, trials, seed, cells):
     set_cpus(monkeypatch, 2)
-    if block is not None:
-        monkeypatch.setattr(verify, "BLOCK_TRIALS", block)
+    if cells is not None:
+        monkeypatch.setattr(verify, "BLOCK_CELLS", cells)
     got = run_verify(trials, seed, corrupt=True)
     want = reference_verify(trials, seed, corrupt=True)
     assert _exact(got) == _exact(want)
@@ -249,6 +258,88 @@ def test_large_alphabet_blocks_stay_small():
         for idx, P, Q in groups:
             assert P.flags.c_contiguous and Q.flags.c_contiguous
             assert P.shape == Q.shape == (len(idx), P.shape[1])
+
+
+def test_problem_blocks_end_on_the_cell_budget(monkeypatch):
+    monkeypatch.setattr(verify, "BLOCK_CELLS", 50)
+    drawn = 0
+    cells = []
+    for start, priors, groups in verify._problem_blocks(300, np.random.default_rng(2)):
+        assert start == drawn
+        assert sum(len(idx) for idx, _, _ in groups) == len(priors)
+        drawn += len(priors)
+        cells.append(sum(C1.size for _, C1, _ in groups))
+        for idx, C1, C2 in groups:
+            assert C1.flags.c_contiguous and C2.flags.c_contiguous
+            assert C1.shape == C2.shape == (len(idx), C1.shape[1])
+    assert drawn == 300
+    # each block but the last was below the budget before its last problem (k <= 16)
+    assert len(cells) > 10
+    assert all(50 <= c < 50 + 16 for c in cells[:-1])
+
+
+def test_block_draws_equal_the_per_trial_draws(monkeypatch):
+    # across block boundaries, each drawn pair is random_strict_pair's and
+    # each problem random_problem's, bit for bit, and stage 1 of a problem's
+    # report equals the problem's own exact error and averages
+    monkeypatch.setattr(verify, "BLOCK_CELLS", 40)
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    blocks = 0
+    for start, groups in verify._pair_blocks(60, a, 30):
+        blocks += 1
+        for i in range(start, start + sum(len(idx) for idx, _, _ in groups)):
+            P, Q = random_strict_pair(b, int(b.integers(2, 31)))
+            p, q = verify._pair_at(groups, i - start)
+            assert (p.tolist(), q.tolist()) == (P.probs.tolist(), Q.probs.tolist())
+    assert blocks > 10
+    assert a.random() == b.random()
+
+    gens = report_generators((-1.0, 0.0, 0.5, 2.0))
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    count = 0
+    for i, p1, c1, c2, pe, averages in verify._problem_trials(60, a, gens):
+        assert i == count
+        count += 1
+        problem = random_problem(b, int(b.integers(2, 17)))
+        got = verify._checked_problem(p1, c1, c2)
+        assert (got.p1, got.p2) == (problem.p1, problem.p2)
+        assert got.cond1.probs.tolist() == problem.cond1.probs.tolist()
+        assert got.cond2.probs.tolist() == problem.cond2.probs.tolist()
+        assert pe == bayes_error(problem)
+        assert averages == problem_averages(problem, gens)
+    assert count == 60
+    assert a.random() == b.random()
+
+
+def _with_bad_rows(size_groups):
+    """_size_groups with entry 0 of the second side's row at each block
+    position from 2 on set to -(position + 1)."""
+
+    def groups(normals):
+        out = size_groups(normals)
+        for idx, _, B in out:
+            for j, i in enumerate(idx.tolist()):
+                if i >= 2:
+                    B[j, 0] = -(i + 1.0)
+        return out
+
+    return groups
+
+
+@pytest.mark.parametrize(
+    "run_suite",
+    [
+        lambda rng: verify._chain_suite("eq7_chain", "eq7", 20, rng, 64, False),
+        lambda rng: verify._sandwich_suite(20, rng),
+    ],
+    ids=["eq7_chain", "sandwich"],
+)
+def test_earliest_rejected_row_raises_its_validation_error(monkeypatch, run_suite):
+    # pairs raise validate's error, problems TwoClassProblem.from_arrays';
+    # later positions sit in earlier size groups, yet position 2 is named
+    monkeypatch.setattr(verify, "_size_groups", _with_bad_rows(verify._size_groups))
+    with pytest.raises(NegativeEntry, match=r"^entry 0 is negative \((np\.float64\()?-3\.0\)\)?$"):
+        run_suite(np.random.default_rng(4))
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +369,15 @@ def test_no_fork_start_method_runs_serially(monkeypatch):
     assert _star_suite_pid(monkeypatch) == os.getpid()
 
 
-def _block_trials_suite():
-    return SuiteResult("star_transform", verify.BLOCK_TRIALS, 0, 0.0)
+def _block_cells_suite():
+    return SuiteResult("star_transform", verify.BLOCK_CELLS, 0, 0.0)
 
 
 def test_workers_see_monkeypatched_globals(monkeypatch):
-    # the workers are forked, so the block size a test sets is the one they use
+    # the workers are forked, so the cell budget a test sets is the one they use
     set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(verify, "BLOCK_TRIALS", 5)
-    monkeypatch.setattr(verify, "_star_suite", _block_trials_suite)
+    monkeypatch.setattr(verify, "BLOCK_CELLS", 5)
+    monkeypatch.setattr(verify, "_star_suite", _block_cells_suite)
     assert run_verify(20, 1)[SUITE_NAMES.index("star_transform")].checks == 5
 
 
@@ -296,6 +387,15 @@ def test_one_cpu_runs_serially_with_the_same_results(monkeypatch, trials, seed, 
     parallel = run_verify(trials, seed, n_max)
     set_cpus(monkeypatch, 1)
     assert _exact(run_verify(trials, seed, n_max)) == _exact(parallel)
+
+
+def test_one_cpu_and_workers_agree_on_small_blocks(monkeypatch):
+    # many blocks in every suite, the bound suites included
+    monkeypatch.setattr(verify, "BLOCK_CELLS", 64)
+    set_cpus(monkeypatch, 2)
+    parallel = run_verify(300, 8)
+    set_cpus(monkeypatch, 1)
+    assert _exact(run_verify(300, 8)) == _exact(parallel)
 
 
 def _failing_suite(*args):
