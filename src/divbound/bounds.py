@@ -37,9 +37,16 @@ from .distributions import (
     ValidationFailure,
     validate,
 )
-from .generators import LN2, GeneratingFunction, generator, star, star_extended
-from .kernel import ArgumentError, DivboundError, OrderParameter, invert_decreasing, row_sum
-from .measures import DIFF_TAGS, FAMILY_TAGS, MeasureId, zeta as zeta_measure
+from .generators import _FAMILY_FNS, LN2, GeneratingFunction, generator, star, star_extended
+from .kernel import (
+    ArgumentError,
+    DivboundError,
+    OrderParameter,
+    invert_decreasing,
+    invert_decreasing_rows,
+    row_sum,
+)
+from .measures import DIFF_TAGS, FAMILY_TAGS, MeasureId, _limit_base, zeta as zeta_measure
 
 PRIOR_TOL = 1e-12
 SANDWICH_TOL = 1e-10
@@ -117,9 +124,12 @@ def _live_posterior_arrays(problem: TwoClassProblem) -> Tuple[np.ndarray, np.nda
     return px[live], a2[live]
 
 
-def min_mass_sum(w1: np.ndarray, w2: np.ndarray):
-    """sum_x min(w1, w2) over the last axis: the Bayes error of p1 c1, p2 c2."""
-    return row_sum(np.minimum, w1, w2)
+def min_mass_sum(w1: np.ndarray, w2: np.ndarray, reduce=None):
+    """sum_x min(w1, w2) over the last axis: the Bayes error of p1 c1, p2 c2.
+
+    reduce=FlatRows.row_sum sums the rows of flat buffers instead.
+    """
+    return (reduce or row_sum)(np.minimum, w1, w2)
 
 
 def bayes_error(problem: TwoClassProblem) -> float:
@@ -163,14 +173,18 @@ def averaged_xi(problem: TwoClassProblem, s) -> float:
     return average_f_divergence(problem, _family_generator("xi", s))
 
 
-def posterior_averages(px: np.ndarray, a2: np.ndarray, gens: Iterable[GeneratingFunction]) -> dict:
+def posterior_averages(
+    px: np.ndarray, a2: np.ndarray, gens: Iterable[GeneratingFunction], reduce=None
+) -> dict:
     """sum_x px f*(a2) for each generator, by key, over the last axis.
 
     Stage 1 of a bound report.  Every outcome must be live (px > 0); an
     (m, k) block gives each of m problems' averages, bit-identical to the
-    problem on its own.
+    problem on its own, and reduce=FlatRows.row_sum the averages of the
+    rows of flat buffers.
     """
-    return {g.key: row_sum(_average_term, px, a2, g) for g in gens}
+    reduce = reduce or row_sum
+    return {g.key: reduce(_average_term, px, a2, g) for g in gens}
 
 
 def _average_term(px: np.ndarray, a2: np.ndarray, g: GeneratingFunction) -> np.ndarray:
@@ -210,13 +224,86 @@ def _bisected(g: GeneratingFunction) -> Callable[[float], float]:
     return f
 
 
-def _lower_from_average(g: GeneratingFunction, v: float) -> Tuple[float, str]:
-    if math.isinf(v):
-        return 0.0, "vacuous: averaged divergence is infinite"
-    val = invert_decreasing(_bisected(g), v, LOWER_BRACKET_LO, 0.5)
+def _float_pow(u: np.ndarray, e: float) -> np.ndarray:
+    """u ** e with Python's float power (libm's pow), element by element,
+    and nan where it overflows.  numpy's array power differs from it on
+    some points: its square, sqrt and reciprocal fast paths and its SIMD
+    pow are not libm's pow."""
+    x = u.tolist()
+    try:
+        return np.array([v**e for v in x])
+    except ArithmeticError:
+        return np.array([_pow_or_nan(v, e) for v in x])
+
+
+def _pow_or_nan(v: float, e: float) -> float:
+    try:
+        return v**e
+    except ArithmeticError:
+        return math.nan
+
+
+def _float_form(g: GeneratingFunction) -> Optional[Callable]:
+    """g.fn for arrays with the bits g.fn has on each float, or None.
+
+    A family member at a regular order takes its powers with _float_pow;
+    at a limit order it is J, I or T, whose numpy log and sqrt give an
+    array the bits they give a float.  Only family members are bisected.
+    """
+    mid = MeasureId.parse(g.key)
+    if mid.tag not in FAMILY_TAGS:
+        return None
+    if _limit_base(mid.tag, mid.s) is not None:
+        return g.fn
+    return _FAMILY_FNS[mid.tag](mid.s, _float_pow)
+
+
+def _bisected_rows(g: GeneratingFunction) -> Callable[[np.ndarray], np.ndarray]:
+    """_bisected(g) on an array of bracket points, bit for bit per element:
+    the float form in numpy, and _bisected(g) itself on each point whose
+    value is not finite (a power or the product overflowed)."""
+    scalar = _bisected(g)
+    fn = _float_form(g)
+    if fn is None:
+        return lambda a: np.array([scalar(x) for x in a.tolist()])
+
+    def f(a: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = a * fn((1.0 - a) / a)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = [scalar(x) for x in a[bad].tolist()]
+        return out
+
+    return f
+
+
+_INFINITE_AVERAGE = "vacuous: averaged divergence is infinite"
+
+
+def _clamped_lower(val: float) -> Tuple[float, str]:
     if val <= LOWER_BRACKET_LO:
         return 0.0, "near-vacuous: target above inversion bracket"
     return val, ""
+
+
+def _lower_from_average(g: GeneratingFunction, v: float) -> Tuple[float, str]:
+    if math.isinf(v):
+        return 0.0, _INFINITE_AVERAGE
+    return _clamped_lower(invert_decreasing(_bisected(g), v, LOWER_BRACKET_LO, 0.5))
+
+
+def lower_bounds(g: GeneratingFunction, averages: np.ndarray) -> List[Tuple[float, str]]:
+    """_lower_from_average(g, v) for each average v, bit for bit, with the
+    bisections of all of them run in lockstep (invert_decreasing_rows)."""
+    v = np.asarray(averages, dtype=float)
+    finite = ~np.isinf(v)  # a nan raises invert_decreasing's error
+    vals = np.zeros(v.shape)
+    vals[finite] = invert_decreasing_rows(_bisected_rows(g), v[finite], LOWER_BRACKET_LO, 0.5)
+    return [
+        _clamped_lower(val) if fin else (0.0, _INFINITE_AVERAGE)
+        for val, fin in zip(vals.tolist(), finite.tolist())
+    ]
 
 
 def lower_bound_family(problem: TwoClassProblem, family: str, s) -> Tuple[float, str]:
@@ -306,7 +393,7 @@ def _upper_from_average(g: GeneratingFunction, c: float) -> Tuple[float, str]:
     if math.isinf(f_inf):
         raise BoundUnavailable(f"{g.key}: f_inf is infinite")
     if not math.isfinite(c):
-        return 0.5, "vacuous: averaged divergence is infinite"
+        return 0.5, _INFINITE_AVERAGE
     # halving the quotient, not doubling f_inf, keeps f_inf near the top of
     # the double range finite
     return min(max(0.5 * ((f_inf - c) / f_inf), 0.0), 0.5), ""
@@ -366,11 +453,22 @@ class BoundReport:
 DEFAULT_S_GRID = (-1.0, 0.0, 0.5, 2.0)
 
 
-def report_generators(s_grid: Sequence[float] = DEFAULT_S_GRID) -> Tuple[GeneratingFunction, ...]:
-    """The distinct generators whose posterior averages a bound report uses."""
+@lru_cache(maxsize=None)
+def _difference_generators() -> dict:
+    # resolved once: generator(tag) parses its tag on every call
+    return {tag: generator(tag) for tag in DIFF_TAGS}
+
+
+def lower_generators(s_grid: Sequence[float] = DEFAULT_S_GRID) -> Tuple[GeneratingFunction, ...]:
+    """The distinct generators whose averages a bound report bisects."""
     gens = [_family_generator("zeta", 0.0)]
     gens += [_family_generator(family, s) for family in ("zeta", "xi") for s in s_grid]
-    gens += [generator(tag) for tag in DIFF_TAGS]
+    return tuple({g.key: g for g in gens}.values())
+
+
+def report_generators(s_grid: Sequence[float] = DEFAULT_S_GRID) -> Tuple[GeneratingFunction, ...]:
+    """The distinct generators whose posterior averages a bound report uses."""
+    gens = (*lower_generators(s_grid), *_difference_generators().values())
     return tuple({g.key: g for g in gens}.values())
 
 
@@ -386,15 +484,50 @@ def bound_report(
     return assemble_report(problem, s_grid, bayes_error(problem), averages)
 
 
+_REPORT_ROWS: dict = {}
+
+
+def _report_rows(s_grid: Sequence[float]) -> Tuple[tuple, tuple]:
+    """The rows a report on s_grid has after the Kailath and Toussaint rows:
+    (name, generator) of each family lower bound, then (name, generator,
+    "") of each upper bound, or (name, None, reason) where it does not exist.
+
+    Built once per grid, keyed by the orders' reprs: -0.0 == 0.0, but its
+    rows are named for -0.0.
+    """
+    key = tuple(map(repr, s_grid))
+    rows = _REPORT_ROWS.get(key)
+    if rows is not None:
+        return rows
+    lower = [
+        (f"{family}_lower(s={float(s)!r})", _family_generator(family, s))
+        for family in ("zeta", "xi")
+        for s in s_grid
+    ]
+    upper = []
+    for family in ("zeta", "xi"):
+        for s in s_grid:
+            name = f"{family}_upper(s={float(s)!r})"
+            try:
+                upper.append((name, _family_upper_generator(family, s), ""))
+            except BoundUnavailable as exc:
+                upper.append((name, None, str(exc)))
+    upper += [(f"diff_upper({tag})", g, "") for tag, g in _difference_generators().items()]
+    rows = _REPORT_ROWS[key] = tuple(lower), tuple(upper)
+    return rows
+
+
 def assemble_report(
-    problem: TwoClassProblem, s_grid: Sequence[float], pe: float, averages
+    problem: TwoClassProblem, s_grid: Sequence[float], pe: float, averages, lowers=None
 ) -> BoundReport:
     """Stage 2 of bound_report: every bound from the problem's posterior averages.
 
     `averages` maps each key of report_generators(s_grid) to the problem's
-    average as a float; each lower bound bisects its generator once.
+    average as a float.  `lowers` maps each key of lower_generators(s_grid)
+    to its lower bound and note, as lower_bounds gives them; without it
+    each lower bound bisects its generator once.
     """
-    lowers = {}
+    lowers = {} if lowers is None else lowers
 
     def lower(g: GeneratingFunction) -> Tuple[float, str]:
         if g.key not in lowers:
@@ -419,27 +552,16 @@ def assemble_report(
         entries.append(BoundEntry("toussaint_general", "lower", general, True, ""))
     entries.append(BoundEntry("toussaint_inversion", "lower", lower(j0)[0], True, ""))
 
-    for family in ("zeta", "xi"):
-        for s in s_grid:
-            val, note = lower(_family_generator(family, s))
-            entries.append(
-                BoundEntry(f"{family}_lower(s={float(s)!r})", "lower", val, True, note)
-            )
-
-    for family in ("zeta", "xi"):
-        for s in s_grid:
-            name = f"{family}_upper(s={float(s)!r})"
-            try:
-                g = _family_upper_generator(family, s)
-                val, note = _upper_from_average(g, averages[g.key])
-                entries.append(BoundEntry(name, "upper", val, True, note))
-            except BoundUnavailable as exc:
-                entries.append(BoundEntry(name, "upper", 0.5, False, str(exc)))
-
-    for tag in DIFF_TAGS:
-        g = generator(tag)
-        val, note = _upper_from_average(g, averages[g.key])
-        entries.append(BoundEntry(f"diff_upper({tag})", "upper", val, True, note))
+    lower_rows, upper_rows = _report_rows(s_grid)
+    for name, g in lower_rows:
+        val, note = lower(g)
+        entries.append(BoundEntry(name, "lower", val, True, note))
+    for name, g, reason in upper_rows:
+        if g is None:
+            entries.append(BoundEntry(name, "upper", 0.5, False, reason))
+        else:
+            val, note = _upper_from_average(g, averages[g.key])
+            entries.append(BoundEntry(name, "upper", val, True, note))
 
     return BoundReport(exact_pe=pe, entries=tuple(entries))
 
@@ -460,19 +582,24 @@ def comparison_check(problem: TwoClassProblem) -> List[ComparisonResult]:
     Each relation asserts lhs <= rhs between two upper-bound expressions;
     slack = rhs - lhs.
     """
-    return compare_averages(
-        problem_averages(problem, [generator(tag) for tag in COMPARISON_TAGS])
-    )
+    gens = _difference_generators()
+    return compare_averages(problem_averages(problem, [gens[tag] for tag in COMPARISON_TAGS]))
 
 
 def compare_averages(dbar) -> List[ComparisonResult]:
-    """The comparison relations from the averages of COMPARISON_TAGS, by tag."""
+    """The comparison relations from the averages of COMPARISON_TAGS, by tag.
+
+    The averages are floats, or arrays of one per problem; then each
+    result's satisfied and slack are arrays too, element for element the
+    floats' results.
+    """
+    gens = _difference_generators()
 
     def bound(coef: float, v: float) -> float:
         return 0.5 * (1.0 - coef * v)
 
     def direct(tag: str) -> float:
-        return 1.0 / generator(tag).f_infinity
+        return 1.0 / gens[tag].f_infinity
 
     relations = [
         (

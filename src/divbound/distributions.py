@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import DivboundError
+from .kernel import DivboundError, FlatRows
 
 SUM_TOL = 1e-12
 
@@ -85,7 +85,7 @@ def validate(raw, mode: str = STRICT, *, min_size: int = 2) -> DiscreteDistribut
         raise ValidationFailure("non-finite entry in probability vector")
     if np.any(probs < 0.0):
         i = int(np.argmax(probs < 0.0))
-        raise NegativeEntry(f"entry {i} is negative ({probs[i]!r})")
+        raise NegativeEntry(f"entry {i} is negative ({float(probs[i])!r})")
     if mode == STRICT and np.any(probs == 0.0):
         i = int(np.argmax(probs == 0.0))
         raise ZeroEntry(f"entry {i} is zero; strict mode requires all entries > 0")
@@ -97,15 +97,16 @@ def validate(raw, mode: str = STRICT, *, min_size: int = 2) -> DiscreteDistribut
     return DiscreteDistribution(probs=probs, mode=mode)
 
 
-def invalid_rows(block: np.ndarray, mode: str = STRICT) -> np.ndarray:
-    """Flags the rows (last axis) of a block that validate() would reject.
+def invalid_rows(cells: np.ndarray, rows: FlatRows, mode: str = STRICT) -> np.ndarray:
+    """Flags the rows of a flat buffer, laid out by rows, that validate()
+    would reject.
 
     Checks the same invariants as validate, for all rows at once; the size
     check is left to the caller.  Validating a flagged row raises the error.
     """
-    positive = block > 0.0 if mode == STRICT else block >= 0.0
-    entries_ok = np.all(positive & np.isfinite(block), axis=-1)
-    return ~(entries_ok & (np.abs(np.sum(block, axis=-1) - 1.0) <= SUM_TOL))
+    positive = cells > 0.0 if mode == STRICT else cells >= 0.0
+    entries_ok = rows.all(positive & np.isfinite(cells))
+    return ~(entries_ok & (np.abs(rows.sum(cells) - 1.0) <= SUM_TOL))
 
 
 def require_same_alphabet(P: DiscreteDistribution, Q: DiscreteDistribution) -> None:

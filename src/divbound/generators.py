@@ -18,6 +18,7 @@ the six difference measures (the pointwise combinations of _DIFF_COMBOS).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
@@ -101,16 +102,21 @@ def _f_d(u):
     return 0.25 * _f_4d(u)
 
 
-def _f_zeta(s: float) -> Callable:
+# The family forms take their power as a parameter: bounds._float_form
+# evaluates them on arrays with Python's float power, which numpy's array
+# power does not always match bit for bit.
+
+
+def _f_zeta(s: float, power: Callable = operator.pow) -> Callable:
     a, b = order_divisors(s)
 
     def fn(u):
-        return (u**s + u ** (1.0 - s) - (u + 1.0)) / a / b
+        return (power(u, s) + power(u, 1.0 - s) - (u + 1.0)) / a / b
 
     return fn
 
 
-def _f_xi(s: float) -> Callable:
+def _f_xi(s: float, power: Callable = operator.pow) -> Callable:
     # ((u^(1-s)+1)/2 ((u+1)/2)^s - (u+1)/2) / (s(s-1)) with ((u+1)/2)^s folded
     # into both powers: the direct form is inf*0 = nan for large u and s << 0.
     a, b = order_divisors(s)
@@ -132,7 +138,7 @@ def _f_xi(s: float) -> Callable:
     def fn(u):
         v = u + 1.0
         w = 2.0 / v
-        out = 0.5 * v * (0.5 * ((u * w) ** e + w ** e) - 1.0) / a / b
+        out = 0.5 * v * (0.5 * (power(u * w, e) + power(w, e)) - 1.0) / a / b
         if isinstance(out, np.ndarray):
             over = np.isinf(out)
             if over.any():
@@ -305,15 +311,16 @@ def _csiszar_term(p: np.ndarray, q: np.ndarray, fn: Callable):
     return q * np.asarray(fn(p / q), dtype=float)
 
 
-def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray):
+def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray, reduce=None):
     """sum q f(p/q) over the last axis, for strictly positive masses.
 
     One call serves a single pair of vectors or an (m, n) block of pairs,
-    row for row bit-identical to the single-pair sums.  A generator power
-    that overflows gives +inf silently.
+    row for row bit-identical to the single-pair sums; reduce=FlatRows.row_sum
+    sums the rows of flat buffers instead.  A generator power that
+    overflows gives +inf silently.
     """
     with np.errstate(over="ignore"):
-        return row_sum(_csiszar_term, p, q, g.fn)
+        return (reduce or row_sum)(_csiszar_term, p, q, g.fn)
 
 
 def csiszar_sum(

@@ -1,14 +1,17 @@
 """Shared numeric primitives.
 
-Everything downstream leans on five things defined here: the limit-band
+Everything downstream leans on six things defined here: the limit-band
 classification of the family order parameter s (the closed-form limit rows
 are used inside a band of half-width SWITCH_EPS around s = 0 and s = 1,
 because the 1/(s(s-1)) normalisation cancels catastrophically there;
 order_divisors splits that normalisation in two where s(s-1) overflows), the
 continuous extension of x*ln(x) at zero, the cache-blocked cell sum that
-every measure, Csiszar sum and posterior average reduces with, monotone
-bisection for turning divergence inequalities into numeric error bounds,
-and a symmetric second-difference probe that certifies convexity on a grid.
+every measure, Csiszar sum and posterior average reduces with, the flat
+layout of rows of several lengths in one buffer (FlatRows), whose row sums
+have the bits of each row summed on its own, monotone bisection for turning
+divergence inequalities into numeric error bounds, one target at a time or
+many in lockstep with the same decisions, and a symmetric second-difference
+probe that certifies convexity on a grid.
 
 All functions are pure; concurrent use is unrestricted.  row_sum splits a
 long row's summation tree across helper threads, one fewer than the usable
@@ -47,6 +50,13 @@ BISECT_MAX_ITER = 200
 # numpy sums a row of at most 128 cells with eight accumulators instead of
 # halving it.
 SUM_LEAF = 65536
+
+# Cells of the rows a FlatRows.row_sum term runs on at once, so that the
+# term's temporaries stay small.  On verify --trials 10000 (one core,
+# blocks of 2^16 cells) chunks of 8192 to 32768 cells ran within the noise
+# of a whole-block pass; the chain suites' traced peak was 3.5 MB at 8192
+# and 16384, 4.3 MB at 32768 and 5.0 MB for the whole block.
+FLAT_CHUNK = 16384
 
 
 class DivboundError(Exception):
@@ -221,6 +231,83 @@ class _Helper:
         return self._out
 
 
+class FlatRows:
+    """The layout of rows of several lengths packed into one flat buffer.
+
+    Rows of one length n form a slab, a C-contiguous (m, n) run of the
+    buffer, and the slabs follow one another by ascending n.  Elementwise
+    steps run over many rows at once; only the row sums run per slab, on
+    its (m, n) view, so each row sums exactly as it does on its own.
+    """
+
+    __slots__ = ("lengths", "starts", "cells", "_chunks")
+
+    def __init__(self, lengths: np.ndarray):
+        """lengths: the row lengths in buffer order, ascending, each >= 1."""
+        ends = np.cumsum(lengths)
+        self.lengths = lengths
+        self.starts = ends - lengths
+        self.cells = int(ends[-1])
+        starts = self.starts.tolist()
+        cuts = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(lengths)]
+        # runs of whole rows of at most FLAT_CHUNK cells (or one longer row),
+        # each a list of pieces of slabs: (first row, end row, first cell,
+        # end cell, n)
+        self._chunks = []
+        chunk = []
+        for r0, r1, n in zip(cuts, cuts[1:], lengths[cuts[:-1]].tolist()):
+            step = max(1, FLAT_CHUNK // n)
+            for a in range(r0, r1, step):
+                b = min(a + step, r1)
+                piece = (a, b, starts[a], starts[a] + (b - a) * n, n)
+                if chunk and piece[3] - chunk[0][2] > FLAT_CHUNK:
+                    self._chunks.append(chunk)
+                    chunk = []
+                chunk.append(piece)
+        self._chunks.append(chunk)
+
+    def per_cell(self, values: np.ndarray) -> np.ndarray:
+        """One value per row, repeated over the row's cells."""
+        return np.repeat(values, self.lengths)
+
+    def all(self, cells: np.ndarray) -> np.ndarray:
+        """np.all over each row of a boolean buffer."""
+        return np.logical_and.reduceat(cells, self.starts)
+
+    def sum(self, cells: np.ndarray) -> np.ndarray:
+        """np.sum over each row of a buffer (np.add.reduce is np.sum
+        without its Python wrapper)."""
+        out = np.empty(len(self.lengths))
+        for chunk in self._chunks:
+            for r0, r1, c0, c1, n in chunk:
+                out[r0:r1] = np.add.reduce(cells[c0:c1].reshape(r1 - r0, n), axis=-1)
+        return out
+
+    def row_sum(self, term: Callable, p: np.ndarray, q: np.ndarray, *args) -> np.ndarray:
+        """kernel.row_sum of each row of the buffers p and q.
+
+        The term runs once per chunk of rows, and each piece of a slab in
+        it is summed as an (m, n) array.  A chunk with rows longer than
+        SUM_LEAF goes through row_sum piece by piece.  (np.add.reduceat
+        would sum each row sequentially, with other bits.)
+        """
+        leaf = SUM_LEAF
+        out = np.empty(len(self.lengths))
+        for chunk in self._chunks:
+            if chunk[-1][4] <= leaf:  # n ascends: the last piece holds the longest rows
+                first, end = chunk[0][2], chunk[-1][3]
+                terms = term(p[first:end], q[first:end], *args)
+                for r0, r1, c0, c1, n in chunk:
+                    out[r0:r1] = np.add.reduce(
+                        terms[c0 - first : c1 - first].reshape(r1 - r0, n), axis=-1
+                    )
+            else:
+                for r0, r1, c0, c1, n in chunk:
+                    shape = (r1 - r0, n)
+                    out[r0:r1] = row_sum(term, p[c0:c1].reshape(shape), q[c0:c1].reshape(shape), *args)
+        return out
+
+
 def x_ln_x(x):
     """x*ln(x) with the continuous extension x_ln_x(0) = 0.
 
@@ -278,6 +365,52 @@ def invert_decreasing(
         else:
             b = mid
     return mid
+
+
+def invert_decreasing_rows(
+    f: Callable[[np.ndarray], np.ndarray],
+    targets: np.ndarray,
+    lo: float,
+    hi: float,
+    tol: float = BISECT_TOL,
+    max_iter: int = BISECT_MAX_ITER,
+) -> np.ndarray:
+    """invert_decreasing of one function at many finite targets, in lockstep.
+
+    f maps an array of points to the function's values.  Every step
+    halves each live bracket with one call of f on all their midpoints and
+    makes invert_decreasing's decisions element by element, so where f
+    equals the scalar function bit for bit, each result equals
+    invert_decreasing's for its target.
+    """
+    if not (lo < hi):
+        raise ArgumentError(f"invalid bracket: lo={lo!r} >= hi={hi!r}")
+    t = np.array(targets, dtype=float)
+    if not np.isfinite(t).all():
+        raise DomainError(f"target must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+    f_lo, f_hi = f(np.array([lo, hi], dtype=float)).tolist()
+    at_lo = t >= f_lo
+    out = np.where(at_lo, float(lo), float(hi))
+    live = np.flatnonzero(~(at_lo | (t <= f_hi)))
+    t = t[live]
+    a = np.full(live.size, float(lo))
+    b = np.full(live.size, float(hi))
+    mid = 0.5 * (a + b)
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        mid = 0.5 * (a + b)
+        f_mid = f(mid)
+        # converged, or the bracket exhausted at double precision
+        stop = (np.abs(f_mid - t) <= tol) | (mid <= a) | (mid >= b)
+        out[live[stop]] = mid[stop]
+        up = f_mid > t
+        a = np.where(up, mid, a)
+        b = np.where(up, b, mid)
+        keep = ~stop
+        live, t, a, b, mid = live[keep], t[keep], a[keep], b[keep], mid[keep]
+    out[live] = mid  # the last midpoint, as invert_decreasing returns it
+    return out
 
 
 def _grid(lo: float, hi: float, n: int, log_spaced: bool) -> np.ndarray:

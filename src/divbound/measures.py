@@ -186,32 +186,36 @@ def _psi_term(p: np.ndarray, q: np.ndarray):
         return np.where((p == 0.0) & (q == 0.0), 0.0, t)
 
 
-def _delta(p: np.ndarray, q: np.ndarray):
-    return row_sum(_delta_term, p, q)
+# Each base sum takes the row sum it reduces with: kernel.row_sum, or the
+# row_sum of a kernel.FlatRows layout for flat buffers.
 
 
-def _hellinger(p: np.ndarray, q: np.ndarray):
-    return 0.5 * row_sum(_hellinger_term, p, q)
+def _delta(reduce, p: np.ndarray, q: np.ndarray):
+    return reduce(_delta_term, p, q)
 
 
-def _jensen_shannon(p: np.ndarray, q: np.ndarray):
-    return 0.5 * row_sum(_jensen_shannon_term, p, q)
+def _hellinger(reduce, p: np.ndarray, q: np.ndarray):
+    return 0.5 * reduce(_hellinger_term, p, q)
 
 
-def _ddiv(p: np.ndarray, q: np.ndarray):
-    return 1.0 - row_sum(_ddiv_term, p, q)
+def _jensen_shannon(reduce, p: np.ndarray, q: np.ndarray):
+    return 0.5 * reduce(_jensen_shannon_term, p, q)
 
 
-def _jdiv(p: np.ndarray, q: np.ndarray):
-    return row_sum(_jdiv_term, p, q)
+def _ddiv(reduce, p: np.ndarray, q: np.ndarray):
+    return 1.0 - reduce(_ddiv_term, p, q)
 
 
-def _tdiv(p: np.ndarray, q: np.ndarray):
-    return row_sum(_tdiv_term, p, q)
+def _jdiv(reduce, p: np.ndarray, q: np.ndarray):
+    return reduce(_jdiv_term, p, q)
 
 
-def _psi(p: np.ndarray, q: np.ndarray):
-    return row_sum(_psi_term, p, q)
+def _tdiv(reduce, p: np.ndarray, q: np.ndarray):
+    return reduce(_tdiv_term, p, q)
+
+
+def _psi(reduce, p: np.ndarray, q: np.ndarray):
+    return reduce(_psi_term, p, q)
 
 
 def _family_term(p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
@@ -226,7 +230,7 @@ def _family_term(p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
     return terms
 
 
-def _family_sum(p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
+def _family_sum(reduce, p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
     """Last-axis sum of a family's per-cell terms, direct(p, q, s) per cell
     and ratio(p, q, s) where that is nan.
 
@@ -235,7 +239,7 @@ def _family_sum(p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
     of a block.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return row_sum(_family_term, p, q, s, direct, ratio)
+        return reduce(_family_term, p, q, s, direct, ratio)
 
 
 def _zeta_direct(p: np.ndarray, q: np.ndarray, s: float):
@@ -263,10 +267,10 @@ def _xi_ratio(p: np.ndarray, q: np.ndarray, s: float):
 _FAMILY_FORMS = {"zeta": (_zeta_direct, _zeta_ratio, 2.0), "xi": (_xi_direct, _xi_ratio, 1.0)}
 
 
-def _family_regular(family: str, s: float, p: np.ndarray, q: np.ndarray):
+def _family_regular(family: str, s: float, reduce, p: np.ndarray, q: np.ndarray):
     direct, ratio, at_equal = _FAMILY_FORMS[family]
     a, b = order_divisors(s)
-    return (_family_sum(p, q, s, direct, ratio) - at_equal) / a / b
+    return (_family_sum(reduce, p, q, s, direct, ratio) - at_equal) / a / b
 
 
 _BASE_FUNCS = {
@@ -296,18 +300,21 @@ class BaseSums:
     Each sum is computed by its kernel the first time it is asked for and
     kept, so every measure and chain read from one table sums each base
     measure once.  p and q must not change while the table is in use.
+    `reduce` is the row sum, kernel.row_sum by default; the row_sum of a
+    kernel.FlatRows layout makes p and q flat buffers of rows in it.
     """
 
-    __slots__ = ("p", "q", "_sums")
+    __slots__ = ("p", "q", "_sums", "_reduce")
 
-    def __init__(self, p: np.ndarray, q: np.ndarray, sums: Optional[dict] = None):
+    def __init__(self, p: np.ndarray, q: np.ndarray, sums: Optional[dict] = None, reduce=None):
         self.p, self.q = p, q
         self._sums = {} if sums is None else sums
+        self._reduce = reduce or row_sum
 
     def __getitem__(self, tag: str):
         value = self._sums.get(tag)
         if value is None:
-            value = self._sums[tag] = _BASE_FUNCS[tag](self.p, self.q)
+            value = self._sums[tag] = _BASE_FUNCS[tag](self._reduce, self.p, self.q)
         return value
 
     def measure(self, mid: MeasureId):
@@ -316,7 +323,7 @@ class BaseSums:
             op = OrderParameter.of(mid.s)
             base = _limit_base(mid.tag, op)
             if base is None:
-                return _family_regular(mid.tag, op.s, self.p, self.q)
+                return _family_regular(mid.tag, op.s, self._reduce, self.p, self.q)
             return self[base]
         if mid.tag not in DIFF_TAGS:
             return self[mid.tag]

@@ -14,14 +14,18 @@ report the largest deviation.
 
 Trials are drawn one after another, as random_strict_pair and
 random_problem draw them, in blocks that end once their draws hold
-BLOCK_CELLS cells a side or at the end of the corpus.  A block is grouped
-by alphabet size n (problem size k for the bound suites), and each group
-is one C-contiguous (m, n) array per side that is validated at once and
-that the measure, Csiszar-sum and posterior-averaging kernels reduce row by
-row.  The bound suites then assemble each problem's report on its own (its
-bisections stay scalar).  Results are reduced in trial order, so the
-reports equal, byte for byte, checking one trial at a time with
-chain_check, measure_value, csiszar_sum, bound_report and comparison_check.
+BLOCK_CELLS cells a side or at the end of the corpus.  A block is flat:
+each side's rows lie in one buffer, grouped by alphabet size n (problem
+size k for the bound suites) into C-contiguous (m, n) slabs by ascending
+n, in trial order within a slab (kernel.FlatRows).  Every elementwise step
+(softmax, validation, the measure, Csiszar-sum and posterior terms) runs
+over the whole buffer, in chunks of rows; only the row sums run per slab.
+The sandwich suite then bisects each lower bound for all of a block's
+problems at once (bounds.lower_bounds) and assembles each problem's
+report on its own; the comparisons are evaluated on the block's arrays.
+Results are reduced in trial order, so the reports equal, byte for byte,
+checking one trial at a time with chain_check, measure_value, csiszar_sum,
+bound_report and comparison_check.
 
 The suites share nothing, so run_verify runs them in forked worker
 processes when more than one CPU is available, and in the calling process
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +48,8 @@ from .bounds import (
     TwoClassProblem,
     assemble_report,
     compare_averages,
+    lower_bounds,
+    lower_generators,
     min_mass_sum,
     posterior_arrays,
     posterior_averages,
@@ -64,8 +70,8 @@ from .generators import (
     star,
     star_symmetry_defect,
 )
-from .kernel import ArgumentError, usable_cpus
-from .measures import CHAIN_LABELS, BaseSums, _chain_report, chain_slack, chain_values
+from .kernel import ArgumentError, FlatRows, usable_cpus
+from .measures import CHAIN_LABELS, BaseSums, _chain_report, chain_slack
 
 SUITE_NAMES = (
     "eq7_chain",
@@ -78,7 +84,10 @@ SUITE_NAMES = (
 
 # The order the suites are handed to worker processes: longest first, so
 # that the short ones fill in behind.  At --trials 10000 on one core the
-# suites take about 0.24, 0.12, 0.10, 0.045, 0.018 and 0.001 s in this order.
+# suites take about 0.059, 0.039, 0.035, 0.009, 0.003 and 0.001 s in this
+# order, so two workers finish together: sandwich, csiszar_equiv and
+# comparisons on one, the two chains on the other (about 0.08 s each), and
+# star_transform on whichever is free first.
 _LONGEST_FIRST = (
     "sandwich",
     "eq7_chain",
@@ -115,9 +124,12 @@ class SuiteResult:
         return self.failures == 0
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    w = np.exp(z)
-    return w / np.sum(w, axis=-1, keepdims=True)
+def _softmax_rows(z: np.ndarray, rows: Optional[FlatRows] = None) -> np.ndarray:
+    """exp(z) normalised over each row, computed in z: the rows of its last
+    axis, or those of a flat buffer laid out by rows."""
+    w = np.exp(z, out=z)
+    w /= np.sum(w, axis=-1, keepdims=True) if rows is None else rows.per_cell(rows.sum(w))
+    return w
 
 
 def random_strict_pair(
@@ -150,108 +162,116 @@ def _echo_pair(i: int, p: np.ndarray, q: np.ndarray, detail: str) -> str:
 # blocks of trials
 # ---------------------------------------------------------------------------
 
-# (block positions, first block, second block) of one size, positions
-# ascending: P and Q rows of pairs, or cond1 and cond2 rows of problems
-SizeGroup = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+class _Block:
+    """A block of trials, flat: each side's rows in one buffer laid out by
+    a FlatRows, by ascending size and, within a size, in trial order."""
+
+    __slots__ = ("start", "rows", "rank", "first", "second", "priors")
+
+    def __init__(self, start, rows, rank, first, second, priors):
+        self.start = start  # corpus index of the block's first trial
+        self.rows = rows
+        self.rank = rank  # the buffer row of each trial, in trial order
+        self.first = first  # P rows of pairs, cond1 rows of problems
+        self.second = second  # Q rows of pairs, cond2 rows of problems
+        self.priors = priors  # class-1 prior of each problem's row
+
+    def __len__(self) -> int:
+        return len(self.rank)
+
+    def base_sums(self) -> BaseSums:
+        """The base sums of the block's pairs, one per buffer row."""
+        return BaseSums(self.first, self.second, reduce=self.rows.row_sum)
+
+    def in_trial_order(self, values: np.ndarray) -> np.ndarray:
+        """Per-row values (first axis in buffer order) in trial order."""
+        return values[self.rank]
+
+    def prior(self, i: int) -> float:
+        """The class-1 prior of the block's i-th trial (a problem)."""
+        return float(self.priors[self.rank[i]])
+
+    def trial(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The two rows of the block's i-th trial."""
+        r = self.rank[i]
+        c0 = int(self.rows.starts[r])
+        c1 = c0 + int(self.rows.lengths[r])
+        return self.first[c0:c1], self.second[c0:c1]
 
 
 def _blocks(
-    trials: int, draw: Callable[[], Tuple[object, np.ndarray]]
-) -> Iterator[Tuple[int, list, List[SizeGroup]]]:
-    """(first trial index, per-trial values, size groups) per block.
+    trials: int, rng: np.random.Generator, n_max: int, priors: bool = False
+) -> Iterator[_Block]:
+    """The corpus in blocks, drawn as random_strict_pair draws pairs with n
+    from integers(2, n_max + 1), or with priors as random_problem draws
+    problems (k, then its prior, then its normals).
 
-    draw() makes one trial's draws and returns (a value kept per trial, its
-    (2, n) standard normals).  A block ends once its trials hold
-    BLOCK_CELLS cells a side, or at the end of the corpus.  Its group list
-    is emptied before the next block is drawn, so one block is held at a
-    time.
+    A block ends once its trials hold BLOCK_CELLS cells a side, or at the
+    end of the corpus.  The normals of a block are drawn into one buffer,
+    which the next block reuses, and a block's rows are released before
+    the next block is drawn.
     """
+    integers, uniform, normal = rng.integers, rng.uniform, rng.standard_normal
+    budget = 2 * BLOCK_CELLS
+    raw = np.empty(2 * min(BLOCK_CELLS + n_max, trials * n_max))
     start = 0
     while start < trials:
-        values = []
-        normals = []
-        cells = 0
-        while start + len(normals) < trials and cells < BLOCK_CELLS:
-            value, z = draw()
-            values.append(value)
-            normals.append(z)
-            cells += z.shape[1]
-        groups = _size_groups(normals)
-        yield start, values, groups
-        start += len(values)
-        groups.clear()
+        sizes = []
+        drawn_priors = []
+        used = 0
+        while start + len(sizes) < trials and used < budget:
+            n = integers(2, n_max + 1)
+            if priors:
+                drawn_priors.append(float(uniform(0.05, 0.95)))
+            normal(out=raw[used : used + 2 * n])
+            used += 2 * n
+            sizes.append(n)
+        block = _flat_block(start, raw, np.array(sizes), np.array(drawn_priors) if priors else None)
+        yield block
+        block.first = block.second = None  # one block's rows are held at a time
+        start += len(sizes)
 
 
-def _size_groups(normals: List[np.ndarray]) -> List[SizeGroup]:
-    """A block's (2, n) normal draws grouped by n, each side's rows softmaxed.
-
-    Each group's sides are C-contiguous (m, n) arrays.  The draws list is
-    emptied as it is grouped, so each draw is held once.
-    """
-    sizes = np.array([z.shape[1] for z in normals])
-    groups = []
-    for n in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
-        idx = np.flatnonzero(sizes == n)
-        A = _softmax_rows(np.stack([normals[i][0] for i in idx]))
-        B = _softmax_rows(np.stack([normals[i][1] for i in idx]))
-        for i in idx:
-            normals[i] = None
-        groups.append((idx, A, B))
-    return groups
-
-
-def _earliest_rejected(
-    groups: List[SizeGroup], mode: str
-) -> Optional[Tuple[int, np.ndarray, np.ndarray]]:
-    """(block position, first row, second row) of the earliest trial with a
-    row that validate(mode) rejects, or None."""
-    rejected = []
-    for idx, A, B in groups:
-        bad = np.flatnonzero(invalid_rows(A, mode) | invalid_rows(B, mode))
-        if bad.size:
-            j = bad[0]
-            rejected.append((int(idx[j]), A[j], B[j]))
-    return min(rejected, key=lambda r: r[0], default=None)
+def _flat_block(
+    start: int, raw: np.ndarray, sizes: np.ndarray, priors: Optional[np.ndarray]
+) -> _Block:
+    """The block of the trials whose (2, n) normals lie one after another
+    in raw, with sizes n in trial order; each side's rows softmaxed."""
+    order = np.argsort(sizes, kind="stable")
+    lengths = sizes[order]
+    rows = FlatRows(lengths)
+    offsets = 2 * (np.cumsum(sizes) - sizes)  # each trial's first normal in raw
+    gather = np.arange(rows.cells)
+    gather += rows.per_cell(offsets[order] - rows.starts)
+    first = _softmax_rows(raw[gather], rows)
+    gather += rows.per_cell(lengths)  # each trial's second row follows its first
+    second = _softmax_rows(raw[gather], rows)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return _Block(start, rows, rank, first, second, None if priors is None else priors[order])
 
 
-def _pair_blocks(
-    trials: int, rng: np.random.Generator, n_max: int
-) -> Iterator[Tuple[int, List[SizeGroup]]]:
-    """(first trial index, size groups) per block, drawing as random_strict_pair does.
+def _earliest_rejected(block: _Block, mode: str) -> Optional[int]:
+    """The block position of the earliest trial with a row that
+    validate(mode) rejects, or None."""
+    bad = invalid_rows(block.first, block.rows, mode) | invalid_rows(block.second, block.rows, mode)
+    bad = np.flatnonzero(block.in_trial_order(bad))
+    return int(bad[0]) if bad.size else None
+
+
+def _pair_blocks(trials: int, rng: np.random.Generator, n_max: int) -> Iterator[_Block]:
+    """Blocks of pairs, drawn as random_strict_pair draws them.
 
     The earliest rejected pair of a block raises validate's error.
     """
-
-    def draw() -> Tuple[None, np.ndarray]:
-        return None, rng.standard_normal((2, int(rng.integers(2, n_max + 1))))
-
-    for start, _, groups in _blocks(trials, draw):
-        rejected = _earliest_rejected(groups, STRICT)
-        if rejected is not None:
-            _, p, q = rejected
+    for block in _blocks(trials, rng, n_max):
+        i = _earliest_rejected(block, STRICT)
+        if i is not None:
+            p, q = block.trial(i)
             validate(p, STRICT)
             validate(q, STRICT)
-        yield start, groups
-
-
-def _in_trial_order(groups: List[SizeGroup], evaluate: Callable) -> np.ndarray:
-    """evaluate(P, Q) on each size group, its rows put back in trial order."""
-    out = None
-    count = sum(len(idx) for idx, _, _ in groups)
-    for idx, P, Q in groups:
-        rows = evaluate(P, Q)
-        if out is None:
-            out = np.empty((count,) + rows.shape[1:])
-        out[idx] = rows
-    return out
-
-
-def _pair_at(groups: List[SizeGroup], i: int) -> Tuple[np.ndarray, np.ndarray]:
-    for idx, P, Q in groups:
-        j = int(np.searchsorted(idx, i))
-        if j < len(idx) and idx[j] == i:
-            return P[j], Q[j]
-    raise IndexError(i)
+        yield block
 
 
 def _chain_suite(
@@ -261,9 +281,9 @@ def _chain_suite(
     failures = 0
     worst = math.inf
     first: Optional[str] = None
-    for start, groups in _pair_blocks(trials, rng, n_max):
-        values = _in_trial_order(groups, lambda P, Q: np.stack(chain_values(which, P, Q), axis=-1))
-        if corrupt and start == 0:
+    for block in _pair_blocks(trials, rng, n_max):
+        values = block.in_trial_order(np.stack(block.base_sums().chain(which), axis=-1))
+        if corrupt and block.start == 0:
             # test hook: force a detectable violation by deflating one interior value
             values[0, 2] -= 10.0 * (1.0 + abs(values[0, 2]))
         _, normalised, violated = chain_slack(values)
@@ -276,26 +296,27 @@ def _chain_suite(
             i = int(bad[0])
             report = _chain_report(list(zip(labels, values[i].tolist())))
             first = _echo_pair(
-                start + i, *_pair_at(groups, i), f"violations={list(report.violations)!r}"
+                block.start + i, *block.trial(i), f"violations={list(report.violations)!r}"
             )
     return SuiteResult(name, trials, failures, worst, first)
 
 
+def _csiszar_values(block: _Block, gens) -> Tuple[np.ndarray, np.ndarray]:
+    """(direct, summed): each pair's CATALOG_KEYS measures, directly and as
+    Csiszar sums, in trial order."""
+    sums = block.base_sums()  # the 19 keys share the block's seven base sums
+    direct = np.stack([sums.measure(key) for key in CATALOG_KEYS], axis=-1)
+    summed = [csiszar_rows(g, block.first, block.second, block.rows.row_sum) for g in gens]
+    return block.in_trial_order(direct), block.in_trial_order(np.stack(summed, axis=-1))
+
+
 def _csiszar_suite(trials: int, rng: np.random.Generator, n_max: int) -> SuiteResult:
     gens = [generator(key) for key in CATALOG_KEYS]
-
-    def evaluate(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        sums = BaseSums(P, Q)  # the 19 keys share the block's seven base sums
-        direct = [sums.measure(key) for key in CATALOG_KEYS]
-        summed = [csiszar_rows(g, P, Q) for g in gens]
-        return np.stack([np.stack(direct, axis=-1), np.stack(summed, axis=-1)], axis=1)
-
     failures = 0
     worst = 0.0
     first: Optional[str] = None
-    for start, groups in _pair_blocks(trials, rng, n_max):
-        both = _in_trial_order(groups, evaluate)
-        direct, summed = both[:, 0], both[:, 1]
+    for block in _pair_blocks(trials, rng, n_max):
+        direct, summed = _csiszar_values(block, gens)
         dev = np.abs(summed - direct) / (1.0 + np.abs(direct))
         worst = max([worst, *dev.reshape(-1).tolist()])
         failing = dev > CSISZAR_TOL
@@ -303,8 +324,8 @@ def _csiszar_suite(trials: int, rng: np.random.Generator, n_max: int) -> SuiteRe
         if first is None and failing.any():
             i, j = divmod(int(np.argmax(failing.reshape(-1))), len(CATALOG_KEYS))
             first = _echo_pair(
-                start + i,
-                *_pair_at(groups, i),
+                block.start + i,
+                *block.trial(i),
                 f"key={CATALOG_KEYS[j].label()} direct={float(direct[i, j])!r} "
                 f"sum={float(summed[i, j])!r}",
             )
@@ -344,62 +365,42 @@ def _star_suite() -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _problem_blocks(
-    trials: int, rng: np.random.Generator
-) -> Iterator[Tuple[int, np.ndarray, List[SizeGroup]]]:
-    """(first trial index, class-1 priors, conditional size groups) per
-    block, drawing as random_problem does with k from integers(2, 17).
+def _problem_blocks(trials: int, rng: np.random.Generator) -> Iterator[_Block]:
+    """Blocks of problems, drawn as random_problem draws them with k from
+    integers(2, 17).
 
     The conditionals of a block are checked as TwoClassProblem.from_arrays
     checks them (the drawn priors always pass its checks); the earliest
     rejected problem raises its error.
     """
-
-    def draw() -> Tuple[float, np.ndarray]:
-        k = int(rng.integers(2, 17))
-        p1 = float(rng.uniform(0.05, 0.95))
-        return p1, rng.standard_normal((2, k))
-
-    for start, priors, groups in _blocks(trials, draw):
-        rejected = _earliest_rejected(groups, PERMISSIVE)
-        if rejected is not None:
-            i, c1, c2 = rejected
-            TwoClassProblem.from_arrays((priors[i], 1.0 - priors[i]), c1, c2)
-        yield start, np.array(priors), groups
+    for block in _blocks(trials, rng, 16, priors=True):
+        i = _earliest_rejected(block, PERMISSIVE)
+        if i is not None:
+            p1 = block.prior(i)
+            TwoClassProblem.from_arrays((p1, 1.0 - p1), *block.trial(i))
+        yield block
 
 
-def _checked_problem(p1: float, c1: np.ndarray, c2: np.ndarray) -> TwoClassProblem:
-    """The problem of _problem_blocks rows, which are checked already."""
+def _checked_problem(block: _Block, i: int) -> TwoClassProblem:
+    """The problem of a block's i-th trial, whose rows are checked already."""
+    p1 = block.prior(i)
+    c1, c2 = block.trial(i)
     return TwoClassProblem(
         p1, 1.0 - p1, DiscreteDistribution(c1, PERMISSIVE), DiscreteDistribution(c2, PERMISSIVE)
     )
 
 
-def _problem_trials(
-    trials: int, rng: np.random.Generator, gens
-) -> Iterator[Tuple[int, float, np.ndarray, np.ndarray, float, dict]]:
-    """(trial index, p1, cond1, cond2, exact error, averages by key) per trial.
+def _posteriors(block: _Block):
+    """posterior_arrays of every problem of a block, flat.  Every outcome
+    of a drawn problem is live: its conditionals are strictly positive."""
+    prior1 = block.rows.per_cell(block.priors)
+    return posterior_arrays(prior1, 1.0 - prior1, block.first, block.second)
 
-    Stage 1 of the bound report runs on each size group of a block at
-    once: every outcome of a drawn problem is live, since its conditionals
-    are strictly positive.
-    """
-    for start, priors, groups in _problem_blocks(trials, rng):
-        count = len(priors)
-        pe = np.empty(count)
-        averages = {g.key: np.empty(count) for g in gens}
-        conds = [None] * count
-        for idx, C1, C2 in groups:
-            prior1 = priors[idx, None]
-            w1, w2, px, a2 = posterior_arrays(prior1, 1.0 - prior1, C1, C2)
-            pe[idx] = min_mass_sum(w1, w2)
-            for key, rows in posterior_averages(px, a2, gens).items():
-                averages[key][idx] = rows
-            for j, i in enumerate(idx.tolist()):
-                conds[i] = (C1[j], C2[j])
-        by_key = {key: rows.tolist() for key, rows in averages.items()}
-        for j, (p1, (c1, c2), e) in enumerate(zip(priors.tolist(), conds, pe.tolist())):
-            yield start + j, p1, c1, c2, e, {key: rows[j] for key, rows in by_key.items()}
+
+def _averages(block: _Block, px: np.ndarray, a2: np.ndarray, gens) -> dict:
+    """Stage 1's posterior averages of a block's problems, by key, in trial order."""
+    averages = posterior_averages(px, a2, gens, block.rows.row_sum)
+    return {key: block.in_trial_order(rows) for key, rows in averages.items()}
 
 
 def _problem_text(problem: TwoClassProblem) -> str:
@@ -415,16 +416,30 @@ def _sandwich_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
     worst = math.inf
     first: Optional[str] = None
     gens = report_generators(_VERIFY_S_GRID)
-    for i, p1, c1, c2, pe, averages in _problem_trials(trials, rng, gens):
-        problem = _checked_problem(p1, c1, c2)
-        report = assemble_report(problem, _VERIFY_S_GRID, pe, averages)
-        for _, slack in report.slacks():
-            worst = min(worst, slack)
-        bad = report.sandwich_violations()
-        if bad:
-            failures += 1
-            if first is None:
-                first = f"trial {i}: {_problem_text(problem)} violations={bad!r}"
+    bisected = lower_generators(_VERIFY_S_GRID)
+    for block in _problem_blocks(trials, rng):
+        w1, w2, px, a2 = _posteriors(block)
+        pe = block.in_trial_order(min_mass_sum(w1, w2, block.rows.row_sum)).tolist()
+        averages = _averages(block, px, a2, gens)
+        # stage 2: each generator's bisections run for the whole block at once
+        lowers = {g.key: lower_bounds(g, averages[g.key]) for g in bisected}
+        averages = {key: rows.tolist() for key, rows in averages.items()}
+        for j, e in enumerate(pe):
+            problem = _checked_problem(block, j)
+            report = assemble_report(
+                problem,
+                _VERIFY_S_GRID,
+                e,
+                {key: rows[j] for key, rows in averages.items()},
+                {key: rows[j] for key, rows in lowers.items()},
+            )
+            for _, slack in report.slacks():
+                worst = min(worst, slack)
+            bad = report.sandwich_violations()
+            if bad:
+                failures += 1
+                if first is None:
+                    first = f"trial {block.start + j}: {_problem_text(problem)} violations={bad!r}"
     return SuiteResult("sandwich", trials, failures, worst, first)
 
 
@@ -434,17 +449,21 @@ def _comparison_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
     first: Optional[str] = None
     checks = 0
     gens = [generator(tag) for tag in COMPARISON_TAGS]
-    for i, p1, c1, c2, _, averages in _problem_trials(trials, rng, gens):
-        for res in compare_averages(averages):
-            checks += 1
-            worst = min(worst, res.slack)
-            if not res.satisfied:
-                failures += 1
-                if first is None:
-                    first = (
-                        f"trial {i}: relation={res.relation} slack={res.slack!r} "
-                        f"{_problem_text(_checked_problem(p1, c1, c2))}"
-                    )
+    for block in _problem_blocks(trials, rng):
+        _, _, px, a2 = _posteriors(block)
+        results = compare_averages(_averages(block, px, a2, gens))
+        # (problem, relation) in trial order, as the relations of one problem follow one another
+        slacks = np.stack([res.slack for res in results], axis=-1)
+        failing = ~np.stack([res.satisfied for res in results], axis=-1)
+        checks += slacks.size
+        worst = min([worst, *slacks.reshape(-1).tolist()])
+        failures += int(np.count_nonzero(failing))
+        if first is None and failing.any():
+            j, r = divmod(int(np.argmax(failing.reshape(-1))), len(results))
+            first = (
+                f"trial {block.start + j}: relation={results[r].relation} "
+                f"slack={float(slacks[j, r])!r} {_problem_text(_checked_problem(block, j))}"
+            )
     return SuiteResult("comparisons", checks, failures, worst, first)
 
 

@@ -301,6 +301,95 @@ class TestLowerBounds:
             )
 
 
+# Orders whose lower bounds are checked in lockstep: the verify grid, the
+# limit bands (J, I and T), and orders where a power overflows, so that
+# the evaluator hands points to the scalar path.
+LOCKSTEP_ORDERS = [("zeta", s) for s in (-1.0, 0.0, 0.5, 2.0, 1e-7, -1e-7, 60.0, -60.0)] + [
+    ("xi", s) for s in (-1.0, 0.0, 0.5, 2.0, 1e-7, -1e-7, 1.0 + 1e-7, 60.0, -60.0, -1040.0)
+]
+OVERFLOW_ORDERS = [("zeta", 60.0), ("zeta", -60.0), ("xi", 60.0), ("xi", -1040.0)]
+LO = bounds_mod.LOWER_BRACKET_LO
+
+
+def _bracket_points(seed, count=10_000):
+    rng = np.random.default_rng(seed)
+    half = count // 2
+    return np.concatenate(
+        [rng.uniform(LO, 0.5, half), 10.0 ** rng.uniform(-12.0, math.log10(0.5), count - half)]
+    )
+
+
+def _lockstep_equals_scalar(g, targets):
+    got = bounds_mod.lower_bounds(g, np.array(targets, dtype=float))
+    want = [bounds_mod._lower_from_average(g, float(v)) for v in targets]
+    assert [repr(x) for x in got] == [repr(x) for x in want]
+
+
+class TestLockstepLowerBounds:
+    """lower_bounds bisects many averages at once, with the bits of
+    _lower_from_average on each."""
+
+    @pytest.mark.parametrize("family,s", LOCKSTEP_ORDERS)
+    def test_evaluator_is_the_float_path(self, family, s):
+        g = bounds_mod._family_generator(family, s)
+        points = _bracket_points(int(abs(s) * 1000) + len(family))
+        f = bounds_mod._bisected(g)
+        got = bounds_mod._bisected_rows(g)(points)
+        assert [repr(v) for v in got.tolist()] == [repr(f(a)) for a in points.tolist()]
+
+    @pytest.mark.parametrize("family,s", OVERFLOW_ORDERS)
+    def test_overflowed_points_take_the_scalar_path(self, monkeypatch, family, s):
+        g = bounds_mod._family_generator(family, s)
+        calls = []
+
+        def counting(g):
+            f = bisected(g)
+            return lambda a: calls.append(a) or f(a)
+
+        bisected = bounds_mod._bisected
+        monkeypatch.setattr(bounds_mod, "_bisected", counting)
+        bounds_mod._bisected_rows(g)(_bracket_points(1, 1000))
+        assert calls
+
+    @pytest.mark.parametrize("family,s", LOCKSTEP_ORDERS)
+    def test_equals_scalar_inversion(self, family, s):
+        g = bounds_mod._family_generator(family, s)
+        f = bounds_mod._bisected(g)
+        f_lo, f_half = f(LO), f(0.5)
+        rng = np.random.default_rng(7)
+        targets = [math.inf, f_half, math.nextafter(f_half, -math.inf), f_half - 1.0, -1e300]
+        if math.isfinite(f_lo):
+            # at and above f*(LOWER_BRACKET_LO): clamped, flagged near-vacuous
+            targets += [f_lo, math.nextafter(f_lo, math.inf), 2.0 * f_lo + 1.0]
+        targets += [f(a) for a in rng.uniform(LO, 0.5, 200).tolist()]
+        targets += [f(a) for a in (10.0 ** rng.uniform(-12.0, -1.0, 200)).tolist()]
+        targets = [v for v in targets if not math.isnan(v)]
+        _lockstep_equals_scalar(g, targets + targets[::-1])
+
+    def test_near_half_problem(self):
+        # averages just above f*(1/2) = 0: bisections that end deep in the bracket
+        problem = TwoClassProblem.from_arrays((0.50001, 0.49999), [0.5, 0.5], [0.5, 0.5])
+        averages = problem_averages(problem, report_generators(DEFAULT_S_GRID))
+        gens = bounds_mod.lower_generators(DEFAULT_S_GRID)
+        for g in gens:
+            _lockstep_equals_scalar(g, [averages[g.key]] * 3)
+        lowers = {g.key: bounds_mod.lower_bounds(g, [averages[g.key]])[0] for g in gens}
+        pe = bayes_error(problem)
+        assert repr(
+            bounds_mod.assemble_report(problem, DEFAULT_S_GRID, pe, averages, lowers)
+        ) == repr(bound_report(problem))
+
+    def test_no_targets(self):
+        assert bounds_mod.lower_bounds(bounds_mod._family_generator("xi", 0.5), []) == []
+
+    def test_nan_average_raises_as_the_scalar_path(self):
+        g = bounds_mod._family_generator("zeta", 0.5)
+        with pytest.raises(DomainError, match=r"^target must be finite, got nan$"):
+            bounds_mod._lower_from_average(g, math.nan)
+        with pytest.raises(DomainError, match=r"^target must be finite, got nan$"):
+            bounds_mod.lower_bounds(g, [0.1, math.inf, math.nan])
+
+
 class TestKailath:
     def test_frozen_value(self, flip_problem):
         val, note = kailath_bound(flip_problem)

@@ -98,6 +98,14 @@ class TestMeasureCommand:
         assert code == 0
         assert out.splitlines()[1].split("\t")[2] == "inf"
 
+    def test_negative_entry_is_echoed_as_a_float(self, capsys, files, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0.5 -0.5 1.0\n")
+        code, out, err = run(
+            capsys, ["measure", "--p", str(bad), "--q", files["q"], "--measure", "J"]
+        )
+        assert (code, out, err) == (3, "", "validation error: entry 1 is negative (-0.5)\n")
+
     def test_strict_mode_rejects_zeros(self, capsys, files, tmp_path):
         z = tmp_path / "z.txt"
         z.write_text("0.0 1.0\n")
@@ -135,6 +143,12 @@ class TestBoundsCommand:
         f.write_text("priors: 0.7 0.4\ncond1: 0.4 0.6\ncond2: 0.4 0.6\n")
         code, _, _ = run(capsys, ["bounds", "--problem", str(f)])
         assert code == 3
+
+    def test_negative_conditional_is_echoed_as_a_float(self, capsys, tmp_path):
+        f = tmp_path / "prob.txt"
+        f.write_text("priors: 0.5 0.5\ncond1: 0.4 0.6\ncond2: 1.2 -0.2\n")
+        code, out, err = run(capsys, ["bounds", "--problem", str(f)])
+        assert (code, out, err) == (3, "", "validation error: entry 1 is negative (-0.2)\n")
 
 
 class TestSweepCommand:
@@ -220,10 +234,23 @@ class TestVerifyCommand:
         assert run.returncode == 0, run.stderr
         assert run.stdout == golden.read_bytes()
 
+    def test_long_rows_match_golden_file(self):
+        # rows of up to 300 cells, past the 128 cells numpy sums with eight
+        # accumulators; captured before the suites were laid out flat
+        golden = Path(__file__).parent / "data" / "verify_3000_nmax300_seed5_machine.txt"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("DIVBOUND_")}
+        run = subprocess.run(
+            [sys.executable, "-m", "divbound", "verify", "--trials", "3000",
+             "--n-max", "300", "--seed", "5", "--format", "machine"],
+            capture_output=True, timeout=300, env=env,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == golden.read_bytes()
+
     def test_validation_failure_in_a_worker_exits_3(self, capsys, monkeypatch):
         # unnormalised draws fail validation in every drawn suite; from the
         # workers, the first suite's error is shown, as on one CPU
-        monkeypatch.setattr(verify_mod, "_softmax_rows", np.exp)
+        monkeypatch.setattr(verify_mod, "_softmax_rows", lambda z, rows=None: np.exp(z))
         argv = ["verify", "--trials", "20", "--seed", "5"]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         code, out, err = run(capsys, argv)

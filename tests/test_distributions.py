@@ -15,6 +15,7 @@ from divbound.distributions import (
     require_same_alphabet,
     validate,
 )
+from divbound.kernel import FlatRows
 
 
 def test_uniform_strict_valid():
@@ -90,18 +91,22 @@ def test_normalised_vectors_validate(weights):
 
 @pytest.mark.parametrize("mode", [STRICT, PERMISSIVE])
 def test_invalid_rows_flags_what_validate_rejects(mode):
-    block = np.array(
-        [
-            [0.5, 0.5, 0.0],
-            [0.25, 0.25, 0.5],
-            [0.6, 0.6, -0.2],
-            [0.5, 0.5, np.nan],
-            [0.5, np.inf, 0.5],
-            [0.5, 0.5, 1e-11],
-            [0.5, 0.5, 1e-13],
-        ]
-    )
-    flags = invalid_rows(block, mode)
+    block = [
+        [0.5, 0.5],
+        [1.0, 0.0],
+        [0.5, 0.5, 0.0],
+        [0.25, 0.25, 0.5],
+        [0.6, 0.6, -0.2],
+        [0.5, 0.5, np.nan],
+        [0.5, np.inf, 0.5],
+        [0.5, 0.5, 1e-11],
+        [0.5, 0.5, 1e-13],
+        [0.25, 0.25, 0.25, 0.25],
+        [0.25, 0.25, 0.25, 0.26],
+    ]
+    rows = FlatRows(np.array([len(row) for row in block]))
+    flags = invalid_rows(np.concatenate(block), rows, mode)
+    assert len(flags) == len(block)
     for row, flagged in zip(block, flags):
         try:
             validate(row, mode)

@@ -19,8 +19,10 @@ from divbound.kernel import (
     OrderParameter,
     ProbeFailure,
     Regime,
+    FlatRows,
     convexity_probe,
     invert_decreasing,
+    invert_decreasing_rows,
     row_sum,
     x_ln_x,
 )
@@ -121,6 +123,49 @@ class TestInvertDecreasing:
         v = g(a_star)
         a = invert_decreasing(g, v, 1e-12, 0.5, tol=1e-12)
         assert abs(g(a) - v) <= 1e-10
+
+
+def _j_np(a):
+    """j_of_pe with numpy's log, which gives an array the bits it gives a
+    float (math.log does not always)."""
+    return (2.0 * a - 1.0) * np.log(a / (1.0 - a))
+
+
+class TestInvertDecreasingRows:
+    """The lockstep bisection returns invert_decreasing's result per target."""
+
+    def _equal(self, targets, **kw):
+        got = invert_decreasing_rows(_j_np, np.array(targets), 1e-12, 0.5, **kw)
+        want = [invert_decreasing(_j_np, t, 1e-12, 0.5, **kw) for t in targets]
+        assert got.tolist() == want
+
+    def test_evaluator_is_bit_equal(self):
+        a = np.random.default_rng(1).uniform(1e-12, 0.5, 10_000)
+        assert _j_np(a).tolist() == [float(_j_np(x)) for x in a.tolist()]
+
+    def test_seeded_targets_and_clamps(self):
+        rng = np.random.default_rng(2)
+        targets = [float(_j_np(a)) for a in rng.uniform(1e-12, 0.5, 500).tolist()]
+        targets += [float(_j_np(1e-12)), 1e9, float(_j_np(0.5)), -1.0, 0.6 * math.log(4.0)] * 2
+        self._equal(targets)
+
+    @pytest.mark.parametrize("tol, max_iter", [(0.0, 200), (1e-12, 3), (1e-3, 0), (0.0, 20)])
+    def test_stopping_rules(self, tol, max_iter):
+        # tol 0: most bisections run until the bracket is exhausted
+        targets = [float(_j_np(a)) for a in np.random.default_rng(3).uniform(0.01, 0.49, 50).tolist()]
+        self._equal(targets, tol=tol, max_iter=max_iter)
+
+    def test_no_targets(self):
+        assert invert_decreasing_rows(_j_np, np.array([]), 1e-12, 0.5).tolist() == []
+
+    def test_bad_bracket(self):
+        with pytest.raises(ArgumentError):
+            invert_decreasing_rows(_j_np, np.array([0.1]), 0.5, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_target(self, bad):
+        with pytest.raises(DomainError, match=f"got {bad!r}$"):
+            invert_decreasing_rows(_j_np, np.array([0.1, bad]), 1e-12, 0.5)
 
 
 class TestConvexityProbe:
@@ -376,6 +421,70 @@ class TestRowSum:
         parallel = repr(run_verify(300, 7))
         set_cpus(monkeypatch, 1)
         assert repr(run_verify(300, 7)) == parallel
+
+
+def _flat(lengths, seed):
+    """A FlatRows of ascending row lengths and two buffers of its cells."""
+    rows = FlatRows(np.array(sorted(lengths)))
+    p, q = _cells((rows.cells,), seed)
+    return rows, p, q
+
+
+def _row_slices(rows):
+    return [slice(int(a), int(a + n)) for a, n in zip(rows.starts, rows.lengths)]
+
+
+class TestFlatRows:
+    """Every row of a flat buffer reduces with the bits of the row on its own."""
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [5],  # one row
+            [7] * 40,  # one slab
+            [2, 2, 3, 9, 9, 9, 64, 127, 128, 129],
+            [2, 3, 8, 8, 300, 1000, 1000, 3000],  # rows past the 128-cell leaf
+        ],
+    )
+    @pytest.mark.parametrize("cpus, chunk", [(1, 64), (2, 64), (1, kernel.FLAT_CHUNK)])
+    def test_row_sums_equal_single_row_sums(self, monkeypatch, lengths, cpus, chunk):
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(kernel, "SUM_LEAF", 128)
+        monkeypatch.setattr(kernel, "FLAT_CHUNK", chunk)
+        rows, p, q = _flat(lengths, len(lengths))
+        got = rows.row_sum(_term, p, q)
+        sums = rows.sum(p)
+        for i, cells in enumerate(_row_slices(rows)):
+            assert _bits(got[i]) == _bits(row_sum(_term, p[cells], q[cells]))
+            assert _bits(got[i]) == _bits(np.sum(_term(p[cells], q[cells])))
+            assert _bits(sums[i]) == _bits(np.sum(p[cells]))
+
+    def test_terms_run_on_chunks_of_whole_rows(self, monkeypatch):
+        # chunks of at most FLAT_CHUNK cells or one longer row, in buffer
+        # order; rows past SUM_LEAF go through row_sum as (m, n) views
+        monkeypatch.setattr(kernel, "SUM_LEAF", 128)
+        monkeypatch.setattr(kernel, "FLAT_CHUNK", 64)
+        rows = FlatRows(np.array([3, 3, 5, 20, 20, 20, 20, 100, 129, 300]))
+        p = np.arange(1.0, rows.cells + 1.0)
+        seen = []
+
+        def term(p, q):
+            seen.append((p.ndim, int(p.flat[0]) - 1, p.size))
+            return _term(p, q)
+
+        got = rows.row_sum(term, p, p)
+        flat = [(start, size) for ndim, start, size in seen if ndim == 1]
+        assert flat == [(0, 11), (11, 60), (71, 20), (91, 100)]
+        assert all(ndim == 2 for ndim, _, _ in seen[len(flat) :])
+        for i, cells in enumerate(_row_slices(rows)):
+            assert _bits(got[i]) == _bits(row_sum(_term, p[cells], p[cells]))
+
+    def test_per_cell_and_all(self):
+        rows = FlatRows(np.array([2, 2, 3]))
+        assert rows.starts.tolist() == [0, 2, 4] and rows.cells == 7
+        assert rows.per_cell(np.array([1.0, 2.0, 3.0])).tolist() == [1, 1, 2, 2, 3, 3, 3]
+        mask = np.array([True, True, True, False, True, True, True])
+        assert rows.all(mask).tolist() == [True, False, True]
 
 
 def _error_classes(cls=kernel.DivboundError):

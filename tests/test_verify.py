@@ -8,11 +8,16 @@ import pytest
 
 from conftest import make_pair, set_cpus
 from divbound import verify
+from divbound import bounds, kernel, measures
 from divbound.bounds import (
     TwoClassProblem,
+    assemble_report,
     bayes_error,
     bound_report,
     comparison_check,
+    lower_bounds,
+    lower_generators,
+    min_mass_sum,
     problem_averages,
     report_generators,
 )
@@ -249,33 +254,42 @@ def test_corruption_hook_matches_per_trial_definition(monkeypatch, trials, seed,
         assert r.first_failure.startswith("trial 0: ")
 
 
+def _sizes_ascend(block):
+    lengths = block.rows.lengths
+    assert lengths.tolist() == sorted(lengths.tolist())
+    assert block.rows.cells == int(lengths.sum())
+    for side in (block.first, block.second):
+        assert side.shape == (block.rows.cells,) and side.flags.c_contiguous
+
+
 def test_large_alphabet_blocks_stay_small():
     # one block may not hold more than BLOCK_CELLS cells of either side
     rng = np.random.default_rng(1)
-    for _, groups in verify._pair_blocks(300, rng, 5000):
-        cells = sum(P.size for _, P, _ in groups)
-        assert cells < verify.BLOCK_CELLS + 5000
-        for idx, P, Q in groups:
-            assert P.flags.c_contiguous and Q.flags.c_contiguous
-            assert P.shape == Q.shape == (len(idx), P.shape[1])
+    for block in verify._pair_blocks(300, rng, 5000):
+        assert block.rows.cells < verify.BLOCK_CELLS + 5000
+        _sizes_ascend(block)
 
 
 def test_problem_blocks_end_on_the_cell_budget(monkeypatch):
     monkeypatch.setattr(verify, "BLOCK_CELLS", 50)
     drawn = 0
     cells = []
-    for start, priors, groups in verify._problem_blocks(300, np.random.default_rng(2)):
-        assert start == drawn
-        assert sum(len(idx) for idx, _, _ in groups) == len(priors)
-        drawn += len(priors)
-        cells.append(sum(C1.size for _, C1, _ in groups))
-        for idx, C1, C2 in groups:
-            assert C1.flags.c_contiguous and C2.flags.c_contiguous
-            assert C1.shape == C2.shape == (len(idx), C1.shape[1])
+    for block in verify._problem_blocks(300, np.random.default_rng(2)):
+        assert block.start == drawn
+        assert len(block.priors) == len(block)
+        drawn += len(block)
+        cells.append(block.rows.cells)
+        _sizes_ascend(block)
     assert drawn == 300
     # each block but the last was below the budget before its last problem (k <= 16)
     assert len(cells) > 10
     assert all(50 <= c < 50 + 16 for c in cells[:-1])
+
+
+def _stage_one(block, gens):
+    w1, w2, px, a2 = verify._posteriors(block)
+    pe = block.in_trial_order(min_mass_sum(w1, w2, block.rows.row_sum))
+    return pe, verify._averages(block, px, a2, gens)
 
 
 def test_block_draws_equal_the_per_trial_draws(monkeypatch):
@@ -285,11 +299,11 @@ def test_block_draws_equal_the_per_trial_draws(monkeypatch):
     monkeypatch.setattr(verify, "BLOCK_CELLS", 40)
     a, b = np.random.default_rng(8), np.random.default_rng(8)
     blocks = 0
-    for start, groups in verify._pair_blocks(60, a, 30):
+    for block in verify._pair_blocks(60, a, 30):
         blocks += 1
-        for i in range(start, start + sum(len(idx) for idx, _, _ in groups)):
+        for i in range(len(block)):
             P, Q = random_strict_pair(b, int(b.integers(2, 31)))
-            p, q = verify._pair_at(groups, i - start)
+            p, q = block.trial(i)
             assert (p.tolist(), q.tolist()) == (P.probs.tolist(), Q.probs.tolist())
     assert blocks > 10
     assert a.random() == b.random()
@@ -297,33 +311,37 @@ def test_block_draws_equal_the_per_trial_draws(monkeypatch):
     gens = report_generators((-1.0, 0.0, 0.5, 2.0))
     a, b = np.random.default_rng(9), np.random.default_rng(9)
     count = 0
-    for i, p1, c1, c2, pe, averages in verify._problem_trials(60, a, gens):
-        assert i == count
-        count += 1
-        problem = random_problem(b, int(b.integers(2, 17)))
-        got = verify._checked_problem(p1, c1, c2)
-        assert (got.p1, got.p2) == (problem.p1, problem.p2)
-        assert got.cond1.probs.tolist() == problem.cond1.probs.tolist()
-        assert got.cond2.probs.tolist() == problem.cond2.probs.tolist()
-        assert pe == bayes_error(problem)
-        assert averages == problem_averages(problem, gens)
+    for block in verify._problem_blocks(60, a):
+        assert block.start == count
+        pe, averages = _stage_one(block, gens)
+        for j in range(len(block)):
+            count += 1
+            problem = random_problem(b, int(b.integers(2, 17)))
+            got = verify._checked_problem(block, j)
+            assert (got.p1, got.p2) == (problem.p1, problem.p2)
+            assert got.cond1.probs.tolist() == problem.cond1.probs.tolist()
+            assert got.cond2.probs.tolist() == problem.cond2.probs.tolist()
+            assert pe[j] == bayes_error(problem)
+            assert {key: float(rows[j]) for key, rows in averages.items()} == problem_averages(
+                problem, gens
+            )
     assert count == 60
     assert a.random() == b.random()
 
 
-def _with_bad_rows(size_groups):
-    """_size_groups with entry 0 of the second side's row at each block
-    position from 2 on set to -(position + 1)."""
+def _with_bad_rows(flat_block, blocks):
+    """_flat_block with entry 0 of the second side's row at each block
+    position from 2 on set to -(position + 1); the blocks go to `blocks`."""
 
-    def groups(normals):
-        out = size_groups(normals)
-        for idx, _, B in out:
-            for j, i in enumerate(idx.tolist()):
-                if i >= 2:
-                    B[j, 0] = -(i + 1.0)
+    def block(*args):
+        out = flat_block(*args)
+        for i in range(2, len(out)):
+            _, q = out.trial(i)
+            q[0] = -(i + 1.0)
+        blocks.append(out)
         return out
 
-    return groups
+    return block
 
 
 @pytest.mark.parametrize(
@@ -336,10 +354,76 @@ def _with_bad_rows(size_groups):
 )
 def test_earliest_rejected_row_raises_its_validation_error(monkeypatch, run_suite):
     # pairs raise validate's error, problems TwoClassProblem.from_arrays';
-    # later positions sit in earlier size groups, yet position 2 is named
-    monkeypatch.setattr(verify, "_size_groups", _with_bad_rows(verify._size_groups))
-    with pytest.raises(NegativeEntry, match=r"^entry 0 is negative \((np\.float64\()?-3\.0\)\)?$"):
+    # later positions sit in earlier rows of the buffers, yet position 2 is named
+    blocks = []
+    monkeypatch.setattr(verify, "_flat_block", _with_bad_rows(verify._flat_block, blocks))
+    with pytest.raises(NegativeEntry, match=r"^entry 0 is negative \(-3\.0\)$"):
         run_suite(np.random.default_rng(4))
+    (block,) = blocks
+    assert min(block.rank[3:]) < block.rank[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_rows_past_the_leaf_equal_per_trial_definition(monkeypatch, cpus):
+    # rows longer than a 128-cell SUM_LEAF are summed by row_sum, the
+    # others per slab, in blocks that hold both and in chunks that cut slabs
+    set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(kernel, "SUM_LEAF", 128)
+    monkeypatch.setattr(kernel, "FLAT_CHUNK", 1000)
+    got = run_verify(60, 13, 3000)
+    assert _exact(got) == _exact(reference_verify(60, 13, 3000))
+
+
+def test_one_size_and_one_trial_blocks_equal_per_trial_definition(monkeypatch):
+    set_cpus(monkeypatch, 1)
+    want = reference_verify(30, 2, 2)
+    assert _exact(run_verify(30, 2, 2)) == _exact(want)  # one size, one block
+    monkeypatch.setattr(verify, "BLOCK_CELLS", 1)  # one trial a block
+    assert _exact(run_verify(30, 2, 2)) == _exact(want)
+
+
+@pytest.mark.parametrize("cells", [None, 200])
+def test_first_failure_names_a_later_trial_and_its_rows(monkeypatch, cells):
+    # a negative tolerance fails the tightest trials; the first of them lies
+    # in the middle of its block's buffers, and the echo names it and its rows
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(measures, "CHAIN_TOL", -1e-5)
+    monkeypatch.setattr(bounds, "COMPARISON_TOL", -1e-4)
+    if cells is not None:
+        monkeypatch.setattr(verify, "BLOCK_CELLS", cells)
+    got = run_verify(500, 6)
+    want = reference_verify(500, 6)
+    assert _exact(got) == _exact(want)
+    for r in (got[0], got[1], got[5]):
+        assert 0 < r.failures < r.checks
+        assert not r.first_failure.startswith("trial 0:")
+    # the named pair is not the first row of its block
+    i = int(got[0].first_failure.split(":")[0].split()[1])
+    for block in verify._pair_blocks(500, np.random.default_rng([6, 0]), 64):
+        if block.start <= i < block.start + len(block):
+            assert block.rank[i - block.start] != i - block.start
+
+
+def test_sandwich_reports_equal_bound_report():
+    # stage 2 with the lockstep lower bounds gives each problem's bound_report
+    grid = verify._VERIFY_S_GRID
+    gens = report_generators(grid)
+    checked = 0
+    for block in verify._problem_blocks(300, np.random.default_rng(21)):
+        pe, averages = _stage_one(block, gens)
+        lowers = {g.key: lower_bounds(g, averages[g.key]) for g in lower_generators(grid)}
+        for j in range(len(block)):
+            problem = verify._checked_problem(block, j)
+            report = assemble_report(
+                problem,
+                grid,
+                float(pe[j]),
+                {key: float(rows[j]) for key, rows in averages.items()},
+                {key: rows[j] for key, rows in lowers.items()},
+            )
+            assert repr(report) == repr(bound_report(problem, grid))
+            checked += 1
+    assert checked == 300
 
 
 # ---------------------------------------------------------------------------
