@@ -243,19 +243,18 @@ def _pow_or_nan(v: float, e: float) -> float:
         return math.nan
 
 
-def _float_form(g: GeneratingFunction) -> Optional[Callable]:
-    """g.fn for arrays with the bits g.fn has on each float, or None.
+def _float_form(g: GeneratingFunction) -> Callable:
+    """g.fn for arrays, with the bits g.fn has on each float.
 
-    A family member at a regular order takes its powers with _float_pow;
-    at a limit order it is J, I or T, whose numpy log and sqrt give an
-    array the bits they give a float.  Only family members are bisected.
+    A family member at a regular order takes its powers with _float_pow.
+    Every other generator (J, I and T at the limit orders, the base
+    measures and the differences) is numpy arithmetic, log and sqrt, which
+    give an array the bits they give a float.
     """
     mid = MeasureId.parse(g.key)
-    if mid.tag not in FAMILY_TAGS:
-        return None
-    if _limit_base(mid.tag, mid.s) is not None:
-        return g.fn
-    return _FAMILY_FNS[mid.tag](mid.s, _float_pow)
+    if mid.tag in FAMILY_TAGS and _limit_base(mid.tag, mid.s) is None:
+        return _FAMILY_FNS[mid.tag](mid.s, _float_pow)
+    return g.fn
 
 
 def _bisected_rows(g: GeneratingFunction) -> Callable[[np.ndarray], np.ndarray]:
@@ -264,8 +263,6 @@ def _bisected_rows(g: GeneratingFunction) -> Callable[[np.ndarray], np.ndarray]:
     value is not finite (a power or the product overflowed)."""
     scalar = _bisected(g)
     fn = _float_form(g)
-    if fn is None:
-        return lambda a: np.array([scalar(x) for x in a.tolist()])
 
     def f(a: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -281,16 +278,19 @@ def _bisected_rows(g: GeneratingFunction) -> Callable[[np.ndarray], np.ndarray]:
 _INFINITE_AVERAGE = "vacuous: averaged divergence is infinite"
 
 
-def _clamped_lower(val: float) -> Tuple[float, str]:
+def _clamped_lower(val: float, average: float) -> Tuple[float, str]:
+    """The lower bound and its note from `val`, the inversion of `average`;
+    `val` is ignored where the average is infinite."""
+    if math.isinf(average):
+        return 0.0, _INFINITE_AVERAGE
     if val <= LOWER_BRACKET_LO:
         return 0.0, "near-vacuous: target above inversion bracket"
     return val, ""
 
 
 def _lower_from_average(g: GeneratingFunction, v: float) -> Tuple[float, str]:
-    if math.isinf(v):
-        return 0.0, _INFINITE_AVERAGE
-    return _clamped_lower(invert_decreasing(_bisected(g), v, LOWER_BRACKET_LO, 0.5))
+    val = 0.0 if math.isinf(v) else invert_decreasing(_bisected(g), v, LOWER_BRACKET_LO, 0.5)
+    return _clamped_lower(val, v)
 
 
 def lower_bounds(g: GeneratingFunction, averages: np.ndarray) -> List[Tuple[float, str]]:
@@ -300,10 +300,7 @@ def lower_bounds(g: GeneratingFunction, averages: np.ndarray) -> List[Tuple[floa
     finite = ~np.isinf(v)  # a nan raises invert_decreasing's error
     vals = np.zeros(v.shape)
     vals[finite] = invert_decreasing_rows(_bisected_rows(g), v[finite], LOWER_BRACKET_LO, 0.5)
-    return [
-        _clamped_lower(val) if fin else (0.0, _INFINITE_AVERAGE)
-        for val, fin in zip(vals.tolist(), finite.tolist())
-    ]
+    return list(map(_clamped_lower, vals.tolist(), v.tolist()))
 
 
 def lower_bound_family(problem: TwoClassProblem, family: str, s) -> Tuple[float, str]:
@@ -317,29 +314,35 @@ def lower_bound_family(problem: TwoClassProblem, family: str, s) -> Tuple[float,
 
 def kailath_bound(problem: TwoClassProblem) -> Tuple[Optional[float], str]:
     """1/4 exp(-J/2) with J between the conditionals; equal priors only."""
-    if abs(problem.p1 - problem.p2) > PRIOR_TOL:
+    return _kailath(problem.p1, problem.p2, lambda: problem)
+
+
+def _kailath(p1: float, p2: float, problem: Callable) -> Tuple[Optional[float], str]:
+    # problem() is asked for only where the priors are equal
+    if abs(p1 - p2) > PRIOR_TOL:
         return None, "requires equal priors"
-    j = zeta_measure(0.0, problem.cond1, problem.cond2)
+    conds = problem()
+    j = zeta_measure(0.0, conds.cond1, conds.cond2)
     if math.isinf(j):
         return 0.0, "J infinite (bound saturates at 0)"
     return 0.25 * math.exp(-0.5 * j), ""
 
 
-def _toussaint_general(problem: TwoClassProblem, jbar: float) -> Optional[float]:
-    h = -(problem.p1 * math.log(problem.p1) + problem.p2 * math.log(problem.p2))
+def _toussaint_general(p1: float, p2: float, jbar: float) -> Tuple[Optional[float], str]:
+    h = -(p1 * math.log(p1) + p2 * math.log(p2))
     radicand = 1.0 - 4.0 * math.exp(-2.0 * h - jbar)
     if -RADICAND_SNAP < radicand < 0.0:
         radicand = 0.0
     if radicand < 0.0:
-        return None
-    return 0.5 - 0.5 * math.sqrt(radicand)
+        return None, "radicand negative"
+    return 0.5 - 0.5 * math.sqrt(radicand), ""
 
 
 def toussaint_bounds(problem: TwoClassProblem) -> Tuple[Optional[float], float]:
     """(general square-root bound or None, sharper bound via J-inversion)."""
     g = _family_generator("zeta", 0.0)
     jbar = average_f_divergence(problem, g)
-    return _toussaint_general(problem, jbar), _lower_from_average(g, jbar)[0]
+    return _toussaint_general(problem.p1, problem.p2, jbar)[0], _lower_from_average(g, jbar)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,21 +436,30 @@ class BoundReport:
     entries: Tuple[BoundEntry, ...]
 
     def slacks(self) -> List[Tuple[str, float]]:
-        """(name, slack) of each applicable entry: P_e - value for a lower
-        bound, value - P_e for an upper one; negative means violated."""
-        return [
-            (e.name, (self.exact_pe - e.value) if e.kind == "lower" else (e.value - self.exact_pe))
-            for e in self.entries
-            if e.applicable
-        ]
+        """(name, slack) of each applicable entry."""
+        pe = self.exact_pe
+        return [(e.name, _slack(e.kind, e.value, pe)) for e in self.entries if e.applicable]
 
-    def sandwich_violations(self, tol: float = SANDWICH_TOL) -> List[Tuple[str, float]]:
-        """Applicable entries whose slack against the exact error is < -tol."""
-        return [(name, slack) for name, slack in self.slacks() if slack < -tol]
+    def sandwich_violations(self, tol: Optional[float] = None) -> List[Tuple[str, float]]:
+        """Applicable entries whose slack against the exact error is < -tol
+        (by default SANDWICH_TOL)."""
+        return [(name, slack) for name, slack in self.slacks() if _sandwich_violated(slack, tol)]
 
     @property
     def sandwich_ok(self) -> bool:
         return not self.sandwich_violations()
+
+
+def _slack(kind: str, value, pe):
+    """P_e - value for a lower bound, value - P_e for an upper one; negative
+    means violated.  Floats, or arrays element by element."""
+    return pe - value if kind == "lower" else value - pe
+
+
+def _sandwich_violated(slack, tol: Optional[float] = None):
+    """slack < -tol, with tol the module's SANDWICH_TOL when it is called
+    unless given.  Floats, or arrays element by element."""
+    return slack < -(SANDWICH_TOL if tol is None else tol)
 
 
 DEFAULT_S_GRID = (-1.0, 0.0, 0.5, 2.0)
@@ -481,89 +493,59 @@ def bound_report(
     the trivial value of their kind (0 for lower, 1/2 for upper).
     """
     averages = problem_averages(problem, report_generators(s_grid))
-    return assemble_report(problem, s_grid, bayes_error(problem), averages)
+    lowers = {g.key: [_lower_from_average(g, averages[g.key])] for g in lower_generators(s_grid)}
+    columns = {key: [v] for key, v in averages.items()}
+    rows = report_rows(s_grid, [problem.p1], [problem.p2], columns, lowers, lambda j: problem)
+    entries = tuple(BoundEntry(name, kind, *column[0]) for name, kind, column in rows)
+    return BoundReport(exact_pe=bayes_error(problem), entries=entries)
 
 
-_REPORT_ROWS: dict = {}
+def report_rows(
+    s_grid: Sequence[float], p1: list, p2: list, averages: dict, lowers: dict, problem: Callable
+) -> List[Tuple[str, str, list]]:
+    """Stage 2 of a bound report: every bound of m problems, from their
+    posterior averages, as (name, kind, column) rows in canonical order.
 
-
-def _report_rows(s_grid: Sequence[float]) -> Tuple[tuple, tuple]:
-    """The rows a report on s_grid has after the Kailath and Toussaint rows:
-    (name, generator) of each family lower bound, then (name, generator,
-    "") of each upper bound, or (name, None, reason) where it does not exist.
-
-    Built once per grid, keyed by the orders' reprs: -0.0 == 0.0, but its
-    rows are named for -0.0.
+    p1 and p2 hold the m problems' priors.  `averages` maps each key of
+    report_generators(s_grid) to a list of their averages, and `lowers`
+    each key of lower_generators(s_grid) to a list of their (lower bound,
+    note) pairs, as lower_bounds or _lower_from_average gives them.
+    problem(j) is the j-th problem, asked for only where its priors are
+    equal (the Kailath bound).  A column lists the m problems' (value,
+    applicable, note) entries.  Row names show the orders as the grid has
+    them: -0.0 names its rows s=-0.0.
     """
-    key = tuple(map(repr, s_grid))
-    rows = _REPORT_ROWS.get(key)
-    if rows is not None:
-        return rows
-    lower = [
-        (f"{family}_lower(s={float(s)!r})", _family_generator(family, s))
-        for family in ("zeta", "xi")
-        for s in s_grid
+
+    def entries(pairs) -> list:
+        # from (value, note) pairs; a lower bound of None does not apply
+        return [(0.0, False, note) if v is None else (v, True, note) for v, note in pairs]
+
+    def upper(g: GeneratingFunction) -> list:
+        return entries(_upper_from_average(g, c) for c in averages[g.key])
+
+    j0 = _family_generator("zeta", 0.0).key
+    kailath = (_kailath(a, b, lambda: problem(j)) for j, (a, b) in enumerate(zip(p1, p2)))
+    rows = [
+        ("kailath", "lower", entries(kailath)),
+        ("toussaint_general", "lower", entries(map(_toussaint_general, p1, p2, averages[j0]))),
+        ("toussaint_inversion", "lower", [(v, True, "") for v, _ in lowers[j0]]),
     ]
-    upper = []
+    for family in ("zeta", "xi"):
+        for s in s_grid:
+            key = _family_generator(family, s).key
+            rows.append((f"{family}_lower(s={float(s)!r})", "lower", entries(lowers[key])))
     for family in ("zeta", "xi"):
         for s in s_grid:
             name = f"{family}_upper(s={float(s)!r})"
             try:
-                upper.append((name, _family_upper_generator(family, s), ""))
+                g = _family_upper_generator(family, s)
             except BoundUnavailable as exc:
-                upper.append((name, None, str(exc)))
-    upper += [(f"diff_upper({tag})", g, "") for tag, g in _difference_generators().items()]
-    rows = _REPORT_ROWS[key] = tuple(lower), tuple(upper)
+                rows.append((name, "upper", [(0.5, False, str(exc))] * len(p1)))
+            else:
+                rows.append((name, "upper", upper(g)))
+    for tag, g in _difference_generators().items():
+        rows.append((f"diff_upper({tag})", "upper", upper(g)))
     return rows
-
-
-def assemble_report(
-    problem: TwoClassProblem, s_grid: Sequence[float], pe: float, averages, lowers=None
-) -> BoundReport:
-    """Stage 2 of bound_report: every bound from the problem's posterior averages.
-
-    `averages` maps each key of report_generators(s_grid) to the problem's
-    average as a float.  `lowers` maps each key of lower_generators(s_grid)
-    to its lower bound and note, as lower_bounds gives them; without it
-    each lower bound bisects its generator once.
-    """
-    lowers = {} if lowers is None else lowers
-
-    def lower(g: GeneratingFunction) -> Tuple[float, str]:
-        if g.key not in lowers:
-            lowers[g.key] = _lower_from_average(g, averages[g.key])
-        return lowers[g.key]
-
-    entries: List[BoundEntry] = []
-
-    val, note = kailath_bound(problem)
-    if val is None:
-        entries.append(BoundEntry("kailath", "lower", 0.0, False, note))
-    else:
-        entries.append(BoundEntry("kailath", "lower", val, True, note))
-
-    j0 = _family_generator("zeta", 0.0)
-    general = _toussaint_general(problem, averages[j0.key])
-    if general is None:
-        entries.append(
-            BoundEntry("toussaint_general", "lower", 0.0, False, "radicand negative")
-        )
-    else:
-        entries.append(BoundEntry("toussaint_general", "lower", general, True, ""))
-    entries.append(BoundEntry("toussaint_inversion", "lower", lower(j0)[0], True, ""))
-
-    lower_rows, upper_rows = _report_rows(s_grid)
-    for name, g in lower_rows:
-        val, note = lower(g)
-        entries.append(BoundEntry(name, "lower", val, True, note))
-    for name, g, reason in upper_rows:
-        if g is None:
-            entries.append(BoundEntry(name, "upper", 0.5, False, reason))
-        else:
-            val, note = _upper_from_average(g, averages[g.key])
-            entries.append(BoundEntry(name, "upper", val, True, note))
-
-    return BoundReport(exact_pe=pe, entries=tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -66,16 +66,19 @@ class GeneratingFunction:
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# closed forms (a square is a product: numpy squares an array by
+# multiplying, while a float's ** 2 is libm's pow, which may round otherwise)
 # ---------------------------------------------------------------------------
 
 
 def _f_delta(u):
-    return (u - 1.0) ** 2 / (u + 1.0)
+    t = u - 1.0
+    return t * t / (u + 1.0)
 
 
 def _f_h(u):
-    return 0.5 * (np.sqrt(u) - 1.0) ** 2
+    t = np.sqrt(u) - 1.0
+    return 0.5 * (t * t)
 
 
 def _f_I(u):
@@ -91,7 +94,8 @@ def _f_J(u):
 
 
 def _f_psi(u):
-    return (u - 1.0) ** 2 * (u + 1.0) / u
+    t = u - 1.0
+    return t * t * (u + 1.0) / u
 
 
 def _f_4d(u):
@@ -247,9 +251,10 @@ def star(g: GeneratingFunction, x):
     if isinstance(x, (int, float)):
         if not 0.0 < x < 1.0:
             raise DomainError("star transform requires 0 < x < 1")
-        # Bisection calls this at every step: Python float arithmetic is
-        # several times cheaper than numpy scalars under errstate.  Only an
-        # overflow takes the array route.
+        # The pointwise forms call this per posterior, and bisection where
+        # its own form overflows: Python float arithmetic is several times
+        # cheaper than numpy scalars under errstate.  Only an overflow takes
+        # the array route.
         x = float(x)
         try:
             value = float(x * g.fn((1.0 - x) / x))

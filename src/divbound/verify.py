@@ -21,8 +21,9 @@ n, in trial order within a slab (kernel.FlatRows).  Every elementwise step
 (softmax, validation, the measure, Csiszar-sum and posterior terms) runs
 over the whole buffer, in chunks of rows; only the row sums run per slab.
 The sandwich suite then bisects each lower bound for all of a block's
-problems at once (bounds.lower_bounds) and assembles each problem's
-report on its own; the comparisons are evaluated on the block's arrays.
+problems at once (bounds.lower_bounds), assembles every bound of the block
+in one call (bounds.report_rows) and reduces the (problem, bound) slacks;
+the comparisons are evaluated on the block's arrays.
 Results are reduced in trial order, so the reports equal, byte for byte,
 checking one trial at a time with chain_check, measure_value, csiszar_sum,
 bound_report and comparison_check.
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -46,7 +48,8 @@ import numpy as np
 from .bounds import (
     COMPARISON_TAGS,
     TwoClassProblem,
-    assemble_report,
+    _sandwich_violated,
+    _slack,
     compare_averages,
     lower_bounds,
     lower_generators,
@@ -54,6 +57,7 @@ from .bounds import (
     posterior_arrays,
     posterior_averages,
     report_generators,
+    report_rows,
 )
 from .distributions import (
     PERMISSIVE,
@@ -83,11 +87,11 @@ SUITE_NAMES = (
 )
 
 # The order the suites are handed to worker processes: longest first, so
-# that the short ones fill in behind.  At --trials 10000 on one core the
-# suites take about 0.059, 0.039, 0.035, 0.009, 0.003 and 0.001 s in this
-# order, so two workers finish together: sandwich, csiszar_equiv and
-# comparisons on one, the two chains on the other (about 0.08 s each), and
-# star_transform on whichever is free first.
+# that the short ones fill in behind.  At --trials 10000 on one core of a
+# 2-vCPU x86 host the suites take about 0.14, 0.14, 0.12, 0.033, 0.014 and
+# 0.003 s (medians) in this order, so with two workers the two chains share
+# one (about 0.26 s), which sets the wall time, and the other four suites
+# the other (about 0.19 s).
 _LONGEST_FIRST = (
     "sandwich",
     "eq7_chain",
@@ -419,27 +423,31 @@ def _sandwich_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
     bisected = lower_generators(_VERIFY_S_GRID)
     for block in _problem_blocks(trials, rng):
         w1, w2, px, a2 = _posteriors(block)
-        pe = block.in_trial_order(min_mass_sum(w1, w2, block.rows.row_sum)).tolist()
+        pe = block.in_trial_order(min_mass_sum(w1, w2, block.rows.row_sum))
         averages = _averages(block, px, a2, gens)
+        p1 = block.in_trial_order(block.priors).tolist()
         # stage 2: each generator's bisections run for the whole block at once
-        lowers = {g.key: lower_bounds(g, averages[g.key]) for g in bisected}
-        averages = {key: rows.tolist() for key, rows in averages.items()}
-        for j, e in enumerate(pe):
+        rows = report_rows(
+            _VERIFY_S_GRID,
+            p1,
+            [1.0 - p for p in p1],
+            {key: values.tolist() for key, values in averages.items()},
+            {g.key: lower_bounds(g, averages[g.key]) for g in bisected},
+            partial(_checked_problem, block),
+        )
+        values = np.array([[e[0] for e in column] for _, _, column in rows])
+        applicable = np.array([[e[1] for e in column] for _, _, column in rows]).T
+        # (problem, bound) in trial order, as the bounds of one problem follow one another
+        slacks = np.array([_slack(kind, v, pe) for (_, kind, _), v in zip(rows, values)]).T
+        worst = min([worst, *slacks[applicable].tolist()])
+        violated = applicable & _sandwich_violated(slacks)
+        failing = violated.any(axis=-1)
+        failures += int(np.count_nonzero(failing))
+        if first is None and failing.any():
+            j = int(np.argmax(failing))
+            bad = [(rows[r][0], slacks[j, r].item()) for r in np.flatnonzero(violated[j])]
             problem = _checked_problem(block, j)
-            report = assemble_report(
-                problem,
-                _VERIFY_S_GRID,
-                e,
-                {key: rows[j] for key, rows in averages.items()},
-                {key: rows[j] for key, rows in lowers.items()},
-            )
-            for _, slack in report.slacks():
-                worst = min(worst, slack)
-            bad = report.sandwich_violations()
-            if bad:
-                failures += 1
-                if first is None:
-                    first = f"trial {block.start + j}: {_problem_text(problem)} violations={bad!r}"
+            first = f"trial {block.start + j}: {_problem_text(problem)} violations={bad!r}"
     return SuiteResult("sandwich", trials, failures, worst, first)
 
 

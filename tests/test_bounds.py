@@ -8,6 +8,8 @@ import oracle_reference as oracle
 from conftest import make_pair
 from divbound.bounds import (
     DEFAULT_S_GRID,
+    BoundEntry,
+    BoundReport,
     BoundUnavailable,
     InvalidPriors,
     TwoClassProblem,
@@ -319,6 +321,21 @@ def _bracket_points(seed, count=10_000):
     )
 
 
+def _report_from_rows(problem, grid, averages, lowers):
+    """The report that stage 2 gives for one problem from its averages and
+    its lower bounds."""
+    rows = bounds_mod.report_rows(
+        grid,
+        [problem.p1],
+        [problem.p2],
+        {key: [v] for key, v in averages.items()},
+        lowers,
+        lambda j: problem,
+    )
+    entries = tuple(BoundEntry(name, kind, *column[0]) for name, kind, column in rows)
+    return BoundReport(bayes_error(problem), entries)
+
+
 def _lockstep_equals_scalar(g, targets):
     got = bounds_mod.lower_bounds(g, np.array(targets, dtype=float))
     want = [bounds_mod._lower_from_average(g, float(v)) for v in targets]
@@ -329,10 +346,12 @@ class TestLockstepLowerBounds:
     """lower_bounds bisects many averages at once, with the bits of
     _lower_from_average on each."""
 
-    @pytest.mark.parametrize("family,s", LOCKSTEP_ORDERS)
+    @pytest.mark.parametrize("family,s", LOCKSTEP_ORDERS + [("D_IDelta", None)])
     def test_evaluator_is_the_float_path(self, family, s):
-        g = bounds_mod._family_generator(family, s)
-        points = _bracket_points(int(abs(s) * 1000) + len(family))
+        # a difference is not bisected, but its generator has the float
+        # bits on arrays too: its square is a product, its log numpy's
+        g = generator(family) if s is None else bounds_mod._family_generator(family, s)
+        points = _bracket_points(int(abs(s or 0.0) * 1000) + len(family))
         f = bounds_mod._bisected(g)
         got = bounds_mod._bisected_rows(g)(points)
         assert [repr(v) for v in got.tolist()] == [repr(f(a)) for a in points.tolist()]
@@ -373,11 +392,9 @@ class TestLockstepLowerBounds:
         gens = bounds_mod.lower_generators(DEFAULT_S_GRID)
         for g in gens:
             _lockstep_equals_scalar(g, [averages[g.key]] * 3)
-        lowers = {g.key: bounds_mod.lower_bounds(g, [averages[g.key]])[0] for g in gens}
-        pe = bayes_error(problem)
-        assert repr(
-            bounds_mod.assemble_report(problem, DEFAULT_S_GRID, pe, averages, lowers)
-        ) == repr(bound_report(problem))
+        lowers = {g.key: bounds_mod.lower_bounds(g, [averages[g.key]]) for g in gens}
+        got = _report_from_rows(problem, DEFAULT_S_GRID, averages, lowers)
+        assert repr(got) == repr(bound_report(problem))
 
     def test_no_targets(self):
         assert bounds_mod.lower_bounds(bounds_mod._family_generator("xi", 0.5), []) == []
@@ -558,7 +575,11 @@ class TestUpperBoundsNearTheDoubleRange:
         grid = (-1040.0,)
         averages = bounds_mod.problem_averages(problem, bounds_mod.report_generators(grid))
         averages["xi:-1040.0"] = math.inf
-        report = bounds_mod.assemble_report(problem, grid, bayes_error(problem), averages)
+        lowers = {
+            g.key: [bounds_mod._lower_from_average(g, averages[g.key])]
+            for g in bounds_mod.lower_generators(grid)
+        }
+        report = _report_from_rows(problem, grid, averages, lowers)
         entry = {e.name: e for e in report.entries}["xi_upper(s=-1040.0)"]
         assert (entry.value, entry.applicable, entry.note) == (
             0.5, True, "vacuous: averaged divergence is infinite"
@@ -627,6 +648,21 @@ class TestBoundReport:
             "diff_upper(D_hDelta)",
             "diff_upper(D_IDelta)",
         ]
+
+    def test_negative_zero_names_its_rows(self, flip_problem):
+        # -0.0 == 0.0, so each grid must name its rows afresh, not after
+        # whichever of the two came first
+        reports = [bound_report(flip_problem, (s, 0.5)) for s in (0.0, -0.0, 0.0)]
+        for report, label in zip(reports, ("0.0", "-0.0", "0.0")):
+            family_rows = [e.name for e in report.entries if e.name.startswith(("zeta_", "xi_"))]
+            assert family_rows == [
+                f"{family}_{kind}(s={s})"
+                for kind in ("lower", "upper")
+                for family in ("zeta", "xi")
+                for s in (label, "0.5")
+            ]
+        values = [[(e.value, e.applicable, e.note) for e in r.entries] for r in reports]
+        assert values[0] == values[1] == values[2]
 
     def test_degenerate_report(self, degenerate_problem):
         report = bound_report(degenerate_problem)

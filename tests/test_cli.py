@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -192,6 +194,41 @@ class TestSweepCommand:
             ["sweep", "--problem", files["prob"], "--family", "xi", "--s-grid=-1,0,1"],
         )
         assert code == 2
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN_PROBLEMS = ("equal_priors", "k16", "permissive", "overflow")
+GOLDEN_GRIDS = ("-1,0,0.5,2", "-1:2:7", "0,1e-7,1,0.9999999", "-1040,-1045,-1100,60,-60")
+
+
+def bounds_sweep_transcript() -> str:
+    """Each golden invocation of bounds and sweep, its exit code and its
+    machine output, run in this process one after another."""
+    out = []
+    for problem in GOLDEN_PROBLEMS:
+        path = str(DATA / f"problem_{problem}.txt")
+        argvs = [["bounds", "--problem", path, f"--s-grid={grid}"] for grid in GOLDEN_GRIDS]
+        argvs += [
+            ["sweep", "--problem", path, "--family", family, "--s-grid=-60:60:5"]
+            for family in ("zeta", "xi")
+        ]
+        for argv in argvs:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(argv + ["--format", "machine"])
+            shown = " ".join([argv[0], f"problem_{problem}.txt", *argv[3:]])
+            out.append(f"$ {shown}\nexit {code}\n{stdout.getvalue()}")
+    return "".join(out)
+
+
+def test_bounds_and_sweep_match_golden_file():
+    # captured from the per-problem report assembly that report_rows
+    # replaced.  numpy's log, exp and power loops give other bits at other
+    # SIMD levels, so like the verify golden files these digits may depend
+    # on the host: they were taken on x86 with AVX512, and also match with
+    # NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"
+    golden = DATA / "bounds_sweep_machine.txt"
+    assert bounds_sweep_transcript() == golden.read_text(encoding="utf-8")
 
 
 class TestVerifyCommand:

@@ -10,8 +10,8 @@ from conftest import make_pair, set_cpus
 from divbound import verify
 from divbound import bounds, kernel, measures
 from divbound.bounds import (
+    BoundEntry,
     TwoClassProblem,
-    assemble_report,
     bayes_error,
     bound_report,
     comparison_check,
@@ -20,6 +20,7 @@ from divbound.bounds import (
     min_mass_sum,
     problem_averages,
     report_generators,
+    report_rows,
 )
 from divbound.distributions import STRICT, NegativeEntry, ZeroEntry
 from divbound.generators import CATALOG_KEYS, csiszar_sum, generator
@@ -389,39 +390,47 @@ def test_first_failure_names_a_later_trial_and_its_rows(monkeypatch, cells):
     set_cpus(monkeypatch, 2)
     monkeypatch.setattr(measures, "CHAIN_TOL", -1e-5)
     monkeypatch.setattr(bounds, "COMPARISON_TOL", -1e-4)
+    monkeypatch.setattr(bounds, "SANDWICH_TOL", -5e-3)
     if cells is not None:
         monkeypatch.setattr(verify, "BLOCK_CELLS", cells)
     got = run_verify(500, 6)
     want = reference_verify(500, 6)
     assert _exact(got) == _exact(want)
-    for r in (got[0], got[1], got[5]):
+    for r in (got[0], got[1], got[4], got[5]):
         assert 0 < r.failures < r.checks
         assert not r.first_failure.startswith("trial 0:")
-    # the named pair is not the first row of its block
-    i = int(got[0].first_failure.split(":")[0].split()[1])
-    for block in verify._pair_blocks(500, np.random.default_rng([6, 0]), 64):
-        if block.start <= i < block.start + len(block):
-            assert block.rank[i - block.start] != i - block.start
+    # the named pair and the named problem are not the first rows of their blocks
+    for r, blocks in (
+        (got[0], verify._pair_blocks(500, np.random.default_rng([6, 0]), 64)),
+        (got[4], verify._problem_blocks(50, np.random.default_rng([6, 3]))),
+    ):
+        i = int(r.first_failure.split(":")[0].split()[1])
+        (block,) = [b for b in blocks if b.start <= i < b.start + len(b)]
+        assert block.rank[i - block.start] != i - block.start
 
 
 def test_sandwich_reports_equal_bound_report():
-    # stage 2 with the lockstep lower bounds gives each problem's bound_report
+    # stage 2 of a block, with the lockstep lower bounds, gives each
+    # problem's bound_report in its column
     grid = verify._VERIFY_S_GRID
     gens = report_generators(grid)
     checked = 0
     for block in verify._problem_blocks(300, np.random.default_rng(21)):
         pe, averages = _stage_one(block, gens)
-        lowers = {g.key: lower_bounds(g, averages[g.key]) for g in lower_generators(grid)}
+        p1 = [block.prior(j) for j in range(len(block))]
+        rows = report_rows(
+            grid,
+            p1,
+            [1.0 - p for p in p1],
+            {key: values.tolist() for key, values in averages.items()},
+            {g.key: lower_bounds(g, averages[g.key]) for g in lower_generators(grid)},
+            lambda j: verify._checked_problem(block, j),
+        )
         for j in range(len(block)):
-            problem = verify._checked_problem(block, j)
-            report = assemble_report(
-                problem,
-                grid,
-                float(pe[j]),
-                {key: float(rows[j]) for key, rows in averages.items()},
-                {key: rows[j] for key, rows in lowers.items()},
-            )
-            assert repr(report) == repr(bound_report(problem, grid))
+            report = bound_report(verify._checked_problem(block, j), grid)
+            assert float(pe[j]) == report.exact_pe
+            entries = tuple(BoundEntry(name, kind, *column[j]) for name, kind, column in rows)
+            assert repr(entries) == repr(report.entries)
             checked += 1
     assert checked == 300
 
