@@ -18,7 +18,9 @@ certified lower and upper error bounds:
     too large for a double gives the vacuous bound 1/2, flagged.
 
 Every posterior form is the star transform f*(a) = a f((1-a)/a) of the
-catalog generator; nothing here restates a generator in closed form.
+catalog generator, evaluated by generators (star_extended for averages,
+float_star and float_star_array for bisections); this module averages,
+inverts and assembles, and restates no generator or form of f*.
 Outcomes with zero marginal mass are excluded from every expectation.
 """
 
@@ -37,7 +39,7 @@ from .distributions import (
     ValidationFailure,
     validate,
 )
-from .generators import _FAMILY_FNS, LN2, GeneratingFunction, generator, star, star_extended
+from .generators import LN2, GeneratingFunction, float_star, float_star_array, generator, star_extended
 from .kernel import (
     ArgumentError,
     DivboundError,
@@ -46,7 +48,7 @@ from .kernel import (
     invert_decreasing_rows,
     row_sum,
 )
-from .measures import DIFF_TAGS, FAMILY_TAGS, MeasureId, _limit_base, zeta as zeta_measure
+from .measures import DIFF_TAGS, FAMILY_TAGS, MeasureId, zeta as zeta_measure
 
 PRIOR_TOL = 1e-12
 SANDWICH_TOL = 1e-10
@@ -206,75 +208,6 @@ def average_f_divergence(problem: TwoClassProblem, g: GeneratingFunction) -> flo
 # lower bounds
 # ---------------------------------------------------------------------------
 
-
-def _bisected(g: GeneratingFunction) -> Callable[[float], float]:
-    """star(g, a) for a float a in the bisection bracket, without star's
-    per-call type and domain checks: the bracket lies inside (0, 1).  An
-    overflow goes to star, which takes the mirrored form."""
-    fn = g.fn
-    inf = math.inf
-
-    def f(a: float) -> float:
-        try:
-            value = float(a * fn((1.0 - a) / a))
-        except OverflowError:
-            return star(g, a)
-        return star(g, a) if value == inf else value
-
-    return f
-
-
-def _float_pow(u: np.ndarray, e: float) -> np.ndarray:
-    """u ** e with Python's float power (libm's pow), element by element,
-    and nan where it overflows.  numpy's array power differs from it on
-    some points: its square, sqrt and reciprocal fast paths and its SIMD
-    pow are not libm's pow."""
-    x = u.tolist()
-    try:
-        return np.array([v**e for v in x])
-    except ArithmeticError:
-        return np.array([_pow_or_nan(v, e) for v in x])
-
-
-def _pow_or_nan(v: float, e: float) -> float:
-    try:
-        return v**e
-    except ArithmeticError:
-        return math.nan
-
-
-def _float_form(g: GeneratingFunction) -> Callable:
-    """g.fn for arrays, with the bits g.fn has on each float.
-
-    A family member at a regular order takes its powers with _float_pow.
-    Every other generator (J, I and T at the limit orders, the base
-    measures and the differences) is numpy arithmetic, log and sqrt, which
-    give an array the bits they give a float.
-    """
-    mid = MeasureId.parse(g.key)
-    if mid.tag in FAMILY_TAGS and _limit_base(mid.tag, mid.s) is None:
-        return _FAMILY_FNS[mid.tag](mid.s, _float_pow)
-    return g.fn
-
-
-def _bisected_rows(g: GeneratingFunction) -> Callable[[np.ndarray], np.ndarray]:
-    """_bisected(g) on an array of bracket points, bit for bit per element:
-    the float form in numpy, and _bisected(g) itself on each point whose
-    value is not finite (a power or the product overflowed)."""
-    scalar = _bisected(g)
-    fn = _float_form(g)
-
-    def f(a: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = a * fn((1.0 - a) / a)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = [scalar(x) for x in a[bad].tolist()]
-        return out
-
-    return f
-
-
 _INFINITE_AVERAGE = "vacuous: averaged divergence is infinite"
 
 
@@ -289,7 +222,7 @@ def _clamped_lower(val: float, average: float) -> Tuple[float, str]:
 
 
 def _lower_from_average(g: GeneratingFunction, v: float) -> Tuple[float, str]:
-    val = 0.0 if math.isinf(v) else invert_decreasing(_bisected(g), v, LOWER_BRACKET_LO, 0.5)
+    val = 0.0 if math.isinf(v) else invert_decreasing(float_star(g), v, LOWER_BRACKET_LO, 0.5)
     return _clamped_lower(val, v)
 
 
@@ -299,7 +232,7 @@ def lower_bounds(g: GeneratingFunction, averages: np.ndarray) -> List[Tuple[floa
     v = np.asarray(averages, dtype=float)
     finite = ~np.isinf(v)  # a nan raises invert_decreasing's error
     vals = np.zeros(v.shape)
-    vals[finite] = invert_decreasing_rows(_bisected_rows(g), v[finite], LOWER_BRACKET_LO, 0.5)
+    vals[finite] = invert_decreasing_rows(float_star_array(g), v[finite], LOWER_BRACKET_LO, 0.5)
     return list(map(_clamped_lower, vals.tolist(), v.tolist()))
 
 

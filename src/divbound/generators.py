@@ -13,6 +13,11 @@ error.  Finiteness of f_inf is what gates the existence of that bound.
 The catalog is closed: base measures, the two families at any order s (at
 a limit order, the base generator that measures._limit_base names), and
 the six difference measures (the pointwise combinations of _DIFF_COMBOS).
+
+Every evaluation of f* in the package runs here, through one body per
+argument kind: _star_float on a float, _star_array on an array, and the
+form of float_star_array, which gives each point of a lockstep bisection
+the bits _star_float gives it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Union
 
 import numpy as np
@@ -106,7 +111,7 @@ def _f_d(u):
     return 0.25 * _f_4d(u)
 
 
-# The family forms take their power as a parameter: bounds._float_form
+# The family forms take their power as a parameter: float_star_array
 # evaluates them on arrays with Python's float power, which numpy's array
 # power does not always match bit for bit.
 
@@ -251,29 +256,88 @@ def star(g: GeneratingFunction, x):
     if isinstance(x, (int, float)):
         if not 0.0 < x < 1.0:
             raise DomainError("star transform requires 0 < x < 1")
-        # The pointwise forms call this per posterior, and bisection where
-        # its own form overflows: Python float arithmetic is several times
-        # cheaper than numpy scalars under errstate.  Only an overflow takes
-        # the array route.
-        x = float(x)
-        try:
-            value = float(x * g.fn((1.0 - x) / x))
-            if value != INF:
-                return value
-        except OverflowError:
-            pass
+        return _star_float(g.fn, float(x))
     arr = np.asarray(x, dtype=float)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise DomainError("star transform requires 0 < x < 1")
+    out = _star_array(g.fn, arr)
+    return float(out) if out.ndim == 0 else out
+
+
+def _star_float(fn: Callable, x: float) -> float:
+    """f* of generator fn at a float in (0, 1), unchecked, in Python float
+    arithmetic: the pointwise forms and the bisections call it per point,
+    and it is several times cheaper than numpy scalars under errstate.
+    Only a form that overflows takes _star_array."""
+    try:
+        value = float(x * fn((1.0 - x) / x))
+        if value != INF:
+            return value
+    except OverflowError:
+        pass
+    return float(_star_array(fn, np.asarray(x, dtype=float)))
+
+
+def _star_array(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """f* of generator fn on an array (0-d included) of points in (0, 1),
+    unchecked: the form, then the mirrored form where the form is +inf."""
     with np.errstate(over="ignore"):
-        out = np.asarray(arr * g.fn((1.0 - arr) / arr))  # 0-d stays an array
+        out = np.asarray(x * fn((1.0 - x) / x))  # 0-d stays an array
         over = out == INF
         if over.any():
-            y = arr[over]
-            out[over] = (1.0 - y) * g.fn(y / (1.0 - y))
-    if out.ndim == 0:
-        return float(out)
+            y = x[over]
+            out[over] = (1.0 - y) * fn(y / (1.0 - y))
     return out
+
+
+def float_star(g: GeneratingFunction) -> Callable[[float], float]:
+    """star(g, .) on floats in (0, 1), without star's per-call type and
+    domain checks: the function a bisection inside (0, 1) evaluates."""
+    return partial(_star_float, g.fn)
+
+
+def _float_pow(u: np.ndarray, e: float) -> np.ndarray:
+    """u ** e with Python's float power (libm's pow), element by element,
+    and nan where it overflows.  numpy's array power differs from it on
+    some points: its square, sqrt and reciprocal fast paths and its SIMD
+    pow are not libm's pow."""
+    x = u.tolist()
+    try:
+        return np.array([v**e for v in x])
+    except ArithmeticError:
+        return np.array([_pow_or_nan(v, e) for v in x])
+
+
+def _pow_or_nan(v: float, e: float) -> float:
+    try:
+        return v**e
+    except ArithmeticError:
+        return math.nan
+
+
+def float_star_array(g: GeneratingFunction) -> Callable[[np.ndarray], np.ndarray]:
+    """float_star(g) on an array of points in (0, 1), bit for bit per point.
+
+    The form runs in numpy, a family member at a regular order taking its
+    powers with _float_pow; every other generator is numpy arithmetic, log
+    and sqrt, which give an array the bits they give a float.  A point
+    whose value is not finite (a power or the product overflowed) takes
+    _star_float.
+    """
+    mid = MeasureId.parse(g.key)
+    fn = g.fn
+    if mid.tag in FAMILY_TAGS and _limit_base(mid.tag, mid.s) is None:
+        fn = _FAMILY_FNS[mid.tag](mid.s, _float_pow)
+
+    def f(x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = x * fn((1.0 - x) / x)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = [_star_float(g.fn, v) for v in x[bad].tolist()]
+        return out
+
+    return f
 
 
 def star_extended(g: GeneratingFunction, x):

@@ -34,10 +34,11 @@ from divbound.bounds import (
     zeta_point,
 )
 from divbound import bounds as bounds_mod
+from divbound import generators as generators_mod
 from divbound import kernel
 from divbound.distributions import ValidationFailure
 from divbound.kernel import DomainError, invert_decreasing
-from divbound.generators import generator, star, xi_f_inf
+from divbound.generators import float_star, float_star_array, generator, star, xi_f_inf
 from divbound.measures import DIFF_TAGS, MeasureId
 
 LN2 = math.log(2.0)
@@ -292,7 +293,7 @@ class TestLowerBounds:
     )
     def test_bisected_function_is_star(self, family, s):
         g = bounds_mod._family_generator(family, s)
-        f = bounds_mod._bisected(g)
+        f = float_star(g)
         lo = bounds_mod.LOWER_BRACKET_LO
         for a in (lo, 1e-9, 0.01, 0.2, 0.3, 0.4999, 0.5):
             assert repr(f(a)) == repr(star(g, a)), a  # inf where a power overflows
@@ -352,28 +353,28 @@ class TestLockstepLowerBounds:
         # bits on arrays too: its square is a product, its log numpy's
         g = generator(family) if s is None else bounds_mod._family_generator(family, s)
         points = _bracket_points(int(abs(s or 0.0) * 1000) + len(family))
-        f = bounds_mod._bisected(g)
-        got = bounds_mod._bisected_rows(g)(points)
+        f = float_star(g)
+        got = float_star_array(g)(points)
         assert [repr(v) for v in got.tolist()] == [repr(f(a)) for a in points.tolist()]
 
     @pytest.mark.parametrize("family,s", OVERFLOW_ORDERS)
     def test_overflowed_points_take_the_scalar_path(self, monkeypatch, family, s):
         g = bounds_mod._family_generator(family, s)
         calls = []
+        star_float = generators_mod._star_float
 
-        def counting(g):
-            f = bisected(g)
-            return lambda a: calls.append(a) or f(a)
+        def counting(fn, a):
+            calls.append(a)
+            return star_float(fn, a)
 
-        bisected = bounds_mod._bisected
-        monkeypatch.setattr(bounds_mod, "_bisected", counting)
-        bounds_mod._bisected_rows(g)(_bracket_points(1, 1000))
+        monkeypatch.setattr(generators_mod, "_star_float", counting)
+        float_star_array(g)(_bracket_points(1, 1000))
         assert calls
 
     @pytest.mark.parametrize("family,s", LOCKSTEP_ORDERS)
     def test_equals_scalar_inversion(self, family, s):
         g = bounds_mod._family_generator(family, s)
-        f = bounds_mod._bisected(g)
+        f = float_star(g)
         f_lo, f_half = f(LO), f(0.5)
         rng = np.random.default_rng(7)
         targets = [math.inf, f_half, math.nextafter(f_half, -math.inf), f_half - 1.0, -1e300]

@@ -14,6 +14,7 @@ from divbound import cli
 from divbound import verify as verify_mod
 from divbound.cli import main
 from divbound.distributions import validate
+from divbound.formats import fmt_real
 from divbound.measures import measure_value
 
 
@@ -87,6 +88,14 @@ class TestMeasureCommand:
         assert code == 2
         assert "usage" in err
 
+    def test_unknown_family_exits_2(self, capsys, files):
+        code, out, err = run(
+            capsys, ["measure", "--p", files["p"], "--q", files["q"], "--measure", "theta:1"]
+        )
+        assert (code, out, err) == (
+            2, "", "usage error: unknown family 'theta' in measure spec 'theta:1'\n"
+        )
+
     def test_flagged_infinity_prints_inf(self, capsys, files, tmp_path):
         z = tmp_path / "z.txt"
         z.write_text("0.0 1.0\n")
@@ -152,6 +161,32 @@ class TestBoundsCommand:
         code, out, err = run(capsys, ["bounds", "--problem", str(f)])
         assert (code, out, err) == (3, "", "validation error: entry 1 is negative (-0.2)\n")
 
+    def test_non_finite_priors_exit_3(self, capsys, tmp_path):
+        f = tmp_path / "prob.txt"
+        f.write_text("priors: nan nan\ncond1: 0.4 0.6\ncond2: 0.4 0.6\n")
+        code, out, err = run(capsys, ["bounds", "--problem", str(f)])
+        assert (code, out, err) == (3, "", "validation error: priors must be finite\n")
+
+    def test_bad_grid_list_exits_2(self, capsys, files):
+        code, out, err = run(capsys, ["bounds", "--problem", files["prob"], "--s-grid=0.5,abc"])
+        assert (code, out, err) == (2, "", "parse error: --s-grid: bad grid list '0.5,abc'\n")
+
+    def test_sandwich_violation_exits_1(self, capsys, monkeypatch, files):
+        # a negative tolerance counts every applicable bound as a violation
+        argv = ["bounds", "--problem", files["prob"], "--format", "machine"]
+        code, plain, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        monkeypatch.setattr(bounds_mod, "SANDWICH_TOL", -1.0)
+        flip = bounds_mod.TwoClassProblem.from_arrays((0.5, 0.5), [0.8, 0.2], [0.2, 0.8])
+        report = bounds_mod.bound_report(flip)
+        violations = report.sandwich_violations()
+        assert [name for name, _ in violations] == [e.name for e in report.entries if e.applicable]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (cli.EXIT_VIOLATION, plain)
+        assert err == "".join(
+            f"sandwich violation: {name} slack={fmt_real(slack)}\n" for name, slack in violations
+        )
+
 
 class TestSweepCommand:
     def test_xi_sweep_has_frozen_upper_at_zero(self, capsys, files):
@@ -197,6 +232,17 @@ class TestSweepCommand:
 
 
 DATA = Path(__file__).parent / "data"
+
+
+def numpy_runtime() -> str:
+    """numpy's version and SIMD dispatch, as numpy.show_runtime() prints
+    them: a golden-file mismatch says which dispatch level it ran under."""
+    shown = io.StringIO()
+    with contextlib.redirect_stdout(shown):
+        np.show_runtime()
+    return shown.getvalue()
+
+
 GOLDEN_PROBLEMS = ("equal_priors", "k16", "permissive", "overflow")
 GOLDEN_GRIDS = ("-1,0,0.5,2", "-1:2:7", "0,1e-7,1,0.9999999", "-1040,-1045,-1100,60,-60")
 
@@ -228,7 +274,7 @@ def test_bounds_and_sweep_match_golden_file():
     # on the host: they were taken on x86 with AVX512, and also match with
     # NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"
     golden = DATA / "bounds_sweep_machine.txt"
-    assert bounds_sweep_transcript() == golden.read_text(encoding="utf-8")
+    assert bounds_sweep_transcript() == golden.read_text(encoding="utf-8"), numpy_runtime()
 
 
 class TestVerifyCommand:
@@ -252,6 +298,10 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, ["verify", "--trials", "0"])
         assert code == 2
 
+    def test_n_max_below_two_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["verify", "--n-max", "1"])
+        assert (code, out, err) == (2, "", "usage error: --n-max must be >= 2, got 1\n")
+
     def test_corruption_hook_exits_1(self, capsys, monkeypatch):
         monkeypatch.setenv("DIVBOUND_VERIFY_CORRUPT", "1")
         code, _, err = run(capsys, ["verify", "--trials", "5", "--seed", "3"])
@@ -269,7 +319,7 @@ class TestVerifyCommand:
             capture_output=True, timeout=300, env=env,
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout == golden.read_bytes()
+        assert run.stdout == golden.read_bytes(), numpy_runtime()
 
     def test_long_rows_match_golden_file(self):
         # rows of up to 300 cells, past the 128 cells numpy sums with eight
@@ -282,7 +332,7 @@ class TestVerifyCommand:
             capture_output=True, timeout=300, env=env,
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout == golden.read_bytes()
+        assert run.stdout == golden.read_bytes(), numpy_runtime()
 
     def test_validation_failure_in_a_worker_exits_3(self, capsys, monkeypatch):
         # unnormalised draws fail validation in every drawn suite; from the

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_pair, set_cpus
-from divbound import verify
+from divbound import cli, verify
 from divbound import bounds, kernel, measures
 from divbound.bounds import (
     BoundEntry,
@@ -23,7 +23,7 @@ from divbound.bounds import (
     report_rows,
 )
 from divbound.distributions import STRICT, NegativeEntry, ZeroEntry
-from divbound.generators import CATALOG_KEYS, csiszar_sum, generator
+from divbound.generators import CATALOG_KEYS, csiszar_sum, generator, star, star_symmetry_defect
 from divbound.kernel import ArgumentError
 from divbound.measures import _chain_report, chain_check, measure_value
 from divbound.verify import (
@@ -534,3 +534,33 @@ def test_daemonic_caller_runs_serially(monkeypatch):
     assert proc.exitcode == 0
     set_cpus(monkeypatch, 1)
     assert got == _exact(run_verify(300, 5))
+
+
+@pytest.mark.parametrize(
+    "tols", [("STAR_HALF_TOL",), ("STAR_SYM_TOL",), ("STAR_SYM_TOL", "STAR_HALF_TOL")]
+)
+def test_star_suite_echoes_its_first_failure(monkeypatch, capsys, tols):
+    # a negative tolerance fails its check on every catalog key
+    index = SUITE_NAMES.index("star_transform")
+    set_cpus(monkeypatch, 1)
+    clean = run_verify(20, 1)
+    for tol in tols:
+        monkeypatch.setattr(verify, tol, -1.0)
+    g = generator(CATALOG_KEYS[0])
+    problems = {  # in the suite's order
+        "STAR_SYM_TOL": f"symmetry defect {star_symmetry_defect(g)!r}",
+        "STAR_HALF_TOL": f"f*(1/2) = {abs(star(g, 0.5))!r}",
+    }
+    first = f"key={g.key}: " + "; ".join(text for tol, text in problems.items() if tol in tols)
+    checks, worst = clean[index].checks, clean[index].worst
+    want = SuiteResult("star_transform", checks, len(CATALOG_KEYS), worst, first)
+    runs = []
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        runs.append(run_verify(20, 1))
+    assert _exact(runs[0]) == _exact(runs[1])
+    assert runs[0][index] == want
+    assert runs[0][:index] + runs[0][index + 1 :] == clean[:index] + clean[index + 1 :]
+    assert cli.main(["verify", "--trials", "20", "--seed", "1", "--format", "machine"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"seed 1: 1 suite(s) failed\nstar_transform: {first}\n"
