@@ -20,7 +20,10 @@ certified lower and upper error bounds:
 Every posterior form is the star transform f*(a) = a f((1-a)/a) of the
 catalog generator, evaluated by generators (star_extended for averages,
 float_star and float_star_array for bisections); this module averages,
-inverts and assembles, and restates no generator or form of f*.
+inverts and assembles, and restates no generator or form of f*.  Every
+lower bound is inverted by lower_bounds, which report_rows calls for a
+whole block of problems: it bisects one average in floats and two or more
+in lockstep, with the same bits either way.
 Outcomes with zero marginal mass are excluded from every expectation.
 """
 
@@ -221,16 +224,21 @@ def _clamped_lower(val: float, average: float) -> Tuple[float, str]:
     return val, ""
 
 
-def _lower_from_average(g: GeneratingFunction, v: float) -> Tuple[float, str]:
-    val = 0.0 if math.isinf(v) else invert_decreasing(float_star(g), v, LOWER_BRACKET_LO, 0.5)
-    return _clamped_lower(val, v)
+def lower_bounds(g: GeneratingFunction, averages: Sequence[float]) -> List[Tuple[float, str]]:
+    """The (lower bound, note) of each posterior average of g: f* of g
+    bisected at the average, or 0 where the average is infinite.
 
-
-def lower_bounds(g: GeneratingFunction, averages: np.ndarray) -> List[Tuple[float, str]]:
-    """_lower_from_average(g, v) for each average v, bit for bit, with the
-    bisections of all of them run in lockstep (invert_decreasing_rows)."""
+    One average is bisected by invert_decreasing on float_star(g), two or
+    more in lockstep by invert_decreasing_rows on float_star_array(g); the
+    bits are the same either way, and each loop is the faster at its
+    count.  A nan average raises the bisection's DomainError.
+    """
+    if len(averages) == 1:
+        v = float(averages[0])
+        val = 0.0 if math.isinf(v) else invert_decreasing(float_star(g), v, LOWER_BRACKET_LO, 0.5)
+        return [_clamped_lower(val, v)]
     v = np.asarray(averages, dtype=float)
-    finite = ~np.isinf(v)  # a nan raises invert_decreasing's error
+    finite = ~np.isinf(v)
     vals = np.zeros(v.shape)
     vals[finite] = invert_decreasing_rows(float_star_array(g), v[finite], LOWER_BRACKET_LO, 0.5)
     return list(map(_clamped_lower, vals.tolist(), v.tolist()))
@@ -242,7 +250,7 @@ def lower_bound_family(problem: TwoClassProblem, family: str, s) -> Tuple[float,
     Returns (value, note); the note flags vacuous or near-vacuous results.
     """
     g = _family_generator(family, s)
-    return _lower_from_average(g, average_f_divergence(problem, g))
+    return lower_bounds(g, [average_f_divergence(problem, g)])[0]
 
 
 def kailath_bound(problem: TwoClassProblem) -> Tuple[Optional[float], str]:
@@ -275,7 +283,7 @@ def toussaint_bounds(problem: TwoClassProblem) -> Tuple[Optional[float], float]:
     """(general square-root bound or None, sharper bound via J-inversion)."""
     g = _family_generator("zeta", 0.0)
     jbar = average_f_divergence(problem, g)
-    return _toussaint_general(problem.p1, problem.p2, jbar)[0], _lower_from_average(g, jbar)[0]
+    return _toussaint_general(problem.p1, problem.p2, jbar)[0], lower_bounds(g, [jbar])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +354,7 @@ def family_bounds(
         upper = _upper_from_average(_family_upper_generator(family, s), v)
     except BoundUnavailable:
         upper = None
-    return v, _lower_from_average(g, v), upper
+    return v, lower_bounds(g, [v])[0], upper
 
 
 # ---------------------------------------------------------------------------
@@ -426,27 +434,26 @@ def bound_report(
     the trivial value of their kind (0 for lower, 1/2 for upper).
     """
     averages = problem_averages(problem, report_generators(s_grid))
-    lowers = {g.key: [_lower_from_average(g, averages[g.key])] for g in lower_generators(s_grid)}
     columns = {key: [v] for key, v in averages.items()}
-    rows = report_rows(s_grid, [problem.p1], [problem.p2], columns, lowers, lambda j: problem)
+    rows = report_rows(s_grid, [problem.p1], [problem.p2], columns, lambda j: problem)
     entries = tuple(BoundEntry(name, kind, *column[0]) for name, kind, column in rows)
     return BoundReport(exact_pe=bayes_error(problem), entries=entries)
 
 
 def report_rows(
-    s_grid: Sequence[float], p1: list, p2: list, averages: dict, lowers: dict, problem: Callable
+    s_grid: Sequence[float], p1: list, p2: list, averages: dict, problem: Callable
 ) -> List[Tuple[str, str, list]]:
     """Stage 2 of a bound report: every bound of m problems, from their
     posterior averages, as (name, kind, column) rows in canonical order.
 
-    p1 and p2 hold the m problems' priors.  `averages` maps each key of
-    report_generators(s_grid) to a list of their averages, and `lowers`
-    each key of lower_generators(s_grid) to a list of their (lower bound,
-    note) pairs, as lower_bounds or _lower_from_average gives them.
-    problem(j) is the j-th problem, asked for only where its priors are
-    equal (the Kailath bound).  A column lists the m problems' (value,
-    applicable, note) entries.  Row names show the orders as the grid has
-    them: -0.0 names its rows s=-0.0.
+    p1 and p2 hold the m problems' priors, and `averages` maps each key of
+    report_generators(s_grid) to a list of their averages.  The lower
+    bounds are lower_bounds of the averages of each of
+    lower_generators(s_grid), all m of them at once.  problem(j) is the
+    j-th problem, asked for only where its priors are equal (the Kailath
+    bound).  A column lists the m problems' (value, applicable, note)
+    entries.  Row names show the orders as the grid has them: -0.0 names
+    its rows s=-0.0.
     """
 
     def entries(pairs) -> list:
@@ -456,6 +463,7 @@ def report_rows(
     def upper(g: GeneratingFunction) -> list:
         return entries(_upper_from_average(g, c) for c in averages[g.key])
 
+    lowers = {g.key: lower_bounds(g, averages[g.key]) for g in lower_generators(s_grid)}
     j0 = _family_generator("zeta", 0.0).key
     kailath = (_kailath(a, b, lambda: problem(j)) for j, (a, b) in enumerate(zip(p1, p2)))
     rows = [

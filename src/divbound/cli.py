@@ -75,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, metavar="FILE")
     p.add_argument(
         "--s-grid",
-        default="-1,0,0.5,2",
         help="family orders: list a,b,... or range a:b:n (write --s-grid=-1,... for negative values)",
     )
     p.add_argument("--format", choices=("table", "machine"), default="table")
@@ -121,7 +120,7 @@ def _problem_from_file(path: str) -> _bounds.TwoClassProblem:
 
 def _cmd_bounds(args) -> int:
     problem = _problem_from_file(args.problem)
-    s_grid = parse_s_grid(args.s_grid)
+    s_grid = _bounds.DEFAULT_S_GRID if args.s_grid is None else parse_s_grid(args.s_grid)
     report = _bounds.bound_report(problem, s_grid)
     rows = [("bayes_error", "exact", fmt_real(report.exact_pe), "true", "")]
     rows.extend(

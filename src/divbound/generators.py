@@ -32,7 +32,6 @@ import numpy as np
 
 from .distributions import STRICT, DiscreteDistribution, require_same_alphabet
 from .kernel import (
-    ArgumentError,
     DivboundError,
     DomainError,
     OrderParameter,
@@ -230,12 +229,11 @@ def _build(tag: str, s: float | None) -> GeneratingFunction:
             fn=_combo_fn(combo),
             f_infinity=sum(c * _BASE_SPECS[base][1] for c, base in combo),
         )
-    if tag in FAMILY_TAGS:
-        op = OrderParameter.of(s)
-        base = _limit_base(tag, op)
-        fn = _FAMILY_FNS[tag](op.s) if base is None else _BASE_SPECS[base][0]
-        return GeneratingFunction(key=f"{tag}:{s!r}", fn=fn, f_infinity=_FAMILY_F_INF[tag](op))
-    raise ArgumentError(f"unknown generator key {tag!r}")
+    # a family tag: MeasureId admits no other
+    op = OrderParameter.of(s)
+    base = _limit_base(tag, op)
+    fn = _FAMILY_FNS[tag](op.s) if base is None else _BASE_SPECS[base][0]
+    return GeneratingFunction(key=f"{tag}:{s!r}", fn=fn, f_infinity=_FAMILY_F_INF[tag](op))
 
 
 def generator(measure: Union[MeasureId, str]) -> GeneratingFunction:

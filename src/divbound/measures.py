@@ -373,11 +373,6 @@ def _measure_id(measure: Union[MeasureId, str]) -> MeasureId:
     return measure if isinstance(measure, MeasureId) else MeasureId.parse(measure)
 
 
-def measure_rows(mid: MeasureId, p: np.ndarray, q: np.ndarray):
-    """Any measure on raw mass arrays, reduced over the last axis like the kernels."""
-    return BaseSums(p, q).measure(mid)
-
-
 def _value(mid: MeasureId, P: DiscreteDistribution, Q: DiscreteDistribution) -> float:
     return float(_pair_sums(P, Q).measure(mid))
 
@@ -446,11 +441,6 @@ _CHAIN_LINKS = {
     ),
 }
 CHAIN_LABELS = {which: tuple(link[0] for link in links) for which, links in _CHAIN_LINKS.items()}
-
-
-def chain_values(which: str, p: np.ndarray, q: np.ndarray) -> list:
-    """The values of one chain, in CHAIN_LABELS order, reduced over the last axis."""
-    return BaseSums(p, q).chain(which)
 
 
 def chain_slack(values: np.ndarray):

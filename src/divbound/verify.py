@@ -20,9 +20,9 @@ size k for the bound suites) into C-contiguous (m, n) slabs by ascending
 n, in trial order within a slab (kernel.FlatRows).  Every elementwise step
 (softmax, validation, the measure, Csiszar-sum and posterior terms) runs
 over the whole buffer, in chunks of rows; only the row sums run per slab.
-The sandwich suite then bisects each lower bound for all of a block's
-problems at once (bounds.lower_bounds), assembles every bound of the block
-in one call (bounds.report_rows) and reduces the (problem, bound) slacks;
+The sandwich suite then assembles every bound of the block in one call
+(bounds.report_rows, whose lower_bounds bisects each lower bound for all
+of the block's problems at once) and reduces the (problem, bound) slacks;
 the comparisons are evaluated on the block's arrays.
 Results are reduced in trial order, so the reports equal, byte for byte,
 checking one trial at a time with chain_check, measure_value, csiszar_sum,
@@ -47,12 +47,11 @@ import numpy as np
 
 from .bounds import (
     COMPARISON_TAGS,
+    DEFAULT_S_GRID,
     TwoClassProblem,
     _sandwich_violated,
     _slack,
     compare_averages,
-    lower_bounds,
-    lower_generators,
     min_mass_sum,
     posterior_arrays,
     posterior_averages,
@@ -107,8 +106,6 @@ STAR_HALF_TOL = 1e-14
 # The expensive suites run at a tenth of the chain trial count, matching
 # the scales the invariants are stated at (1e4 chains vs 1e3 problems).
 REDUCED_FACTOR = 10
-
-_VERIFY_S_GRID = (-1.0, 0.0, 0.5, 2.0)
 
 # A block of trials ends once its draws hold this many cells a side (or at
 # the end of the corpus), which bounds memory at a large --n-max.
@@ -419,8 +416,7 @@ def _sandwich_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
     failures = 0
     worst = math.inf
     first: Optional[str] = None
-    gens = report_generators(_VERIFY_S_GRID)
-    bisected = lower_generators(_VERIFY_S_GRID)
+    gens = report_generators(DEFAULT_S_GRID)
     for block in _problem_blocks(trials, rng):
         w1, w2, px, a2 = _posteriors(block)
         pe = block.in_trial_order(min_mass_sum(w1, w2, block.rows.row_sum))
@@ -428,11 +424,10 @@ def _sandwich_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
         p1 = block.in_trial_order(block.priors).tolist()
         # stage 2: each generator's bisections run for the whole block at once
         rows = report_rows(
-            _VERIFY_S_GRID,
+            DEFAULT_S_GRID,
             p1,
             [1.0 - p for p in p1],
             {key: values.tolist() for key, values in averages.items()},
-            {g.key: lower_bounds(g, averages[g.key]) for g in bisected},
             partial(_checked_problem, block),
         )
         values = np.array([[e[0] for e in column] for _, _, column in rows])

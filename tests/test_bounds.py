@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle_reference as oracle
 from conftest import make_pair
@@ -322,30 +322,27 @@ def _bracket_points(seed, count=10_000):
     )
 
 
-def _report_from_rows(problem, grid, averages, lowers):
-    """The report that stage 2 gives for one problem from its averages and
-    its lower bounds."""
-    rows = bounds_mod.report_rows(
-        grid,
-        [problem.p1],
-        [problem.p2],
-        {key: [v] for key, v in averages.items()},
-        lowers,
-        lambda j: problem,
-    )
+def _report_from_rows(problem, grid, averages):
+    """The report that stage 2 gives for one problem from its averages."""
+    columns = {key: [v] for key, v in averages.items()}
+    rows = bounds_mod.report_rows(grid, [problem.p1], [problem.p2], columns, lambda j: problem)
     entries = tuple(BoundEntry(name, kind, *column[0]) for name, kind, column in rows)
     return BoundReport(bayes_error(problem), entries)
 
 
 def _lockstep_equals_scalar(g, targets):
     got = bounds_mod.lower_bounds(g, np.array(targets, dtype=float))
-    want = [bounds_mod._lower_from_average(g, float(v)) for v in targets]
+    want = [bounds_mod.lower_bounds(g, [v])[0] for v in targets]
     assert [repr(x) for x in got] == [repr(x) for x in want]
 
 
+def _no_loop(*args, **kwargs):
+    raise AssertionError("this bisection loop is not the one for this many averages")
+
+
 class TestLockstepLowerBounds:
-    """lower_bounds bisects many averages at once, with the bits of
-    _lower_from_average on each."""
+    """lower_bounds bisects many averages at once, with the bits of the
+    float loop it runs on one average."""
 
     @pytest.mark.parametrize("family,s", LOCKSTEP_ORDERS + [("D_IDelta", None)])
     def test_evaluator_is_the_float_path(self, family, s):
@@ -393,17 +390,29 @@ class TestLockstepLowerBounds:
         gens = bounds_mod.lower_generators(DEFAULT_S_GRID)
         for g in gens:
             _lockstep_equals_scalar(g, [averages[g.key]] * 3)
-        lowers = {g.key: bounds_mod.lower_bounds(g, [averages[g.key]]) for g in gens}
-        got = _report_from_rows(problem, DEFAULT_S_GRID, averages, lowers)
+        got = _report_from_rows(problem, DEFAULT_S_GRID, averages)
         assert repr(got) == repr(bound_report(problem))
 
     def test_no_targets(self):
         assert bounds_mod.lower_bounds(bounds_mod._family_generator("xi", 0.5), []) == []
 
+    def test_one_average_takes_the_float_loop(self, monkeypatch, flip_problem):
+        def one_problem_bounds():
+            return [
+                bound_report(flip_problem),
+                family_bounds(flip_problem, "xi", 0.5),
+                lower_bound_family(flip_problem, "zeta", 2.0),
+                toussaint_bounds(flip_problem),
+            ]
+
+        want = one_problem_bounds()
+        monkeypatch.setattr(bounds_mod, "invert_decreasing_rows", _no_loop)
+        assert repr(one_problem_bounds()) == repr(want)
+
     def test_nan_average_raises_as_the_scalar_path(self):
         g = bounds_mod._family_generator("zeta", 0.5)
         with pytest.raises(DomainError, match=r"^target must be finite, got nan$"):
-            bounds_mod._lower_from_average(g, math.nan)
+            bounds_mod.lower_bounds(g, [math.nan])
         with pytest.raises(DomainError, match=r"^target must be finite, got nan$"):
             bounds_mod.lower_bounds(g, [0.1, math.inf, math.nan])
 
@@ -448,6 +457,14 @@ class TestToussaint:
         assert via_inv == pytest.approx(0.1, abs=1e-10)
 
     @given(problems())
+    @example(
+        # 1 - 4 exp(-2H - Jbar) rounds to -2.2e-16 here and is snapped to 0
+        TwoClassProblem.from_arrays(
+            (0.49999999639919884, 0.50000000360080116),
+            [0.1930486701828467, 0.8069513298171533],
+            [0.19304867032342818, 0.8069513296765718],
+        )
+    )
     def test_radicand_never_negative(self, prob):
         general, _ = toussaint_bounds(prob)
         assert general is not None
@@ -576,11 +593,7 @@ class TestUpperBoundsNearTheDoubleRange:
         grid = (-1040.0,)
         averages = bounds_mod.problem_averages(problem, bounds_mod.report_generators(grid))
         averages["xi:-1040.0"] = math.inf
-        lowers = {
-            g.key: [bounds_mod._lower_from_average(g, averages[g.key])]
-            for g in bounds_mod.lower_generators(grid)
-        }
-        report = _report_from_rows(problem, grid, averages, lowers)
+        report = _report_from_rows(problem, grid, averages)
         entry = {e.name: e for e in report.entries}["xi_upper(s=-1040.0)"]
         assert (entry.value, entry.applicable, entry.note) == (
             0.5, True, "vacuous: averaged divergence is infinite"

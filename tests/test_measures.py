@@ -23,13 +23,12 @@ from divbound.kernel import ArgumentError
 from divbound.measures import (
     BASE_TAGS,
     DIFF_TAGS,
+    BaseSums,
     MeasureId,
     CHAIN_LABELS,
     _chain_report,
     base_measure,
     chain_check,
-    chain_values,
-    measure_rows,
     difference_measure,
     measure_value,
     xi,
@@ -333,7 +332,7 @@ class TestRowKernels:
     def test_every_measure_bit_identical_per_row(self, block):
         P, Q = block
         for key in list(CATALOG_KEYS) + [MeasureId("zeta", 0.0), MeasureId("xi", 1.0)]:
-            rows = measure_rows(key, P, Q)
+            rows = BaseSums(P, Q).measure(key)
             assert rows.shape == (P.shape[0],)
             for i in range(P.shape[0]):
                 assert rows[i] == measure_value(key, validate(P[i]), validate(Q[i])), key
@@ -341,7 +340,7 @@ class TestRowKernels:
     def test_chain_values_bit_identical_per_row(self, block):
         P, Q = block
         for which in ("eq7", "eq39"):
-            rows = np.stack(chain_values(which, P, Q), axis=-1)
+            rows = np.stack(BaseSums(P, Q).chain(which), axis=-1)
             for i in range(P.shape[0]):
                 report = chain_check(validate(P[i]), validate(Q[i]), which)
                 assert report.values == tuple(zip(CHAIN_LABELS[which], rows[i].tolist()))
@@ -353,11 +352,12 @@ class TestRowKernels:
         large = _dead_cell_pair()
         for s in (-60.0, -3.0, 0.5, 4.0, 60.0):
             for tag in ("zeta", "xi"):
-                rows = measure_rows(MeasureId(tag, s), P, Q)
+                rows = BaseSums(P, Q).measure(MeasureId(tag, s))
                 for i in range(2):
                     pair = (validate(P[i], PERMISSIVE), validate(Q[i], PERMISSIVE))
                     assert rows[i] == measure_value(MeasureId(tag, s), *pair)
-                row = measure_rows(MeasureId(tag, s), large[0].probs[None], large[1].probs[None])
+                sums = BaseSums(large[0].probs[None], large[1].probs[None])
+                row = sums.measure(MeasureId(tag, s))
                 assert row[0] == measure_value(MeasureId(tag, s), *large), (tag, s)
 
 
@@ -378,8 +378,8 @@ class TestChainLinks:
         w = np.exp(rng.standard_normal((2, 6, 150)))
         p, q = w / w.sum(axis=-1, keepdims=True)
         for which, links in measures._CHAIN_LINKS.items():
-            for value, (_, c, mid) in zip(chain_values(which, p, q), links):
-                assert np.array_equal(value, c * measure_rows(mid, p, q)), mid
+            for value, (_, c, mid) in zip(BaseSums(p, q).chain(which), links):
+                assert np.array_equal(value, c * BaseSums(p, q).measure(mid)), mid
 
     @pytest.mark.parametrize("seed", range(5))
     def test_eq39_is_the_printed_differences(self, seed):
@@ -492,7 +492,7 @@ class TestBlockedSums:
         w = np.exp(rng.standard_normal((2, 3, kernel.SUM_LEAF + 77)))
         P, Q = w / w.sum(axis=-1, keepdims=True)
         for key in BLOCKED_KEYS:
-            rows = measure_rows(key, P, Q)
+            rows = BaseSums(P, Q).measure(key)
             for i in range(P.shape[0]):
                 assert rows[i] == measure_value(key, validate(P[i]), validate(Q[i])), key
 
@@ -607,8 +607,8 @@ def _shared_call(kind, arg, P, Q):
 
 def _rows_call(kind, arg, p, q):
     if kind == "chain":
-        return repr(tuple(zip(CHAIN_LABELS[arg], map(float, chain_values(arg, p, q)))))
-    return repr(float(measure_rows(arg, p, q)))
+        return repr(tuple(zip(CHAIN_LABELS[arg], map(float, BaseSums(p, q).chain(arg)))))
+    return repr(float(BaseSums(p, q).measure(arg)))
 
 
 class TestSharedBaseSums:
