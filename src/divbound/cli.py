@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 property violation, 2 usage or parse error,
 3 validation error, 4 internal error (any other exception; its traceback
 follows the one-line report on stderr).  The environment variable
 DIVBOUND_SEED overrides the default --seed; when verify reads it (no --seed
-given), a value that is not an integer is a usage error (exit 2).
+given), a value that is not an integer >= 0 is a usage error (exit 2), as
+is a negative --seed.
 DIVBOUND_VERIFY_CORRUPT=1 is a test hook that injects a chain violation so
 the detector path can be exercised end to end.
 
@@ -48,9 +49,12 @@ def _default_seed() -> int:
     if env is None:
         return 42
     try:
-        return int(env)
+        seed = int(env)
+        if seed >= 0:
+            return seed
     except ValueError:
-        raise ArgumentError(f"DIVBOUND_SEED must be an integer, got {env!r}") from None
+        pass
+    raise ArgumentError(f"DIVBOUND_SEED must be an integer >= 0, got {env!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -106,9 +106,9 @@ def _snap(s: float) -> float:
 
 
 def parse_s_grid(spec: str, source: str = "--s-grid") -> List[float]:
-    """Grid spec: 'a:b:n' (n evenly spaced points, endpoints included) or a
-    comma-separated list; points within the limit band of 0 or 1 snap to the
-    exact limit value."""
+    """Grid spec: 'a:b:n' (n evenly spaced points from a to b, finite ends
+    included) or a comma-separated list; points within the limit band of 0
+    or 1 snap to the exact limit value."""
     text = spec.strip()
     if ":" in text:
         parts = text.split(":")
@@ -122,7 +122,9 @@ def parse_s_grid(spec: str, source: str = "--s-grid") -> List[float]:
             raise ParseFailure(f"{source}: range spec needs n >= 2, got {n}")
         if not a < b:
             raise ParseFailure(f"{source}: range spec needs a < b, got {spec!r}")
-        if math.isinf(b - a) and math.isfinite(a) and math.isfinite(b):
+        if math.isinf(a) or math.isinf(b):
+            raise ParseFailure(f"{source}: range spec needs finite ends, got {spec!r}")
+        if math.isinf(b - a):
             # the width overflows: interpolate between the ends, which stays finite
             ts = [i / (n - 1) for i in range(n)]
             return [_snap(a * (1.0 - t) + b * t) for t in ts]

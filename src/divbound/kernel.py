@@ -129,9 +129,9 @@ def order_divisors(s: float) -> tuple:
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x*ln(y) elementwise, 0 where x == 0 (nan stays nan); no domain check."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x == 0.0, 0.0, x * np.log(y))
+    """x*ln(y) elementwise, 0 where x == 0 (nan stays nan); no domain check.
+    Runs under the caller's np.errstate: ln(0) divides by zero."""
+    return np.where(x == 0.0, 0.0, x * np.log(y))
 
 
 def usable_cpus() -> int:
@@ -316,7 +316,8 @@ def x_ln_x(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError("x_ln_x requires x >= 0")
-    out = _xlogy(arr, arr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _xlogy(arr, arr)
     if np.ndim(x) == 0:
         return float(out)
     return out

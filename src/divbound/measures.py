@@ -26,7 +26,8 @@ one mass vanishes and the value is reported as +inf; Delta, h, d and I stay
 finite under the 0*ln(0) = 0 convention.  Cells where both masses vanish
 contribute nothing to any measure.
 
-Shared base sums.  Each difference is a combination of base measures
+Shared base sums.  Each base measure is one row of _BASE_SUMS, a cell
+term and a scale.  Each difference is a combination of base measures
 (_DIFF_COMBOS), each chain a list of scaled base or difference measures
 (_CHAIN_LINKS), and a family at a limit order is the base measure that
 _limit_base names, so a pair has seven distinct base sums.  A BaseSums
@@ -144,14 +145,15 @@ def _limit_base(family: str, s) -> Optional[str]:
 # axis, so one call serves a single pair of (n,) vectors and an (m, n)
 # block of m same-size pairs alike.  Row i of a C-contiguous block gives
 # the value of pair i bit for bit: every term is elementwise, and numpy sums
-# each row exactly as it sums the row on its own.
+# each row exactly as it sums the row on its own.  The terms run under the
+# np.errstate of their sum (BaseSums, _family_regular): a mass of zero
+# divides by zero or makes 0/0 or 0*inf, and np.where replaces those cells;
+# a subnormal mass overflows the Psi term to inf, as Psi itself does.
 # ---------------------------------------------------------------------------
 
 
 def _delta_term(p: np.ndarray, q: np.ndarray):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (p - q) ** 2 / (p + q)
-    return np.where(p + q > 0.0, t, 0.0)
+    return np.where(p + q > 0.0, (p - q) ** 2 / (p + q), 0.0)
 
 
 def _hellinger_term(p: np.ndarray, q: np.ndarray):
@@ -168,54 +170,34 @@ def _ddiv_term(p: np.ndarray, q: np.ndarray):
 
 
 def _jdiv_term(p: np.ndarray, q: np.ndarray):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (p - q) * (np.log(p) - np.log(q))
-        return np.where((p == 0.0) & (q == 0.0), 0.0, t)
+    t = (p - q) * (np.log(p) - np.log(q))
+    return np.where((p == 0.0) & (q == 0.0), 0.0, t)
 
 
 def _tdiv_term(p: np.ndarray, q: np.ndarray):
     m = 0.5 * (p + q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = _xlogy(m, m) - 0.5 * m * (np.log(p) + np.log(q))
-        return np.where(m == 0.0, 0.0, t)
+    t = _xlogy(m, m) - 0.5 * m * (np.log(p) + np.log(q))
+    return np.where(m == 0.0, 0.0, t)
 
 
 def _psi_term(p: np.ndarray, q: np.ndarray):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (p - q) ** 2 * (p + q) / (p * q)
-        return np.where((p == 0.0) & (q == 0.0), 0.0, t)
+    t = (p - q) ** 2 * (p + q) / (p * q)
+    return np.where((p == 0.0) & (q == 0.0), 0.0, t)
 
 
-# Each base sum takes the row sum it reduces with: kernel.row_sum, or the
-# row_sum of a kernel.FlatRows layout for flat buffers.
-
-
-def _delta(reduce, p: np.ndarray, q: np.ndarray):
-    return reduce(_delta_term, p, q)
-
-
-def _hellinger(reduce, p: np.ndarray, q: np.ndarray):
-    return 0.5 * reduce(_hellinger_term, p, q)
-
-
-def _jensen_shannon(reduce, p: np.ndarray, q: np.ndarray):
-    return 0.5 * reduce(_jensen_shannon_term, p, q)
-
-
-def _ddiv(reduce, p: np.ndarray, q: np.ndarray):
-    return 1.0 - reduce(_ddiv_term, p, q)
-
-
-def _jdiv(reduce, p: np.ndarray, q: np.ndarray):
-    return reduce(_jdiv_term, p, q)
-
-
-def _tdiv(reduce, p: np.ndarray, q: np.ndarray):
-    return reduce(_tdiv_term, p, q)
-
-
-def _psi(reduce, p: np.ndarray, q: np.ndarray):
-    return reduce(_psi_term, p, q)
+# Each base measure as (cell term, scale): the measure is scale times the
+# row sum of its term, and d, the one negative scale, is 1 - its row sum.
+# 1.0 * x and 1.0 + (-1.0 * x) have the bits of x and 1.0 - x; an offset
+# of 0.0 for the other rows would not, as it turns -0.0 into +0.0.
+_BASE_SUMS = {
+    "Delta": (_delta_term, 1.0),
+    "I": (_jensen_shannon_term, 0.5),
+    "h": (_hellinger_term, 0.5),
+    "d": (_ddiv_term, -1.0),
+    "J": (_jdiv_term, 1.0),
+    "T": (_tdiv_term, 1.0),
+    "Psi": (_psi_term, 1.0),
+}
 
 
 def _family_term(p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
@@ -228,18 +210,6 @@ def _family_term(p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
     if bad.any():
         terms[bad] = ratio(p[bad], q[bad], s)
     return terms
-
-
-def _family_sum(reduce, p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
-    """Last-axis sum of a family's per-cell terms, direct(p, q, s) per cell
-    and ratio(p, q, s) where that is nan.
-
-    A cell where both masses vanish adds 0.0 (its direct term is 0 or nan,
-    and its ratio term is 0), so a single pair sums the same cells as a row
-    of a block.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return reduce(_family_term, p, q, s, direct, ratio)
 
 
 def _zeta_direct(p: np.ndarray, q: np.ndarray, s: float):
@@ -268,20 +238,20 @@ _FAMILY_FORMS = {"zeta": (_zeta_direct, _zeta_ratio, 2.0), "xi": (_xi_direct, _x
 
 
 def _family_regular(family: str, s: float, reduce, p: np.ndarray, q: np.ndarray):
+    """A family member at a regular order, from the last-axis sum of its
+    per-cell terms: direct(p, q, s) per cell and ratio(p, q, s) where that
+    is nan.
+
+    A cell where both masses vanish adds 0.0 (its direct term is 0 or nan,
+    and its ratio term is 0), so a single pair sums the same cells as a row
+    of a block.
+    """
     direct, ratio, at_equal = _FAMILY_FORMS[family]
     a, b = order_divisors(s)
-    return (_family_sum(reduce, p, q, s, direct, ratio) - at_equal) / a / b
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        total = reduce(_family_term, p, q, s, direct, ratio)
+    return (total - at_equal) / a / b
 
-
-_BASE_FUNCS = {
-    "Delta": _delta,
-    "I": _jensen_shannon,
-    "h": _hellinger,
-    "d": _ddiv,
-    "J": _jdiv,
-    "T": _tdiv,
-    "Psi": _psi,
-}
 
 # difference = c1 * base1 + c2 * base2, as ((c1, base1), (c2, base2))
 _DIFF_COMBOS = {
@@ -297,11 +267,13 @@ _DIFF_COMBOS = {
 class BaseSums:
     """The seven base sums of one pair, or of an (m, n) block of pairs.
 
-    Each sum is computed by its kernel the first time it is asked for and
-    kept, so every measure and chain read from one table sums each base
-    measure once.  p and q must not change while the table is in use.
-    `reduce` is the row sum, kernel.row_sum by default; the row_sum of a
-    kernel.FlatRows layout makes p and q flat buffers of rows in it.
+    Each sum is the row sum of its _BASE_SUMS term, scaled, computed the
+    first time it is asked for and kept, so every measure and chain read
+    from one table sums each base measure once.  p and q must not change
+    while the table is in use.  `reduce` is the row sum, kernel.row_sum by
+    default; the row_sum of a kernel.FlatRows layout makes p and q flat
+    buffers of rows in it.  Either way the sum runs under one np.errstate,
+    which reaches row_sum's helper threads.
     """
 
     __slots__ = ("p", "q", "_sums", "_reduce")
@@ -314,7 +286,12 @@ class BaseSums:
     def __getitem__(self, tag: str):
         value = self._sums.get(tag)
         if value is None:
-            value = self._sums[tag] = _BASE_FUNCS[tag](self._reduce, self.p, self.q)
+            term, scale = _BASE_SUMS[tag]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                value = scale * self._reduce(term, self.p, self.q)
+            if scale < 0.0:
+                value = 1.0 + value
+            self._sums[tag] = value
         return value
 
     def measure(self, mid: MeasureId):

@@ -505,6 +505,8 @@ def run_verify(
         raise ArgumentError(f"trials must be >= 1, got {trials}")
     if n_max < 2:
         raise ArgumentError(f"n-max must be >= 2, got {n_max}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     reduced = max(1, trials // REDUCED_FACTOR)
 
     def rng(idx: int) -> np.random.Generator:

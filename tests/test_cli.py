@@ -15,6 +15,7 @@ from divbound import verify as verify_mod
 from divbound.cli import main
 from divbound.distributions import validate
 from divbound.formats import fmt_real
+from divbound.generators import CATALOG_KEYS
 from divbound.measures import measure_value
 
 
@@ -171,6 +172,19 @@ class TestBoundsCommand:
         code, out, err = run(capsys, ["bounds", "--problem", files["prob"], "--s-grid=0.5,abc"])
         assert (code, out, err) == (2, "", "parse error: --s-grid: bad grid list '0.5,abc'\n")
 
+    @pytest.mark.parametrize(
+        "grid,err",
+        [
+            ("-inf:1:3", "parse error: --s-grid: range spec needs finite ends, got '-inf:1:3'"),
+            ("0:inf:3", "parse error: --s-grid: range spec needs finite ends, got '0:inf:3'"),
+            ("inf,0.5", "usage error: order parameter must be finite, got inf"),
+        ],
+    )
+    def test_infinite_grid_order_exits_2(self, capsys, files, grid, err):
+        # the error names the value given, not a nan made from it
+        got = run(capsys, ["bounds", "--problem", files["prob"], f"--s-grid={grid}"])
+        assert got == (2, "", err + "\n")
+
     def test_sandwich_violation_exits_1(self, capsys, monkeypatch, files):
         # a negative tolerance counts every applicable bound as a violation
         argv = ["bounds", "--problem", files["prob"], "--format", "machine"]
@@ -277,6 +291,33 @@ def test_bounds_and_sweep_match_golden_file():
     assert bounds_sweep_transcript() == golden.read_text(encoding="utf-8"), numpy_runtime()
 
 
+GOLDEN_PAIRS = (("strict", "strict"), ("permissive", "permissive"))
+GOLDEN_MEASURES = [key.label() for key in CATALOG_KEYS] + ["xi:60", "xi:-60", "zeta:60"]
+
+
+def measure_transcript() -> str:
+    """measure on each golden pair and measure spec, its exit code and its
+    machine output, run in this process one after another."""
+    out = []
+    for pair, mode in GOLDEN_PAIRS:
+        p, q = (str(DATA / f"pair_{pair}_{side}.txt") for side in "pq")
+        for spec in GOLDEN_MEASURES:
+            argv = ["measure", "--p", p, "--q", q, "--measure", spec, "--mode", mode]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(argv + ["--format", "machine"])
+            out.append(f"$ measure pair_{pair} {spec}\nexit {code}\n{stdout.getvalue()}")
+    return "".join(out)
+
+
+def test_measure_matches_golden_file():
+    # the absolute bits of every catalog measure and of the family orders
+    # whose powers overflow; like the other golden files these digits may
+    # depend on numpy's SIMD level (taken on x86 with AVX512)
+    golden = DATA / "measure_machine.txt"
+    assert measure_transcript() == golden.read_text(encoding="utf-8"), numpy_runtime()
+
+
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
         code, out, err = run(
@@ -364,13 +405,17 @@ class TestVerifyCommand:
         )
         assert out_env == out_explicit
 
-    @pytest.mark.parametrize("value", ["abc", "4.5", ""])
+    @pytest.mark.parametrize("value", ["abc", "4.5", "", "-1"])
     def test_bad_seed_env_is_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("DIVBOUND_SEED", value)
         code, out, err = run(capsys, ["verify", "--trials", "5"])
         assert code == cli.EXIT_USAGE == 2
         assert out == ""
-        assert err.startswith("usage error: DIVBOUND_SEED must be an integer")
+        assert err == f"usage error: DIVBOUND_SEED must be an integer >= 0, got {value!r}\n"
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["verify", "--trials", "5", "--seed", "-1"])
+        assert (code, out, err) == (2, "", "usage error: seed must be >= 0, got -1\n")
 
 
 class TestUsage:

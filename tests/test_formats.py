@@ -104,6 +104,12 @@ class TestSGrid:
             with pytest.raises(ParseFailure):
                 parse_s_grid(bad)
 
+    @pytest.mark.parametrize("spec", ["-inf:1:3", "0:inf:3", "-inf:inf:2", "-1e400:0:3"])
+    def test_range_with_an_infinite_end(self, spec):
+        with pytest.raises(ParseFailure) as info:
+            parse_s_grid(spec)
+        assert str(info.value) == f"--s-grid: range spec needs finite ends, got {spec!r}"
+
     def test_empty_list(self):
         with pytest.raises(ParseFailure):
             parse_s_grid(" , ")

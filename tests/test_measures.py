@@ -140,6 +140,13 @@ class TestBaseMeasures:
             if gap > 1e-4:
                 assert v > 1e-14
 
+    @pytest.mark.filterwarnings("error")
+    def test_psi_past_the_double_range_is_silent_inf(self):
+        # a subnormal mass: the Psi cell term 0.125 / 5e-311 overflows
+        P, Q = validate([0.5, 0.5]), validate([1.0, 1e-310])
+        assert measure_value("Psi", P, Q) == math.inf
+        assert chain_check(P, Q, "eq7").values[-1] == ("Psi/16", math.inf)
+
     def test_alphabet_mismatch(self):
         P = validate([0.5, 0.5])
         Q = validate([0.2, 0.3, 0.5])

@@ -69,6 +69,12 @@ def test_bad_arguments():
         run_verify(trials=10, seed=1, n_max=1)
 
 
+def test_negative_seed_is_an_argument_error():
+    # not numpy's ValueError from seeding the suites' generators
+    with pytest.raises(ArgumentError, match=r"^seed must be >= 0, got -1$"):
+        run_verify(trials=10, seed=-1)
+
+
 def test_random_strict_pair_is_valid():
     rng = np.random.default_rng(0)
     P, Q = random_strict_pair(rng, 8)
