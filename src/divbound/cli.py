@@ -1,8 +1,9 @@
 """Command-line surface: measure, bounds, sweep, verify.
 
 Exit codes: 0 success, 1 property violation, 2 usage or parse error,
-3 validation error, 4 internal error (any other exception; its traceback
-follows the one-line report on stderr).  The environment variable
+3 validation error (a vector or problem file that is not valid input),
+4 internal error (any other exception; its traceback follows the
+one-line report on stderr).  The environment variable
 DIVBOUND_SEED overrides the default --seed; when verify reads it (no --seed
 given), a value that is not an integer >= 0 is a usage error (exit 2), as
 is a negative --seed.
@@ -12,7 +13,8 @@ the detector path can be exercised end to end.
 verify runs its suites in worker processes when more than one CPU is
 available; its output is byte-identical for a given (--trials, --seed,
 --n-max) either way, and an error raised in a worker is reported as it
-would be in this process.
+would be in this process.  verify reads no input file, so it never exits 3:
+a drawn row that is not a distribution is an internal error (exit 4).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import DivboundError, FlatRows
+from .kernel import DivboundError
 
 SUM_TOL = 1e-12
 
@@ -95,18 +95,6 @@ def validate(raw, mode: str = STRICT, *, min_size: int = 2) -> DiscreteDistribut
     probs = probs.copy()
     probs.setflags(write=False)
     return DiscreteDistribution(probs=probs, mode=mode)
-
-
-def invalid_rows(cells: np.ndarray, rows: FlatRows, mode: str = STRICT) -> np.ndarray:
-    """Flags the rows of a flat buffer, laid out by rows, that validate()
-    would reject.
-
-    Checks the same invariants as validate, for all rows at once; the size
-    check is left to the caller.  Validating a flagged row raises the error.
-    """
-    positive = cells > 0.0 if mode == STRICT else cells >= 0.0
-    entries_ok = rows.all(positive & np.isfinite(cells))
-    return ~(entries_ok & (np.abs(rows.sum(cells) - 1.0) <= SUM_TOL))
 
 
 def require_same_alphabet(P: DiscreteDistribution, Q: DiscreteDistribution) -> None:

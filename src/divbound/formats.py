@@ -27,10 +27,6 @@ def fmt_real(x: float) -> str:
     return repr(x)
 
 
-def parse_real(text: str) -> float:
-    return float(text)
-
-
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

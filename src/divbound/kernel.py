@@ -270,10 +270,6 @@ class FlatRows:
         """One value per row, repeated over the row's cells."""
         return np.repeat(values, self.lengths)
 
-    def all(self, cells: np.ndarray) -> np.ndarray:
-        """np.all over each row of a boolean buffer."""
-        return np.logical_and.reduceat(cells, self.starts)
-
     def sum(self, cells: np.ndarray) -> np.ndarray:
         """np.sum over each row of a buffer (np.add.reduce is np.sum
         without its Python wrapper)."""
@@ -422,16 +418,6 @@ def _grid(lo: float, hi: float, n: int, log_spaced: bool) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _eval_on(f: Callable, xs: np.ndarray) -> np.ndarray:
-    try:
-        ys = np.asarray(f(xs), dtype=float)
-        if ys.shape != xs.shape:
-            raise TypeError
-        return ys
-    except (TypeError, ValueError):
-        return np.array([float(f(x)) for x in xs])
-
-
 def convexity_probe(
     f: Callable,
     grid_lo: float,
@@ -446,6 +432,7 @@ def convexity_probe(
     gaps; for any convex f this quantity is nonnegative, so callers assert
     the returned minimum >= -tolerance.  Log-spaced grids are used for
     generators on (0, inf), linear grids for star transforms on (0, 1).
+    f is called on arrays of grid points, one value per point.
     """
     if not (grid_lo < grid_hi):
         raise ArgumentError(f"invalid grid: lo={grid_lo!r} >= hi={grid_hi!r}")
@@ -458,7 +445,7 @@ def convexity_probe(
 
     values = []
     for pts in (centre, centre - step, centre + step):
-        ys = _eval_on(f, pts)
+        ys = np.asarray(f(pts), dtype=float)
         bad = ~np.isfinite(ys)
         if np.any(bad):
             i = int(np.argmax(bad))

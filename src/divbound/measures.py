@@ -182,7 +182,15 @@ def _tdiv_term(p: np.ndarray, q: np.ndarray):
 
 def _psi_term(p: np.ndarray, q: np.ndarray):
     t = (p - q) ** 2 * (p + q) / (p * q)
-    return np.where((p == 0.0) & (q == 0.0), 0.0, t)
+    # 0/0 where both masses vanish, or where both are so small that
+    # (p - q)^2 and p q underflow; only those cells are recomputed, in an
+    # order that does not underflow, and a dead cell gives 0
+    bad = np.isnan(t)
+    if bad.any():
+        p, q = p[bad], q[bad]
+        d = p - q
+        t[bad] = np.where(p + q > 0.0, (d / p) * (d / q) * (p + q), 0.0)
+    return t
 
 
 # Each base measure as (cell term, scale): the measure is scale times the
@@ -426,7 +434,7 @@ def chain_slack(values: np.ndarray):
     Returns (raw, normalised, violated): right - left, that slack over
     1 + right, and whether it breaks CHAIN_TOL.  A pair whose larger side
     is infinite satisfies the inequality: its normalised slack is +inf and
-    it is never violated.
+    it is never violated.  A pair with a nan side is always violated.
     """
     left, right = values[..., :-1], values[..., 1:]
     closed = np.isinf(right)
@@ -437,6 +445,7 @@ def chain_slack(values: np.ndarray):
         violated = raw < -CHAIN_TOL * scale
     normalised[closed] = math.inf
     violated &= ~closed
+    violated |= np.isnan(left) | np.isnan(right)
     return raw, normalised, violated
 
 

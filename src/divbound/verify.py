@@ -18,8 +18,11 @@ BLOCK_CELLS cells a side or at the end of the corpus.  A block is flat:
 each side's rows lie in one buffer, grouped by alphabet size n (problem
 size k for the bound suites) into C-contiguous (m, n) slabs by ascending
 n, in trial order within a slab (kernel.FlatRows).  Every elementwise step
-(softmax, validation, the measure, Csiszar-sum and posterior terms) runs
-over the whole buffer, in chunks of rows; only the row sums run per slab.
+(softmax, the measure, Csiszar-sum and posterior terms) runs over the
+whole buffer, in chunks of rows; only the row sums run per slab.  The
+softmax rows are valid distributions by construction; each block is
+checked once for that, and a failure is an internal error, not a
+validation error.
 The sandwich suite then assembles every bound of the block in one call
 (bounds.report_rows, whose lower_bounds bisects each lower bound for all
 of the block's problems at once) and reduces the (problem, bound) slacks;
@@ -61,8 +64,8 @@ from .bounds import (
 from .distributions import (
     PERMISSIVE,
     STRICT,
+    SUM_TOL,
     DiscreteDistribution,
-    invalid_rows,
     validate,
 )
 from .generators import (
@@ -107,6 +110,9 @@ STAR_HALF_TOL = 1e-14
 # the scales the invariants are stated at (1e4 chains vs 1e3 problems).
 REDUCED_FACTOR = 10
 
+# The bound suites draw problem sizes k from integers(2, K_MAX + 1).
+K_MAX = 16
+
 # A block of trials ends once its draws hold this many cells a side (or at
 # the end of the corpus), which bounds memory at a large --n-max.
 BLOCK_CELLS = 1 << 16
@@ -138,7 +144,8 @@ def random_strict_pair(
 ) -> Tuple[DiscreteDistribution, DiscreteDistribution]:
     """Strictly positive pair: normalised exponentials of standard normals.
 
-    The suites draw the same pairs a block at a time (_pair_blocks).
+    The suites draw the same pairs a block at a time (_blocks); this
+    validated draw is the per-trial reference the tests hold them to.
     """
     p, q = _softmax_rows(rng.standard_normal((2, n)))
     return validate(p, STRICT), validate(q, STRICT)
@@ -147,8 +154,9 @@ def random_strict_pair(
 def random_problem(rng: np.random.Generator, k: int) -> TwoClassProblem:
     """Priors uniform on (0.05, 0.95), conditionals softmax of standard normals.
 
-    The bound suites draw the same problems a block at a time
-    (_problem_blocks).
+    The bound suites draw the same problems a block at a time (_blocks with
+    priors); this validated draw is the per-trial reference the tests hold
+    them to.
     """
     p1 = float(rng.uniform(0.05, 0.95))
     c1, c2 = _softmax_rows(rng.standard_normal((2, k)))
@@ -211,7 +219,7 @@ def _blocks(
     A block ends once its trials hold BLOCK_CELLS cells a side, or at the
     end of the corpus.  The normals of a block are drawn into one buffer,
     which the next block reuses, and a block's rows are released before
-    the next block is drawn.
+    the next block is drawn.  Each block is checked once (_check_block).
     """
     integers, uniform, normal = rng.integers, rng.uniform, rng.standard_normal
     budget = 2 * BLOCK_CELLS
@@ -229,6 +237,7 @@ def _blocks(
             used += 2 * n
             sizes.append(n)
         block = _flat_block(start, raw, np.array(sizes), np.array(drawn_priors) if priors else None)
+        _check_block(block)
         yield block
         block.first = block.second = None  # one block's rows are held at a time
         start += len(sizes)
@@ -253,26 +262,20 @@ def _flat_block(
     return _Block(start, rows, rank, first, second, None if priors is None else priors[order])
 
 
-def _earliest_rejected(block: _Block, mode: str) -> Optional[int]:
-    """The block position of the earliest trial with a row that
-    validate(mode) rejects, or None."""
-    bad = invalid_rows(block.first, block.rows, mode) | invalid_rows(block.second, block.rows, mode)
-    bad = np.flatnonzero(block.in_trial_order(bad))
-    return int(bad[0]) if bad.size else None
+def _check_block(block: _Block) -> None:
+    """Raise RuntimeError unless every cell of the block is positive and
+    finite and every row sums to 1 within SUM_TOL.
 
-
-def _pair_blocks(trials: int, rng: np.random.Generator, n_max: int) -> Iterator[_Block]:
-    """Blocks of pairs, drawn as random_strict_pair draws them.
-
-    The earliest rejected pair of a block raises validate's error.
-    """
-    for block in _blocks(trials, rng, n_max):
-        i = _earliest_rejected(block, STRICT)
-        if i is not None:
-            p, q = block.trial(i)
-            validate(p, STRICT)
-            validate(q, STRICT)
-        yield block
+    Softmax rows of standard normals pass by construction (exp(z) is finite
+    and positive unless |z| > 700), so a failure is a fault in the draw,
+    not a ValidationFailure of user input."""
+    for side in (block.first, block.second):
+        positive = ((side > 0.0) & (side < math.inf)).all()
+        if not (positive and (np.abs(block.rows.sum(side) - 1.0) <= SUM_TOL).all()):
+            raise RuntimeError(
+                f"drawn trials {block.start} to {block.start + len(block) - 1}: a row is "
+                f"not a positive distribution summing to 1 within {SUM_TOL}"
+            )
 
 
 def _chain_suite(
@@ -282,7 +285,7 @@ def _chain_suite(
     failures = 0
     worst = math.inf
     first: Optional[str] = None
-    for block in _pair_blocks(trials, rng, n_max):
+    for block in _blocks(trials, rng, n_max):
         values = block.in_trial_order(np.stack(block.base_sums().chain(which), axis=-1))
         if corrupt and block.start == 0:
             # test hook: force a detectable violation by deflating one interior value
@@ -316,7 +319,7 @@ def _csiszar_suite(trials: int, rng: np.random.Generator, n_max: int) -> SuiteRe
     failures = 0
     worst = 0.0
     first: Optional[str] = None
-    for block in _pair_blocks(trials, rng, n_max):
+    for block in _blocks(trials, rng, n_max):
         direct, summed = _csiszar_values(block, gens)
         dev = np.abs(summed - direct) / (1.0 + np.abs(direct))
         worst = max([worst, *dev.reshape(-1).tolist()])
@@ -366,22 +369,6 @@ def _star_suite() -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _problem_blocks(trials: int, rng: np.random.Generator) -> Iterator[_Block]:
-    """Blocks of problems, drawn as random_problem draws them with k from
-    integers(2, 17).
-
-    The conditionals of a block are checked as TwoClassProblem.from_arrays
-    checks them (the drawn priors always pass its checks); the earliest
-    rejected problem raises its error.
-    """
-    for block in _blocks(trials, rng, 16, priors=True):
-        i = _earliest_rejected(block, PERMISSIVE)
-        if i is not None:
-            p1 = block.prior(i)
-            TwoClassProblem.from_arrays((p1, 1.0 - p1), *block.trial(i))
-        yield block
-
-
 def _checked_problem(block: _Block, i: int) -> TwoClassProblem:
     """The problem of a block's i-th trial, whose rows are checked already."""
     p1 = block.prior(i)
@@ -417,7 +404,7 @@ def _sandwich_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
     worst = math.inf
     first: Optional[str] = None
     gens = report_generators(DEFAULT_S_GRID)
-    for block in _problem_blocks(trials, rng):
+    for block in _blocks(trials, rng, K_MAX, priors=True):
         w1, w2, px, a2 = _posteriors(block)
         pe = block.in_trial_order(min_mass_sum(w1, w2, block.rows.row_sum))
         averages = _averages(block, px, a2, gens)
@@ -452,7 +439,7 @@ def _comparison_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
     first: Optional[str] = None
     checks = 0
     gens = [generator(tag) for tag in COMPARISON_TAGS]
-    for block in _problem_blocks(trials, rng):
+    for block in _blocks(trials, rng, K_MAX, priors=True):
         _, _, px, a2 = _posteriors(block)
         results = compare_averages(_averages(block, px, a2, gens))
         # (problem, relation) in trial order, as the relations of one problem follow one another

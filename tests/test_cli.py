@@ -375,18 +375,20 @@ class TestVerifyCommand:
         assert run.returncode == 0, run.stderr
         assert run.stdout == golden.read_bytes(), numpy_runtime()
 
-    def test_validation_failure_in_a_worker_exits_3(self, capsys, monkeypatch):
-        # unnormalised draws fail validation in every drawn suite; from the
-        # workers, the first suite's error is shown, as on one CPU
+    def test_invalid_drawn_row_in_a_worker_exits_4(self, capsys, monkeypatch):
+        # unnormalised draws fail the block check in every drawn suite: an
+        # internal error, as exit 3 is for user input; from the workers, the
+        # first suite's error is shown, as on one CPU
         monkeypatch.setattr(verify_mod, "_softmax_rows", lambda z, rows=None: np.exp(z))
         argv = ["verify", "--trials", "20", "--seed", "5"]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (cli.EXIT_VALIDATION, "")
-        assert err.startswith("validation error: ")
-        assert err.count("\n") == 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert run(capsys, argv) == (code, out, err)
+        first = (
+            "internal error: RuntimeError: drawn trials 0 to 19: a row is not a positive "
+            "distribution summing to 1 within 1e-12"
+        )
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            code, out, err = run(capsys, argv)
+            assert (code, out, err.splitlines()[0]) == (cli.EXIT_INTERNAL, "", first)
 
     def test_import_loads_no_process_pool(self):
         code = (

@@ -11,11 +11,9 @@ from divbound.distributions import (
     SumNotOne,
     ValidationFailure,
     ZeroEntry,
-    invalid_rows,
     require_same_alphabet,
     validate,
 )
-from divbound.kernel import FlatRows
 
 
 def test_uniform_strict_valid():
@@ -87,30 +85,3 @@ def test_normalised_vectors_validate(weights):
     w = np.asarray(weights)
     d = validate(w / w.sum(), STRICT)
     assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
-
-
-@pytest.mark.parametrize("mode", [STRICT, PERMISSIVE])
-def test_invalid_rows_flags_what_validate_rejects(mode):
-    block = [
-        [0.5, 0.5],
-        [1.0, 0.0],
-        [0.5, 0.5, 0.0],
-        [0.25, 0.25, 0.5],
-        [0.6, 0.6, -0.2],
-        [0.5, 0.5, np.nan],
-        [0.5, np.inf, 0.5],
-        [0.5, 0.5, 1e-11],
-        [0.5, 0.5, 1e-13],
-        [0.25, 0.25, 0.25, 0.25],
-        [0.25, 0.25, 0.25, 0.26],
-    ]
-    rows = FlatRows(np.array([len(row) for row in block]))
-    flags = invalid_rows(np.concatenate(block), rows, mode)
-    assert len(flags) == len(block)
-    for row, flagged in zip(block, flags):
-        try:
-            validate(row, mode)
-            rejected = False
-        except ValidationFailure:
-            rejected = True
-        assert flagged == rejected, row

@@ -483,8 +483,6 @@ class TestFlatRows:
         rows = FlatRows(np.array([2, 2, 3]))
         assert rows.starts.tolist() == [0, 2, 4] and rows.cells == 7
         assert rows.per_cell(np.array([1.0, 2.0, 3.0])).tolist() == [1, 1, 2, 2, 3, 3, 3]
-        mask = np.array([True, True, True, False, True, True, True])
-        assert rows.all(mask).tolist() == [True, False, True]
 
 
 def _error_classes(cls=kernel.DivboundError):

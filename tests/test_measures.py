@@ -147,6 +147,13 @@ class TestBaseMeasures:
         assert measure_value("Psi", P, Q) == math.inf
         assert chain_check(P, Q, "eq7").values[-1] == ("Psi/16", math.inf)
 
+    @pytest.mark.filterwarnings("error")
+    def test_psi_of_two_tiny_masses_is_not_nan(self):
+        # on the second cell (p - q)^2 and p q both underflow to 0
+        P, Q = validate([1.0, 1e-200]), validate([1.0, 2e-200])
+        assert measure_value("Psi", P, Q) == csiszar_sum(generator("Psi"), P, Q) == 1.5e-200
+        assert chain_check(P, Q, "eq7").values[-1] == ("Psi/16", 1.5e-200 / 16)
+
     def test_alphabet_mismatch(self):
         P = validate([0.5, 0.5])
         Q = validate([0.2, 0.3, 0.5])
@@ -324,6 +331,12 @@ class TestChains:
         Q = validate([0.25, 0.5, 0.25], PERMISSIVE)
         report = chain_check(P, Q, "eq7")  # J/8, T, Psi/16 are all +inf
         assert report.ok
+
+    def test_nan_link_is_violated(self):
+        assert not _chain_report([("a", 0.1), ("b", math.nan)]).ok
+        assert not _chain_report([("a", math.nan), ("b", 0.1)]).ok
+        assert not _chain_report([("a", math.nan), ("b", math.inf)]).ok
+        assert _chain_report([("a", math.inf), ("b", math.inf)]).ok
 
 
 class TestRowKernels:
