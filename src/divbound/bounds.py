@@ -20,10 +20,11 @@ certified lower and upper error bounds:
 Every posterior form is the star transform f*(a) = a f((1-a)/a) of the
 catalog generator, evaluated by generators (star_extended for averages,
 float_star and float_star_array for bisections); this module averages,
-inverts and assembles, and restates no generator or form of f*.  Every
-lower bound is inverted by lower_bounds, which report_rows calls for a
-whole block of problems: it bisects one average in floats and two or more
-in lockstep, with the same bits either way.
+inverts and assembles, and restates no generator or form of f*.  Stage 2,
+report_rows, turns the averages of m problems into bound columns: arrays
+of values and of note codes into NOTES, lower bounds from lower_bounds
+(one average bisected in floats, two or more in lockstep, with the same
+bits) and upper bounds from _upper_bounds.
 Outcomes with zero marginal mass are excluded from every expectation.
 """
 
@@ -211,37 +212,52 @@ def average_f_divergence(problem: TwoClassProblem, g: GeneratingFunction) -> flo
 # lower bounds
 # ---------------------------------------------------------------------------
 
-_INFINITE_AVERAGE = "vacuous: averaged divergence is infinite"
+# A bound column carries each note as its index into NOTES; the string is
+# looked up only where a bound is returned on its own or as a BoundEntry.
+# The notes from "requires equal priors" on say why a bound does not apply.
+NOTES = (
+    "",
+    "vacuous: averaged divergence is infinite",
+    "near-vacuous: target above inversion bracket",
+    "J infinite (bound saturates at 0)",
+    "requires equal priors",
+    "radicand negative",
+    "zeta upper bound requires 0 < s < 1 strictly",
+    "xi upper bound requires s < 1",
+    "xi upper bound needs f_inf, which exceeds the double range",
+)
+_NO_NOTE, _VACUOUS, _NEAR_VACUOUS, _J_INFINITE, _UNEQUAL_PRIORS, _NO_RADICAND = range(6)
+_ZETA_NO_UPPER, _XI_NO_UPPER, _XI_F_INF_OVERFLOWS = range(6, len(NOTES))
 
 
-def _clamped_lower(val: float, average: float) -> Tuple[float, str]:
-    """The lower bound and its note from `val`, the inversion of `average`;
-    `val` is ignored where the average is infinite."""
-    if math.isinf(average):
-        return 0.0, _INFINITE_AVERAGE
-    if val <= LOWER_BRACKET_LO:
-        return 0.0, "near-vacuous: target above inversion bracket"
-    return val, ""
+def _single(values: np.ndarray, codes: np.ndarray) -> Tuple[float, str]:
+    """The (value, note) of a column of one problem, as a float and a string."""
+    return values.item(), NOTES[codes.item()]
 
 
-def lower_bounds(g: GeneratingFunction, averages: Sequence[float]) -> List[Tuple[float, str]]:
-    """The (lower bound, note) of each posterior average of g: f* of g
-    bisected at the average, or 0 where the average is infinite.
+def lower_bounds(g: GeneratingFunction, averages) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, note codes) of the lower bounds from posterior averages of
+    g, as arrays: f* of g bisected at each average, or 0, flagged, where
+    the average is infinite or the bisection ends at LOWER_BRACKET_LO.
 
     One average is bisected by invert_decreasing on float_star(g), two or
     more in lockstep by invert_decreasing_rows on float_star_array(g); the
     bits are the same either way, and each loop is the faster at its
     count.  A nan average raises the bisection's DomainError.
     """
-    if len(averages) == 1:
-        v = float(averages[0])
-        val = 0.0 if math.isinf(v) else invert_decreasing(float_star(g), v, LOWER_BRACKET_LO, 0.5)
-        return [_clamped_lower(val, v)]
     v = np.asarray(averages, dtype=float)
     finite = ~np.isinf(v)
-    vals = np.zeros(v.shape)
-    vals[finite] = invert_decreasing_rows(float_star_array(g), v[finite], LOWER_BRACKET_LO, 0.5)
-    return list(map(_clamped_lower, vals.tolist(), v.tolist()))
+    values = np.zeros(v.shape)
+    lo = LOWER_BRACKET_LO
+    if len(v) == 1:
+        values[finite] = [invert_decreasing(float_star(g), t, lo, 0.5) for t in v[finite].tolist()]
+    else:
+        values[finite] = invert_decreasing_rows(float_star_array(g), v[finite], lo, 0.5)
+    clamped = values <= lo
+    values[clamped] = 0.0
+    codes = _NEAR_VACUOUS * clamped
+    codes[~finite] = _VACUOUS
+    return values, codes
 
 
 def lower_bound_family(problem: TwoClassProblem, family: str, s) -> Tuple[float, str]:
@@ -249,61 +265,66 @@ def lower_bound_family(problem: TwoClassProblem, family: str, s) -> Tuple[float,
 
     Returns (value, note); the note flags vacuous or near-vacuous results.
     """
-    g = _family_generator(family, s)
-    return lower_bounds(g, [average_f_divergence(problem, g)])[0]
+    return family_bounds(problem, family, s)[1]
 
 
 def kailath_bound(problem: TwoClassProblem) -> Tuple[Optional[float], str]:
     """1/4 exp(-J/2) with J between the conditionals; equal priors only."""
-    return _kailath(problem.p1, problem.p2, lambda: problem)
+    value, code = _kailath(problem.p1, problem.p2, lambda: problem)
+    return None if code == _UNEQUAL_PRIORS else value, NOTES[code]
 
 
-def _kailath(p1: float, p2: float, problem: Callable) -> Tuple[Optional[float], str]:
-    # problem() is asked for only where the priors are equal
+def _kailath(p1: float, p2: float, problem: Callable) -> Tuple[float, int]:
+    # (value, note code), as _toussaint_general gives, with the value 0 where
+    # the bound does not apply; problem() is asked for only for equal priors
     if abs(p1 - p2) > PRIOR_TOL:
-        return None, "requires equal priors"
+        return 0.0, _UNEQUAL_PRIORS
     conds = problem()
     j = zeta_measure(0.0, conds.cond1, conds.cond2)
     if math.isinf(j):
-        return 0.0, "J infinite (bound saturates at 0)"
-    return 0.25 * math.exp(-0.5 * j), ""
+        return 0.0, _J_INFINITE
+    return 0.25 * math.exp(-0.5 * j), _NO_NOTE
 
 
-def _toussaint_general(p1: float, p2: float, jbar: float) -> Tuple[Optional[float], str]:
+def _toussaint_general(p1: float, p2: float, jbar: float) -> Tuple[float, int]:
     h = -(p1 * math.log(p1) + p2 * math.log(p2))
     radicand = 1.0 - 4.0 * math.exp(-2.0 * h - jbar)
     if -RADICAND_SNAP < radicand < 0.0:
         radicand = 0.0
     if radicand < 0.0:
-        return None, "radicand negative"
-    return 0.5 - 0.5 * math.sqrt(radicand), ""
+        return 0.0, _NO_RADICAND
+    return 0.5 - 0.5 * math.sqrt(radicand), _NO_NOTE
 
 
 def toussaint_bounds(problem: TwoClassProblem) -> Tuple[Optional[float], float]:
     """(general square-root bound or None, sharper bound via J-inversion)."""
     g = _family_generator("zeta", 0.0)
     jbar = average_f_divergence(problem, g)
-    return _toussaint_general(problem.p1, problem.p2, jbar)[0], lower_bounds(g, [jbar])[0][0]
+    general, code = _toussaint_general(problem.p1, problem.p2, jbar)
+    return None if code else general, lower_bounds(g, [jbar])[0].item()
 
 
 # ---------------------------------------------------------------------------
 # upper bounds
 # ---------------------------------------------------------------------------
 
-_FAMILY_UPPER_REQUIRES = {
-    "zeta": "zeta upper bound requires 0 < s < 1 strictly",
-    "xi": "xi upper bound requires s < 1",
-}
+
+def _family_upper_note(family: str, s) -> int:
+    """_NO_NOTE where a family member has an upper bound (f_inf finite),
+    else the code of the note that says why it has none."""
+    if math.isfinite(_family_generator(family, s).f_infinity):
+        return _NO_NOTE
+    # below s = -1045 the xi constant (2^(-s) - 1)/(2s(s-1)) overflows
+    if family == "xi" and OrderParameter.of(s).s < 0.0:
+        return _XI_F_INF_OVERFLOWS
+    return _ZETA_NO_UPPER if family == "zeta" else _XI_NO_UPPER
 
 
 def _family_upper_generator(family: str, s) -> GeneratingFunction:
-    g = _family_generator(family, s)
-    if math.isinf(g.f_infinity):
-        # below s = -1045 the xi constant (2^(-s) - 1)/(2s(s-1)) overflows
-        if family == "xi" and OrderParameter.of(s).s < 0.0:
-            raise BoundUnavailable("xi upper bound needs f_inf, which exceeds the double range")
-        raise BoundUnavailable(_FAMILY_UPPER_REQUIRES[family])
-    return g
+    code = _family_upper_note(family, s)
+    if code:
+        raise BoundUnavailable(NOTES[code])
+    return _family_generator(family, s)
 
 
 def upper_bound_zeta(problem: TwoClassProblem, s) -> float:
@@ -329,18 +350,24 @@ def generic_upper_bound(problem: TwoClassProblem, g: GeneratingFunction) -> floa
     Raises BoundUnavailable when f_inf is infinite.  The result is clamped
     to [0, 1/2], and is 1/2 when the average is too large for a double.
     """
-    return _upper_from_average(g, average_f_divergence(problem, g))[0]
+    return _upper_bounds(g, [average_f_divergence(problem, g)])[0].item()
 
 
-def _upper_from_average(g: GeneratingFunction, c: float) -> Tuple[float, str]:
+def _upper_bounds(g: GeneratingFunction, averages) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, note codes) of the upper bounds from posterior averages of
+    g, as arrays: (f_inf - avg)/(2 f_inf) clamped to [0, 1/2], or 1/2,
+    flagged, where the average is not finite.  IEEE basic operations and
+    exact clamps, so each value has the bits of the formula in floats."""
     f_inf = g.f_infinity
     if math.isinf(f_inf):
         raise BoundUnavailable(f"{g.key}: f_inf is infinite")
-    if not math.isfinite(c):
-        return 0.5, _INFINITE_AVERAGE
+    c = np.asarray(averages, dtype=float)
+    vacuous = ~np.isfinite(c)
     # halving the quotient, not doubling f_inf, keeps f_inf near the top of
     # the double range finite
-    return min(max(0.5 * ((f_inf - c) / f_inf), 0.0), 0.5), ""
+    values = np.minimum(np.maximum(0.5 * ((f_inf - c) / f_inf), 0.0), 0.5)
+    values[vacuous] = 0.5
+    return values, _VACUOUS * vacuous
 
 
 def family_bounds(
@@ -350,11 +377,8 @@ def family_bounds(
     unavailable) of one family member, all from one posterior average."""
     g = _family_generator(family, s)
     v = average_f_divergence(problem, g)
-    try:
-        upper = _upper_from_average(_family_upper_generator(family, s), v)
-    except BoundUnavailable:
-        upper = None
-    return v, lower_bounds(g, [v])[0], upper
+    upper = None if _family_upper_note(family, s) else _single(*_upper_bounds(g, [v]))
+    return v, _single(*lower_bounds(g, [v])), upper
 
 
 # ---------------------------------------------------------------------------
@@ -433,60 +457,57 @@ def bound_report(
     Inapplicable bounds appear with applicable=False, a reason note, and
     the trivial value of their kind (0 for lower, 1/2 for upper).
     """
-    averages = problem_averages(problem, report_generators(s_grid))
-    columns = {key: [v] for key, v in averages.items()}
-    rows = report_rows(s_grid, [problem.p1], [problem.p2], columns, lambda j: problem)
-    entries = tuple(BoundEntry(name, kind, *column[0]) for name, kind, column in rows)
+    px, a2 = _live_posterior_arrays(problem)
+    averages = posterior_averages(px[None], a2[None], report_generators(s_grid))
+    rows = report_rows(s_grid, [problem.p1], [problem.p2], averages, lambda j: problem)
+    entries = tuple(
+        BoundEntry(name, kind, values.item(), applicable.item(), NOTES[codes.item()])
+        for name, kind, values, applicable, codes in rows
+    )
     return BoundReport(exact_pe=bayes_error(problem), entries=entries)
 
 
 def report_rows(
     s_grid: Sequence[float], p1: list, p2: list, averages: dict, problem: Callable
-) -> List[Tuple[str, str, list]]:
+) -> List[Tuple[str, str, np.ndarray, np.ndarray, np.ndarray]]:
     """Stage 2 of a bound report: every bound of m problems, from their
-    posterior averages, as (name, kind, column) rows in canonical order.
+    posterior averages, as (name, kind, values, applicable, notes) rows in
+    canonical order, each a float, bool or int array of m entries.
 
-    p1 and p2 hold the m problems' priors, and `averages` maps each key of
-    report_generators(s_grid) to a list of their averages.  The lower
-    bounds are lower_bounds of the averages of each of
-    lower_generators(s_grid), all m of them at once.  problem(j) is the
-    j-th problem, asked for only where its priors are equal (the Kailath
-    bound).  A column lists the m problems' (value, applicable, note)
-    entries.  Row names show the orders as the grid has them: -0.0 names
-    its rows s=-0.0.
+    p1 and p2 list the m problems' priors, and `averages` maps each key of
+    report_generators(s_grid) to an array of their averages.  Notes are
+    codes into NOTES.  The Kailath and general Toussaint bounds are taken
+    problem by problem in floats (numpy's exp and log bits depend on the
+    SIMD dispatch); problem(j) is the j-th problem, asked for only where
+    its priors are equal.  Row names show the orders as the grid has them:
+    -0.0 names its rows s=-0.0.
     """
-
-    def entries(pairs) -> list:
-        # from (value, note) pairs; a lower bound of None does not apply
-        return [(0.0, False, note) if v is None else (v, True, note) for v, note in pairs]
-
-    def upper(g: GeneratingFunction) -> list:
-        return entries(_upper_from_average(g, c) for c in averages[g.key])
-
+    m = len(p1)
     lowers = {g.key: lower_bounds(g, averages[g.key]) for g in lower_generators(s_grid)}
     j0 = _family_generator("zeta", 0.0).key
-    kailath = (_kailath(a, b, lambda: problem(j)) for j, (a, b) in enumerate(zip(p1, p2)))
+    kailath = [_kailath(a, b, lambda: problem(j)) for j, (a, b) in enumerate(zip(p1, p2))]
+    toussaint = map(_toussaint_general, p1, p2, averages[j0].tolist())
     rows = [
-        ("kailath", "lower", entries(kailath)),
-        ("toussaint_general", "lower", entries(map(_toussaint_general, p1, p2, averages[j0]))),
-        ("toussaint_inversion", "lower", [(v, True, "") for v, _ in lowers[j0]]),
+        ("kailath", "lower", *map(np.array, zip(*kailath))),
+        ("toussaint_general", "lower", *map(np.array, zip(*toussaint))),
+        ("toussaint_inversion", "lower", lowers[j0][0], np.zeros(m, dtype=int)),
     ]
     for family in ("zeta", "xi"):
         for s in s_grid:
-            key = _family_generator(family, s).key
-            rows.append((f"{family}_lower(s={float(s)!r})", "lower", entries(lowers[key])))
+            column = lowers[_family_generator(family, s).key]
+            rows.append((f"{family}_lower(s={float(s)!r})", "lower", *column))
     for family in ("zeta", "xi"):
         for s in s_grid:
-            name = f"{family}_upper(s={float(s)!r})"
-            try:
-                g = _family_upper_generator(family, s)
-            except BoundUnavailable as exc:
-                rows.append((name, "upper", [(0.5, False, str(exc))] * len(p1)))
+            g, code = _family_generator(family, s), _family_upper_note(family, s)
+            if code:
+                column = np.full(m, 0.5), np.full(m, code)
             else:
-                rows.append((name, "upper", upper(g)))
+                column = _upper_bounds(g, averages[g.key])
+            rows.append((f"{family}_upper(s={float(s)!r})", "upper", *column))
     for tag, g in _difference_generators().items():
-        rows.append((f"diff_upper({tag})", "upper", upper(g)))
-    return rows
+        rows.append((f"diff_upper({tag})", "upper", *_upper_bounds(g, averages[g.key])))
+    applicable = np.array([codes for _, _, _, codes in rows]) < _UNEQUAL_PRIORS
+    return [(name, kind, v, ok, codes) for (name, kind, v, codes), ok in zip(rows, applicable)]
 
 
 @dataclass(frozen=True)

@@ -375,7 +375,14 @@ def limit_constants(g: GeneratingFunction) -> float:
 
 
 def _csiszar_term(p: np.ndarray, q: np.ndarray, fn: Callable):
-    return q * np.asarray(fn(p / q), dtype=float)
+    u = p / q
+    over = np.isinf(u)
+    if over.any():
+        # star symmetry, q f(p/q) = p f(q/p): a cell whose ratio overflows
+        # is taken mirrored, so fn never sees inf
+        p, q = np.where(over, q, p), np.where(over, p, q)
+        u = p / q
+    return q * np.asarray(fn(u), dtype=float)
 
 
 def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray, reduce=None):
@@ -383,8 +390,9 @@ def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray, reduce=Non
 
     One call serves a single pair of vectors or an (m, n) block of pairs,
     row for row bit-identical to the single-pair sums; reduce=FlatRows.row_sum
-    sums the rows of flat buffers instead.  A generator power that
-    overflows gives +inf silently.
+    sums the rows of flat buffers instead.  A cell whose ratio p/q
+    overflows is summed as p f(q/p), which every catalog generator equals
+    by star symmetry.  A generator power that overflows gives +inf silently.
     """
     with np.errstate(over="ignore"):
         return (reduce or row_sum)(_csiszar_term, p, q, g.fn)

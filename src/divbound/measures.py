@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -449,6 +449,13 @@ def chain_slack(values: np.ndarray):
     return raw, normalised, violated
 
 
+def worst_of(pick: Callable, start: float, values: np.ndarray) -> float:
+    """pick (min or max) of start and the values, taken in order as Python's
+    min and max take them (of equal values the first, sign of zero and all),
+    or nan where a value is nan: a nan never hides behind a finite worst."""
+    return math.nan if np.isnan(values).any() else pick([start, *values.reshape(-1).tolist()])
+
+
 @dataclass(frozen=True)
 class ChainReport:
     """Ordered chain values and any adjacent-pair violations (with raw slack)."""
@@ -462,9 +469,9 @@ class ChainReport:
 
     @property
     def worst_slack(self) -> float:
-        """Most negative normalised slack over adjacent pairs (inf if none finite)."""
+        """Most negative normalised slack of adjacent pairs (inf if none finite, nan if any is)."""
         _, normalised, _ = chain_slack(np.array([v for _, v in self.values]))
-        return min([math.inf, *normalised.tolist()])
+        return worst_of(min, math.inf, normalised)
 
 
 def _chain_report(entries: Sequence[Tuple[str, float]]) -> ChainReport:

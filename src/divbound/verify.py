@@ -23,10 +23,11 @@ whole buffer, in chunks of rows; only the row sums run per slab.  The
 softmax rows are valid distributions by construction; each block is
 checked once for that, and a failure is an internal error, not a
 validation error.
-The sandwich suite then assembles every bound of the block in one call
-(bounds.report_rows, whose lower_bounds bisects each lower bound for all
-of the block's problems at once) and reduces the (problem, bound) slacks;
-the comparisons are evaluated on the block's arrays.
+The sandwich suite then takes each bound of the block as one array
+(bounds.report_rows, which bisects a lower bound for all of the block's
+problems at once) and reduces the (problem, bound) slacks; the
+comparisons are evaluated on the block's arrays.  A nan value makes a
+suite's worst nan (measures.worst_of).
 Results are reduced in trial order, so the reports equal, byte for byte,
 checking one trial at a time with chain_check, measure_value, csiszar_sum,
 bound_report and comparison_check.
@@ -77,7 +78,7 @@ from .generators import (
     star_symmetry_defect,
 )
 from .kernel import ArgumentError, FlatRows, usable_cpus
-from .measures import CHAIN_LABELS, BaseSums, _chain_report, chain_slack
+from .measures import CHAIN_LABELS, BaseSums, _chain_report, chain_slack, worst_of
 
 SUITE_NAMES = (
     "eq7_chain",
@@ -291,9 +292,7 @@ def _chain_suite(
             # test hook: force a detectable violation by deflating one interior value
             values[0, 2] -= 10.0 * (1.0 + abs(values[0, 2]))
         _, normalised, violated = chain_slack(values)
-        # Python's min in trial order: a nan never replaces the running
-        # minimum, and of equal values the earliest (and its sign) stays
-        worst = min([worst, *normalised.reshape(-1).tolist()])
+        worst = worst_of(min, worst, normalised)
         bad = np.flatnonzero(violated.any(axis=-1))
         failures += bad.size
         if first is None and bad.size:
@@ -322,7 +321,7 @@ def _csiszar_suite(trials: int, rng: np.random.Generator, n_max: int) -> SuiteRe
     for block in _blocks(trials, rng, n_max):
         direct, summed = _csiszar_values(block, gens)
         dev = np.abs(summed - direct) / (1.0 + np.abs(direct))
-        worst = max([worst, *dev.reshape(-1).tolist()])
+        worst = worst_of(max, worst, dev)
         failing = dev > CSISZAR_TOL
         failures += int(np.count_nonzero(failing))
         if first is None and failing.any():
@@ -409,19 +408,14 @@ def _sandwich_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
         pe = block.in_trial_order(min_mass_sum(w1, w2, block.rows.row_sum))
         averages = _averages(block, px, a2, gens)
         p1 = block.in_trial_order(block.priors).tolist()
-        # stage 2: each generator's bisections run for the whole block at once
+        # stage 2: each bound's column for the whole block at once
         rows = report_rows(
-            DEFAULT_S_GRID,
-            p1,
-            [1.0 - p for p in p1],
-            {key: values.tolist() for key, values in averages.items()},
-            partial(_checked_problem, block),
+            DEFAULT_S_GRID, p1, [1.0 - p for p in p1], averages, partial(_checked_problem, block)
         )
-        values = np.array([[e[0] for e in column] for _, _, column in rows])
-        applicable = np.array([[e[1] for e in column] for _, _, column in rows]).T
         # (problem, bound) in trial order, as the bounds of one problem follow one another
-        slacks = np.array([_slack(kind, v, pe) for (_, kind, _), v in zip(rows, values)]).T
-        worst = min([worst, *slacks[applicable].tolist()])
+        slacks = np.array([_slack(kind, values, pe) for _, kind, values, _, _ in rows]).T
+        applicable = np.array([applicable for _, _, _, applicable, _ in rows]).T
+        worst = worst_of(min, worst, slacks[applicable])
         violated = applicable & _sandwich_violated(slacks)
         failing = violated.any(axis=-1)
         failures += int(np.count_nonzero(failing))
@@ -446,7 +440,7 @@ def _comparison_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
         slacks = np.stack([res.slack for res in results], axis=-1)
         failing = ~np.stack([res.satisfied for res in results], axis=-1)
         checks += slacks.size
-        worst = min([worst, *slacks.reshape(-1).tolist()])
+        worst = worst_of(min, worst, slacks)
         failures += int(np.count_nonzero(failing))
         if first is None and failing.any():
             j, r = divmod(int(np.argmax(failing.reshape(-1))), len(results))

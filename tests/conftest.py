@@ -28,6 +28,17 @@ def make_pair(rng: np.random.Generator, n: int):
     return out[0], out[1]
 
 
+def column_entries(rows, j: int):
+    """The BoundEntry of problem j in each of report_rows' rows, its note
+    looked up from its code."""
+    from divbound.bounds import NOTES, BoundEntry
+
+    return tuple(
+        BoundEntry(name, kind, values[j].item(), applicable[j].item(), NOTES[codes[j]])
+        for name, kind, values, applicable, codes in rows
+    )
+
+
 def set_cpus(monkeypatch, count: int):
     """Make `count` CPUs usable, for row_sum's helper threads and verify's workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle_reference as oracle
-from conftest import make_pair
+from conftest import column_entries, make_pair
 from divbound.bounds import (
     DEFAULT_S_GRID,
-    BoundEntry,
     BoundReport,
     BoundUnavailable,
     InvalidPriors,
@@ -324,16 +323,26 @@ def _bracket_points(seed, count=10_000):
 
 def _report_from_rows(problem, grid, averages):
     """The report that stage 2 gives for one problem from its averages."""
-    columns = {key: [v] for key, v in averages.items()}
+    columns = {key: np.array([v]) for key, v in averages.items()}
     rows = bounds_mod.report_rows(grid, [problem.p1], [problem.p2], columns, lambda j: problem)
-    entries = tuple(BoundEntry(name, kind, *column[0]) for name, kind, column in rows)
-    return BoundReport(bayes_error(problem), entries)
+    return BoundReport(bayes_error(problem), column_entries(rows, 0))
 
 
 def _lockstep_equals_scalar(g, targets):
-    got = bounds_mod.lower_bounds(g, np.array(targets, dtype=float))
-    want = [bounds_mod.lower_bounds(g, [v])[0] for v in targets]
-    assert [repr(x) for x in got] == [repr(x) for x in want]
+    values, codes = bounds_mod.lower_bounds(g, np.array(targets, dtype=float))
+    got = list(zip(values.tolist(), codes.tolist()))
+    want = [bounds_mod.lower_bounds(g, [v]) for v in targets]
+    assert repr(got) == repr([(v.item(), c.item()) for v, c in want])
+
+
+def _scalar_lower(g, average):
+    """The lower bound and note of one average, in floats."""
+    if math.isinf(average):
+        return 0.0, "vacuous: averaged divergence is infinite"
+    val = invert_decreasing(float_star(g), average, LO, 0.5)
+    if val <= LO:
+        return 0.0, "near-vacuous: target above inversion bracket"
+    return val, ""
 
 
 def _no_loop(*args, **kwargs):
@@ -393,8 +402,21 @@ class TestLockstepLowerBounds:
         got = _report_from_rows(problem, DEFAULT_S_GRID, averages)
         assert repr(got) == repr(bound_report(problem))
 
+    @pytest.mark.parametrize("family,s", LOCKSTEP_ORDERS)
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_edge_averages_equal_the_float_formula(self, family, s, count):
+        # an infinite average, and targets at and above f*(LOWER_BRACKET_LO)
+        g = bounds_mod._family_generator(family, s)
+        f_lo = float_star(g)(LO)
+        edges = [math.inf, f_lo, math.nextafter(f_lo, math.inf), 2.0 * f_lo + 1.0, float_star(g)(0.25)]
+        for average in [v for v in edges if not math.isnan(v)]:
+            values, codes = bounds_mod.lower_bounds(g, [average] * count)
+            got = [(v, bounds_mod.NOTES[c]) for v, c in zip(values.tolist(), codes.tolist())]
+            assert repr(got) == repr([_scalar_lower(g, average)] * count)
+
     def test_no_targets(self):
-        assert bounds_mod.lower_bounds(bounds_mod._family_generator("xi", 0.5), []) == []
+        values, codes = bounds_mod.lower_bounds(bounds_mod._family_generator("xi", 0.5), [])
+        assert values.size == codes.size == 0
 
     def test_one_average_takes_the_float_loop(self, monkeypatch, flip_problem):
         def one_problem_bounds():
@@ -609,6 +631,23 @@ class TestUpperBoundsNearTheDoubleRange:
         assert averaged == pytest.approx(want, rel=1e-10)
         assert 0.0 < lower[0] <= pe and lower[1] == ""
         assert pe <= upper[0] <= 0.5 and upper[1] == ""
+
+    @pytest.mark.parametrize("key", ["xi:-1045.0", "xi:-1040.0", "xi:0.5", "zeta:0.5", *DIFF_TAGS])
+    def test_edge_averages_equal_the_float_formula(self, key):
+        g = generator(key)
+        f_inf = g.f_infinity
+        edges = [0.0, f_inf, math.nextafter(f_inf, math.inf), math.nextafter(f_inf, -math.inf)]
+        edges += [2.0 * f_inf, math.inf, math.nan]
+        for count in (1, 3):
+            values, codes = bounds_mod._upper_bounds(g, np.repeat(edges, count))
+            got = [(v, bounds_mod.NOTES[c]) for v, c in zip(values.tolist(), codes.tolist())]
+            want = [
+                (min(max(0.5 * ((f_inf - c) / f_inf), 0.0), 0.5), "")
+                if math.isfinite(c)
+                else (0.5, "vacuous: averaged divergence is infinite")
+                for c in np.repeat(edges, count).tolist()
+            ]
+            assert repr(got) == repr(want)
 
     def test_twice_f_inf_overflows(self):
         # f_inf(-1045) is finite, 2 f_inf is not: the bound is just below 1/2

@@ -24,6 +24,7 @@ from divbound.generators import (
 )
 from divbound.kernel import ArgumentError, DivboundError, DomainError
 from divbound.measures import MeasureId, measure_value
+from divbound.verify import CSISZAR_TOL
 
 LN2 = math.log(2.0)
 SQRT2 = math.sqrt(2.0)
@@ -365,6 +366,16 @@ class TestCsiszarSum:
         g = generator("h")
         P2, Q2 = validate([0.5, 0.5]), validate([0.25, 0.75])
         assert csiszar_sum(g, P, Q) == csiszar_sum(g, P2, Q2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_ratio_is_summed_mirrored(self):
+        # p/q overflows on the second cell; there q f(p/q) is p f(q/p)
+        P = validate([0.5, 0.5], PERMISSIVE)
+        Q = validate([1.0 - 1e-310, 1e-310], PERMISSIVE)
+        for key in CATALOG_KEYS:
+            direct = measure_value(key, P, Q)
+            summed = csiszar_sum(generator(key), P, Q)
+            assert summed == direct or abs(summed - direct) <= CSISZAR_TOL * (1.0 + abs(direct)), key
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec", ["xi:60", "zeta:60", "zeta:-60"])

@@ -31,6 +31,7 @@ from divbound.measures import (
     chain_check,
     difference_measure,
     measure_value,
+    worst_of,
     xi,
     zeta,
 )
@@ -337,6 +338,15 @@ class TestChains:
         assert not _chain_report([("a", math.nan), ("b", 0.1)]).ok
         assert not _chain_report([("a", math.nan), ("b", math.inf)]).ok
         assert _chain_report([("a", math.inf), ("b", math.inf)]).ok
+
+    def test_nan_link_is_the_worst_slack(self):
+        # a failing report's worst slack does not read as satisfied
+        assert math.isnan(_chain_report([("a", 0.1), ("b", math.nan)]).worst_slack)
+        assert math.isnan(_chain_report([("a", math.nan), ("b", 0.1)]).worst_slack)
+        assert math.isnan(worst_of(max, 0.0, np.array([[1.0, math.nan]])))
+        # otherwise Python's min and max in order: of equal values the first
+        assert repr(worst_of(min, math.inf, np.array([[0.0, -0.0], [1.0, 2.0]]))) == "0.0"
+        assert repr(worst_of(max, -0.0, np.array([0.0]))) == "-0.0"
 
 
 class TestRowKernels:

@@ -7,12 +7,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_pair, set_cpus
+from conftest import column_entries, make_pair, set_cpus
 from divbound import cli, verify
 from divbound import bounds, kernel, measures
 from divbound.bounds import (
     DEFAULT_S_GRID,
-    BoundEntry,
     TwoClassProblem,
     bayes_error,
     bound_report,
@@ -451,17 +450,12 @@ def test_sandwich_reports_equal_bound_report():
         pe, averages = _stage_one(block, gens)
         p1 = [block.prior(j) for j in range(len(block))]
         rows = report_rows(
-            grid,
-            p1,
-            [1.0 - p for p in p1],
-            {key: values.tolist() for key, values in averages.items()},
-            lambda j: verify._checked_problem(block, j),
+            grid, p1, [1.0 - p for p in p1], averages, lambda j: verify._checked_problem(block, j)
         )
         for j in range(len(block)):
             report = bound_report(verify._checked_problem(block, j), grid)
             assert float(pe[j]) == report.exact_pe
-            entries = tuple(BoundEntry(name, kind, *column[j]) for name, kind, column in rows)
-            assert repr(entries) == repr(report.entries)
+            assert repr(column_entries(rows, j)) == repr(report.entries)
             checked += 1
     assert checked == 300
 
