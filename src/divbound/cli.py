@@ -10,11 +10,13 @@ is a negative --seed.
 DIVBOUND_VERIFY_CORRUPT=1 is a test hook that injects a chain violation so
 the detector path can be exercised end to end.
 
-verify runs its suites in worker processes when more than one CPU is
-available; its output is byte-identical for a given (--trials, --seed,
---n-max) either way, and an error raised in a worker is reported as it
-would be in this process.  verify reads no input file, so it never exits 3:
-a drawn row that is not a distribution is an internal error (exit 4).
+verify runs its suites in worker processes forked with os.fork when more
+than one CPU is available; its output is byte-identical for a given
+(--trials, --seed, --n-max) either way, and an error raised in a worker is
+reported with its type and exit code as it would be in this process, its
+worker traceback attached.  A worker that ends without its suite's result
+is an internal error (exit 4).  verify reads no input file, so it never
+exits 3: a drawn row that is not a distribution is an internal error too.
 """
 
 from __future__ import annotations

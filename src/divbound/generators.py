@@ -111,8 +111,8 @@ def _f_d(u):
 
 
 # The family forms take their power as a parameter: float_star_array
-# evaluates them on arrays with Python's float power, which numpy's array
-# power does not always match bit for bit.
+# evaluates them on arrays with libm's pow (_float_pow), the power a float's
+# ** takes, which numpy's array power does not always match bit for bit.
 
 
 def _f_zeta(s: float, power: Callable = operator.pow) -> Callable:
@@ -295,32 +295,24 @@ def float_star(g: GeneratingFunction) -> Callable[[float], float]:
 
 
 def _float_pow(u: np.ndarray, e: float) -> np.ndarray:
-    """u ** e with Python's float power (libm's pow), element by element,
-    and nan where it overflows.  numpy's array power differs from it on
-    some points: its square, sqrt and reciprocal fast paths and its SIMD
-    pow are not libm's pow."""
-    x = u.tolist()
-    try:
-        return np.array([v**e for v in x])
-    except ArithmeticError:
-        return np.array([_pow_or_nan(v, e) for v in x])
-
-
-def _pow_or_nan(v: float, e: float) -> float:
-    try:
-        return v**e
-    except ArithmeticError:
-        return math.nan
+    """u ** e for finite u > 0, with the bits of Python's float power, and
+    nan where that raises OverflowError.  numpy's float64 float_power calls
+    libm's pow per element, as a float's ** does, where numpy's ** takes
+    square, sqrt and reciprocal fast paths and a SIMD pow."""
+    with np.errstate(over="ignore"):
+        out = np.float_power(u, e)
+    out[out == INF] = math.nan
+    return out
 
 
 def float_star_array(g: GeneratingFunction) -> Callable[[np.ndarray], np.ndarray]:
     """float_star(g) on an array of points in (0, 1), bit for bit per point.
 
     The form runs in numpy, a family member at a regular order taking its
-    powers with _float_pow; every other generator is numpy arithmetic, log
-    and sqrt, which give an array the bits they give a float.  A point
-    whose value is not finite (a power or the product overflowed) takes
-    _star_float.
+    powers from libm's pow in one C loop (_float_pow); every other
+    generator is numpy arithmetic, log and sqrt, which give an array the
+    bits they give a float.  A point whose value is not finite (a power or
+    the product overflowed) takes _star_float.
     """
     mid = MeasureId.parse(g.key)
     fn = g.fn
@@ -375,14 +367,16 @@ def limit_constants(g: GeneratingFunction) -> float:
 
 
 def _csiszar_term(p: np.ndarray, q: np.ndarray, fn: Callable):
-    u = p / q
-    over = np.isinf(u)
-    if over.any():
-        # star symmetry, q f(p/q) = p f(q/p): a cell whose ratio overflows
-        # is taken mirrored, so fn never sees inf
-        p, q = np.where(over, q, p), np.where(over, p, q)
-        u = p / q
-    return q * np.asarray(fn(u), dtype=float)
+    out = q * np.asarray(fn(p / q), dtype=float)
+    finite = np.isfinite(out)
+    if not finite.all():
+        # star symmetry, q f(p/q) = p f(q/p): a cell whose term is not
+        # finite (its ratio, or f at it, overflowed) is taken mirrored,
+        # unless that is nan (q/p overflowed too)
+        bad = ~finite
+        mirrored = p[bad] * fn(q[bad] / p[bad])
+        out[bad] = np.where(np.isnan(mirrored), out[bad], mirrored)
+    return out
 
 
 def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray, reduce=None):
@@ -390,11 +384,12 @@ def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray, reduce=Non
 
     One call serves a single pair of vectors or an (m, n) block of pairs,
     row for row bit-identical to the single-pair sums; reduce=FlatRows.row_sum
-    sums the rows of flat buffers instead.  A cell whose ratio p/q
-    overflows is summed as p f(q/p), which every catalog generator equals
-    by star symmetry.  A generator power that overflows gives +inf silently.
+    sums the rows of flat buffers instead.  A cell whose term q f(p/q) is
+    not finite (p/q or f overflowed) is summed as p f(q/p), which every
+    catalog generator equals by star symmetry.  Where that overflows too,
+    the sum is +inf, silently.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return (reduce or row_sum)(_csiszar_term, p, q, g.fn)
 
 

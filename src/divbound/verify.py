@@ -32,17 +32,19 @@ Results are reduced in trial order, so the reports equal, byte for byte,
 checking one trial at a time with chain_check, measure_value, csiszar_sum,
 bound_report and comparison_check.
 
-The suites share nothing, so run_verify runs them in forked worker
-processes when more than one CPU is available, and in the calling process
-otherwise.  A suite's arguments, its generator included, are the same
-either way and the results are collected in SUITE_NAMES order, so a fixed
-(trials, seed, n_max) triple yields byte-identical reports wherever the
-suites ran.
+The suites share nothing, so run_verify runs them in worker processes
+forked with os.fork when more than one CPU is available, and in the
+calling process otherwise.  A suite's arguments, its generator included,
+are the same either way and the results are collected in SUITE_NAMES
+order, so a fixed (trials, seed, n_max) triple yields byte-identical
+reports wherever the suites ran.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, List, Optional, Tuple
@@ -90,15 +92,15 @@ SUITE_NAMES = (
 )
 
 # The order the suites are handed to worker processes: longest first, so
-# that the short ones fill in behind.  At --trials 10000 on one core of a
-# 2-vCPU x86 host the suites take about 0.14, 0.14, 0.12, 0.033, 0.014 and
-# 0.003 s (medians) in this order, so with two workers the two chains share
-# one (about 0.26 s), which sets the wall time, and the other four suites
-# the other (about 0.19 s).
+# that the short ones fill in behind.  At --trials 10000, cold, on one core
+# of a 2-vCPU x86 host the suites take about 0.16, 0.14, 0.08, 0.055, 0.017
+# and 0.004 s (medians of 5) in this order; with two workers the chains
+# start at once and the sandwich suite follows the shorter, so each worker
+# runs about 0.23 s.
 _LONGEST_FIRST = (
-    "sandwich",
     "eq7_chain",
     "eq39_chain",
+    "sandwich",
     "csiszar_equiv",
     "comparisons",
     "star_transform",
@@ -454,21 +456,115 @@ def _comparison_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
 def _worker_count() -> int:
     """Processes to run the suites in; 0 runs them in this process.
 
-    Workers are forked, so they start from this process's state (module
-    globals included) without importing anything again.  No divbound
-    thread is alive at the fork: row_sum joins its helpers before it
-    returns.  A daemonic process may not have children.
+    No divbound thread is alive at a fork: row_sum joins its helpers before
+    it returns.  A daemonic multiprocessing process may not have children,
+    and a process that never imported multiprocessing is not one.
     """
     cpus = usable_cpus()
-    if cpus < 2:
+    if cpus < 2 or not hasattr(os, "fork"):
         return 0
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 0
-    if multiprocessing.current_process().daemon:
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
         return 0
     return min(cpus, len(SUITE_NAMES))
+
+
+class _WorkerTraceback(Exception):
+    """A worker's formatted traceback, the __cause__ of its exception."""
+
+
+def _serve(calls: dict, tasks: int, out: int) -> None:
+    """A worker: take suite indices from the tasks pipe a byte at a time
+    until it is empty.  Send (name,) as a suite starts, then (name, result
+    or exception, traceback text or None), each pickled after its length."""
+    import pickle
+    import traceback
+
+    def send(*frame):
+        data = pickle.dumps(frame)
+        pipe.write(len(data).to_bytes(4, "little") + data)
+        pipe.flush()
+
+    pipe = os.fdopen(out, "wb")
+    while task := os.read(tasks, 1):
+        name = SUITE_NAMES[task[0]]
+        fn, *args = calls[name]
+        send(name)
+        try:
+            send(name, fn(*args), None)
+        except Exception as exc:
+            send(name, exc, traceback.format_exc())
+
+
+def _read(fd: int, n: int) -> bytes:
+    """n bytes from a pipe, or b"" where it ends first."""
+    data = b""
+    while len(data) < n:
+        if not (chunk := os.read(fd, n - len(data))):
+            return b""
+        data += chunk
+    return data
+
+
+def _run_forked(calls: dict, workers: int) -> List[SuiteResult]:
+    """Run the suites in `workers` processes forked with os.fork, which
+    start from this process's state, module globals included.
+
+    The suite indices wait in one pipe, longest first; each worker sends
+    its frames (_serve) through a pipe of its own.  A pipe that ends while
+    its worker runs a suite, or all of them ending first, is a RuntimeError.
+    On any error or interrupt the workers are killed; on every path they
+    are reaped before this returns.
+    """
+    import pickle
+    import select
+    import signal
+
+    tasks, queue = os.pipe()
+    os.write(queue, bytes(map(SUITE_NAMES.index, _LONGEST_FIRST)))
+    os.close(queue)
+    pids, running, outcomes = [], {}, {}  # running: open worker pipe -> its suite
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            if not (pid := os.fork()):  # a worker: it never returns into the caller
+                try:
+                    _serve(calls, tasks, w)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(w)
+            running[r] = None
+        for name in SUITE_NAMES:
+            while name not in outcomes:
+                if not running:
+                    raise RuntimeError(f"the verify workers ended without running {name}")
+                for fd in select.select(list(running), [], [])[0]:
+                    head = _read(fd, 4)
+                    if frame := head and _read(fd, int.from_bytes(head, "little")):
+                        done, *outcome = pickle.loads(frame)
+                        running[fd] = None if outcome else done
+                        if outcome:
+                            outcomes[done] = outcome
+                    else:  # the worker ended
+                        os.close(fd)
+                        if ended := running.pop(fd):
+                            raise RuntimeError(f"a verify worker ended while running {ended}")
+            value, text = outcomes[name]
+            if text is not None:
+                raise value from _WorkerTraceback(text)
+        return [outcomes[name][0] for name in SUITE_NAMES]
+    except BaseException:
+        # a suite failed, a worker ended, or the caller was interrupted:
+        # stop the suites still running instead of waiting for them
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in [tasks, *running]:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def run_verify(
@@ -477,10 +573,10 @@ def run_verify(
     """Run all suites; `trials` drives the chains, trials//10 the rest.
 
     The suites are independent, so they run in forked worker processes
-    when more than one CPU is available.  Each suite gets the same
-    arguments, its own generator included, either way, so the results
+    (_run_forked) when more than one CPU is available.  Each suite gets the
+    same arguments, its own generator included, either way, so the results
     (and an exception, raised from the first failing suite in SUITE_NAMES
-    order) do not depend on where the suites ran.
+    order, with its type) do not depend on where the suites ran.
     """
     if trials < 1:
         raise ArgumentError(f"trials must be >= 1, got {trials}")
@@ -504,20 +600,4 @@ def run_verify(
     workers = _worker_count()
     if not workers:
         return [fn(*args) for fn, *args in map(calls.get, SUITE_NAMES)]
-
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = {name: pool.submit(*calls[name]) for name in _LONGEST_FIRST}
-        return [futures[name].result() for name in SUITE_NAMES]
-    except BaseException:
-        # a suite failed, or the caller was interrupted: stop the suites
-        # still running or queued instead of waiting for them (the
-        # executor has no public call for this before Python 3.14)
-        for proc in pool._processes.values():
-            proc.terminate()
-        raise
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return _run_forked(calls, workers)

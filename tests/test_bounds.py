@@ -38,7 +38,7 @@ from divbound import kernel
 from divbound.distributions import ValidationFailure
 from divbound.kernel import DomainError, invert_decreasing
 from divbound.generators import float_star, float_star_array, generator, star, xi_f_inf
-from divbound.measures import DIFF_TAGS, MeasureId
+from divbound.measures import DIFF_TAGS, MeasureId, _limit_base
 
 LN2 = math.log(2.0)
 
@@ -362,6 +362,26 @@ class TestLockstepLowerBounds:
         f = float_star(g)
         got = float_star_array(g)(points)
         assert [repr(v) for v in got.tolist()] == [repr(f(a)) for a in points.tolist()]
+
+    def test_lockstep_power_is_the_float_power(self):
+        # the premise of the evaluator: numpy's float_power is libm's pow per
+        # element, the function a float's ** calls, and nan exactly where **
+        # raises OverflowError; a SIMD float_power would break it here first
+        exponents = {0.3, -0.7, 1.5, 3.7}
+        for family, s in LOCKSTEP_ORDERS:
+            if _limit_base(family, s) is None:
+                exponents.update((s, 1.0 - s) if family == "zeta" else (1.0 - s,))
+        u = 10.0 ** np.random.default_rng(3).uniform(-300.0, 300.0, 100_000)
+        points = u.tolist()
+        for e in sorted(exponents):
+            want = []
+            for v in points:
+                try:
+                    want.append(v**e)
+                except OverflowError:
+                    want.append(math.nan)
+            got = generators_mod._float_pow(u, e)
+            assert got.tobytes() == np.array(want).tobytes(), e
 
     @pytest.mark.parametrize("family,s", OVERFLOW_ORDERS)
     def test_overflowed_points_take_the_scalar_path(self, monkeypatch, family, s):

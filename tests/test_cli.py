@@ -398,6 +398,18 @@ class TestVerifyCommand:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
+    def test_parallel_verify_loads_no_process_pool(self):
+        # the workers are forked with os.fork, not through multiprocessing
+        code = (
+            "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "from divbound import cli, verify; "
+            "assert verify._worker_count() == 2; "
+            "code = cli.main(['verify', '--trials', '100', '--format', 'machine']); "
+            "print(code, [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout.splitlines()[-1]) == (0, "0 []"), run.stderr
+
     def test_seed_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("DIVBOUND_SEED", "5")
         _, out_env, _ = run(capsys, ["verify", "--trials", "30", "--format", "machine"])

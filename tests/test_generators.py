@@ -369,13 +369,19 @@ class TestCsiszarSum:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowed_ratio_is_summed_mirrored(self):
-        # p/q overflows on the second cell; there q f(p/q) is p f(q/p)
-        P = validate([0.5, 0.5], PERMISSIVE)
-        Q = validate([1.0 - 1e-310, 1e-310], PERMISSIVE)
-        for key in CATALOG_KEYS:
-            direct = measure_value(key, P, Q)
-            summed = csiszar_sum(generator(key), P, Q)
-            assert summed == direct or abs(summed - direct) <= CSISZAR_TOL * (1.0 + abs(direct)), key
+        # where q f(p/q) is not finite, the term is p f(q/p)
+        for p, q in (
+            ([0.5, 0.5], [1.0 - 1e-310, 1e-310]),  # p/q overflows on the second cell
+            ([0.5, 0.5], [1.0 - 1e-300, 1e-300]),  # p/q is finite, f(p/q) overflows
+            ([1e-310, 1.0 - 1e-310], [0.5, 0.5]),  # both forms overflow: inf, not nan
+        ):
+            P, Q = validate(p, PERMISSIVE), validate(q, PERMISSIVE)
+            for key in CATALOG_KEYS:
+                direct = measure_value(key, P, Q)
+                summed = csiszar_sum(generator(key), P, Q)
+                assert summed == direct or abs(summed - direct) <= CSISZAR_TOL * (
+                    1.0 + abs(direct)
+                ), (key, p, q)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec", ["xi:60", "zeta:60", "zeta:-60"])

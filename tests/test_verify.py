@@ -483,7 +483,7 @@ def test_suites_run_in_workers_when_cpus_allow(monkeypatch, cpus, in_workers):
 
 def test_no_fork_start_method_runs_serially(monkeypatch):
     set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert _star_suite_pid(monkeypatch) == os.getpid()
 
 
@@ -524,10 +524,20 @@ def _slow_suite(*args):
     time.sleep(60)
 
 
+def _exiting_suite(*args):
+    os._exit(0)
+
+
+def _assert_no_child():
+    # every worker is reaped: this process has no child, not even a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_parallel_run_leaves_no_worker(monkeypatch):
     set_cpus(monkeypatch, 2)
     assert all(r.ok for r in run_verify(20, 1))
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def _interrupt(signum, frame):
@@ -549,7 +559,7 @@ def test_interrupt_stops_the_workers(monkeypatch):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 30
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_worker_error_stops_the_other_suites(monkeypatch):
@@ -562,7 +572,33 @@ def test_worker_error_stops_the_other_suites(monkeypatch):
     with pytest.raises(ZeroEntry, match="entry 3 is 0"):
         run_verify(20, 1)
     assert time.monotonic() - start < 30
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+def test_worker_error_keeps_its_type_and_traceback(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "_csiszar_suite", _failing_suite)
+    with pytest.raises(ZeroEntry, match="entry 3 is 0") as raised:
+        run_verify(20, 1)
+    cause = raised.value.__cause__
+    assert isinstance(cause, verify._WorkerTraceback)
+    assert str(cause).startswith("Traceback (most recent call last):")
+    assert 'raise ZeroEntry("entry 3 is 0")' in str(cause)
+    assert str(cause).endswith("ZeroEntry: entry 3 is 0\n")
+    _assert_no_child()
+
+
+def test_worker_that_ends_without_a_result_is_an_error(monkeypatch):
+    # the worker of the comparisons suite exits while the sandwich suite
+    # still runs in the other: an error at once, not a wait for either
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "_comparison_suite", _exiting_suite)
+    monkeypatch.setattr(verify, "_sandwich_suite", _slow_suite)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="a verify worker ended while running comparisons"):
+        run_verify(20, 1)
+    assert time.monotonic() - start < 30
+    _assert_no_child()
 
 
 def _verify_in_daemon(conn, trials, seed):
