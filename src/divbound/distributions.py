@@ -78,18 +78,21 @@ def validate(raw, mode: str = STRICT, *, min_size: int = 2) -> DiscreteDistribut
         raise ValueError(f"unknown mode {mode!r}")
     probs = np.asarray(raw, dtype=float).reshape(-1)
     if probs.shape[0] < min_size:
-        raise AlphabetTooSmall(
-            f"alphabet size {probs.shape[0]} < required minimum {min_size}"
-        )
-    if not np.all(np.isfinite(probs)):
-        raise ValidationFailure("non-finite entry in probability vector")
-    if np.any(probs < 0.0):
-        i = int(np.argmax(probs < 0.0))
-        raise NegativeEntry(f"entry {i} is negative ({float(probs[i])!r})")
-    if mode == STRICT and np.any(probs == 0.0):
-        i = int(np.argmax(probs == 0.0))
-        raise ZeroEntry(f"entry {i} is zero; strict mode requires all entries > 0")
-    total = float(np.sum(probs))
+        raise AlphabetTooSmall(f"alphabet size {probs.shape[0]} < required minimum {min_size}")
+    # two reductions clear a valid vector: a finite sum has only finite
+    # entries, and its least entry bounds the signs; the scans name a fault
+    with np.errstate(over="ignore"):  # finite entries may sum past the double range
+        total = float(np.sum(probs))
+    low = probs.min(initial=np.inf)
+    if not (np.isfinite(total) and (low > 0.0 or (low == 0.0 and mode == PERMISSIVE))):
+        if not np.all(np.isfinite(probs)):
+            raise ValidationFailure("non-finite entry in probability vector")
+        if np.any(probs < 0.0):
+            i = int(np.argmax(probs < 0.0))
+            raise NegativeEntry(f"entry {i} is negative ({float(probs[i])!r})")
+        if mode == STRICT and np.any(probs == 0.0):
+            i = int(np.argmax(probs == 0.0))
+            raise ZeroEntry(f"entry {i} is zero; strict mode requires all entries > 0")
     if abs(total - 1.0) > SUM_TOL:
         raise SumNotOne(f"entries sum to {total!r}, not 1 within {SUM_TOL}")
     probs = probs.copy()

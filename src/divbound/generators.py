@@ -26,6 +26,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable, Union
 
 import numpy as np
@@ -39,7 +40,8 @@ from .kernel import (
     order_divisors,
     row_sum,
 )
-from .measures import _DIFF_COMBOS, BASE_TAGS, DIFF_TAGS, FAMILY_TAGS, MeasureId, _limit_base
+from .measures import _DIFF_COMBOS, BASE_TAGS, DIFF_TAGS, FAMILY_TAGS, MeasureId
+from .measures import _frozen, _limit_base, _pair_sums
 
 LN2 = math.log(2.0)
 INF = math.inf
@@ -206,11 +208,17 @@ _FAMILY_FNS = {"zeta": _f_zeta, "xi": _f_xi}
 _FAMILY_F_INF = {"zeta": zeta_f_inf, "xi": xi_f_inf}
 
 
+def _combine(terms):
+    """A difference generator's value from its (coefficient, base value)
+    terms: their products summed from the int 0, as sum starts."""
+    return sum(c * v for c, v in terms)
+
+
 def _combo_fn(combo) -> Callable:
     parts = [(c, _BASE_SPECS[tag][0]) for c, tag in combo]
 
     def fn(u):
-        return sum(c * g(u) for c, g in parts)
+        return _combine((c, g(u)) for c, g in parts)
 
     return fn
 
@@ -366,17 +374,20 @@ def limit_constants(g: GeneratingFunction) -> float:
     return const
 
 
-def _csiszar_term(p: np.ndarray, q: np.ndarray, fn: Callable):
-    out = q * np.asarray(fn(p / q), dtype=float)
+def _mirrored(out: np.ndarray, p: np.ndarray, q: np.ndarray, fn: Callable) -> np.ndarray:
+    """The cell terms out = q f(p/q), each one that is not finite (its
+    ratio, or f at it, overflowed) taken mirrored as p f(q/p), which it
+    equals by star symmetry, unless that is nan (q/p overflowed too)."""
     finite = np.isfinite(out)
     if not finite.all():
-        # star symmetry, q f(p/q) = p f(q/p): a cell whose term is not
-        # finite (its ratio, or f at it, overflowed) is taken mirrored,
-        # unless that is nan (q/p overflowed too)
         bad = ~finite
         mirrored = p[bad] * fn(q[bad] / p[bad])
         out[bad] = np.where(np.isnan(mirrored), out[bad], mirrored)
     return out
+
+
+def _csiszar_term(p: np.ndarray, q: np.ndarray, fn: Callable):
+    return _mirrored(q * np.asarray(fn(p / q), dtype=float), p, q, fn)
 
 
 def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray, reduce=None):
@@ -393,25 +404,62 @@ def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray, reduce=Non
         return (reduce or row_sum)(_csiszar_term, p, q, g.fn)
 
 
+# The ten bounded generators one pass sums together: the four bases the
+# differences combine, then the differences, each as its generator and
+# its (coefficient, base row) terms.
+_TABLE_ROW = {key: i for i, key in enumerate(("Delta", "I", "h", "d", *DIFF_TAGS))}
+_TABLE_BASES = tuple(_BASE_SPECS[tag][0] for tag in ("Delta", "I", "h", "d"))
+_TABLE_DIFFS = tuple(
+    (_combo_fn(combo), tuple((c, _TABLE_ROW[base]) for c, base in combo))
+    for combo in (_DIFF_COMBOS[tag] for tag in DIFF_TAGS)
+)
+
+
+def _table_term(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The ten csiszar_rows sums of a leaf, as one-cell rows that row_sum's
+    np.sum passes through: u = p/q and the base values made once, then
+    each row of cell terms made as _csiszar_term makes it and summed."""
+    u = p / q
+    bases = [(fn, fn(u)) for fn in _TABLE_BASES]
+    diffs = ((fn, _combine((c, bases[j][1]) for c, j in terms)) for fn, terms in _TABLE_DIFFS)
+    sums = [np.add.reduce(_mirrored(q * v, p, q, fn), axis=-1) for fn, v in chain(bases, diffs)]
+    return np.array(sums)[:, None]
+
+
+def _table_sums(p: np.ndarray, q: np.ndarray) -> tuple:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return tuple(row_sum(_table_term, p, q).tolist())
+
+
 def csiszar_sum(
     g: GeneratingFunction, P: DiscreteDistribution, Q: DiscreteDistribution
 ) -> float:
-    """sum_i q_i f(p_i/q_i) under the zero conventions; +inf is a flagged value."""
+    """sum_i q_i f(p_i/q_i) under the zero conventions; +inf is a flagged value.
+
+    The live cells, where both masses are positive, are summed as
+    csiszar_rows sums them, bit for bit.  On a validated pair (probs
+    read-only and owning their data) the first call for any of the ten
+    bounded generators (Delta, I, h, d and the differences) sums all ten
+    in one pass that evaluates each base generator once per cell, and
+    keeps the ten numbers for later calls on the same two objects.
+    """
     require_same_alphabet(P, Q)
     p, q = P.probs, Q.probs
-    if P.mode == STRICT and Q.mode == STRICT:
-        # validate guarantees every strict entry is > 0
-        return float(csiszar_rows(g, p, q))
-    both = (p > 0.0) & (q > 0.0)
-    if both.all():
-        return float(csiszar_rows(g, p, q))
-    total = float(csiszar_rows(g, p[both], q[both]))
-    p_zero = (p == 0.0) & (q > 0.0)
-    if np.any(p_zero):
-        total += float(np.sum(q[p_zero])) * g.f_infinity
-    q_zero = (q == 0.0) & (p > 0.0)
-    if np.any(q_zero):
-        total += float(np.sum(p[q_zero])) * g.f_infinity
+    live = None
+    if P.mode != STRICT or Q.mode != STRICT:  # validate makes strict masses > 0
+        live = (p > 0.0) & (q > 0.0)
+        live = None if live.all() else live
+    lp, lq = (p, q) if live is None else (p[live], q[live])
+    row = _TABLE_ROW.get(g.key)
+    if row is not None and _frozen(p) and _frozen(q) and g == _build(g.key, None):
+        total = _pair_sums(P, Q).kept("csiszar", partial(_table_sums, lp, lq))[row]
+    else:
+        total = float(csiszar_rows(g, lp, lq))
+    if live is None:
+        return total
+    for one_sided, mass in (((p == 0.0) & (q > 0.0), q), ((q == 0.0) & (p > 0.0), p)):
+        if np.any(one_sided):
+            total += float(np.sum(mass[one_sided])) * g.f_infinity
     return total
 
 

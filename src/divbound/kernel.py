@@ -152,8 +152,9 @@ def row_sum(term: Callable, p: np.ndarray, q: np.ndarray, *args):
     summed with np.sum and the partial sums added as numpy adds them, so
     the result equals the whole-row sum bit for bit, while every leaf's
     temporaries stay in cache.  `term` must be elementwise in the cells,
-    and p, q share their shape: one vector, or an (m, n) block whose rows
-    are reduced independently.
+    or return its leaf's row sums as one-cell rows, and p, q share their
+    shape: one vector, or an (m, n) block whose rows are reduced
+    independently.
 
     The tree's halves run at the same time on up to usable_cpus() - 1
     helper threads (numpy releases the GIL inside its loops).  Each helper

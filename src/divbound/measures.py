@@ -36,9 +36,10 @@ The pair-level calls (measure_value, base_measure, difference_measure,
 zeta, xi, chain_check) reuse the table of the most recent validated pair:
 when P and Q are the same objects as in the previous call and both probs
 arrays are read-only arrays that own their data, as validate makes them,
-that pair's base sums are not summed again.  Any other pair, or a pair
-built on a writable array, is summed afresh.  The values are bit-identical
-either way.
+that pair's base sums are not summed again; generators.csiszar_sum keeps
+the ten Csiszar sums of its one pass in the same table.  Any other pair,
+or a pair built on a writable array, is summed afresh.  The values are
+bit-identical either way.
 """
 
 from __future__ import annotations
@@ -291,16 +292,20 @@ class BaseSums:
         self._sums = {} if sums is None else sums
         self._reduce = reduce or row_sum
 
-    def __getitem__(self, tag: str):
-        value = self._sums.get(tag)
+    def kept(self, key: str, make: Callable):
+        """The value kept under key, made by make() the first time."""
+        value = self._sums.get(key)
         if value is None:
-            term, scale = _BASE_SUMS[tag]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                value = scale * self._reduce(term, self.p, self.q)
-            if scale < 0.0:
-                value = 1.0 + value
-            self._sums[tag] = value
+            value = self._sums[key] = make()
         return value
+
+    def __getitem__(self, tag: str):
+        return self.kept(tag, lambda: self._base_sum(*_BASE_SUMS[tag]))
+
+    def _base_sum(self, term: Callable, scale: float):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            value = scale * self._reduce(term, self.p, self.q)
+        return 1.0 + value if scale < 0.0 else value
 
     def measure(self, mid: MeasureId):
         """Any measure, reduced over the last axis like the kernels."""
@@ -324,7 +329,7 @@ class BaseSums:
 
 
 # The most recent pair whose probs were frozen: weak references to P and Q
-# and the sums of their table, which are numbers, so no array is kept alive.
+# and the numbers kept in their table, so no array is kept alive.
 # Threads need no lock: the slot is read and replaced as one tuple, a lost
 # replacement only costs a later call its sums, and two threads that sum
 # the same base of the same pair store the same number.

@@ -85,3 +85,25 @@ def test_normalised_vectors_validate(weights):
     w = np.asarray(weights)
     d = validate(w / w.sum(), STRICT)
     assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", [STRICT, PERMISSIVE])
+def test_first_fault_in_scan_order_is_raised(mode):
+    # non-finite before negative before zero before the sum, wherever they lie
+    faults = [(np.nan, ValidationFailure), (-0.25, NegativeEntry), (0.0, ZeroEntry)]
+    if mode == PERMISSIVE:
+        faults[2] = (0.0, SumNotOne)  # a zero is allowed, the sum of 0.25 + 0.5 is not
+    for k, (_, raised) in enumerate(faults):
+        raw = [0.25, 0.5, *(value for value, _ in faults[k:])]
+        with pytest.raises(raised) as info:
+            validate(raw[::-1], mode)
+        assert type(info.value) is raised
+    with pytest.raises(SumNotOne):
+        validate([1e308, 1e308], mode)  # finite entries whose sum overflows
+
+
+def test_negative_zero_is_a_zero():
+    with pytest.raises(ZeroEntry):
+        validate([-0.0, 1.0], STRICT)
+    assert validate([-0.0, 1.0], PERMISSIVE).probs[0] == 0.0

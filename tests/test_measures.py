@@ -18,7 +18,7 @@ from divbound.distributions import (
     DiscreteDistribution,
     validate,
 )
-from divbound.generators import CATALOG_KEYS, csiszar_sum, generator
+from divbound.generators import CATALOG_KEYS, csiszar_rows, csiszar_sum, generator
 from divbound.kernel import ArgumentError
 from divbound.measures import (
     BASE_TAGS,
@@ -603,7 +603,7 @@ def _reference_values(P, Q):
     p, q = P.probs, Q.probs
     out = [_rows_call("chain", which, p, q) for which in ("eq7", "eq39")]
     out += [_rows_call("measure", key, p, q) for key in CATALOG_KEYS]
-    out += [repr(csiszar_sum(generator(key), P, Q)) for key in CATALOG_KEYS]
+    out += [repr(float(csiszar_rows(generator(key), p, q))) for key in CATALOG_KEYS]
     return out
 
 
@@ -655,7 +655,7 @@ class TestSharedBaseSums:
             for i in rng.permutation(len(SHARED_CALLS)):
                 assert _shared_call(*SHARED_CALLS[i], P, Q) == want[i], SHARED_CALLS[i]
 
-    def test_workload_sequence_sums_32_rows(self, monkeypatch):
+    def test_workload_sequence_makes_23_passes(self, monkeypatch):
         passes = []
 
         def counting(row_sum):
@@ -669,16 +669,19 @@ class TestSharedBaseSums:
             monkeypatch.setattr(module, "row_sum", counting(module.row_sum))
         P, Q = make_pair(np.random.default_rng(32), 16)
         _workload_values(P, Q)
-        # 7 base sums, 6 family sums at regular orders and 19 Csiszar sums;
-        # summing the bases per call, the chains and measures take 36, not 13
-        assert len(passes) == 32
+        # 7 base sums, 6 family sums at regular orders, 9 Csiszar sums one
+        # generator at a time (J, T, Psi, the family members) and one pass
+        # for the ten bounded ones; summing the bases per call, the chains
+        # and measures would take 36, not 13, and the bounded sums 10, not 1
+        assert len(passes) == 23
         passes.clear()
         _workload_values(P, Q)
-        assert len(passes) == 6 + 19
+        assert len(passes) == 6 + 9
 
     def test_slot_keeps_no_pair_alive(self):
         P, Q = make_pair(np.random.default_rng(3), 16)
         measure_value("J", P, Q)
+        csiszar_sum(generator("D_dI"), P, Q)
         refs = [weakref.ref(P), weakref.ref(Q), weakref.ref(P.probs), weakref.ref(Q.probs)]
         del P, Q
         gc.collect()
@@ -690,28 +693,24 @@ class TestSharedBaseSums:
         want = [_reference_values(*X) for X in pairs]
         for i in (0, 1, 2, 3, 0, 2):
             assert _workload_values(*pairs[i]) == want[i]
+        for i in (1, 0, 3, 2):  # the Csiszar table alone changes hands
+            sums = [repr(csiszar_sum(generator(key), *pairs[i])) for key in CATALOG_KEYS]
+            assert sums == want[i][-len(CATALOG_KEYS) :]
 
     def test_writable_probs_are_read_again(self):
         Q = validate([0.25, 0.25, 0.5])
         before, after = [0.5, 0.25, 0.25], [0.2, 0.3, 0.5]
-
-        def values(P):  # eq39 and the 19 measures: items 1 to n of _reference_values
-            return [repr(chain_check(P, Q, "eq39").values)] + [
-                repr(measure_value(key, P, Q)) for key in CATALOG_KEYS
-            ]
-
-        n = 2 + len(CATALOG_KEYS)
         p = np.array(before)
         view = p.view()
         view.setflags(write=False)  # read-only, but p can still change it
         for probs in (p, view):
             p[:] = before
             P = DiscreteDistribution(probs, STRICT)
-            first = values(P)
+            first = _workload_values(P, Q)
             p[:] = after
-            second = values(P)
-            assert first == _reference_values(validate(before), Q)[1:n]
-            assert second == _reference_values(validate(after), Q)[1:n]
+            second = _workload_values(P, Q)
+            assert first == _reference_values(validate(before), Q)
+            assert second == _reference_values(validate(after), Q)
 
     def test_alphabet_mismatch_raised_first(self):
         P, Q = validate([0.5, 0.5]), validate([0.25, 0.75])
@@ -753,3 +752,67 @@ class TestSharedBaseSums:
             assert len(results) == 40
             for i, values in results:
                 assert values == want[i]
+
+
+TABLE_KEYS = [MeasureId(tag) for tag in ("Delta", "I", "h", "d", *DIFF_TAGS)]
+
+TABLE_PAIRS = {
+    "n16": lambda: make_pair(np.random.default_rng(16), 16),
+    # the mirror fix-up: f overflows at a finite p/q (Delta's (u - 1)^2), then p/q does
+    "mirror_f": lambda: (validate([0.5, 0.5]), validate([1.0 - 1e-300, 1e-300])),
+    "mirror_u": lambda: (validate([0.5, 0.5]), validate([1.0, 1e-310])),
+    "zeros": lambda: (
+        validate([0.5, 0.25, 0.0, 0.25, 0.0], PERMISSIVE),
+        validate([0.25, 0.5, 0.25, 0.0, 0.0], PERMISSIVE),
+    ),
+    "long_zeros": lambda: _large_pair(PERMISSIVE),
+}
+
+
+def _per_generator(key, P, Q):
+    """csiszar_sum's value one generator at a time: csiszar_rows on the raw
+    arrays, or on the live cells plus the f_inf mass of one-sided zeros."""
+    g = generator(key)
+    p, q = P.probs, Q.probs
+    live = (p > 0.0) & (q > 0.0)
+    if live.all():
+        return repr(float(csiszar_rows(g, p, q)))
+    total = float(csiszar_rows(g, p[live], q[live]))
+    for zero, mass in (((p == 0.0) & (q > 0.0), q), ((q == 0.0) & (p > 0.0), p)):
+        if zero.any():
+            total += float(np.sum(mass[zero])) * g.f_infinity
+    return repr(total)
+
+
+@pytest.mark.filterwarnings("error")
+class TestCsiszarTable:
+    """The ten bounded Csiszar sums of a validated pair come from one pass,
+    each with the bits of its per-generator sum."""
+
+    def _check(self, P, Q, seed):
+        want = {key: _per_generator(key, P, Q) for key in TABLE_KEYS}
+        # every key in turn first on new objects, then the rest shuffled
+        order = np.random.default_rng(seed).permutation(len(TABLE_KEYS))
+        for first in TABLE_KEYS:
+            P, Q = _fresh(P), _fresh(Q)
+            assert repr(csiszar_sum(generator(first), P, Q)) == want[first], first
+            for i in order:
+                key = TABLE_KEYS[i]
+                assert repr(csiszar_sum(generator(key), P, Q)) == want[key], (first, key)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_PAIRS))
+    def test_every_key_keeps_its_bits(self, name):
+        self._check(*TABLE_PAIRS[name](), seed=len(name))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_threaded_tree_keeps_the_bits(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        P, Q = _large_pair(STRICT)
+        want = [_per_generator(key, P, Q) for key in TABLE_KEYS]
+        assert [repr(csiszar_sum(generator(key), P, Q)) for key in TABLE_KEYS] == want
+
+    def test_a_lookalike_generator_is_summed_itself(self):
+        P, Q = validate([0.5, 0.5]), validate([0.25, 0.75])
+        lookalike = generators.GeneratingFunction("Delta", generator("h").fn, 0.5)
+        csiszar_sum(generator("Delta"), P, Q)
+        assert csiszar_sum(lookalike, P, Q) == csiszar_sum(generator("h"), P, Q)
