@@ -26,7 +26,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
 from typing import Callable, Union
 
 import numpy as np
@@ -404,14 +403,14 @@ def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray, reduce=Non
         return (reduce or row_sum)(_csiszar_term, p, q, g.fn)
 
 
-# The ten bounded generators one pass sums together: the four bases the
-# differences combine, then the differences, each as its generator and
-# its (coefficient, base row) terms.
-_TABLE_ROW = {key: i for i, key in enumerate(("Delta", "I", "h", "d", *DIFF_TAGS))}
-_TABLE_BASES = tuple(_BASE_SPECS[tag][0] for tag in ("Delta", "I", "h", "d"))
-_TABLE_DIFFS = tuple(
-    (_combo_fn(combo), tuple((c, _TABLE_ROW[base]) for c, base in combo))
-    for combo in (_DIFF_COMBOS[tag] for tag in DIFF_TAGS)
+# The ten bounded generators one pass sums together, in row order: the
+# four bases the differences combine, then the differences.  Each entry is
+# the catalog generator's fn and, for a difference, its (coefficient, base
+# row) terms.
+_TABLE_KEYS = ("Delta", "I", "h", "d", *DIFF_TAGS)
+_TABLE = tuple(
+    (_build(key, None).fn, tuple((c, _TABLE_KEYS.index(b)) for c, b in _DIFF_COMBOS.get(key, ())))
+    for key in _TABLE_KEYS
 )
 
 
@@ -420,9 +419,11 @@ def _table_term(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     np.sum passes through: u = p/q and the base values made once, then
     each row of cell terms made as _csiszar_term makes it and summed."""
     u = p / q
-    bases = [(fn, fn(u)) for fn in _TABLE_BASES]
-    diffs = ((fn, _combine((c, bases[j][1]) for c, j in terms)) for fn, terms in _TABLE_DIFFS)
-    sums = [np.add.reduce(_mirrored(q * v, p, q, fn), axis=-1) for fn, v in chain(bases, diffs)]
+    bases = [fn(u) for fn, terms in _TABLE if not terms]
+    sums = []
+    for i, (fn, terms) in enumerate(_TABLE):
+        v = _combine((c, bases[j]) for c, j in terms) if terms else bases[i]
+        sums.append(np.add.reduce(_mirrored(q * v, p, q, fn), axis=-1))
     return np.array(sums)[:, None]
 
 
@@ -450,9 +451,9 @@ def csiszar_sum(
         live = (p > 0.0) & (q > 0.0)
         live = None if live.all() else live
     lp, lq = (p, q) if live is None else (p[live], q[live])
-    row = _TABLE_ROW.get(g.key)
-    if row is not None and _frozen(p) and _frozen(q) and g == _build(g.key, None):
-        total = _pair_sums(P, Q).kept("csiszar", partial(_table_sums, lp, lq))[row]
+    if g.key in _TABLE_KEYS and _frozen(p) and _frozen(q) and g == _build(g.key, None):
+        table = _pair_sums(P, Q).kept("csiszar", partial(_table_sums, lp, lq))
+        total = table[_TABLE_KEYS.index(g.key)]
     else:
         total = float(csiszar_rows(g, lp, lq))
     if live is None:
