@@ -422,9 +422,9 @@ def _slack(kind: str, value, pe):
 
 
 def _sandwich_violated(slack, tol: Optional[float] = None):
-    """slack < -tol, with tol the module's SANDWICH_TOL when it is called
-    unless given.  Floats, or arrays element by element."""
-    return slack < -(SANDWICH_TOL if tol is None else tol)
+    """not slack >= -tol, so a nan slack is violated; tol is SANDWICH_TOL
+    at call time unless given.  Floats, or arrays element by element."""
+    return np.logical_not(slack >= -(SANDWICH_TOL if tol is None else tol))
 
 
 DEFAULT_S_GRID = (-1.0, 0.0, 0.5, 2.0)

@@ -14,10 +14,12 @@ The catalog is closed: base measures, the two families at any order s (at
 a limit order, the base generator that measures._limit_base names), and
 the six difference measures (the pointwise combinations of _DIFF_COMBOS).
 
-Every evaluation of f* in the package runs here, through one body per
-argument kind: _star_float on a float, _star_array on an array, and the
-form of float_star_array, which gives each point of a lockstep bisection
-the bits _star_float gives it.
+Every evaluation of f* runs here, as the Csiszar cell term q f(p/q) at
+(p, q) = (1 - x, x): _mirrored's one rule recomputes every non-finite
+value of either as p f(q/p), equal by star symmetry, unless that is nan.
+_star_cells is f* on arrays; _star_float and the lockstep form of
+float_star_array, which gives each point _star_float's bits, hand the
+points where their own form is not finite to _star_cells.
 """
 
 from __future__ import annotations
@@ -252,11 +254,10 @@ def generator(measure: Union[MeasureId, str]) -> GeneratingFunction:
 def star(g: GeneratingFunction, x):
     """Star transform f*(x) = x*f((1-x)/x) for x strictly inside (0, 1).
 
-    Scalars give a float, arrays an array.  Near x = 0, f can pass the
-    double range while f*(x) does not (Delta at x = 1e-300, xi at strongly
-    negative orders).  Every catalog member is star-symmetric, so where
-    x f((1-x)/x) overflows the mirrored form (1-x) f(x/(1-x)) gives the
-    value; where both overflow the result is +inf, silently.
+    Scalars give a float, arrays an array.  f*(x) is the Csiszar cell
+    term at (1 - x, x): where x f((1-x)/x) is not finite (f passes the
+    double range: Delta at x = 1e-300, xi at strongly negative orders),
+    the mirrored (1-x) f(x/(1-x)) gives it, unless that is nan.
     """
     if isinstance(x, (int, float)):
         if not 0.0 < x < 1.0:
@@ -265,7 +266,7 @@ def star(g: GeneratingFunction, x):
     arr = np.asarray(x, dtype=float)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise DomainError("star transform requires 0 < x < 1")
-    out = _star_array(g.fn, arr)
+    out = _star_cells(g.fn, arr.ravel()).reshape(arr.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -273,26 +274,21 @@ def _star_float(fn: Callable, x: float) -> float:
     """f* of generator fn at a float in (0, 1), unchecked, in Python float
     arithmetic: the pointwise forms and the bisections call it per point,
     and it is several times cheaper than numpy scalars under errstate.
-    Only a form that overflows takes _star_array."""
+    A form that is not finite or overflows takes _star_cells."""
     try:
         value = float(x * fn((1.0 - x) / x))
-        if value != INF:
+        if -INF < value < INF:
             return value
     except OverflowError:
         pass
-    return float(_star_array(fn, np.asarray(x, dtype=float)))
+    return float(_star_cells(fn, np.array([x]))[0])
 
 
-def _star_array(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """f* of generator fn on an array (0-d included) of points in (0, 1),
-    unchecked: the form, then the mirrored form where the form is +inf."""
-    with np.errstate(over="ignore"):
-        out = np.asarray(x * fn((1.0 - x) / x))  # 0-d stays an array
-        over = out == INF
-        if over.any():
-            y = x[over]
-            out[over] = (1.0 - y) * fn(y / (1.0 - y))
-    return out
+def _star_cells(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """f* of generator fn on a 1-d array of points in (0, 1), unchecked:
+    the Csiszar cell terms at (1 - x, x), mirrored where not finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _csiszar_term(1.0 - x, x, fn)
 
 
 def float_star(g: GeneratingFunction) -> Callable[[float], float]:
@@ -318,8 +314,8 @@ def float_star_array(g: GeneratingFunction) -> Callable[[np.ndarray], np.ndarray
     The form runs in numpy, a family member at a regular order taking its
     powers from libm's pow in one C loop (_float_pow); every other
     generator is numpy arithmetic, log and sqrt, which give an array the
-    bits they give a float.  A point whose value is not finite (a power or
-    the product overflowed) takes _star_float.
+    bits they give a float.  Points where the form is not finite (a power
+    or the product overflowed) take _star_cells, as from _star_float.
     """
     mid = MeasureId.parse(g.key)
     fn = g.fn
@@ -331,7 +327,7 @@ def float_star_array(g: GeneratingFunction) -> Callable[[np.ndarray], np.ndarray
             out = x * fn((1.0 - x) / x)
         bad = ~np.isfinite(out)
         if bad.any():
-            out[bad] = [_star_float(g.fn, v) for v in x[bad].tolist()]
+            out[bad] = _star_cells(g.fn, x[bad])
         return out
 
     return f
@@ -376,7 +372,7 @@ def limit_constants(g: GeneratingFunction) -> float:
 def _mirrored(out: np.ndarray, p: np.ndarray, q: np.ndarray, fn: Callable) -> np.ndarray:
     """The cell terms out = q f(p/q), each one that is not finite (its
     ratio, or f at it, overflowed) taken mirrored as p f(q/p), which it
-    equals by star symmetry, unless that is nan (q/p overflowed too)."""
+    equals by star symmetry, unless that is nan: the one non-finite rule."""
     finite = np.isfinite(out)
     if not finite.all():
         bad = ~finite

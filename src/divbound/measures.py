@@ -154,7 +154,16 @@ def _limit_base(family: str, s) -> Optional[str]:
 
 
 def _delta_term(p: np.ndarray, q: np.ndarray):
-    return np.where(p + q > 0.0, (p - q) ** 2 / (p + q), 0.0)
+    t = np.where(p + q > 0.0, (p - q) ** 2 / (p + q), 0.0)
+    # 0 where p != q only if (p - q)^2 underflowed (both masses subnormal);
+    # only those cells are recomputed, in an order that does not underflow
+    zero = t == 0.0
+    if zero.any():
+        bad = zero & (p != q)
+        p, q = p[bad], q[bad]
+        d = p - q
+        t[bad] = d / (p + q) * d
+    return t
 
 
 def _hellinger_term(p: np.ndarray, q: np.ndarray):

@@ -26,8 +26,9 @@ validation error.
 The sandwich suite then takes each bound of the block as one array
 (bounds.report_rows, which bisects a lower bound for all of the block's
 problems at once) and reduces the (problem, bound) slacks; the
-comparisons are evaluated on the block's arrays.  A nan value makes a
-suite's worst nan (measures.worst_of).
+comparisons are evaluated on the block's arrays.  Every check fails
+unless its value is within tolerance, so a nan value is a failure, and it
+makes its suite's worst nan (measures.worst_of).
 Results are reduced in trial order, so the reports equal, byte for byte,
 checking one trial at a time with chain_check, measure_value, csiszar_sum,
 bound_report and comparison_check.
@@ -324,7 +325,7 @@ def _csiszar_suite(trials: int, rng: np.random.Generator, n_max: int) -> SuiteRe
         direct, summed = _csiszar_values(block, gens)
         dev = np.abs(summed - direct) / (1.0 + np.abs(direct))
         worst = worst_of(max, worst, dev)
-        failing = dev > CSISZAR_TOL
+        failing = ~(dev <= CSISZAR_TOL)
         failures += int(np.count_nonzero(failing))
         if first is None and failing.any():
             i, j = divmod(int(np.argmax(failing.reshape(-1))), len(CATALOG_KEYS))
@@ -339,30 +340,27 @@ def _csiszar_suite(trials: int, rng: np.random.Generator, n_max: int) -> SuiteRe
 
 def _star_suite() -> SuiteResult:
     failures = 0
-    worst = 0.0
     first: Optional[str] = None
-    checks = 0
+    values = []
     for key in CATALOG_KEYS:
         g = generator(key)
         problems = []
 
         sym = star_symmetry_defect(g)
-        worst = max(worst, sym)
-        if sym > STAR_SYM_TOL:
+        if not sym <= STAR_SYM_TOL:
             problems.append(f"symmetry defect {sym!r}")
-        checks += 1
 
         at_half = abs(star(g, 0.5))
-        worst = max(worst, at_half)
-        if at_half > STAR_HALF_TOL:
+        if not at_half <= STAR_HALF_TOL:
             problems.append(f"f*(1/2) = {at_half!r}")
-        checks += 1
+        values += [sym, at_half]
 
         if problems:
             failures += 1
             if first is None:
                 first = f"key={g.key}: " + "; ".join(problems)
-    return SuiteResult("star_transform", checks, failures, worst, first)
+    worst = worst_of(max, 0.0, np.array(values))
+    return SuiteResult("star_transform", len(values), failures, worst, first)
 
 
 # ---------------------------------------------------------------------------

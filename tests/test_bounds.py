@@ -8,6 +8,7 @@ import oracle_reference as oracle
 from conftest import column_entries, make_pair
 from divbound.bounds import (
     DEFAULT_S_GRID,
+    BoundEntry,
     BoundReport,
     BoundUnavailable,
     InvalidPriors,
@@ -305,7 +306,7 @@ class TestLowerBounds:
 
 # Orders whose lower bounds are checked in lockstep: the verify grid, the
 # limit bands (J, I and T), and orders where a power overflows, so that
-# the evaluator hands points to the scalar path.
+# the evaluator hands points to its fallback.
 LOCKSTEP_ORDERS = [("zeta", s) for s in (-1.0, 0.0, 0.5, 2.0, 1e-7, -1e-7, 60.0, -60.0)] + [
     ("xi", s) for s in (-1.0, 0.0, 0.5, 2.0, 1e-7, -1e-7, 1.0 + 1e-7, 60.0, -60.0, -1040.0)
 ]
@@ -385,15 +386,17 @@ class TestLockstepLowerBounds:
 
     @pytest.mark.parametrize("family,s", OVERFLOW_ORDERS)
     def test_overflowed_points_take_the_scalar_path(self, monkeypatch, family, s):
+        # the points the lockstep form overflows at take the fallback that
+        # _star_float shares, the Csiszar cell terms at (1 - x, x)
         g = bounds_mod._family_generator(family, s)
         calls = []
-        star_float = generators_mod._star_float
+        star_cells = generators_mod._star_cells
 
         def counting(fn, a):
             calls.append(a)
-            return star_float(fn, a)
+            return star_cells(fn, a)
 
-        monkeypatch.setattr(generators_mod, "_star_float", counting)
+        monkeypatch.setattr(generators_mod, "_star_cells", counting)
         float_star_array(g)(_bracket_points(1, 1000))
         assert calls
 
@@ -679,6 +682,27 @@ class TestUpperBoundsNearTheDoubleRange:
         assert 0.35 < entry.value <= 0.5
         assert upper_bound_xi(problem, -1045.0) == entry.value
 
+    def test_overflowed_posterior_ratio_keeps_every_bound(self):
+        # at a2 ~ 2e-310, (1 - a)/a overflows and f(inf) is inf - inf: f* is
+        # the mirrored cell, so no average is nan and no bisection fails
+        problem = TwoClassProblem.from_arrays((0.5, 0.5), [0.5, 0.5], [1.0, 1e-310])
+        report = bound_report(problem, DEFAULT_S_GRID)
+        assert not any(math.isnan(e.value) for e in report.entries)
+        assert report.sandwich_ok, report.sandwich_violations()
+
+    def test_overflowed_generator_is_mirrored_in_the_average(self):
+        # at a2 ~ 2e-300, Delta's (u - 1)^2 overflows to -inf in I - Delta/4;
+        # the mirrored cell is finite, as on the same problem at 1e-100
+        by_mass = {}
+        for mass in (1e-300, 1e-100):
+            problem = TwoClassProblem.from_arrays((0.5, 0.5), [0.5, 0.5], [1.0, mass])
+            entry = {e.name: e for e in bound_report(problem).entries}["diff_upper(D_IDelta)"]
+            assert (entry.applicable, entry.note) == (True, "")
+            by_mass[mass] = entry.value
+            for res in comparison_check(problem):
+                assert res.satisfied, res
+        assert by_mass[1e-300] == pytest.approx(by_mass[1e-100], abs=1e-12)
+
     def test_f_inf_past_the_double_range_note(self):
         problem = TwoClassProblem.from_arrays(*OVERFLOW_REPROS[1])
         with pytest.raises(BoundUnavailable, match="exceeds the double range"):
@@ -803,6 +827,16 @@ class TestBoundReport:
     def test_sandwich_on_random_problems(self, prob):
         report = bound_report(prob)
         assert report.sandwich_ok, report.sandwich_violations()
+
+    def test_an_applicable_nan_entry_is_a_violation(self):
+        entries = (
+            BoundEntry("a", "lower", math.nan, True),
+            BoundEntry("b", "upper", 0.3, True),
+            BoundEntry("c", "upper", math.nan, False),
+        )
+        report = BoundReport(0.25, entries)
+        assert [name for name, _ in report.sandwich_violations()] == ["a"]
+        assert not report.sandwich_ok
 
 
 class TestComparisons:

@@ -168,6 +168,16 @@ class TestBoundsCommand:
         code, out, err = run(capsys, ["bounds", "--problem", str(f)])
         assert (code, out, err) == (3, "", "validation error: priors must be finite\n")
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_posterior_ratio_exits_0_quietly(self, capsys, tmp_path):
+        # at a2 ~ 2e-310, (1 - a)/a overflows: f* is the mirrored cell there,
+        # so every average is a number and the sandwich holds (exit 0)
+        f = tmp_path / "prob.txt"
+        f.write_text("priors: 0.5 0.5\ncond1: 0.5 0.5\ncond2: 1.0 1e-310\n")
+        code, out, err = run(capsys, ["bounds", "--problem", str(f)])
+        assert (code, err) == (0, "")
+        assert "nan" not in out
+
     def test_bad_grid_list_exits_2(self, capsys, files):
         code, out, err = run(capsys, ["bounds", "--problem", files["prob"], "--s-grid=0.5,abc"])
         assert (code, out, err) == (2, "", "parse error: --s-grid: bad grid list '0.5,abc'\n")

@@ -155,6 +155,15 @@ class TestBaseMeasures:
         assert measure_value("Psi", P, Q) == csiszar_sum(generator("Psi"), P, Q) == 1.5e-200
         assert chain_check(P, Q, "eq7").values[-1] == ("Psi/16", 1.5e-200 / 16)
 
+    @pytest.mark.filterwarnings("error")
+    def test_delta_of_two_subnormal_masses_is_not_zero(self):
+        # on the first cell (p - q)^2 underflows to 0 before the division
+        p, q = [1e-310, 1.0], [2e-310, 1.0]
+        want = float(oracle.delta(p, q))
+        assert want > 0.0
+        P, Q = validate(p), validate(q)
+        assert measure_value("Delta", P, Q) == csiszar_sum(generator("Delta"), P, Q) == want
+
     def test_alphabet_mismatch(self):
         P = validate([0.5, 0.5])
         Q = validate([0.2, 0.3, 0.5])

@@ -1,11 +1,18 @@
-"""One table of outcomes for the pair-level entry points on hostile inputs.
+"""Tables of outcomes for the entry points on hostile inputs.
 
-Each cell names what measure_value and csiszar_sum give for one catalog
-key, or chain_check for one chain, on one input: fin (a finite value, and
-for a chain every link finite), inf (+inf, or some link +inf), or the
-DivboundError subclass raised.  Every chain holds, no RuntimeWarning may
-escape, and a pair built on writable arrays gives the bits of the
-validated pair, though it shares no sums.
+The first table covers the pair-level entry points.  Each cell names what
+measure_value and csiszar_sum give for one catalog key, or chain_check
+for one chain, on one input: fin (a finite value, and for a chain every
+link finite), inf (+inf, or some link +inf), or the DivboundError
+subclass raised.  Every chain holds, no RuntimeWarning may escape, and a
+pair built on writable arrays gives the bits of the validated pair,
+though it shares no sums.
+
+The second table covers the bounds entry points on two-class problems
+built from the same kinds of hostile conditionals; its cells are read as
+BOUND_OUTCOMES says.  On every problem no RuntimeWarning escapes, no
+value is nan, and every applicable bound lies on its side of P_e within
+SANDWICH_TOL.
 """
 
 import math
@@ -13,6 +20,18 @@ import math
 import numpy as np
 import pytest
 
+from divbound import bounds, cli
+from divbound.bounds import (
+    NOTES,
+    SANDWICH_TOL,
+    TwoClassProblem,
+    bayes_error,
+    bound_report,
+    comparison_check,
+    family_bounds,
+    kailath_bound,
+    toussaint_bounds,
+)
 from divbound.distributions import PERMISSIVE, STRICT, DiscreteDistribution, validate
 from divbound.generators import CATALOG_KEYS, csiszar_sum, generator
 from divbound.kernel import DivboundError
@@ -106,3 +125,162 @@ def test_every_entry_point_has_its_tabled_outcome(name):
 def test_the_table_has_every_key_and_input():
     keys = [key.label() for key in CATALOG_KEYS] + ["eq7", "eq39"]
     assert set(_table()) == {(key, name) for key in keys for name in INPUTS}
+
+
+# ---------------------------------------------------------------------------
+# bounds entry points
+# ---------------------------------------------------------------------------
+
+# The orders of every family row: the verify grid, the limit bands (J at
+# zeta 0, I at xi 0, T at xi 1), orders where the powers overflow, the
+# edge of xi's finite f_inf (s = -1045), and orders whose square overflows.
+ORDERS = (-1.0, 0.0, 0.5, 2.0, 1e-7, -1e-7, 1.0 + 1e-7, 1.0 - 1e-7, 60.0, -60.0,
+          -1040.0, -1046.0, 2e154, -2e154)
+
+PRIORS = {"even": (0.5, 0.5), "skew": (0.3, 0.7)}
+
+CONDITIONALS = {
+    # masses below the normal range, with an ordinary ratio
+    "subnormal": ([1e-310, 1.0], [2e-310, 1.0]),
+    # a posterior near 2e-300: (1-a)/a is finite, f at it overflows
+    "f_over": ([0.5, 0.5], [1.0, 1e-300]),
+    # a posterior near 2e-310: (1-a)/a overflows
+    "ratio_over": ([0.5, 0.5], [1.0, 1e-310]),
+    "one_sided": ([0.5, 0.5], [1.0, 0.0]),
+    "dead": ([0.5, 0.5, 0.0], [0.25, 0.75, 0.0]),
+    "equal": ([0.3, 0.7], [0.3, 0.7]),
+    "disjoint": ([1.0, 0.0], [0.0, 1.0]),
+}
+
+# report: how many applicable bound_report entries carry each flag (v
+# vacuous, n near-vacuous, j J infinite), or fin if none does.
+# zeta, xi: family_bounds at each of ORDERS in turn: . a finite average
+# and an unflagged lower bound, n a near-vacuous lower bound, v an
+# infinite average (both bounds vacuous).
+# compare: ok where every comparison_check relation holds.
+# kailath, toussaint: fin for a finite bound (the general Toussaint bound
+# beside the inversion one), none where it does not apply, j where the
+# Kailath bound saturates at 0 because J is infinite.
+# cli: the exit code of divbound bounds over ORDERS.
+BOUND_OUTCOMES = """
+problem          report     zeta            xi              compare  kailath  toussaint  cli
+even/subnormal   6v         ..........vvvv  ............vv  ok       fin      fin        0
+even/f_over      10v+10n    nn.nnnnnvvvvvv  ...n..nnv..vvv  ok       fin      fin        0
+even/ratio_over  13v+7n     vn.vnnnnvvvvvv  ...v..nnv..vvv  ok       fin      fin        0
+even/one_sided   20v+1j     vv.vvvvvvvvvvv  ...v..vvv..vvv  ok       j        fin        0
+even/dead        6v         ..........vvvv  ............vv  ok       fin      fin        0
+even/equal       fin        ..............  ..............  ok       fin      fin        0
+even/disjoint    20v+8n+1j  vvnvvvvvvvvvvv  nnnvnnvvvnnvvv  ok       j        fin        0
+skew/subnormal   6v         ..........vvvv  ............vv  ok       none     fin        0
+skew/f_over      10v+10n    nn.nnnnnvvvvvv  ...n..nnv..vvv  ok       none     fin        0
+skew/ratio_over  12v+8n     vn.vnnnnvvvvvv  ...n..nnv..vvv  ok       none     fin        0
+skew/one_sided   20v        vv.vvvvvvvvvvv  ...v..vvv..vvv  ok       none     fin        0
+skew/dead        6v         ..........vvvv  ............vv  ok       none     fin        0
+skew/equal       6v         ..........vvvv  ............vv  ok       none     fin        0
+skew/disjoint    20v+8n     vvnvvvvvvvvvvv  nnnvnnvvvnnvvv  ok       none     fin        0
+"""
+
+PROBLEMS = {
+    f"{pname}/{cname}": (priors, *conds)
+    for pname, priors in PRIORS.items()
+    for cname, conds in CONDITIONALS.items()
+}
+
+VACUOUS = NOTES[bounds._VACUOUS]
+_FLAGS = {VACUOUS: "v", NOTES[bounds._NEAR_VACUOUS]: "n", NOTES[bounds._J_INFINITE]: "j"}
+
+
+def _bound_table() -> dict:
+    header, *rows = (line.split() for line in BOUND_OUTCOMES.strip().splitlines())
+    return {row[0]: dict(zip(header[1:], row[1:])) for row in rows}
+
+
+def _lower(value: float, pe: float) -> None:
+    assert not value - pe > SANDWICH_TOL, (value, pe)
+
+
+def _upper(value: float, pe: float) -> None:
+    assert not pe - value > SANDWICH_TOL, (value, pe)
+
+
+def _report_cell(problem, pe) -> str:
+    report = bound_report(problem, ORDERS)
+    assert report.exact_pe == pe
+    for e in report.entries:
+        assert not math.isnan(e.value), e
+    assert report.sandwich_ok, report.sandwich_violations()
+    flags = [_FLAGS[e.note] for e in report.entries if e.applicable and e.note in _FLAGS]
+    counts = [f"{flags.count(flag)}{flag}" for flag in "vnj" if flag in flags]
+    return "+".join(counts) or "fin"
+
+
+def _family_cell(problem, pe, family) -> str:
+    cell = ""
+    for s in ORDERS:
+        averaged, (lower, note), upper = family_bounds(problem, family, s)
+        assert not math.isnan(averaged) and averaged >= 0.0, (s, averaged)
+        _lower(lower, pe)
+        if upper is not None:
+            _upper(upper[0], pe)
+            assert upper[1] == (VACUOUS if averaged == math.inf else ""), (s, upper)
+        assert (note == VACUOUS) == (averaged == math.inf), (s, note)
+        cell += _FLAGS.get(note, ".")
+    return cell
+
+
+def _compare_cell(problem) -> str:
+    for res in comparison_check(problem):
+        assert res.satisfied and not math.isnan(res.slack), res
+    return "ok"
+
+
+def _kailath_cell(problem, pe) -> str:
+    value, note = kailath_bound(problem)
+    if value is None:
+        return "none"
+    _lower(value, pe)
+    return _FLAGS.get(note, "fin")
+
+
+def _toussaint_cell(problem, pe) -> str:
+    general, via_inversion = toussaint_bounds(problem)
+    _lower(via_inversion, pe)
+    if general is None:
+        return "none"
+    _lower(general, pe)
+    return "fin"
+
+
+def _cli_cell(problem_file, capsys) -> str:
+    grid = ",".join(repr(s) for s in ORDERS)
+    code = cli.main(["bounds", "--problem", str(problem_file), f"--s-grid={grid}"])
+    out, err = capsys.readouterr()
+    assert err == "" and "nan" not in out
+    return str(code)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_every_bounds_entry_point_has_its_tabled_outcome(name, tmp_path, capsys):
+    priors, cond1, cond2 = PROBLEMS[name]
+    problem = TwoClassProblem.from_arrays(priors, cond1, cond2)
+    pe = bayes_error(problem)
+    problem_file = tmp_path / "problem.txt"
+    problem_file.write_text(
+        "".join(f"{field}: {' '.join(map(repr, values))}\n"
+                for field, values in (("priors", priors), ("cond1", cond1), ("cond2", cond2)))
+    )
+    got = {
+        "report": _report_cell(problem, pe),
+        "zeta": _family_cell(problem, pe, "zeta"),
+        "xi": _family_cell(problem, pe, "xi"),
+        "compare": _compare_cell(problem),
+        "kailath": _kailath_cell(problem, pe),
+        "toussaint": _toussaint_cell(problem, pe),
+        "cli": _cli_cell(problem_file, capsys),
+    }
+    assert got == _bound_table()[name]
+
+
+def test_the_bounds_table_has_every_problem():
+    assert set(_bound_table()) == set(PROBLEMS)

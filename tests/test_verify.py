@@ -460,6 +460,40 @@ def test_sandwich_reports_equal_bound_report():
     assert checked == 300
 
 
+def _first_value_nan(fn):
+    """fn, with the first value of its first result set to nan."""
+    calls = []
+
+    def patched(*args):
+        out = np.array(fn(*args), dtype=float)
+        if not calls:
+            out.reshape(-1)[0] = math.nan
+        calls.append(args)
+        return out
+
+    return patched
+
+
+def _assert_one_nan_failure(result):
+    assert result.failures == 1 and not result.ok
+    assert math.isnan(result.worst)
+
+
+def test_star_suite_fails_on_a_nan_symmetry_defect(monkeypatch):
+    monkeypatch.setattr(verify, "star_symmetry_defect", _first_value_nan(star_symmetry_defect))
+    _assert_one_nan_failure(verify._star_suite())
+
+
+def test_csiszar_suite_fails_on_a_nan_row(monkeypatch):
+    monkeypatch.setattr(verify, "csiszar_rows", _first_value_nan(verify.csiszar_rows))
+    _assert_one_nan_failure(verify._csiszar_suite(20, np.random.default_rng(1), 8))
+
+
+def test_sandwich_suite_fails_on_a_nan_exact_error(monkeypatch):
+    monkeypatch.setattr(verify, "min_mass_sum", _first_value_nan(verify.min_mass_sum))
+    _assert_one_nan_failure(verify._sandwich_suite(20, np.random.default_rng(1)))
+
+
 # ---------------------------------------------------------------------------
 # Worker processes
 # ---------------------------------------------------------------------------
