@@ -19,7 +19,9 @@ Every evaluation of f* runs here, as the Csiszar cell term q f(p/q) at
 value of either as p f(q/p), equal by star symmetry, unless that is nan.
 _star_cells is f* on arrays; _star_float and the lockstep form of
 float_star_array, which gives each point _star_float's bits, hand the
-points where their own form is not finite to _star_cells.
+points where their own form is not finite, or too near 0 to run quietly,
+to _star_cells.  csiszar_sum sums the 19 catalog generators of a validated
+pair in one row_sum pass, which yields a row of cell terms per generator.
 """
 
 from __future__ import annotations
@@ -56,6 +58,13 @@ STAR_GRID = (1e-3, 1.0 - 1e-3, 1001)
 # largest defect, normalised by (1 + |f*|), that counts as symmetric.
 _SYM_GRID = np.arange(1, 1002) / 1002.0
 STAR_SYM_TOL = 1e-12
+
+# Below this x, u = (1-x)/x nears the double range: the float form of f*
+# overflows in numpy scalars with RuntimeWarnings (J's (u-1) ln u from
+# x = 3.9e-306 down), and xi's 2/(u+1) is 0.0, whose negative power raises
+# ZeroDivisionError.  Such points take the array form, which gives the
+# float form's bits wherever that is finite and quiet.
+_FLOAT_FORM_MIN = 1e-305
 
 # Numeric cross-check points for the stored limit constants.
 _U_NEAR_ZERO = (1e-6, 1e-12)
@@ -274,13 +283,15 @@ def _star_float(fn: Callable, x: float) -> float:
     """f* of generator fn at a float in (0, 1), unchecked, in Python float
     arithmetic: the pointwise forms and the bisections call it per point,
     and it is several times cheaper than numpy scalars under errstate.
-    A form that is not finite or overflows takes _star_cells."""
-    try:
-        value = float(x * fn((1.0 - x) / x))
-        if -INF < value < INF:
-            return value
-    except OverflowError:
-        pass
+    A point below _FLOAT_FORM_MIN, or a form that is not finite or
+    overflows, takes _star_cells."""
+    if x >= _FLOAT_FORM_MIN:
+        try:
+            value = float(x * fn((1.0 - x) / x))
+            if -INF < value < INF:
+                return value
+        except OverflowError:
+            pass
     return float(_star_cells(fn, np.array([x]))[0])
 
 
@@ -314,8 +325,9 @@ def float_star_array(g: GeneratingFunction) -> Callable[[np.ndarray], np.ndarray
     The form runs in numpy, a family member at a regular order taking its
     powers from libm's pow in one C loop (_float_pow); every other
     generator is numpy arithmetic, log and sqrt, which give an array the
-    bits they give a float.  Points where the form is not finite (a power
-    or the product overflowed) take _star_cells, as from _star_float.
+    bits they give a float.  Points below _FLOAT_FORM_MIN and points where
+    the form is not finite (a power or the product overflowed) take
+    _star_cells, as from _star_float.
     """
     mid = MeasureId.parse(g.key)
     fn = g.fn
@@ -323,9 +335,9 @@ def float_star_array(g: GeneratingFunction) -> Callable[[np.ndarray], np.ndarray
         fn = _FAMILY_FNS[mid.tag](mid.s, _float_pow)
 
     def f(x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = x * fn((1.0 - x) / x)
-        bad = ~np.isfinite(out)
+        bad = ~np.isfinite(out) | (x < _FLOAT_FORM_MIN)
         if bad.any():
             out[bad] = _star_cells(g.fn, x[bad])
         return out
@@ -399,33 +411,43 @@ def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray, reduce=Non
         return (reduce or row_sum)(_csiszar_term, p, q, g.fn)
 
 
-# The ten bounded generators one pass sums together, in row order: the
-# four bases the differences combine, then the differences.  Each entry is
-# the catalog generator's fn and, for a difference, its (coefficient, base
-# row) terms.
-_TABLE_KEYS = ("Delta", "I", "h", "d", *DIFF_TAGS)
-_TABLE = tuple(
-    (_build(key, None).fn, tuple((c, _TABLE_KEYS.index(b)) for c, b in _DIFF_COMBOS.get(key, ())))
-    for key in _TABLE_KEYS
+#: Finite key inventory covering every catalog branch; used by the grid,
+#: convexity and equivalence suites.  Family orders are chosen with tails
+#: fast enough for the documented limit cross-check points.
+CATALOG_KEYS = tuple(
+    [MeasureId(t) for t in BASE_TAGS]
+    + [MeasureId("zeta", s) for s in (-1.0, 0.5, 2.0)]
+    + [MeasureId("xi", s) for s in (-1.0, 0.5, 2.0)]
+    + [MeasureId(t) for t in DIFF_TAGS]
 )
 
+# The catalog generators one pass sums together, in row order: the bases
+# the differences combine, the differences, and every other catalog key.
+_COMBINED = {t: generator(t) for t in ("Delta", "I", "h", "d")}
+_DIFFERENCES = tuple(generator(t) for t in DIFF_TAGS)
+_OTHERS = tuple(generator(m) for m in CATALOG_KEYS if m.tag not in (*_COMBINED, *DIFF_TAGS))
+_TABLE = {g.key: g for g in (*_COMBINED.values(), *_DIFFERENCES, *_OTHERS)}
 
-def _table_term(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The ten csiszar_rows sums of a leaf, as one-cell rows that row_sum's
-    np.sum passes through: u = p/q and the base values made once, then
-    each row of cell terms made as _csiszar_term makes it and summed."""
+
+def _table_rows(p: np.ndarray, q: np.ndarray):
+    """Yield the cell terms of every _TABLE generator in row order, each
+    row made as _csiszar_term makes it.  u = p/q is made once, and so is
+    each combined base's f(u), which is dropped once the differences are
+    made."""
     u = p / q
-    bases = [fn(u) for fn, terms in _TABLE if not terms]
-    sums = []
-    for i, (fn, terms) in enumerate(_TABLE):
-        v = _combine((c, bases[j]) for c, j in terms) if terms else bases[i]
-        sums.append(np.add.reduce(_mirrored(q * v, p, q, fn), axis=-1))
-    return np.array(sums)[:, None]
+    values = {t: g.fn(u) for t, g in _COMBINED.items()}
+    for t, g in _COMBINED.items():
+        yield _mirrored(q * values[t], p, q, g.fn)
+    for g in _DIFFERENCES:
+        yield _mirrored(q * _combine((c, values[t]) for c, t in _DIFF_COMBOS[g.key]), p, q, g.fn)
+    del values
+    for g in _OTHERS:
+        yield _mirrored(q * g.fn(u), p, q, g.fn)
 
 
-def _table_sums(p: np.ndarray, q: np.ndarray) -> tuple:
+def _table_sums(p: np.ndarray, q: np.ndarray) -> dict:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return tuple(row_sum(_table_term, p, q).tolist())
+        return dict(zip(_TABLE, row_sum(_table_rows, p, q).tolist()))
 
 
 def csiszar_sum(
@@ -435,10 +457,10 @@ def csiszar_sum(
 
     The live cells, where both masses are positive, are summed as
     csiszar_rows sums them, bit for bit.  On a validated pair (probs
-    read-only and owning their data) the first call for any of the ten
-    bounded generators (Delta, I, h, d and the differences) sums all ten
-    in one pass that evaluates each base generator once per cell, and
-    keeps the ten numbers for later calls on the same two objects.
+    read-only and owning their data) the first call for any catalog
+    generator (CATALOG_KEYS) sums all 19 in one pass that makes p/q and
+    each generator the differences combine once per cell, and keeps the 19
+    numbers for later calls on the same two objects.
     """
     require_same_alphabet(P, Q)
     p, q = P.probs, Q.probs
@@ -447,9 +469,8 @@ def csiszar_sum(
         live = (p > 0.0) & (q > 0.0)
         live = None if live.all() else live
     lp, lq = (p, q) if live is None else (p[live], q[live])
-    if g.key in _TABLE_KEYS and _frozen(p) and _frozen(q) and g == _build(g.key, None):
-        table = _pair_sums(P, Q).kept("csiszar", partial(_table_sums, lp, lq))
-        total = table[_TABLE_KEYS.index(g.key)]
+    if _TABLE.get(g.key) == g and _frozen(p) and _frozen(q):
+        total = _pair_sums(P, Q).kept("csiszar", partial(_table_sums, lp, lq))[g.key]
     else:
         total = float(csiszar_rows(g, lp, lq))
     if live is None:
@@ -484,14 +505,3 @@ def star_symmetry_defect(g: GeneratingFunction) -> float:
     right = star(g, 1.0 - _SYM_GRID)
     with np.errstate(invalid="ignore"):
         return float(np.max(np.abs(left - right) / (1.0 + np.abs(left))))
-
-
-#: Finite key inventory covering every catalog branch; used by the grid,
-#: convexity and equivalence suites.  Family orders are chosen with tails
-#: fast enough for the documented limit cross-check points.
-CATALOG_KEYS = tuple(
-    [MeasureId(t) for t in BASE_TAGS]
-    + [MeasureId("zeta", s) for s in (-1.0, 0.5, 2.0)]
-    + [MeasureId("xi", s) for s in (-1.0, 0.5, 2.0)]
-    + [MeasureId(t) for t in DIFF_TAGS]
-)

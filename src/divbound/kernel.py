@@ -6,12 +6,13 @@ are used inside a band of half-width SWITCH_EPS around s = 0 and s = 1,
 because the 1/(s(s-1)) normalisation cancels catastrophically there;
 order_divisors splits that normalisation in two where s(s-1) overflows), the
 continuous extension of x*ln(x) at zero, the cache-blocked cell sum that
-every measure, Csiszar sum and posterior average reduces with, the flat
-layout of rows of several lengths in one buffer (FlatRows), whose row sums
-have the bits of each row summed on its own, monotone bisection for turning
-divergence inequalities into numeric error bounds, one target at a time or
-many in lockstep with the same decisions, and a symmetric second-difference
-probe that certifies convexity on a grid.
+every measure, Csiszar sum and posterior average reduces with, one row or
+several per pass, the flat layout of rows of several lengths in one
+buffer (FlatRows), whose row sums have the bits of each row summed on its
+own, monotone bisection for turning divergence inequalities into numeric
+error bounds, one target at a time or many in lockstep with the same
+decisions, and a symmetric second-difference probe that certifies
+convexity on a grid.
 
 All functions are pure; concurrent use is unrestricted.  row_sum splits a
 long row's summation tree across helper threads, one fewer than the usable
@@ -41,14 +42,14 @@ BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
 
 # Largest row that row_sum sums in one np.sum call, and so the grain of
-# its helper threads.  Timed on one n = 2^20 pair (both chains, 19 measures
-# and 19 Csiszar sums; 2-vCPU Xeon, 2 MiB L2 per core): on two threads,
-# leaves of 8192 cells took 1.16 s, slower than one thread, because every
-# ufunc call (about 10 us at that size) hands the GIL over; 16384 took
-# 0.76 s, 32768 0.60 s, 65536 0.51 s and 131072 0.58 s.  On one CPU every
-# size from 8192 to 65536 took 0.67-0.69 s.  It must be at least 128:
-# numpy sums a row of at most 128 cells with eight accumulators instead of
-# halving it.
+# its helper threads.  On kernels_large_n (three n = 2^20 pairs, streamed
+# base and Csiszar passes; 2-vCPU Xeon, 2 MiB L2 per core; ten interleaved
+# rounds) the median wall time was 0.72 s at 32768, 0.68 s at 65536 and
+# 0.78 s at 131072 (peak RSS +6 MB); neither beat 65536 in more than 4 of
+# 10 rounds, and verify_10k did not move.  Leaves of 8192 cells ran slower
+# on two threads than on one: every ufunc call hands the GIL over.  It
+# must be at least 128: numpy sums a row of at most 128 cells with eight
+# accumulators instead of halving it.
 SUM_LEAF = 65536
 
 # Cells of the rows a FlatRows.row_sum term runs on at once, so that the
@@ -128,12 +129,6 @@ def order_divisors(s: float) -> tuple:
     return a, 1.0
 
 
-def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x*ln(y) elementwise, 0 where x == 0 (nan stays nan); no domain check.
-    Runs under the caller's np.errstate: ln(0) divides by zero."""
-    return np.where(x == 0.0, 0.0, x * np.log(y))
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one, else the machine's count."""
@@ -151,10 +146,13 @@ def row_sum(term: Callable, p: np.ndarray, q: np.ndarray, *args):
     SUM_LEAF cells is cut along that same tree; each leaf's terms are
     summed with np.sum and the partial sums added as numpy adds them, so
     the result equals the whole-row sum bit for bit, while every leaf's
-    temporaries stay in cache.  `term` must be elementwise in the cells,
-    or return its leaf's row sums as one-cell rows, and p, q share their
-    shape: one vector, or an (m, n) block whose rows are reduced
-    independently.
+    temporaries stay in cache.  p and q share their shape: one vector, or
+    an (m, n) block whose rows are reduced independently.  `term` is
+    elementwise in the cells.  It returns one array of cell terms, or
+    yields several rows of them that share the leaf's intermediates; each
+    is reduced and let go before the next is asked for, and the result
+    has one leading entry per row, each with the bits of that row summed
+    alone.
 
     The tree's halves run at the same time on up to usable_cpus() - 1
     helper threads (numpy releases the GIL inside its loops).  Each helper
@@ -164,8 +162,23 @@ def row_sum(term: Callable, p: np.ndarray, q: np.ndarray, *args):
     """
     n = p.shape[-1]
     if n <= SUM_LEAF:
-        return np.sum(term(p, q, *args), axis=-1)
+        return _sum_rows(term(p, q, *args), _last_axis_sum)
     return _tree_sum(term, p, q, args, 0, n, usable_cpus() - 1)
+
+
+def _sum_rows(made, total: Callable):
+    """total of the array a term made, or of each row it yields, in turn."""
+    if isinstance(made, np.ndarray):
+        return total(made)
+    sums = []
+    for row in made:
+        sums.append(total(row))
+        del row  # let go before the next row is made, which may reuse its memory
+    return np.array(sums)
+
+
+def _last_axis_sum(cells: np.ndarray):
+    return np.add.reduce(cells, axis=-1)
 
 
 def _tree_sum(
@@ -173,7 +186,7 @@ def _tree_sum(
 ):
     if n <= SUM_LEAF:
         hi = lo + n
-        return np.sum(term(p[..., lo:hi], q[..., lo:hi], *args), axis=-1)
+        return _sum_rows(term(p[..., lo:hi], q[..., lo:hi], *args), _last_axis_sum)
     half = n // 2
     half -= half % 8
     if helpers <= 0:
@@ -284,25 +297,28 @@ class FlatRows:
         """kernel.row_sum of each row of the buffers p and q.
 
         The term runs once per chunk of rows, and each piece of a slab in
-        it is summed as an (m, n) array.  A chunk with rows longer than
-        SUM_LEAF goes through row_sum piece by piece.  (np.add.reduceat
-        would sum each row sequentially, with other bits.)
+        each row of cell terms it makes is summed as an (m, n) array.  A
+        chunk with rows longer than SUM_LEAF goes through row_sum piece by
+        piece.  (np.add.reduceat would sum each row sequentially, with
+        other bits.)
         """
-        leaf = SUM_LEAF
-        out = np.empty(len(self.lengths))
+        parts = []  # the row sums of each chunk, in buffer order
         for chunk in self._chunks:
-            if chunk[-1][4] <= leaf:  # n ascends: the last piece holds the longest rows
-                first, end = chunk[0][2], chunk[-1][3]
-                terms = term(p[first:end], q[first:end], *args)
-                for r0, r1, c0, c1, n in chunk:
-                    out[r0:r1] = np.add.reduce(
-                        terms[c0 - first : c1 - first].reshape(r1 - r0, n), axis=-1
-                    )
-            else:
+            if chunk[-1][4] > SUM_LEAF:  # n ascends: the last piece holds the longest rows
                 for r0, r1, c0, c1, n in chunk:
                     shape = (r1 - r0, n)
-                    out[r0:r1] = row_sum(term, p[c0:c1].reshape(shape), q[c0:c1].reshape(shape), *args)
-        return out
+                    parts.append(row_sum(term, p[c0:c1].reshape(shape), q[c0:c1].reshape(shape), *args))
+                continue
+            first, end = chunk[0][2], chunk[-1][3]
+
+            def total(cells):  # the chunk's row sums, slab piece by slab piece
+                return np.concatenate([
+                    np.add.reduce(cells[c0 - first : c1 - first].reshape(r1 - r0, n), axis=-1)
+                    for r0, r1, c0, c1, n in chunk
+                ])
+
+            parts.append(_sum_rows(term(p[first:end], q[first:end], *args), total))
+        return np.concatenate(parts, axis=-1)
 
 
 def x_ln_x(x):
@@ -314,7 +330,7 @@ def x_ln_x(x):
     if np.any(arr < 0.0):
         raise DomainError("x_ln_x requires x >= 0")
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = _xlogy(arr, arr)
+        out = np.where(arr == 0.0, 0.0, arr * np.log(arr))
     if np.ndim(x) == 0:
         return float(out)
     return out

@@ -26,20 +26,21 @@ one mass vanishes and the value is reported as +inf; Delta, h, d and I stay
 finite under the 0*ln(0) = 0 convention.  Cells where both masses vanish
 contribute nothing to any measure.
 
-Shared base sums.  Each base measure is one row of _BASE_SUMS, a cell
-term and a scale.  Each difference is a combination of base measures
-(_DIFF_COMBOS), each chain a list of scaled base or difference measures
-(_CHAIN_LINKS), and a family at a limit order is the base measure that
-_limit_base names, so a pair has seven distinct base sums.  A BaseSums
-table computes each of them the first time it is asked for and keeps it.
-The pair-level calls (measure_value, base_measure, difference_measure,
-zeta, xi, chain_check) reuse the table of the most recent validated pair:
-when P and Q are the same objects as in the previous call and both probs
-arrays are read-only arrays that own their data, as validate makes them,
-that pair's base sums are not summed again; generators.csiszar_sum keeps
-the ten Csiszar sums of its one pass in the same table.  Any other pair,
-or a pair built on a writable array, is summed afresh.  The values are
-bit-identical either way.
+Shared base sums.  Each base measure is a row of _base_rows, which makes
+any set of them in one pass, and a scale.  Each difference is a
+combination of base measures (_DIFF_COMBOS), each chain a list of scaled
+base or difference measures (_CHAIN_LINKS), and a family at a limit order
+is the base measure that _limit_base names, so a pair has seven distinct
+base sums.  A BaseSums table sums, in one pass, the bases a read needs
+and does not hold yet, and keeps them.  The pair-level calls
+(measure_value, base_measure, difference_measure, zeta, xi, chain_check)
+reuse the table of the most recent validated pair: when P and Q are the
+same objects as in the previous call and both probs arrays are read-only
+arrays that own their data, as validate makes them, that pair's base sums
+are not summed again; generators.csiszar_sum keeps the 19 catalog Csiszar
+sums of its one pass in the same table.  Any other pair, or a pair built
+on a writable array, is summed afresh.  The values are bit-identical
+either way.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .distributions import DiscreteDistribution, require_same_alphabet
-from .kernel import ArgumentError, OrderParameter, Regime, _xlogy, order_divisors, row_sum
+from .kernel import ArgumentError, OrderParameter, Regime, order_divisors, row_sum
 
 # Relative slack tolerance for the inequality chains, scaled by the larger
 # side: absolute slacks shrink quadratically as P -> Q.
@@ -153,8 +154,13 @@ def _limit_base(family: str, s) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def _delta_term(p: np.ndarray, q: np.ndarray):
-    t = np.where(p + q > 0.0, (p - q) ** 2 / (p + q), 0.0)
+def _times_log(x: np.ndarray, log_y: np.ndarray) -> np.ndarray:
+    """x * log_y, 0 where x == 0: the 0 ln 0 = 0 convention."""
+    return np.where(x == 0.0, 0.0, x * log_y)
+
+
+def _delta_cells(p: np.ndarray, q: np.ndarray, s: np.ndarray, sq: np.ndarray):
+    t = np.where(s > 0.0, sq / s, 0.0)
     # 0 where p != q only if (p - q)^2 underflowed (both masses subnormal);
     # only those cells are recomputed, in an order that does not underflow
     zero = t == 0.0
@@ -166,35 +172,10 @@ def _delta_term(p: np.ndarray, q: np.ndarray):
     return t
 
 
-def _hellinger_term(p: np.ndarray, q: np.ndarray):
-    return (np.sqrt(p) - np.sqrt(q)) ** 2
-
-
-def _jensen_shannon_term(p: np.ndarray, q: np.ndarray):
-    m = p + q
-    return _xlogy(p, p) + _xlogy(q, q) - _xlogy(m, 0.5 * m)
-
-
-def _ddiv_term(p: np.ndarray, q: np.ndarray):
-    return 0.5 * (np.sqrt(p) + np.sqrt(q)) * np.sqrt(0.5 * (p + q))
-
-
-def _jdiv_term(p: np.ndarray, q: np.ndarray):
-    t = (p - q) * (np.log(p) - np.log(q))
-    return np.where((p == 0.0) & (q == 0.0), 0.0, t)
-
-
-def _tdiv_term(p: np.ndarray, q: np.ndarray):
-    m = 0.5 * (p + q)
-    t = _xlogy(m, m) - 0.5 * m * (np.log(p) + np.log(q))
-    return np.where(m == 0.0, 0.0, t)
-
-
-def _psi_term(p: np.ndarray, q: np.ndarray):
-    t = (p - q) ** 2 * (p + q) / (p * q)
-    # 0/0 where both masses vanish, or where both are so small that
-    # (p - q)^2 and p q underflow; only those cells are recomputed, in an
-    # order that does not underflow, and a dead cell gives 0
+def _psi_cells(p: np.ndarray, q: np.ndarray, s: np.ndarray, sq: np.ndarray):
+    t = sq * s / (p * q)
+    # 0/0 where both masses vanish, or where (p - q)^2 and p q underflow;
+    # only those cells are recomputed, without underflow (a dead cell is 0)
     bad = np.isnan(t)
     if bad.any():
         p, q = p[bad], q[bad]
@@ -203,19 +184,48 @@ def _psi_term(p: np.ndarray, q: np.ndarray):
     return t
 
 
-# Each base measure as (cell term, scale): the measure is scale times the
-# row sum of its term, and d, the one negative scale, is 1 - its row sum.
-# 1.0 * x and 1.0 + (-1.0 * x) have the bits of x and 1.0 - x; an offset
-# of 0.0 for the other rows would not, as it turns -0.0 into +0.0.
-_BASE_SUMS = {
-    "Delta": (_delta_term, 1.0),
-    "I": (_jensen_shannon_term, 0.5),
-    "h": (_hellinger_term, 0.5),
-    "d": (_ddiv_term, -1.0),
-    "J": (_jdiv_term, 1.0),
-    "T": (_tdiv_term, 1.0),
-    "Psi": (_psi_term, 1.0),
-}
+def _base_rows(p: np.ndarray, q: np.ndarray, tags):
+    """Yield the cell terms of each base measure in tags, in _ROW_ORDER:
+    each its closed form, with the operations it has when summed alone.
+    The intermediates rows share (p + q, p - q, its square, the logs of p,
+    q and (p+q)/2, the roots of p and q) are made once, and each is
+    dropped after the last row that reads it."""
+    s = p + q
+    if "h" in tags or "d" in tags:
+        rp, rq = np.sqrt(p), np.sqrt(q)
+        if "h" in tags:
+            yield (rp - rq) ** 2
+        if "d" in tags:
+            yield 0.5 * (rp + rq) * np.sqrt(0.5 * s)
+        del rp, rq
+    diff = p - q
+    if "Delta" in tags or "Psi" in tags:
+        sq = diff**2
+        if "Delta" in tags:
+            yield _delta_cells(p, q, s, sq)
+        if "Psi" in tags:
+            yield _psi_cells(p, q, s, sq)
+        del sq
+    if "J" in tags or "I" in tags or "T" in tags:
+        lp, lq = np.log(p), np.log(q)
+        if "J" in tags:
+            yield np.where((p == 0.0) & (q == 0.0), 0.0, diff * (lp - lq))
+        del diff
+        if "I" in tags or "T" in tags:
+            lm = np.log(0.5 * s)
+            if "I" in tags:
+                yield _times_log(p, lp) + _times_log(q, lq) - _times_log(s, lm)
+            if "T" in tags:
+                m = 0.5 * s
+                yield np.where(m == 0.0, 0.0, _times_log(m, lm) - 0.5 * m * (lp + lq))
+
+
+# The order of the rows of _base_rows, and each base measure's scale: the
+# measure is scale times its row sum, and d, the one negative scale, is 1 -
+# its row sum.  1.0 * x and 1.0 + (-1.0 * x) have the bits of x and 1.0 - x;
+# an offset of 0.0 for the other rows would turn -0.0 into +0.0.
+_ROW_ORDER = ("h", "d", "Delta", "Psi", "J", "I", "T")
+_BASE_SCALES = {"Delta": 1.0, "I": 0.5, "h": 0.5, "d": -1.0, "J": 1.0, "T": 1.0, "Psi": 1.0}
 
 
 def _family_term(p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
@@ -285,13 +295,13 @@ _DIFF_COMBOS = {
 class BaseSums:
     """The seven base sums of one pair, or of an (m, n) block of pairs.
 
-    Each sum is the row sum of its _BASE_SUMS term, scaled, computed the
-    first time it is asked for and kept, so every measure and chain read
-    from one table sums each base measure once.  p and q must not change
-    while the table is in use.  `reduce` is the row sum, kernel.row_sum by
-    default; the row_sum of a kernel.FlatRows layout makes p and q flat
-    buffers of rows in it.  Either way the sum runs under one np.errstate,
-    which reaches row_sum's helper threads.
+    Each sum is the row sum of its _base_rows cell terms, scaled.  A read
+    sums every base it needs and the table does not hold in one pass (eq7
+    seven, eq39 four, a difference two, a base one), and keeps them.  p and
+    q must not change while the table is in use.  `reduce` is the row sum,
+    kernel.row_sum by default; the row_sum of a kernel.FlatRows layout
+    makes p and q flat buffers of rows in it.  Either way the pass runs
+    under one np.errstate, which reaches row_sum's helper threads.
     """
 
     __slots__ = ("p", "q", "_sums", "_reduce")
@@ -309,12 +319,21 @@ class BaseSums:
         return value
 
     def __getitem__(self, tag: str):
-        return self.kept(tag, lambda: self._base_sum(*_BASE_SUMS[tag]))
+        return self._bases((tag,))[tag]
 
-    def _base_sum(self, term: Callable, scale: float):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            value = scale * self._reduce(term, self.p, self.q)
-        return 1.0 + value if scale < 0.0 else value
+    def _bases(self, tags) -> dict:
+        """The table, holding every base in tags: those it lacked are summed
+        in one pass."""
+        sums = self._sums
+        missing = tuple(t for t in _ROW_ORDER if t in tags and t not in sums)
+        if missing:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                totals = self._reduce(_base_rows, self.p, self.q, missing)
+            for tag, total in zip(missing, totals):
+                scale = _BASE_SCALES[tag]
+                value = scale * total
+                sums[tag] = 1.0 + value if scale < 0.0 else value
+        return sums
 
     def measure(self, mid: MeasureId):
         """Any measure, reduced over the last axis like the kernels."""
@@ -327,13 +346,15 @@ class BaseSums:
         if mid.tag not in DIFF_TAGS:
             return self[mid.tag]
         (c1, t1), (c2, t2) = _DIFF_COMBOS[mid.tag]
-        return c1 * self[t1] + c2 * self[t2]
+        sums = self._bases((t1, t2))
+        return c1 * sums[t1] + c2 * sums[t2]
 
     def chain(self, which: str) -> list:
         """The values of one chain, in CHAIN_LABELS order."""
         links = _CHAIN_LINKS.get(which)
         if links is None:
             raise ArgumentError(f"unknown chain {which!r} (expected 'eq7' or 'eq39')")
+        self._bases({t for _, _, m in links for _, t in _DIFF_COMBOS.get(m.tag, ((1, m.tag),))})
         return [c * self.measure(mid) for _, c, mid in links]
 
 

@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -421,6 +422,89 @@ class TestRowSum:
         parallel = repr(run_verify(300, 7))
         set_cpus(monkeypatch, 1)
         assert repr(run_verify(300, 7)) == parallel
+
+
+def _rows_term(p, q):
+    """Three rows of cell terms, the first two sharing ln q."""
+    lq = np.log(q)
+    yield p * lq + q
+    yield q * lq
+    yield p - q
+
+
+# each row of _rows_term as a term of its own
+_ROW_TERMS = (_term, lambda p, q: q * np.log(q), lambda p, q: p - q)
+
+
+def _watched_term(alive):
+    """_ROW_TERMS as one multi-row term that fails if a row it yielded is
+    still alive when the next is asked for."""
+
+    def term(p, q):
+        for make in _ROW_TERMS:
+            assert all(ref() is None for ref in alive), "a yielded row outlived its sum"
+            row = make(p, q)
+            alive.append(weakref.ref(row))
+            yield row
+            del row
+
+    return term
+
+
+class TestMultiRowTerms:
+    """A term that yields several rows gives each row's sum with the bits
+    of that row summed alone, one row alive at a time."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n", [7, SUM_LEAF, SUM_LEAF + 1, 3 * SUM_LEAF + 5])
+    def test_rows_of_a_pair(self, monkeypatch, cpus, n):
+        set_cpus(monkeypatch, cpus)
+        p, q = _cells((n,), n)
+        got = row_sum(_rows_term, p, q)
+        assert got.shape == (len(_ROW_TERMS),)
+        for total, term in zip(got, _ROW_TERMS):
+            assert _bits(total) == _bits(row_sum(term, p, q)) == _bits(np.sum(term(p, q)))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("shape", [(3, 1001), (2, SUM_LEAF + 1), (4, 3 * SUM_LEAF + 5)])
+    def test_rows_of_a_block(self, monkeypatch, cpus, shape):
+        set_cpus(monkeypatch, cpus)
+        p, q = _cells(shape, shape[1])
+        got = row_sum(_rows_term, p, q)
+        assert got.shape == (len(_ROW_TERMS), shape[0])
+        for totals, term in zip(got, _ROW_TERMS):
+            assert _bits(totals) == _bits(np.sum(term(p, q), axis=-1))
+
+    @pytest.mark.parametrize("n", [1001, 3 * SUM_LEAF + 5])
+    def test_each_row_is_let_go_before_the_next_is_made(self, monkeypatch, n):
+        set_cpus(monkeypatch, 1)  # one list of rows, watched by one thread
+        p, q = _cells((n,), n)
+        alive = []
+        got = row_sum(_watched_term(alive), p, q)
+        assert _bits(got) == _bits(row_sum(_rows_term, p, q))
+        assert len(alive) == len(_ROW_TERMS) * -(-n // SUM_LEAF)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_flat_rows_below_and_above_the_leaf(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(kernel, "SUM_LEAF", 128)
+        monkeypatch.setattr(kernel, "FLAT_CHUNK", 64)
+        rows, p, q = _flat([2, 3, 8, 8, 64, 127, 128, 129, 300, 1000, 1000], 11)
+        got = rows.row_sum(_rows_term, p, q)
+        assert got.shape == (len(_ROW_TERMS), 11)
+        for totals, term in zip(got, _ROW_TERMS):
+            assert _bits(totals) == _bits(rows.row_sum(term, p, q))
+            for i, cells in enumerate(_row_slices(rows)):
+                assert _bits(totals[i]) == _bits(np.sum(term(p[cells], q[cells])))
+
+    def test_flat_rows_let_each_row_go(self, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        monkeypatch.setattr(kernel, "FLAT_CHUNK", 64)
+        rows, p, q = _flat([2, 3, 8, 8, 64, 127], 6)
+        alive = []
+        got = rows.row_sum(_watched_term(alive), p, q)
+        assert _bits(got) == _bits(rows.row_sum(_rows_term, p, q))
+        assert alive
 
 
 def _flat(lengths, seed):

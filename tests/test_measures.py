@@ -664,7 +664,7 @@ class TestSharedBaseSums:
             for i in rng.permutation(len(SHARED_CALLS)):
                 assert _shared_call(*SHARED_CALLS[i], P, Q) == want[i], SHARED_CALLS[i]
 
-    def test_workload_sequence_makes_23_passes(self, monkeypatch):
+    def test_workload_sequence_makes_8_passes(self, monkeypatch):
         passes = []
 
         def counting(row_sum):
@@ -678,14 +678,16 @@ class TestSharedBaseSums:
             monkeypatch.setattr(module, "row_sum", counting(module.row_sum))
         P, Q = make_pair(np.random.default_rng(32), 16)
         _workload_values(P, Q)
-        # 7 base sums, 6 family sums at regular orders, 9 Csiszar sums one
-        # generator at a time (J, T, Psi, the family members) and one pass
-        # for the ten bounded ones; summing the bases per call, the chains
-        # and measures would take 36, not 13, and the bounded sums 10, not 1
-        assert len(passes) == 23
+        # one pass for the seven base sums, 6 family sums at regular orders
+        # and one pass for the 19 Csiszar sums; summing the bases per call,
+        # the chains and measures would take 36 passes, not 7, and the
+        # Csiszar sums 19, not 1
+        assert passes == [measures._base_rows] + [measures._family_term] * 6 + [
+            generators._table_rows
+        ]
         passes.clear()
         _workload_values(P, Q)
-        assert len(passes) == 6 + 9
+        assert passes == [measures._family_term] * 6
 
     def test_slot_keeps_no_pair_alive(self):
         P, Q = make_pair(np.random.default_rng(3), 16)
@@ -763,8 +765,6 @@ class TestSharedBaseSums:
                 assert values == want[i]
 
 
-TABLE_KEYS = [MeasureId(tag) for tag in ("Delta", "I", "h", "d", *DIFF_TAGS)]
-
 TABLE_PAIRS = {
     "n16": lambda: make_pair(np.random.default_rng(16), 16),
     # the mirror fix-up: f overflows at a finite p/q (Delta's (u - 1)^2), then p/q does
@@ -775,6 +775,10 @@ TABLE_PAIRS = {
         validate([0.25, 0.5, 0.25, 0.0, 0.0], PERMISSIVE),
     ),
     "long_zeros": lambda: _large_pair(PERMISSIVE),
+    # (p - q)^2 underflows: the Delta fix-up
+    "subnormal_delta": lambda: (validate([1e-310, 1.0]), validate([2e-310, 1.0])),
+    # (p - q)^2 and p q underflow, so the Psi term is 0/0: the Psi fix-up
+    "psi_nan": lambda: (validate([1.0, 1e-200]), validate([1.0, 2e-200])),
 }
 
 
@@ -795,18 +799,18 @@ def _per_generator(key, P, Q):
 
 @pytest.mark.filterwarnings("error")
 class TestCsiszarTable:
-    """The ten bounded Csiszar sums of a validated pair come from one pass,
+    """The 19 catalog Csiszar sums of a validated pair come from one pass,
     each with the bits of its per-generator sum."""
 
     def _check(self, P, Q, seed):
-        want = {key: _per_generator(key, P, Q) for key in TABLE_KEYS}
+        want = {key: _per_generator(key, P, Q) for key in CATALOG_KEYS}
         # every key in turn first on new objects, then the rest shuffled
-        order = np.random.default_rng(seed).permutation(len(TABLE_KEYS))
-        for first in TABLE_KEYS:
+        order = np.random.default_rng(seed).permutation(len(CATALOG_KEYS))
+        for first in CATALOG_KEYS:
             P, Q = _fresh(P), _fresh(Q)
             assert repr(csiszar_sum(generator(first), P, Q)) == want[first], first
             for i in order:
-                key = TABLE_KEYS[i]
+                key = CATALOG_KEYS[i]
                 assert repr(csiszar_sum(generator(key), P, Q)) == want[key], (first, key)
 
     @pytest.mark.parametrize("name", sorted(TABLE_PAIRS))
@@ -817,11 +821,119 @@ class TestCsiszarTable:
     def test_threaded_tree_keeps_the_bits(self, monkeypatch, cpus):
         set_cpus(monkeypatch, cpus)
         P, Q = _large_pair(STRICT)
-        want = [_per_generator(key, P, Q) for key in TABLE_KEYS]
-        assert [repr(csiszar_sum(generator(key), P, Q)) for key in TABLE_KEYS] == want
+        want = [_per_generator(key, P, Q) for key in CATALOG_KEYS]
+        assert [repr(csiszar_sum(generator(key), P, Q)) for key in CATALOG_KEYS] == want
+
+    def test_an_order_outside_the_catalog_is_summed_alone(self, monkeypatch):
+        P, Q = make_pair(np.random.default_rng(15), 16)
+        key = MeasureId("zeta", 1.5)
+        want = _per_generator(key, P, Q)
+        csiszar_sum(generator("J"), P, Q)  # the table of the 19 is kept
+        passes = []
+        row_sum = generators.row_sum
+        monkeypatch.setattr(generators, "row_sum", lambda *a: passes.append(a[0]) or row_sum(*a))
+        assert repr(csiszar_sum(generator(key), P, Q)) == want
+        assert passes == [generators._csiszar_term]
 
     def test_a_lookalike_generator_is_summed_itself(self):
         P, Q = validate([0.5, 0.5]), validate([0.25, 0.75])
         lookalike = generators.GeneratingFunction("Delta", generator("h").fn, 0.5)
         csiszar_sum(generator("Delta"), P, Q)
         assert csiszar_sum(lookalike, P, Q) == csiszar_sum(generator("h"), P, Q)
+
+
+# Each base measure's cell term as it is summed alone, written out here as
+# the reference for the shared pass: (term, scale), the measure being
+# scale times the term's row sum, and d 1 minus its row sum.
+def _xlogy(x, y):
+    return np.where(x == 0.0, 0.0, x * np.log(y))
+
+
+def _alone_delta(p, q):
+    t = np.where(p + q > 0.0, (p - q) ** 2 / (p + q), 0.0)
+    bad = (t == 0.0) & (p != q)
+    t[bad] = (p[bad] - q[bad]) / (p[bad] + q[bad]) * (p[bad] - q[bad])
+    return t
+
+
+def _alone_psi(p, q):
+    t = (p - q) ** 2 * (p + q) / (p * q)
+    bad = np.isnan(t)
+    d = p[bad] - q[bad]
+    s = p[bad] + q[bad]
+    t[bad] = np.where(s > 0.0, (d / p[bad]) * (d / q[bad]) * s, 0.0)
+    return t
+
+
+def _alone_t(p, q):
+    m = 0.5 * (p + q)
+    return np.where(m == 0.0, 0.0, _xlogy(m, m) - 0.5 * m * (np.log(p) + np.log(q)))
+
+
+ALONE_TERMS = {
+    "Delta": (_alone_delta, 1.0),
+    "I": (lambda p, q: _xlogy(p, p) + _xlogy(q, q) - _xlogy(p + q, 0.5 * (p + q)), 0.5),
+    "h": (lambda p, q: (np.sqrt(p) - np.sqrt(q)) ** 2, 0.5),
+    "d": (lambda p, q: 0.5 * (np.sqrt(p) + np.sqrt(q)) * np.sqrt(0.5 * (p + q)), -1.0),
+    "J": (lambda p, q: np.where((p == 0.0) & (q == 0.0), 0.0, (p - q) * (np.log(p) - np.log(q))), 1.0),
+    "T": (_alone_t, 1.0),
+    "Psi": (_alone_psi, 1.0),
+}
+
+
+def _alone_chain(which, p, q):
+    """A chain's values from each base summed alone by its ALONE_TERMS row."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bases = {}
+        for tag, (term, scale) in ALONE_TERMS.items():
+            value = scale * kernel.row_sum(term, p, q)
+            bases[tag] = 1.0 + value if scale < 0.0 else value
+    values = []
+    for _, c, mid in measures._CHAIN_LINKS[which]:
+        if mid.tag in DIFF_TAGS:
+            (c1, t1), (c2, t2) = measures._DIFF_COMBOS[mid.tag]
+            value = c1 * bases[t1] + c2 * bases[t2]
+        else:
+            value = bases[mid.tag]
+        values.append(repr(float(c * value)))
+    return values
+
+
+@pytest.mark.filterwarnings("error")
+class TestOneBasePass:
+    """The bases a read needs come from one pass over the pair or block,
+    each with the bits of its base summed alone."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_PAIRS))
+    @pytest.mark.parametrize("which", ["eq7", "eq39"])
+    def test_chain_of_a_validated_pair(self, monkeypatch, name, which):
+        P, Q = TABLE_PAIRS[name]()
+        passes = []
+        row_sum = measures.row_sum
+        monkeypatch.setattr(measures, "row_sum", lambda *a: passes.append(a[3]) or row_sum(*a))
+        got = [repr(v) for _, v in chain_check(_fresh(P), _fresh(Q), which).values]
+        assert got == _alone_chain(which, P.probs, Q.probs)
+        assert passes == [{"eq7": measures._ROW_ORDER, "eq39": ("h", "d", "Delta", "I")}[which]]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("which", ["eq7", "eq39"])
+    def test_chain_of_a_verify_block(self, monkeypatch, cpus, which):
+        # every TABLE_PAIRS pair as a row of one flat block, as verify lays
+        # out its drawn pairs; the long row goes through row_sum's tree
+        set_cpus(monkeypatch, cpus)
+        pairs = sorted((TABLE_PAIRS[name]() for name in sorted(TABLE_PAIRS)), key=lambda X: X[0].n)
+        rows = kernel.FlatRows(np.array([P.n for P, _ in pairs]))
+        first, second = (np.concatenate([X[i].probs for X in pairs]) for i in (0, 1))
+        values = BaseSums(first, second, reduce=rows.row_sum).chain(which)
+        for i, (P, Q) in enumerate(pairs):
+            assert [repr(float(v[i])) for v in values] == _alone_chain(which, P.probs, Q.probs)
+
+    def test_a_difference_sums_its_two_bases_in_one_pass(self, monkeypatch):
+        P, Q = make_pair(np.random.default_rng(8), 16)
+        passes = []
+        row_sum = measures.row_sum
+        monkeypatch.setattr(measures, "row_sum", lambda *a: passes.append(a[3]) or row_sum(*a))
+        difference_measure("D_dI", P, Q)
+        measure_value("h", P, Q)
+        chain_check(P, Q, "eq39")  # I, d and h are kept: only Delta is summed
+        assert passes == [("d", "I"), ("h",), ("Delta",)]

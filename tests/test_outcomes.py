@@ -11,8 +11,13 @@ though it shares no sums.
 The second table covers the bounds entry points on two-class problems
 built from the same kinds of hostile conditionals; its cells are read as
 BOUND_OUTCOMES says.  On every problem no RuntimeWarning escapes, no
-value is nan, and every applicable bound lies on its side of P_e within
-SANDWICH_TOL.
+value is nan, every applicable bound lies on its side of P_e within
+SANDWICH_TOL, and the bounds and sweep commands print nothing to stderr.
+
+The third table covers the pointwise entry points (star, star_extended,
+zeta_point, xi_point) at points from the smallest subnormal to the largest
+double below 1: each gives, with no warning and no exception, the value
+of the array path.
 """
 
 import math
@@ -31,9 +36,11 @@ from divbound.bounds import (
     family_bounds,
     kailath_bound,
     toussaint_bounds,
+    xi_point,
+    zeta_point,
 )
 from divbound.distributions import PERMISSIVE, STRICT, DiscreteDistribution, validate
-from divbound.generators import CATALOG_KEYS, csiszar_sum, generator
+from divbound.generators import CATALOG_KEYS, csiszar_sum, generator, star, star_extended
 from divbound.kernel import DivboundError
 from divbound.measures import chain_check, measure_value
 
@@ -162,22 +169,24 @@ CONDITIONALS = {
 # beside the inversion one), none where it does not apply, j where the
 # Kailath bound saturates at 0 because J is infinite.
 # cli: the exit code of divbound bounds over ORDERS.
+# sweep: the exit codes of divbound sweep, zeta then xi, each over
+# SWEEP_GRIDS in turn.
 BOUND_OUTCOMES = """
-problem          report     zeta            xi              compare  kailath  toussaint  cli
-even/subnormal   6v         ..........vvvv  ............vv  ok       fin      fin        0
-even/f_over      10v+10n    nn.nnnnnvvvvvv  ...n..nnv..vvv  ok       fin      fin        0
-even/ratio_over  13v+7n     vn.vnnnnvvvvvv  ...v..nnv..vvv  ok       fin      fin        0
-even/one_sided   20v+1j     vv.vvvvvvvvvvv  ...v..vvv..vvv  ok       j        fin        0
-even/dead        6v         ..........vvvv  ............vv  ok       fin      fin        0
-even/equal       fin        ..............  ..............  ok       fin      fin        0
-even/disjoint    20v+8n+1j  vvnvvvvvvvvvvv  nnnvnnvvvnnvvv  ok       j        fin        0
-skew/subnormal   6v         ..........vvvv  ............vv  ok       none     fin        0
-skew/f_over      10v+10n    nn.nnnnnvvvvvv  ...n..nnv..vvv  ok       none     fin        0
-skew/ratio_over  12v+8n     vn.vnnnnvvvvvv  ...n..nnv..vvv  ok       none     fin        0
-skew/one_sided   20v        vv.vvvvvvvvvvv  ...v..vvv..vvv  ok       none     fin        0
-skew/dead        6v         ..........vvvv  ............vv  ok       none     fin        0
-skew/equal       6v         ..........vvvv  ............vv  ok       none     fin        0
-skew/disjoint    20v+8n     vvnvvvvvvvvvvv  nnnvnnvvvnnvvv  ok       none     fin        0
+problem          report     zeta            xi              compare  kailath  toussaint  cli  sweep
+even/subnormal   6v         ..........vvvv  ............vv  ok       fin      fin        0    0000
+even/f_over      10v+10n    nn.nnnnnvvvvvv  ...n..nnv..vvv  ok       fin      fin        0    0000
+even/ratio_over  13v+7n     vn.vnnnnvvvvvv  ...v..nnv..vvv  ok       fin      fin        0    0000
+even/one_sided   20v+1j     vv.vvvvvvvvvvv  ...v..vvv..vvv  ok       j        fin        0    0000
+even/dead        6v         ..........vvvv  ............vv  ok       fin      fin        0    0000
+even/equal       fin        ..............  ..............  ok       fin      fin        0    0000
+even/disjoint    20v+8n+1j  vvnvvvvvvvvvvv  nnnvnnvvvnnvvv  ok       j        fin        0    0000
+skew/subnormal   6v         ..........vvvv  ............vv  ok       none     fin        0    0000
+skew/f_over      10v+10n    nn.nnnnnvvvvvv  ...n..nnv..vvv  ok       none     fin        0    0000
+skew/ratio_over  12v+8n     vn.vnnnnvvvvvv  ...n..nnv..vvv  ok       none     fin        0    0000
+skew/one_sided   20v        vv.vvvvvvvvvvv  ...v..vvv..vvv  ok       none     fin        0    0000
+skew/dead        6v         ..........vvvv  ............vv  ok       none     fin        0    0000
+skew/equal       6v         ..........vvvv  ............vv  ok       none     fin        0    0000
+skew/disjoint    20v+8n     vvnvvvvvvvvvvv  nnnvnnvvvnnvvv  ok       none     fin        0    0000
 """
 
 PROBLEMS = {
@@ -251,6 +260,22 @@ def _toussaint_cell(problem, pe) -> str:
     return "fin"
 
 
+# The sweep grids: the verify grid's span through both limit orders, and a
+# span through the orders where the powers overflow.
+SWEEP_GRIDS = ("-1:2:7", "-1046:60:8")
+
+
+def _sweep_cell(problem_file, capsys) -> str:
+    codes = ""
+    for family in ("zeta", "xi"):
+        for grid in SWEEP_GRIDS:
+            argv = ["sweep", "--problem", str(problem_file), "--family", family, f"--s-grid={grid}"]
+            codes += str(cli.main(argv))
+            out, err = capsys.readouterr()
+            assert err == "" and "nan" not in out, (family, grid, err)
+    return codes
+
+
 def _cli_cell(problem_file, capsys) -> str:
     grid = ",".join(repr(s) for s in ORDERS)
     code = cli.main(["bounds", "--problem", str(problem_file), f"--s-grid={grid}"])
@@ -278,9 +303,99 @@ def test_every_bounds_entry_point_has_its_tabled_outcome(name, tmp_path, capsys)
         "kailath": _kailath_cell(problem, pe),
         "toussaint": _toussaint_cell(problem, pe),
         "cli": _cli_cell(problem_file, capsys),
+        "sweep": _sweep_cell(problem_file, capsys),
     }
     assert got == _bound_table()[name]
 
 
 def test_the_bounds_table_has_every_problem():
     assert set(_bound_table()) == set(PROBLEMS)
+
+
+# ---------------------------------------------------------------------------
+# pointwise entry points
+# ---------------------------------------------------------------------------
+
+# The smallest subnormal; a point where (1-x)/x overflows; points where the
+# float form of f* overflows in numpy scalars (J from 3.9e-306 down); a
+# normal tiny point; the middle; the largest double below 1.
+POINTS = (5e-324, 2e-310, 1e-307, 1e-306, 4e-306, 1e-300, 0.5, 1.0 - 2.0**-53)
+
+# One row per catalog key and per family member at each of ORDERS, one
+# character per point of POINTS: . a finite value, i +inf.
+POINT_OUTCOMES = """
+Delta            ........
+I                ........
+h                ........
+d                ........
+J                ........
+T                ........
+Psi              ii......
+zeta:-1.0        ii......
+zeta:0.5         ........
+zeta:2.0         ii......
+xi:-1.0          ........
+xi:0.5           ........
+xi:2.0           ii......
+D_dDelta         ........
+D_dh             ........
+D_dI             ........
+D_hI             ........
+D_hDelta         ........
+D_IDelta         ........
+zeta:0.0         ........
+zeta:1e-07       ........
+zeta:-1e-07      ........
+zeta:1.0000001   ........
+zeta:0.9999999   ........
+zeta:60.0        iiiiii.i
+zeta:-60.0       iiiiii.i
+zeta:-1040.0     iiiiii.i
+zeta:-1046.0     iiiiii.i
+zeta:2e+154      iiiiii.i
+zeta:-2e+154     iiiiii.i
+xi:0.0           ........
+xi:1e-07         ........
+xi:-1e-07        ........
+xi:1.0000001     ........
+xi:0.9999999     ........
+xi:60.0          iiiiii.i
+xi:-60.0         ........
+xi:-1040.0       ........
+xi:-1046.0       iiiiii.i
+xi:2e+154        iiiiii.i
+xi:-2e+154       iiiiii.i
+"""
+
+POINT_KEYS = list(
+    dict.fromkeys(
+        [key.label() for key in CATALOG_KEYS]
+        + [f"{family}:{s!r}" for family in ("zeta", "xi") for s in ORDERS]
+    )
+)
+_POINTWISE = {"zeta": zeta_point, "xi": xi_point}
+
+
+def _point_table() -> dict:
+    return dict(line.split() for line in POINT_OUTCOMES.strip().splitlines())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", POINT_KEYS)
+def test_every_pointwise_entry_point_has_its_tabled_outcome(key):
+    g = generator(key)
+    family, _, s = key.partition(":")
+    cells = ""
+    for x in POINTS:
+        value = float(star(g, np.array([x]))[0])
+        assert not math.isnan(value) and value != -math.inf, (x, value)
+        got = [star(g, x), star_extended(g, x)]
+        if s:
+            got.append(_POINTWISE[family](float(s), x))
+        assert [repr(v) for v in got] == [repr(value)] * len(got), x
+        cells += "i" if value == math.inf else "."
+    assert cells == _point_table()[key]
+
+
+def test_the_point_table_has_every_key():
+    assert list(_point_table()) == POINT_KEYS
