@@ -397,18 +397,17 @@ def _csiszar_term(p: np.ndarray, q: np.ndarray, fn: Callable):
     return _mirrored(q * np.asarray(fn(p / q), dtype=float), p, q, fn)
 
 
-def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray, reduce=None):
-    """sum q f(p/q) over the last axis, for strictly positive masses.
+def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray):
+    """sum q f(p/q) over the last axis, for strictly positive masses, of
+    one generator: the pass of a generator outside the catalog table.
 
     One call serves a single pair of vectors or an (m, n) block of pairs,
-    row for row bit-identical to the single-pair sums; reduce=FlatRows.row_sum
-    sums the rows of flat buffers instead.  A cell whose term q f(p/q) is
-    not finite (p/q or f overflowed) is summed as p f(q/p), which every
-    catalog generator equals by star symmetry.  Where that overflows too,
-    the sum is +inf, silently.
+    row for row bit-identical to the single-pair sums.  A cell whose term
+    q f(p/q) is not finite (p/q or f overflowed) is summed as p f(q/p),
+    which every catalog generator equals by star symmetry.  Where that
+    overflows too, the sum is +inf, silently, as row_sum runs quietly.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return (reduce or row_sum)(_csiszar_term, p, q, g.fn)
+    return row_sum(_csiszar_term, p, q, g.fn)
 
 
 #: Finite key inventory covering every catalog branch; used by the grid,
@@ -446,8 +445,7 @@ def _table_rows(p: np.ndarray, q: np.ndarray):
 
 
 def _table_sums(p: np.ndarray, q: np.ndarray) -> dict:
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return dict(zip(_TABLE, row_sum(_table_rows, p, q).tolist()))
+    return dict(zip(_TABLE, row_sum(_table_rows, p, q).tolist()))
 
 
 def csiszar_sum(

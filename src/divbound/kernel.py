@@ -52,6 +52,10 @@ BISECT_MAX_ITER = 200
 # accumulators instead of halving it.
 SUM_LEAF = 65536
 
+# The floating-point policy of every cell pass: a term may divide by zero,
+# make 0/0 or overflow, and keeps or replaces the IEEE value without a warning.
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+
 # Cells of the rows a FlatRows.row_sum term runs on at once, so that the
 # term's temporaries stay small.  On verify --trials 10000 (one core,
 # blocks of 2^16 cells) chunks of 8192 to 32768 cells ran within the noise
@@ -154,16 +158,15 @@ def row_sum(term: Callable, p: np.ndarray, q: np.ndarray, *args):
     has one leading entry per row, each with the bits of that row summed
     alone.
 
-    The tree's halves run at the same time on up to usable_cpus() - 1
-    helper threads (numpy releases the GIL inside its loops).  Each helper
+    The term and the sums run under np.errstate(**_QUIET), on up to
+    usable_cpus() - 1 helper threads besides this one, which take halves
+    of the tree (numpy releases the GIL inside its loops).  Each helper
     runs in a copy of the caller's context, so np.errstate reaches it; an
     exception raised in a helper is raised here, and every helper is
     joined before row_sum returns or raises.
     """
-    n = p.shape[-1]
-    if n <= SUM_LEAF:
-        return _sum_rows(term(p, q, *args), _last_axis_sum)
-    return _tree_sum(term, p, q, args, 0, n, usable_cpus() - 1)
+    with np.errstate(**_QUIET):
+        return _tree_sum(term, p, q, args, 0, p.shape[-1], usable_cpus() - 1)
 
 
 def _sum_rows(made, total: Callable):
@@ -300,24 +303,25 @@ class FlatRows:
         each row of cell terms it makes is summed as an (m, n) array.  A
         chunk with rows longer than SUM_LEAF goes through row_sum piece by
         piece.  (np.add.reduceat would sum each row sequentially, with
-        other bits.)
+        other bits.)  It runs under np.errstate(**_QUIET), as row_sum does.
         """
         parts = []  # the row sums of each chunk, in buffer order
-        for chunk in self._chunks:
-            if chunk[-1][4] > SUM_LEAF:  # n ascends: the last piece holds the longest rows
-                for r0, r1, c0, c1, n in chunk:
-                    shape = (r1 - r0, n)
-                    parts.append(row_sum(term, p[c0:c1].reshape(shape), q[c0:c1].reshape(shape), *args))
-                continue
-            first, end = chunk[0][2], chunk[-1][3]
+        with np.errstate(**_QUIET):
+            for chunk in self._chunks:
+                if chunk[-1][4] > SUM_LEAF:  # n ascends: the last piece holds the longest rows
+                    for r0, r1, c0, c1, n in chunk:
+                        rows = (x[c0:c1].reshape(r1 - r0, n) for x in (p, q))
+                        parts.append(row_sum(term, *rows, *args))
+                    continue
+                first, end = chunk[0][2], chunk[-1][3]
 
-            def total(cells):  # the chunk's row sums, slab piece by slab piece
-                return np.concatenate([
-                    np.add.reduce(cells[c0 - first : c1 - first].reshape(r1 - r0, n), axis=-1)
-                    for r0, r1, c0, c1, n in chunk
-                ])
+                def total(cells):  # the chunk's row sums, slab piece by slab piece
+                    return np.concatenate([
+                        np.add.reduce(cells[c0 - first : c1 - first].reshape(r1 - r0, n), axis=-1)
+                        for r0, r1, c0, c1, n in chunk
+                    ])
 
-            parts.append(_sum_rows(term(p[first:end], q[first:end], *args), total))
+                parts.append(_sum_rows(term(p[first:end], q[first:end], *args), total))
         return np.concatenate(parts, axis=-1)
 
 

@@ -26,21 +26,19 @@ one mass vanishes and the value is reported as +inf; Delta, h, d and I stay
 finite under the 0*ln(0) = 0 convention.  Cells where both masses vanish
 contribute nothing to any measure.
 
-Shared base sums.  Each base measure is a row of _base_rows, which makes
-any set of them in one pass, and a scale.  Each difference is a
-combination of base measures (_DIFF_COMBOS), each chain a list of scaled
-base or difference measures (_CHAIN_LINKS), and a family at a limit order
-is the base measure that _limit_base names, so a pair has seven distinct
-base sums.  A BaseSums table sums, in one pass, the bases a read needs
-and does not hold yet, and keeps them.  The pair-level calls
+Shared base sums.  Each base measure is a scaled row of _base_rows, which
+makes any set of them in one pass.  A difference combines two base
+measures (_DIFF_COMBOS), a chain lists scaled base or difference measures
+(_CHAIN_LINKS), and a family at a limit order is the base measure that
+_limit_base names, so a pair has seven distinct base sums.  A BaseSums
+read (one measure, a list of them, or a chain) sums the bases it needs
+and the table lacks in one pass, and keeps them.  The pair-level calls
 (measure_value, base_measure, difference_measure, zeta, xi, chain_check)
 reuse the table of the most recent validated pair: when P and Q are the
 same objects as in the previous call and both probs arrays are read-only
-arrays that own their data, as validate makes them, that pair's base sums
-are not summed again; generators.csiszar_sum keeps the 19 catalog Csiszar
-sums of its one pass in the same table.  Any other pair, or a pair built
-on a writable array, is summed afresh.  The values are bit-identical
-either way.
+and own their data, as validate makes them, its base sums are not summed
+again, and generators.csiszar_sum keeps the 19 catalog Csiszar sums of
+its one pass there too.  Any other pair is summed afresh, to the same bits.
 """
 
 from __future__ import annotations
@@ -147,10 +145,10 @@ def _limit_base(family: str, s) -> Optional[str]:
 # axis, so one call serves a single pair of (n,) vectors and an (m, n)
 # block of m same-size pairs alike.  Row i of a C-contiguous block gives
 # the value of pair i bit for bit: every term is elementwise, and numpy sums
-# each row exactly as it sums the row on its own.  The terms run under the
-# np.errstate of their sum (BaseSums, _family_regular): a mass of zero
-# divides by zero or makes 0/0 or 0*inf, and np.where replaces those cells;
-# a subnormal mass overflows the Psi term to inf, as Psi itself does.
+# each row exactly as it sums the row on its own.  The terms run as quietly
+# as row_sum runs them: a mass of zero divides by zero or makes 0/0 or
+# 0*inf, and np.where replaces those cells; a subnormal mass overflows the
+# Psi term to inf, as Psi itself does.
 # ---------------------------------------------------------------------------
 
 
@@ -276,9 +274,7 @@ def _family_regular(family: str, s: float, reduce, p: np.ndarray, q: np.ndarray)
     """
     direct, ratio, at_equal = _FAMILY_FORMS[family]
     a, b = order_divisors(s)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        total = reduce(_family_term, p, q, s, direct, ratio)
-    return (total - at_equal) / a / b
+    return (reduce(_family_term, p, q, s, direct, ratio) - at_equal) / a / b
 
 
 # difference = c1 * base1 + c2 * base2, as ((c1, base1), (c2, base2))
@@ -297,11 +293,11 @@ class BaseSums:
 
     Each sum is the row sum of its _base_rows cell terms, scaled.  A read
     sums every base it needs and the table does not hold in one pass (eq7
-    seven, eq39 four, a difference two, a base one), and keeps them.  p and
-    q must not change while the table is in use.  `reduce` is the row sum,
-    kernel.row_sum by default; the row_sum of a kernel.FlatRows layout
-    makes p and q flat buffers of rows in it.  Either way the pass runs
-    under one np.errstate, which reaches row_sum's helper threads.
+    seven, eq39 four, a difference two, a base one, a list of measures
+    the union of theirs), and keeps them.  p and q must not change while
+    the table is in use.  `reduce` is the row sum, kernel.row_sum by
+    default; the row_sum of a kernel.FlatRows layout makes p and q flat
+    buffers of rows in it.
     """
 
     __slots__ = ("p", "q", "_sums", "_reduce")
@@ -318,17 +314,13 @@ class BaseSums:
             value = self._sums[key] = make()
         return value
 
-    def __getitem__(self, tag: str):
-        return self._bases((tag,))[tag]
-
     def _bases(self, tags) -> dict:
         """The table, holding every base in tags: those it lacked are summed
         in one pass."""
         sums = self._sums
         missing = tuple(t for t in _ROW_ORDER if t in tags and t not in sums)
         if missing:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                totals = self._reduce(_base_rows, self.p, self.q, missing)
+            totals = self._reduce(_base_rows, self.p, self.q, missing)
             for tag, total in zip(missing, totals):
                 scale = _BASE_SCALES[tag]
                 value = scale * total
@@ -337,25 +329,35 @@ class BaseSums:
 
     def measure(self, mid: MeasureId):
         """Any measure, reduced over the last axis like the kernels."""
-        if mid.tag in FAMILY_TAGS:
-            op = OrderParameter.of(mid.s)
-            base = _limit_base(mid.tag, op)
-            if base is None:
-                return _family_regular(mid.tag, op.s, self._reduce, self.p, self.q)
-            return self[base]
-        if mid.tag not in DIFF_TAGS:
-            return self[mid.tag]
-        (c1, t1), (c2, t2) = _DIFF_COMBOS[mid.tag]
-        sums = self._bases((t1, t2))
+        terms = _base_terms(mid)
+        if terms is None:
+            return _family_regular(mid.tag, OrderParameter.of(mid.s).s, self._reduce, self.p, self.q)
+        sums = self._bases([t for _, t in terms])
+        if len(terms) == 1:
+            return sums[terms[0][1]]
+        (c1, t1), (c2, t2) = terms
         return c1 * sums[t1] + c2 * sums[t2]
+
+    def measures(self, mids: Sequence[MeasureId]) -> list:
+        """Each of the measures, in order; the base sums they read are made in one pass."""
+        self._bases({t for mid in mids for _, t in _base_terms(mid) or ()})
+        return [self.measure(mid) for mid in mids]
 
     def chain(self, which: str) -> list:
         """The values of one chain, in CHAIN_LABELS order."""
         links = _CHAIN_LINKS.get(which)
         if links is None:
             raise ArgumentError(f"unknown chain {which!r} (expected 'eq7' or 'eq39')")
-        self._bases({t for _, _, m in links for _, t in _DIFF_COMBOS.get(m.tag, ((1, m.tag),))})
-        return [c * self.measure(mid) for _, c, mid in links]
+        return [c * v for (_, c, _), v in zip(links, self.measures([m for _, _, m in links]))]
+
+
+def _base_terms(mid: MeasureId):
+    """mid as its (coefficient, base tag) terms, or None for a family member
+    at a regular order, which reads no base sum."""
+    if mid.tag in DIFF_TAGS:
+        return _DIFF_COMBOS[mid.tag]
+    base = _limit_base(mid.tag, mid.s) if mid.tag in FAMILY_TAGS else mid.tag
+    return None if base is None else ((1.0, base),)
 
 
 # The most recent pair whose probs were frozen: weak references to P and Q

@@ -72,14 +72,8 @@ from .distributions import (
     DiscreteDistribution,
     validate,
 )
-from .generators import (
-    CATALOG_KEYS,
-    STAR_SYM_TOL,
-    csiszar_rows,
-    generator,
-    star,
-    star_symmetry_defect,
-)
+from .generators import CATALOG_KEYS, STAR_SYM_TOL, generator, star, star_symmetry_defect
+from .generators import _TABLE, _table_rows
 from .kernel import ArgumentError, FlatRows, usable_cpus
 from .measures import CHAIN_LABELS, BaseSums, _chain_report, chain_slack, worst_of
 
@@ -94,10 +88,10 @@ SUITE_NAMES = (
 
 # The order the suites are handed to worker processes: longest first, so
 # that the short ones fill in behind.  At --trials 10000, cold, on one core
-# of a 2-vCPU x86 host the suites take about 0.16, 0.14, 0.08, 0.055, 0.017
-# and 0.004 s (medians of 5) in this order; with two workers the chains
+# of a 2-vCPU x86 host the suites take about 0.16, 0.12, 0.073, 0.032, 0.013
+# and 0.003 s (medians of 8) in this order; with two workers the chains
 # start at once and the sandwich suite follows the shorter, so each worker
-# runs about 0.23 s.
+# runs about 0.2 s.
 _LONGEST_FIRST = (
     "eq7_chain",
     "eq39_chain",
@@ -120,6 +114,10 @@ K_MAX = 16
 # A block of trials ends once its draws hold this many cells a side (or at
 # the end of the corpus), which bounds memory at a large --n-max.
 BLOCK_CELLS = 1 << 16
+
+# The largest n_max run_verify takes: the largest alphabet the benchmarks
+# time.  A larger one is a usage error, raised before anything is drawn.
+N_MAX_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -307,22 +305,22 @@ def _chain_suite(
     return SuiteResult(name, trials, failures, worst, first)
 
 
-def _csiszar_values(block: _Block, gens) -> Tuple[np.ndarray, np.ndarray]:
+def _csiszar_values(block: _Block) -> Tuple[np.ndarray, np.ndarray]:
     """(direct, summed): each pair's CATALOG_KEYS measures, directly and as
-    Csiszar sums, in trial order."""
-    sums = block.base_sums()  # the 19 keys share the block's seven base sums
-    direct = np.stack([sums.measure(key) for key in CATALOG_KEYS], axis=-1)
-    summed = [csiszar_rows(g, block.first, block.second, block.rows.row_sum) for g in gens]
-    return block.in_trial_order(direct), block.in_trial_order(np.stack(summed, axis=-1))
+    Csiszar sums, in trial order, read as a validated pair's are: one pass
+    of the seven base sums, and one table pass (csiszar_sum)."""
+    direct = np.stack(block.base_sums().measures(CATALOG_KEYS), axis=-1)
+    sums = dict(zip(_TABLE, block.rows.row_sum(_table_rows, block.first, block.second)))
+    summed = np.stack([sums[key.label()] for key in CATALOG_KEYS], axis=-1)
+    return block.in_trial_order(direct), block.in_trial_order(summed)
 
 
 def _csiszar_suite(trials: int, rng: np.random.Generator, n_max: int) -> SuiteResult:
-    gens = [generator(key) for key in CATALOG_KEYS]
     failures = 0
     worst = 0.0
     first: Optional[str] = None
     for block in _blocks(trials, rng, n_max):
-        direct, summed = _csiszar_values(block, gens)
+        direct, summed = _csiszar_values(block)
         dev = np.abs(summed - direct) / (1.0 + np.abs(direct))
         worst = worst_of(max, worst, dev)
         failing = ~(dev <= CSISZAR_TOL)
@@ -578,8 +576,8 @@ def run_verify(
     """
     if trials < 1:
         raise ArgumentError(f"trials must be >= 1, got {trials}")
-    if n_max < 2:
-        raise ArgumentError(f"n-max must be >= 2, got {n_max}")
+    if not 2 <= n_max <= N_MAX_LIMIT:
+        raise ArgumentError(f"n-max must be in [2, {N_MAX_LIMIT}], got {n_max}")
     if seed < 0:
         raise ArgumentError(f"seed must be >= 0, got {seed}")
     reduced = max(1, trials // REDUCED_FACTOR)

@@ -351,7 +351,7 @@ class TestVerifyCommand:
 
     def test_n_max_below_two_is_usage_error(self, capsys):
         code, out, err = run(capsys, ["verify", "--n-max", "1"])
-        assert (code, out, err) == (2, "", "usage error: --n-max must be >= 2, got 1\n")
+        assert (code, out, err) == (2, "", "usage error: n-max must be in [2, 1048576], got 1\n")
 
     def test_corruption_hook_exits_1(self, capsys, monkeypatch):
         monkeypatch.setenv("DIVBOUND_VERIFY_CORRUPT", "1")

@@ -598,6 +598,19 @@ class TestErrstateReachesHelpers:
         assert repr(threaded) == repr(measure_value(spec, P, Q))
         assert math.isfinite(threaded)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_dividing_term_needs_no_errstate_from_the_caller(self, monkeypatch, cpus):
+        # 1/0 in the left half, on a helper thread at 2 CPUs, and in the
+        # right; the flat rows add a short row with 0/0
+        set_cpus(monkeypatch, cpus)
+        n = 3 * kernel.SUM_LEAF + 5
+        p, q = np.ones(n), np.ones(n)
+        q[[0, n - 1]] = 0.0
+        assert kernel.row_sum(np.divide, p, q) == math.inf
+        rows = kernel.FlatRows(np.array([2, n]))
+        sums = rows.row_sum(np.divide, np.r_[0.0, 1.0, p], np.r_[0.0, 1.0, q])
+        assert math.isnan(sums[0]) and sums[1] == math.inf
+
 
 def _workload_values(P, Q):
     """A pair's two chains, 19 measures and 19 Csiszar sums, as reprs."""

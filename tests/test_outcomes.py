@@ -18,6 +18,9 @@ The third table covers the pointwise entry points (star, star_extended,
 zeta_point, xi_point) at points from the smallest subnormal to the largest
 double below 1: each gives, with no warning and no exception, the value
 of the array path.
+
+The fourth table covers `divbound verify` at edge arguments: its exit code
+and the start of what it writes to stderr.
 """
 
 import math
@@ -25,7 +28,8 @@ import math
 import numpy as np
 import pytest
 
-from divbound import bounds, cli
+from conftest import set_cpus
+from divbound import bounds, cli, verify
 from divbound.bounds import (
     NOTES,
     SANDWICH_TOL,
@@ -43,6 +47,7 @@ from divbound.distributions import PERMISSIVE, STRICT, DiscreteDistribution, val
 from divbound.generators import CATALOG_KEYS, csiszar_sum, generator, star, star_extended
 from divbound.kernel import DivboundError
 from divbound.measures import chain_check, measure_value
+from divbound.verify import N_MAX_LIMIT
 
 INPUTS = {
     # masses below the normal range, with an ordinary ratio
@@ -399,3 +404,53 @@ def test_every_pointwise_entry_point_has_its_tabled_outcome(key):
 
 def test_the_point_table_has_every_key():
     assert list(_point_table()) == POINT_KEYS
+
+
+# ---------------------------------------------------------------------------
+# verify entry point
+# ---------------------------------------------------------------------------
+
+# (--trials, --n-max, --seed): (exit code, start of stderr).  An n-max past
+# 64 draws from an empty corpus instead (_no_large_draws), so the row at the
+# limit shows the value accepted and reaching the draws without allocating
+# for alphabets of 2^20, and a missing check would show as exit 0 here.
+VERIFY_OUTCOMES = {
+    (1, 64, 42): (0, ""),
+    (10, 2, 42): (0, ""),
+    (10, 64, 2**63): (0, ""),
+    (1, N_MAX_LIMIT, 42): (0, ""),
+    (1, N_MAX_LIMIT + 1, 42): (2, "usage error: n-max must be in [2, 1048576]"),
+    (0, 64, 42): (2, "usage error: trials must be >= 1"),
+    (1, 1, 42): (2, "usage error: n-max must be in [2, 1048576]"),
+    (1, 64, -1): (2, "usage error: seed must be >= 0"),
+}
+
+
+def _no_large_draws(blocks, drawn):
+    """verify._blocks, drawing nothing at an n_max past 64 and recording it."""
+
+    def patched(trials, rng, n_max, priors=False):
+        if n_max <= 64:
+            return blocks(trials, rng, n_max, priors)
+        drawn.append(n_max)
+        return iter(())
+
+    return patched
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", sorted(VERIFY_OUTCOMES))
+def test_every_verify_argument_has_its_tabled_outcome(args, monkeypatch, capsys):
+    set_cpus(monkeypatch, 1)  # in this process, where the draws are patched
+    drawn = []
+    monkeypatch.setattr(verify, "_blocks", _no_large_draws(verify._blocks, drawn))
+    trials, n_max, seed = args
+    argv = ["verify", "--trials", str(trials), "--n-max", str(n_max), "--seed", str(seed)]
+    code = cli.main(argv)
+    _, err = capsys.readouterr()
+    want_code, want_err = VERIFY_OUTCOMES[args]
+    assert (code, err[: len(want_err)]) == (want_code, want_err)
+    assert bool(err) == bool(want_err)
+    # the two chain suites and the Csiszar suite draw at n-max
+    assert drawn == ([n_max] * 3 if code == 0 and n_max > 64 else [])
+
