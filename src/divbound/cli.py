@@ -31,6 +31,7 @@ from . import bounds as _bounds
 from . import verify as _verify
 from .distributions import PERMISSIVE, STRICT, ValidationFailure, validate
 from .formats import (
+    S_GRID_MAX_POINTS,
     ParseFailure,
     fmt_real,
     load_problem,
@@ -83,7 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, metavar="FILE")
     p.add_argument(
         "--s-grid",
-        help="family orders: list a,b,... or range a:b:n (write --s-grid=-1,... for negative values)",
+        help=(
+            f"family orders: list a,b,... or range a:b:n with n at most {S_GRID_MAX_POINTS}"
+            " (write --s-grid=-1,... for negative values)"
+        ),
     )
     p.add_argument("--format", choices=("table", "machine"), default="table")
 
@@ -93,7 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--s-grid",
         required=True,
-        help="range spec a:b:n (write --s-grid=-1:1:9 for negative endpoints)",
+        help=(
+            f"range spec a:b:n, n from 2 to {S_GRID_MAX_POINTS}"
+            " (write --s-grid=-1:1:9 for negative endpoints)"
+        ),
     )
     p.add_argument("--format", choices=("table", "machine"), default="table")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import DivboundError
+from .kernel import ArgumentError, DivboundError
 
 SUM_TOL = 1e-12
 
@@ -75,7 +75,7 @@ def validate(raw, mode: str = STRICT, *, min_size: int = 2) -> DiscreteDistribut
     two-class problems relax it to 1 for their conditionals.
     """
     if mode not in (STRICT, PERMISSIVE):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ArgumentError(f"unknown mode {mode!r}")
     probs = np.asarray(raw, dtype=float).reshape(-1)
     if probs.shape[0] < min_size:
         raise AlphabetTooSmall(f"alphabet size {probs.shape[0]} < required minimum {min_size}")

@@ -101,10 +101,16 @@ def _snap(s: float) -> float:
     return _LIMIT_ORDERS.get(OrderParameter(s).regime, s)
 
 
+# The most points a range spec a:b:n may name, checked before the grid is
+# built: far past any sweep (the benchmarks use at most 25), while a huge n
+# would otherwise build an n-element list before anything fails.
+S_GRID_MAX_POINTS = 1 << 16
+
+
 def parse_s_grid(spec: str, source: str = "--s-grid") -> List[float]:
     """Grid spec: 'a:b:n' (n evenly spaced points from a to b, finite ends
-    included) or a comma-separated list; points within the limit band of 0
-    or 1 snap to the exact limit value."""
+    included, n at most S_GRID_MAX_POINTS) or a comma-separated list;
+    points within the limit band of 0 or 1 snap to the exact limit value."""
     text = spec.strip()
     if ":" in text:
         parts = text.split(":")
@@ -114,8 +120,10 @@ def parse_s_grid(spec: str, source: str = "--s-grid") -> List[float]:
             a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ParseFailure(f"{source}: bad range spec {spec!r}")
-        if n < 2:
-            raise ParseFailure(f"{source}: range spec needs n >= 2, got {n}")
+        if not 2 <= n <= S_GRID_MAX_POINTS:
+            raise ParseFailure(
+                f"{source}: range spec needs n in [2, {S_GRID_MAX_POINTS}], got {n}"
+            )
         if not a < b:
             raise ParseFailure(f"{source}: range spec needs a < b, got {spec!r}")
         if math.isinf(a) or math.isinf(b):

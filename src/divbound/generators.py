@@ -21,7 +21,8 @@ _star_cells is f* on arrays; _star_float and the lockstep form of
 float_star_array, which gives each point _star_float's bits, hand the
 points where their own form is not finite, or too near 0 to run quietly,
 to _star_cells.  csiszar_sum sums the 19 catalog generators of a validated
-pair in one row_sum pass, which yields a row of cell terms per generator.
+pair in one row_sum pass, which yields a row of cell terms per generator
+in CATALOG_KEYS order: the table's rows are the catalog's keys.
 """
 
 from __future__ import annotations
@@ -420,28 +421,25 @@ CATALOG_KEYS = tuple(
     + [MeasureId(t) for t in DIFF_TAGS]
 )
 
-# The catalog generators one pass sums together, in row order: the bases
-# the differences combine, the differences, and every other catalog key.
-_COMBINED = {t: generator(t) for t in ("Delta", "I", "h", "d")}
-_DIFFERENCES = tuple(generator(t) for t in DIFF_TAGS)
-_OTHERS = tuple(generator(m) for m in CATALOG_KEYS if m.tag not in (*_COMBINED, *DIFF_TAGS))
-_TABLE = {g.key: g for g in (*_COMBINED.values(), *_DIFFERENCES, *_OTHERS)}
+# The catalog generators one pass sums together, in CATALOG_KEYS order,
+# and the bases the differences combine: CATALOG_KEYS lists the bases
+# before the differences, so each is made before a difference reads it.
+_TABLE = {m.label(): generator(m) for m in CATALOG_KEYS}
+_COMBINED = frozenset(t for combo in _DIFF_COMBOS.values() for _, t in combo)
 
 
 def _table_rows(p: np.ndarray, q: np.ndarray):
-    """Yield the cell terms of every _TABLE generator in row order, each
-    row made as _csiszar_term makes it.  u = p/q is made once, and so is
-    each combined base's f(u), which is dropped once the differences are
-    made."""
+    """Yield the cell terms of every _TABLE generator in CATALOG_KEYS
+    order, each row made as _csiszar_term makes it.  u = p/q is made once,
+    and so is each combined base's f(u), kept for the differences."""
     u = p / q
-    values = {t: g.fn(u) for t, g in _COMBINED.items()}
-    for t, g in _COMBINED.items():
-        yield _mirrored(q * values[t], p, q, g.fn)
-    for g in _DIFFERENCES:
-        yield _mirrored(q * _combine((c, values[t]) for c, t in _DIFF_COMBOS[g.key]), p, q, g.fn)
-    del values
-    for g in _OTHERS:
-        yield _mirrored(q * g.fn(u), p, q, g.fn)
+    values = {}
+    for key, g in _TABLE.items():
+        combo = _DIFF_COMBOS.get(key)
+        f_u = g.fn(u) if combo is None else _combine((c, values[t]) for c, t in combo)
+        if key in _COMBINED:
+            values[key] = f_u
+        yield _mirrored(q * f_u, p, q, g.fn)
 
 
 def _table_sums(p: np.ndarray, q: np.ndarray) -> dict:
@@ -456,9 +454,10 @@ def csiszar_sum(
     The live cells, where both masses are positive, are summed as
     csiszar_rows sums them, bit for bit.  On a validated pair (probs
     read-only and owning their data) the first call for any catalog
-    generator (CATALOG_KEYS) sums all 19 in one pass that makes p/q and
-    each generator the differences combine once per cell, and keeps the 19
-    numbers for later calls on the same two objects.
+    generator (CATALOG_KEYS) sums all 19 in one pass, whose rows are the
+    catalog in CATALOG_KEYS order: it makes p/q and each generator the
+    differences combine once per cell, and keeps the 19 numbers for later
+    calls on the same two objects.
     """
     require_same_alphabet(P, Q)
     p, q = P.probs, Q.probs

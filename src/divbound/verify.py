@@ -73,7 +73,7 @@ from .distributions import (
     validate,
 )
 from .generators import CATALOG_KEYS, STAR_SYM_TOL, generator, star, star_symmetry_defect
-from .generators import _TABLE, _table_rows
+from .generators import _table_rows
 from .kernel import ArgumentError, FlatRows, usable_cpus
 from .measures import CHAIN_LABELS, BaseSums, _chain_report, chain_slack, worst_of
 
@@ -87,11 +87,11 @@ SUITE_NAMES = (
 )
 
 # The order the suites are handed to worker processes: longest first, so
-# that the short ones fill in behind.  At --trials 10000, cold, on one core
-# of a 2-vCPU x86 host the suites take about 0.16, 0.12, 0.073, 0.032, 0.013
-# and 0.003 s (medians of 8) in this order; with two workers the chains
-# start at once and the sandwich suite follows the shorter, so each worker
-# runs about 0.2 s.
+# that the short ones fill in behind.  At --trials 10000, seed 1, cold, on
+# one core of a 2-vCPU x86 host the suites take about 0.098, 0.085, 0.048,
+# 0.028, 0.011 and 0.002 s (medians of 8) in this order; with two workers
+# the chains start at once and the sandwich suite follows the shorter, so
+# each worker runs about 0.14 s.
 _LONGEST_FIRST = (
     "eq7_chain",
     "eq39_chain",
@@ -308,10 +308,10 @@ def _chain_suite(
 def _csiszar_values(block: _Block) -> Tuple[np.ndarray, np.ndarray]:
     """(direct, summed): each pair's CATALOG_KEYS measures, directly and as
     Csiszar sums, in trial order, read as a validated pair's are: one pass
-    of the seven base sums, and one table pass (csiszar_sum)."""
+    of the seven base sums, and one table pass (csiszar_sum), whose rows
+    are the keys in order."""
     direct = np.stack(block.base_sums().measures(CATALOG_KEYS), axis=-1)
-    sums = dict(zip(_TABLE, block.rows.row_sum(_table_rows, block.first, block.second)))
-    summed = np.stack([sums[key.label()] for key in CATALOG_KEYS], axis=-1)
+    summed = block.rows.row_sum(_table_rows, block.first, block.second).T
     return block.in_trial_order(direct), block.in_trial_order(summed)
 
 

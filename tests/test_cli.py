@@ -1,21 +1,18 @@
-import contextlib
-import io
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import golden as golden_files
 import oracle_reference as oracle
 from divbound import bounds as bounds_mod
 from divbound import cli
 from divbound import verify as verify_mod
 from divbound.cli import main
 from divbound.distributions import validate
-from divbound.formats import fmt_real
-from divbound.generators import CATALOG_KEYS
+from divbound.formats import S_GRID_MAX_POINTS, fmt_real
 from divbound.measures import measure_value
 
 
@@ -182,6 +179,12 @@ class TestBoundsCommand:
         code, out, err = run(capsys, ["bounds", "--problem", files["prob"], "--s-grid=0.5,abc"])
         assert (code, out, err) == (2, "", "parse error: --s-grid: bad grid list '0.5,abc'\n")
 
+    def test_grid_past_the_point_limit_exits_2(self, capsys, files):
+        grid = f"0:1:{S_GRID_MAX_POINTS + 1}"
+        code, out, err = run(capsys, ["bounds", "--problem", files["prob"], f"--s-grid={grid}"])
+        want = f"parse error: --s-grid: range spec needs n in [2, 65536], got {S_GRID_MAX_POINTS + 1}\n"
+        assert (code, out, err) == (2, "", want)
+
     @pytest.mark.parametrize(
         "grid,err",
         [
@@ -255,77 +258,24 @@ class TestSweepCommand:
         assert code == 2
 
 
-DATA = Path(__file__).parent / "data"
-
-
-def numpy_runtime() -> str:
-    """numpy's version and SIMD dispatch, as numpy.show_runtime() prints
-    them: a golden-file mismatch says which dispatch level it ran under."""
-    shown = io.StringIO()
-    with contextlib.redirect_stdout(shown):
-        np.show_runtime()
-    return shown.getvalue()
-
-
-GOLDEN_PROBLEMS = ("equal_priors", "k16", "permissive", "overflow")
-GOLDEN_GRIDS = ("-1,0,0.5,2", "-1:2:7", "0,1e-7,1,0.9999999", "-1040,-1045,-1100,60,-60")
-
-
-def bounds_sweep_transcript() -> str:
-    """Each golden invocation of bounds and sweep, its exit code and its
-    machine output, run in this process one after another."""
-    out = []
-    for problem in GOLDEN_PROBLEMS:
-        path = str(DATA / f"problem_{problem}.txt")
-        argvs = [["bounds", "--problem", path, f"--s-grid={grid}"] for grid in GOLDEN_GRIDS]
-        argvs += [
-            ["sweep", "--problem", path, "--family", family, "--s-grid=-60:60:5"]
-            for family in ("zeta", "xi")
-        ]
-        for argv in argvs:
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = main(argv + ["--format", "machine"])
-            shown = " ".join([argv[0], f"problem_{problem}.txt", *argv[3:]])
-            out.append(f"$ {shown}\nexit {code}\n{stdout.getvalue()}")
-    return "".join(out)
-
-
 def test_bounds_and_sweep_match_golden_file():
     # captured from the per-problem report assembly that report_rows
     # replaced.  numpy's log, exp and power loops give other bits at other
     # SIMD levels, so like the verify golden files these digits may depend
     # on the host: they were taken on x86 with AVX512, and also match with
     # NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"
-    golden = DATA / "bounds_sweep_machine.txt"
-    assert bounds_sweep_transcript() == golden.read_text(encoding="utf-8"), numpy_runtime()
-
-
-GOLDEN_PAIRS = (("strict", "strict"), ("permissive", "permissive"))
-GOLDEN_MEASURES = [key.label() for key in CATALOG_KEYS] + ["xi:60", "xi:-60", "zeta:60"]
-
-
-def measure_transcript() -> str:
-    """measure on each golden pair and measure spec, its exit code and its
-    machine output, run in this process one after another."""
-    out = []
-    for pair, mode in GOLDEN_PAIRS:
-        p, q = (str(DATA / f"pair_{pair}_{side}.txt") for side in "pq")
-        for spec in GOLDEN_MEASURES:
-            argv = ["measure", "--p", p, "--q", q, "--measure", spec, "--mode", mode]
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = main(argv + ["--format", "machine"])
-            out.append(f"$ measure pair_{pair} {spec}\nexit {code}\n{stdout.getvalue()}")
-    return "".join(out)
+    golden = golden_files.DATA / "bounds_sweep_machine.txt"
+    transcript = golden_files.bounds_sweep_transcript()
+    assert transcript == golden.read_text(encoding="utf-8"), golden_files.numpy_runtime()
 
 
 def test_measure_matches_golden_file():
     # the absolute bits of every catalog measure and of the family orders
     # whose powers overflow; like the other golden files these digits may
     # depend on numpy's SIMD level (taken on x86 with AVX512)
-    golden = DATA / "measure_machine.txt"
-    assert measure_transcript() == golden.read_text(encoding="utf-8"), numpy_runtime()
+    golden = golden_files.DATA / "measure_machine.txt"
+    transcript = golden_files.measure_transcript()
+    assert transcript == golden.read_text(encoding="utf-8"), golden_files.numpy_runtime()
 
 
 class TestVerifyCommand:
@@ -362,28 +312,18 @@ class TestVerifyCommand:
     def test_machine_output_matches_golden_file(self):
         # captured from the one-trial-at-a-time suites; the blocked engine
         # must reproduce it byte for byte
-        golden = Path(__file__).parent / "data" / "verify_10000_seed42_machine.txt"
-        env = {k: v for k, v in os.environ.items() if not k.startswith("DIVBOUND_")}
-        run = subprocess.run(
-            [sys.executable, "-m", "divbound", "verify", "--trials", "10000",
-             "--seed", "42", "--format", "machine"],
-            capture_output=True, timeout=300, env=env,
-        )
+        name = "verify_10000_seed42_machine.txt"
+        run = golden_files.run_verify(golden_files.VERIFY_ARGVS[name])
         assert run.returncode == 0, run.stderr
-        assert run.stdout == golden.read_bytes(), numpy_runtime()
+        assert run.stdout == (golden_files.DATA / name).read_bytes(), golden_files.numpy_runtime()
 
     def test_long_rows_match_golden_file(self):
         # rows of up to 300 cells, past the 128 cells numpy sums with eight
         # accumulators; captured before the suites were laid out flat
-        golden = Path(__file__).parent / "data" / "verify_3000_nmax300_seed5_machine.txt"
-        env = {k: v for k, v in os.environ.items() if not k.startswith("DIVBOUND_")}
-        run = subprocess.run(
-            [sys.executable, "-m", "divbound", "verify", "--trials", "3000",
-             "--n-max", "300", "--seed", "5", "--format", "machine"],
-            capture_output=True, timeout=300, env=env,
-        )
+        name = "verify_3000_nmax300_seed5_machine.txt"
+        run = golden_files.run_verify(golden_files.VERIFY_ARGVS[name])
         assert run.returncode == 0, run.stderr
-        assert run.stdout == golden.read_bytes(), numpy_runtime()
+        assert run.stdout == (golden_files.DATA / name).read_bytes(), golden_files.numpy_runtime()
 
     def test_invalid_drawn_row_in_a_worker_exits_4(self, capsys, monkeypatch):
         # unnormalised draws fail the block check in every drawn suite: an

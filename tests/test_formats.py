@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from divbound.formats import (
+    S_GRID_MAX_POINTS,
     ParseFailure,
     fmt_real,
     parse_problem_text,
@@ -112,6 +113,14 @@ class TestSGrid:
     def test_empty_list(self):
         with pytest.raises(ParseFailure):
             parse_s_grid(" , ")
+
+    def test_point_count_limit(self):
+        # the limit itself is a grid; one point more is a parse failure
+        assert S_GRID_MAX_POINTS == 65536
+        assert len(parse_s_grid(f"0:1:{S_GRID_MAX_POINTS}")) == S_GRID_MAX_POINTS
+        with pytest.raises(ParseFailure) as info:
+            parse_s_grid(f"0:1:{S_GRID_MAX_POINTS + 1}")
+        assert str(info.value) == "--s-grid: range spec needs n in [2, 65536], got 65537"
 
 
 class TestRendering:

@@ -21,6 +21,10 @@ of the array path.
 
 The fourth table covers `divbound verify` at edge arguments: its exit code
 and the start of what it writes to stderr.
+
+The fifth table covers the library's argument errors: each entry point
+called with an argument it refuses, and the exception type and message it
+raises.
 """
 
 import math
@@ -40,13 +44,28 @@ from divbound.bounds import (
     family_bounds,
     kailath_bound,
     toussaint_bounds,
+    upper_bound_difference,
     xi_point,
     zeta_point,
 )
 from divbound.distributions import PERMISSIVE, STRICT, DiscreteDistribution, validate
-from divbound.generators import CATALOG_KEYS, csiszar_sum, generator, star, star_extended
-from divbound.kernel import DivboundError
-from divbound.measures import chain_check, measure_value
+from divbound.generators import (
+    CATALOG_KEYS,
+    GeneratingFunction,
+    csiszar_sum,
+    generator,
+    limit_constants,
+    star,
+    star_extended,
+)
+from divbound.kernel import ArgumentError, DivboundError, DomainError
+from divbound.measures import (
+    MeasureId,
+    base_measure,
+    chain_check,
+    difference_measure,
+    measure_value,
+)
 from divbound.verify import N_MAX_LIMIT
 
 INPUTS = {
@@ -454,3 +473,62 @@ def test_every_verify_argument_has_its_tabled_outcome(args, monkeypatch, capsys)
     # the two chain suites and the Csiszar suite draw at n-max
     assert drawn == ([n_max] * 3 if code == 0 and n_max > 64 else [])
 
+
+# ---------------------------------------------------------------------------
+# argument errors of the library
+# ---------------------------------------------------------------------------
+
+_PAIR = (validate([0.5, 0.5]), validate([0.25, 0.75]))
+_PROBLEM = TwoClassProblem.from_arrays([0.5, 0.5], [0.8, 0.2], [0.2, 0.8])
+
+# entry point and arguments: (the call, exception type, message)
+ARGUMENT_ERRORS = {
+    "TwoClassProblem.from_arrays, three priors": (
+        lambda: TwoClassProblem.from_arrays([0.2, 0.3, 0.5], [0.5, 0.5], [0.5, 0.5]),
+        bounds.InvalidPriors,
+        "expected 2 priors, got 3",
+    ),
+    "upper_bound_difference, unknown tag": (
+        lambda: upper_bound_difference(_PROBLEM, "D_xx"),
+        ArgumentError,
+        "unknown difference tag 'D_xx'",
+    ),
+    "star, an array holding 0": (
+        lambda: star(generator("J"), np.array([0.0, 0.5])),
+        DomainError,
+        "star transform requires 0 < x < 1",
+    ),
+    "MeasureId, unknown tag": (
+        lambda: MeasureId("nope"),
+        ArgumentError,
+        "unknown measure tag 'nope'",
+    ),
+    "base_measure, a difference": (
+        lambda: base_measure("D_dh", *_PAIR),
+        ArgumentError,
+        "'D_dh' is not a base measure tag",
+    ),
+    "difference_measure, a base": (
+        lambda: difference_measure("J", *_PAIR),
+        ArgumentError,
+        "'J' is not a difference tag",
+    ),
+    "limit_constants, a flat generator cataloged infinite": (
+        lambda: limit_constants(GeneratingFunction("flat", lambda u: 0.0 * u + 1.0, math.inf)),
+        DivboundError,
+        "flat: f(0+) cataloged as infinite but evaluations do not diverge",
+    ),
+    "validate, unknown mode": (
+        lambda: validate([0.5, 0.5], "lenient"),
+        ArgumentError,
+        "unknown mode 'lenient'",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ARGUMENT_ERRORS))
+def test_every_argument_error_has_its_tabled_exception(entry):
+    call, kind, message = ARGUMENT_ERRORS[entry]
+    with pytest.raises(DivboundError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (kind, message)
