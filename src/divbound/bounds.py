@@ -520,7 +520,29 @@ class ComparisonResult:
     slack: float
 
 
-COMPARISON_TAGS = ("D_IDelta", "D_hDelta", "D_dh", "D_dDelta")
+# The sharpness orderings between difference upper bounds, each a relation
+# (name, lhs, rhs) asserting lhs <= rhs.  A side (c, tag) is the bound
+# (1/2)(1 - c * avg(tag)): c is a factor of the printed chain, or a direct
+# coefficient 1/f_inf read from a difference's generator.
+_RELATIONS = (
+    ("sharper_vs_chained(D_hDelta->D_IDelta)", (8.0 / 3.0, "D_hDelta"), (4.0, "D_IDelta")),
+    (
+        "direct_vs_loose(D_IDelta)",
+        (1.0 / generator("D_IDelta").f_infinity, "D_IDelta"),
+        (4.0, "D_IDelta"),
+    ),
+    (
+        "direct_vs_chained(D_dh->D_dDelta)",
+        (1.0 / generator("D_dh").f_infinity, "D_dh"),
+        (8.0 / (15.0 * (1.0 - LN2)), "D_dDelta"),
+    ),
+    (
+        "direct_vs_loose(D_hDelta)",
+        (4.0, "D_hDelta"),
+        (1.0 / generator("D_dDelta").f_infinity, "D_hDelta"),
+    ),
+)
+COMPARISON_TAGS = tuple(dict.fromkeys(tag for _, *sides in _RELATIONS for _, tag in sides))
 
 
 def comparison_check(problem: TwoClassProblem) -> List[ComparisonResult]:
@@ -534,44 +556,15 @@ def comparison_check(problem: TwoClassProblem) -> List[ComparisonResult]:
 
 
 def compare_averages(dbar) -> List[ComparisonResult]:
-    """The comparison relations from the averages of COMPARISON_TAGS, by tag.
+    """The _RELATIONS from the averages of COMPARISON_TAGS, by tag.
 
     The averages are floats, or arrays of one per problem; then each
     result's satisfied and slack are arrays too, element for element the
     floats' results.
     """
-    gens = _difference_generators()
-
-    def bound(coef: float, v: float) -> float:
-        return 0.5 * (1.0 - coef * v)
-
-    def direct(tag: str) -> float:
-        return 1.0 / gens[tag].f_infinity
-
-    relations = [
-        (
-            "sharper_vs_chained(D_hDelta->D_IDelta)",
-            bound(8.0 / 3.0, dbar["D_hDelta"]),
-            bound(4.0, dbar["D_IDelta"]),
-        ),
-        (
-            "direct_vs_loose(D_IDelta)",
-            bound(direct("D_IDelta"), dbar["D_IDelta"]),
-            bound(4.0, dbar["D_IDelta"]),
-        ),
-        (
-            "direct_vs_chained(D_dh->D_dDelta)",
-            bound(direct("D_dh"), dbar["D_dh"]),
-            bound(8.0 / (15.0 * (1.0 - LN2)), dbar["D_dDelta"]),
-        ),
-        (
-            "direct_vs_loose(D_hDelta)",
-            bound(4.0, dbar["D_hDelta"]),
-            bound(direct("D_dDelta"), dbar["D_hDelta"]),
-        ),
-    ]
     out = []
-    for relation, lhs, rhs in relations:
+    for relation, *sides in _RELATIONS:
+        lhs, rhs = (0.5 * (1.0 - c * dbar[tag]) for c, tag in sides)
         slack = rhs - lhs
         out.append(
             ComparisonResult(relation, slack >= -COMPARISON_TOL * (1.0 + abs(rhs)), slack)

@@ -361,23 +361,36 @@ def star_extended(g: GeneratingFunction, x):
 
 def limit_constants(g: GeneratingFunction) -> float:
     """The stored f_inf, cross-checked against f(u) near 0 (f(0+) is f_inf
-    too) and f(u)/u near infinity; raises DivboundError where it fails."""
+    too) and f(u)/u near infinity; raises DivboundError where it fails.
+
+    An infinite constant needs the values to diverge: the farther one is
+    inf or exceeds the nearer by more than half of it, which a convex f
+    rising toward a finite limit does not do.  A finite constant cannot be
+    cross-checked where a value passes the double range.
+    """
     const = g.f_infinity
-    for which, per_u, (u1, u2) in (("f(0+)", False, _U_NEAR_ZERO), ("f_inf", True, _U_NEAR_INF)):
-        v1, v2 = (float(g.fn(u)) / (u if per_u else 1.0) for u in (u1, u2))
+    for which, per_u, us in (("f(0+)", False, _U_NEAR_ZERO), ("f_inf", True, _U_NEAR_INF)):
+        u = np.array(us)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            v1, v2 = (g.fn(u) / (u if per_u else 1.0)).tolist()
         if math.isinf(const):
-            if not v2 > v1 > 0.0:
+            if not (v2 == INF or v1 > 0.0 and v2 - v1 > 0.5 * v1):
                 raise DivboundError(
                     f"{g.key}: {which} cataloged as infinite but evaluations do not diverge"
                 )
             continue
+        if not (math.isfinite(v1) and math.isfinite(v2)):
+            raise DivboundError(
+                f"{g.key}: {which} evaluations overflow; cannot cross-check stored "
+                f"{which}={const!r} (values {v1!r}, {v2!r} at u={us!r})"
+            )
         d1, d2 = abs(v1 - const), abs(v2 - const)
         # Family tails like u^(1-s) can still be truncating at u = 1e-12; accept
         # a deviation that is provably shrinking toward the stored constant.
         if d2 > _CROSS_TOL * (1.0 + abs(const)) and not d2 < 0.5 * d1:
             raise DivboundError(
                 f"{g.key}: stored {which}={const!r} fails numeric cross-check "
-                f"(deviation {d2!r} at u={u2!r})"
+                f"(deviation {d2!r} at u={us[1]!r})"
             )
     return const
 

@@ -57,10 +57,11 @@ SUM_LEAF = 65536
 _QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 # Cells of the rows a FlatRows.row_sum term runs on at once, so that the
-# term's temporaries stay small.  On verify --trials 10000 (one core,
-# blocks of 2^16 cells) chunks of 8192 to 32768 cells ran within the noise
-# of a whole-block pass; the chain suites' traced peak was 3.5 MB at 8192
-# and 16384, 4.3 MB at 32768 and 5.0 MB for the whole block.
+# term's temporaries stay small.  On the chain suites of verify --trials
+# 10000 (seed 1, blocks of 2^16 cells, one core of a 2-vCPU x86 host, 8
+# interleaved pairs) a whole-block pass was slower in 7 of 8 pairs: eq7
+# took 170 ms against 140 ms at 16384 (medians), eq39 153 against 133 ms,
+# and the traced peak was 6.9 MB against 3.8 MB for eq7.
 FLAT_CHUNK = 16384
 
 
@@ -82,7 +83,7 @@ class ProbeFailure(DivboundError):
     def __init__(self, x: float, value: float):
         self.x = float(x)
         self.value = float(value)
-        super().__init__(f"non-finite value {value!r} at x={x!r}")
+        super().__init__(f"non-finite value {self.value!r} at x={self.x!r}")
 
     def __reduce__(self):
         # the default rebuilds from self.args, the message alone
@@ -453,7 +454,8 @@ def convexity_probe(
     gaps; for any convex f this quantity is nonnegative, so callers assert
     the returned minimum >= -tolerance.  Log-spaced grids are used for
     generators on (0, inf), linear grids for star transforms on (0, 1).
-    f is called on arrays of grid points, one value per point.
+    f is called on arrays of grid points, one value per point, quietly: a
+    value that is not finite raises ProbeFailure, and no RuntimeWarning.
     """
     if not (grid_lo < grid_hi):
         raise ArgumentError(f"invalid grid: lo={grid_lo!r} >= hi={grid_hi!r}")
@@ -466,7 +468,8 @@ def convexity_probe(
 
     values = []
     for pts in (centre, centre - step, centre + step):
-        ys = np.asarray(f(pts), dtype=float)
+        with np.errstate(**_QUIET):
+            ys = np.asarray(f(pts), dtype=float)
         bad = ~np.isfinite(ys)
         if np.any(bad):
             i = int(np.argmax(bad))

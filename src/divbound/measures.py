@@ -58,7 +58,16 @@ from .kernel import ArgumentError, OrderParameter, Regime, order_divisors, row_s
 CHAIN_TOL = 1e-9
 
 BASE_TAGS = ("Delta", "I", "h", "d", "J", "T", "Psi")
-DIFF_TAGS = ("D_dDelta", "D_dh", "D_dI", "D_hI", "D_hDelta", "D_IDelta")
+# difference = c1 * base1 + c2 * base2, as ((c1, base1), (c2, base2))
+_DIFF_COMBOS = {
+    "D_dDelta": ((4.0, "d"), (-0.25, "Delta")),
+    "D_dh": ((4.0, "d"), (-1.0, "h")),
+    "D_dI": ((4.0, "d"), (-1.0, "I")),
+    "D_hI": ((1.0, "h"), (-1.0, "I")),
+    "D_hDelta": ((1.0, "h"), (-0.25, "Delta")),
+    "D_IDelta": ((1.0, "I"), (-0.25, "Delta")),
+}
+DIFF_TAGS = tuple(_DIFF_COMBOS)
 FAMILY_TAGS = ("zeta", "xi")
 
 _ALIASES = {
@@ -275,17 +284,6 @@ def _family_regular(family: str, s: float, reduce, p: np.ndarray, q: np.ndarray)
     direct, ratio, at_equal = _FAMILY_FORMS[family]
     a, b = order_divisors(s)
     return (reduce(_family_term, p, q, s, direct, ratio) - at_equal) / a / b
-
-
-# difference = c1 * base1 + c2 * base2, as ((c1, base1), (c2, base2))
-_DIFF_COMBOS = {
-    "D_dDelta": ((4.0, "d"), (-0.25, "Delta")),
-    "D_dh": ((4.0, "d"), (-1.0, "h")),
-    "D_dI": ((4.0, "d"), (-1.0, "I")),
-    "D_hI": ((1.0, "h"), (-1.0, "I")),
-    "D_hDelta": ((1.0, "h"), (-0.25, "Delta")),
-    "D_IDelta": ((1.0, "I"), (-0.25, "Delta")),
-}
 
 
 class BaseSums:

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, List, Optional, Tuple
@@ -56,6 +55,7 @@ from .bounds import (
     COMPARISON_TAGS,
     DEFAULT_S_GRID,
     TwoClassProblem,
+    _RELATIONS,
     _sandwich_violated,
     _slack,
     compare_averages,
@@ -429,7 +429,6 @@ def _comparison_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
     failures = 0
     worst = math.inf
     first: Optional[str] = None
-    checks = 0
     gens = [generator(tag) for tag in COMPARISON_TAGS]
     for block in _blocks(trials, rng, K_MAX, priors=True):
         _, _, px, a2 = _posteriors(block)
@@ -437,7 +436,6 @@ def _comparison_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
         # (problem, relation) in trial order, as the relations of one problem follow one another
         slacks = np.stack([res.slack for res in results], axis=-1)
         failing = ~np.stack([res.satisfied for res in results], axis=-1)
-        checks += slacks.size
         worst = worst_of(min, worst, slacks)
         failures += int(np.count_nonzero(failing))
         if first is None and failing.any():
@@ -446,21 +444,17 @@ def _comparison_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
                 f"trial {block.start + j}: relation={results[r].relation} "
                 f"slack={float(slacks[j, r])!r} {_problem_text(_checked_problem(block, j))}"
             )
-    return SuiteResult("comparisons", checks, failures, worst, first)
+    return SuiteResult("comparisons", trials * len(_RELATIONS), failures, worst, first)
 
 
 def _worker_count() -> int:
     """Processes to run the suites in; 0 runs them in this process.
 
     No divbound thread is alive at a fork: row_sum joins its helpers before
-    it returns.  A daemonic multiprocessing process may not have children,
-    and a process that never imported multiprocessing is not one.
+    it returns.
     """
     cpus = usable_cpus()
     if cpus < 2 or not hasattr(os, "fork"):
-        return 0
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.current_process().daemon:
         return 0
     return min(cpus, len(SUITE_NAMES))
 

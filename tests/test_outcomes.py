@@ -25,8 +25,13 @@ and the start of what it writes to stderr.
 The fifth table covers the library's argument errors: each entry point
 called with an argument it refuses, and the exception type and message it
 raises.
+
+The sixth table covers the generator checks (limit_constants and the two
+convexity probes) at family orders where the powers pass the double
+range: each returns or raises a DivboundError, with no warning.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -55,10 +60,12 @@ from divbound.generators import (
     csiszar_sum,
     generator,
     limit_constants,
+    probe_generator,
+    probe_star,
     star,
     star_extended,
 )
-from divbound.kernel import ArgumentError, DivboundError, DomainError
+from divbound.kernel import ArgumentError, DivboundError, DomainError, ProbeFailure
 from divbound.measures import (
     MeasureId,
     base_measure,
@@ -532,3 +539,80 @@ def test_every_argument_error_has_its_tabled_exception(entry):
     with pytest.raises(DivboundError) as info:
         call()
     assert (type(info.value), str(info.value)) == (kind, message)
+
+
+# ---------------------------------------------------------------------------
+# generator checks at extreme orders
+# ---------------------------------------------------------------------------
+
+# One row per family member, one cell per check: inf or fin where it
+# returns (limit_constants the stored constant, a probe its minimum), else
+# the DivboundError subclass raised.  The xi rows from -1045 to -1024.5
+# have finite constants near the top of the double range, where f(u) near
+# infinity overflows, so limit_constants cannot cross-check them.
+CHECK_OUTCOMES = """
+key             limit          generator     star
+zeta:-2000.0    inf            ProbeFailure  ProbeFailure
+zeta:-1046.0    inf            ProbeFailure  ProbeFailure
+zeta:-1024.5    inf            ProbeFailure  ProbeFailure
+zeta:-60.0      inf            fin           fin
+zeta:-25.0      inf            fin           fin
+zeta:26.0       inf            fin           fin
+zeta:60.0       inf            fin           fin
+zeta:300.0      inf            ProbeFailure  ProbeFailure
+zeta:1e+154     inf            ProbeFailure  ProbeFailure
+zeta:-1e+154    inf            ProbeFailure  ProbeFailure
+zeta:1e+308     inf            ProbeFailure  ProbeFailure
+zeta:-1e+308    inf            ProbeFailure  ProbeFailure
+xi:-2000.0      inf            ProbeFailure  ProbeFailure
+xi:-1046.0      inf            ProbeFailure  fin
+xi:-1045.0      DivboundError  ProbeFailure  fin
+xi:-1040.0      DivboundError  ProbeFailure  fin
+xi:-1024.5      DivboundError  fin           fin
+xi:60.0         inf            fin           fin
+xi:300.0        inf            ProbeFailure  ProbeFailure
+xi:1e+154       inf            ProbeFailure  ProbeFailure
+xi:-1e+154      inf            ProbeFailure  ProbeFailure
+xi:1e+308       inf            ProbeFailure  ProbeFailure
+xi:-1e+308      inf            ProbeFailure  ProbeFailure
+"""
+
+
+def _check_table() -> dict:
+    header, *rows = (line.split() for line in CHECK_OUTCOMES.strip().splitlines())
+    return {row[0]: dict(zip(header[1:], row[1:])) for row in rows}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", list(_check_table()))
+def test_every_generator_check_has_its_tabled_outcome(key):
+    g = generator(key)
+    got = {}
+    checks = {"limit": limit_constants, "generator": probe_generator, "star": probe_star}
+    for name, check in checks.items():
+        try:
+            value = check(g)
+        except DivboundError as exc:
+            got[name] = type(exc).__name__
+            continue
+        if check is limit_constants:
+            assert value == g.f_infinity
+        got[name] = "inf" if value == math.inf else "fin"
+    assert got == _check_table()[key]
+
+
+@pytest.mark.parametrize(
+    "key", [key.label() for key in CATALOG_KEYS if math.isfinite(generator(key).f_infinity)]
+)
+def test_a_finite_limit_cataloged_infinite_is_caught(key):
+    wrong = dataclasses.replace(generator(key), f_infinity=math.inf)
+    with pytest.raises(DivboundError, match="cataloged as infinite but evaluations do not diverge"):
+        limit_constants(wrong)
+
+
+def test_a_probe_failure_prints_its_floats():
+    with pytest.raises(ProbeFailure) as info:
+        probe_star(generator("zeta:300.0"))
+    exc = info.value
+    assert (type(exc.x), type(exc.value)) == (float, float)
+    assert str(exc) == f"non-finite value inf at x={exc.x!r}"

@@ -667,13 +667,22 @@ def test_worker_that_ends_without_a_result_is_an_error(monkeypatch):
     _assert_no_child()
 
 
+def test_workers_that_end_before_any_suite_are_an_error(monkeypatch):
+    # every worker exits before it takes a suite from the queue
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "_serve", lambda calls, tasks, out: None)
+    with pytest.raises(RuntimeError, match="the verify workers ended without running eq7_chain"):
+        run_verify(20, 1)
+    _assert_no_child()
+
+
 def _verify_in_daemon(conn, trials, seed):
     conn.send(_exact(run_verify(trials, seed)))
     conn.close()
 
 
-def test_daemonic_caller_runs_serially(monkeypatch):
-    # a daemonic process may not have children
+def test_daemonic_caller_matches_the_serial_run(monkeypatch):
+    # a daemonic multiprocessing process forks its workers with os.fork
     set_cpus(monkeypatch, 2)
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
