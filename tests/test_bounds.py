@@ -503,16 +503,28 @@ class TestToussaint:
 
     @given(problems())
     @example(
-        # 1 - 4 exp(-2H - Jbar) rounds to -2.2e-16 here and is snapped to 0
+        # 1 - 4 exp(-2H - Jbar) rounds to -2.2e-16 here and is clamped to 0
         TwoClassProblem.from_arrays(
             (0.49999999639919884, 0.50000000360080116),
             [0.1930486701828467, 0.8069513298171533],
             [0.19304867032342818, 0.8069513296765718],
         )
     )
-    def test_radicand_never_negative(self, prob):
+    @example(
+        # priors summing to 1 + 9.99e-13 and equal conditionals: the radicand
+        # is -6.13e-13, about -2(1 - ln 2) times the sum defect
+        TwoClassProblem.from_arrays(
+            (0.5000000000004994, 0.5000000000004994), [0.5, 0.5], [0.5, 0.5]
+        )
+    )
+    @example(TwoClassProblem.from_arrays((1e-300, 1.0), [0.3, 0.7], [0.6, 0.4]))
+    def test_radicand_stays_above_minus_prior_tol(self, prob):
+        # the radicand as _toussaint_general takes it, which clamps it at 0
+        jbar = average_f_divergence(prob, generators_mod.generator("zeta:0.0"))
+        h = -(prob.p1 * math.log(prob.p1) + prob.p2 * math.log(prob.p2))
+        assert 1.0 - 4.0 * math.exp(-2.0 * h - jbar) >= -bounds_mod.PRIOR_TOL
         general, _ = toussaint_bounds(prob)
-        assert general is not None
+        assert general <= 0.5
 
 
 class TestUpperBounds:
@@ -793,7 +805,7 @@ class TestBoundReport:
         by_name = {e.name: e for e in bound_report(problem, grid).entries}
         general, via_inversion = toussaint_bounds(problem)
         assert by_name["toussaint_inversion"].value == via_inversion
-        assert by_name["toussaint_general"].value == (0.0 if general is None else general)
+        assert by_name["toussaint_general"].value == general
         for family, upper in (("zeta", upper_bound_zeta), ("xi", upper_bound_xi)):
             for s in grid:
                 low = by_name[f"{family}_lower(s={s!r})"]

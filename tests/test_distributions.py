@@ -62,6 +62,10 @@ def test_probs_are_read_only():
         d.probs[0] = 0.9
 
 
+def test_repr_shows_masses_and_mode():
+    assert repr(validate([0.25, 0.75])) == "DiscreteDistribution([0.25, 0.75], mode='strict')"
+
+
 def test_alphabet_mismatch():
     a = validate([0.5, 0.5])
     b = validate([0.2, 0.3, 0.5])

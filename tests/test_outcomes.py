@@ -197,8 +197,8 @@ CONDITIONALS = {
 # infinite average (both bounds vacuous).
 # compare: ok where every comparison_check relation holds.
 # kailath, toussaint: fin for a finite bound (the general Toussaint bound
-# beside the inversion one), none where it does not apply, j where the
-# Kailath bound saturates at 0 because J is infinite.
+# beside the inversion one); for Kailath's, none where it does not apply
+# and j where it saturates at 0 because J is infinite.
 # cli: the exit code of divbound bounds over ORDERS.
 # sweep: the exit codes of divbound sweep, zeta then xi, each over
 # SWEEP_GRIDS in turn.
@@ -285,8 +285,6 @@ def _kailath_cell(problem, pe) -> str:
 def _toussaint_cell(problem, pe) -> str:
     general, via_inversion = toussaint_bounds(problem)
     _lower(via_inversion, pe)
-    if general is None:
-        return "none"
     _lower(general, pe)
     return "fin"
 
