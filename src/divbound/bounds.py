@@ -55,7 +55,7 @@ from .kernel import (
 from .measures import DIFF_TAGS, FAMILY_TAGS, MeasureId, zeta as zeta_measure
 
 PRIOR_TOL = 1e-12
-SANDWICH_TOL = 1e-10
+SANDWICH_TOL = 1e-10  # a bound holds with slack >= -SANDWICH_TOL * 2 P_e
 COMPARISON_TOL = 1e-12  # a relation holds with slack >= -COMPARISON_TOL (1 + |rhs|)
 
 # Bracket for inverting the decreasing P_e-functions.  A target above the
@@ -402,10 +402,10 @@ class BoundReport:
         pe = self.exact_pe
         return [(e.name, _slack(e.kind, e.value, pe)) for e in self.entries if e.applicable]
 
-    def sandwich_violations(self, tol: Optional[float] = None) -> List[Tuple[str, float]]:
-        """Applicable entries whose slack against the exact error is < -tol
-        (by default SANDWICH_TOL)."""
-        return [(name, slack) for name, slack in self.slacks() if _sandwich_violated(slack, tol)]
+    def sandwich_violations(self) -> List[Tuple[str, float]]:
+        """Applicable entries whose slack against the exact error breaks the sandwich rule."""
+        pe = self.exact_pe
+        return [(name, slack) for name, slack in self.slacks() if _sandwich_violated(slack, pe)]
 
     @property
     def sandwich_ok(self) -> bool:
@@ -418,10 +418,11 @@ def _slack(kind: str, value, pe):
     return pe - value if kind == "lower" else value - pe
 
 
-def _sandwich_violated(slack, tol: Optional[float] = None):
-    """not slack >= -tol, so a nan slack is violated; tol is SANDWICH_TOL
-    at call time unless given.  Floats, or arrays element by element."""
-    return np.logical_not(slack >= -(SANDWICH_TOL if tol is None else tol))
+def _sandwich_violated(slack, pe):
+    """not slack >= -SANDWICH_TOL * 2 pe, so a nan slack or pe is violated.  2 pe
+    is 1 at pe = 1/2 and shrinks with pe, so a bound off by all of a tiny pe is
+    seen.  SANDWICH_TOL is read at call time.  Floats, or arrays element by element."""
+    return np.logical_not(slack >= -SANDWICH_TOL * 2.0 * pe)
 
 
 DEFAULT_S_GRID = (-1.0, 0.0, 0.5, 2.0)

@@ -192,7 +192,7 @@ def _psi_cells(p: np.ndarray, q: np.ndarray, s: np.ndarray, sq: np.ndarray):
 
 
 def _base_rows(p: np.ndarray, q: np.ndarray, tags):
-    """Yield the cell terms of each base measure in tags, in _ROW_ORDER:
+    """Yield the cell terms of each base measure in tags, in _BASE_SCALES order:
     each its closed form, with the operations it has when summed alone.
     The intermediates rows share (p + q, p - q, its square, the logs of p,
     q and (p+q)/2, the roots of p and q) are made once, and each is
@@ -227,12 +227,11 @@ def _base_rows(p: np.ndarray, q: np.ndarray, tags):
                 yield np.where(m == 0.0, 0.0, _times_log(m, lm) - 0.5 * m * (lp + lq))
 
 
-# The order of the rows of _base_rows, and each base measure's scale: the
+# Each base measure's scale, in the order _base_rows yields the rows: the
 # measure is scale times its row sum, and d, the one negative scale, is 1 -
 # its row sum.  1.0 * x and 1.0 + (-1.0 * x) have the bits of x and 1.0 - x;
 # an offset of 0.0 for the other rows would turn -0.0 into +0.0.
-_ROW_ORDER = ("h", "d", "Delta", "Psi", "J", "I", "T")
-_BASE_SCALES = {"Delta": 1.0, "I": 0.5, "h": 0.5, "d": -1.0, "J": 1.0, "T": 1.0, "Psi": 1.0}
+_BASE_SCALES = {"h": 0.5, "d": -1.0, "Delta": 1.0, "Psi": 1.0, "J": 1.0, "I": 0.5, "T": 1.0}
 
 
 def _family_term(p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
@@ -316,7 +315,7 @@ class BaseSums:
         """The table, holding every base in tags: those it lacked are summed
         in one pass."""
         sums = self._sums
-        missing = tuple(t for t in _ROW_ORDER if t in tags and t not in sums)
+        missing = tuple(t for t in _BASE_SCALES if t in tags and t not in sums)
         if missing:
             totals = self._reduce(_base_rows, self.p, self.q, missing)
             for tag, total in zip(missing, totals):

@@ -414,7 +414,7 @@ def _sandwich_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
         slacks = np.array([_slack(kind, values, pe) for _, kind, values, _, _ in rows]).T
         applicable = np.array([applicable for _, _, _, applicable, _ in rows]).T
         worst = worst_of(min, worst, slacks[applicable])
-        violated = applicable & _sandwich_violated(slacks)
+        violated = applicable & _sandwich_violated(slacks, pe[:, None])
         failing = violated.any(axis=-1)
         failures += int(np.count_nonzero(failing))
         if first is None and failing.any():

@@ -218,7 +218,7 @@ def test_criterion_08_bound_sandwich(problem_corpus):
                 continue
             slack = rep.exact_pe - e.value if e.kind == "lower" else e.value - rep.exact_pe
             worst = min(worst, slack)
-        violations += len(rep.sandwich_violations(1e-10))
+        violations += len(rep.sandwich_violations())
     elapsed = time.perf_counter() - start
     ok = violations == 0 and worst >= -1e-10 and elapsed < 30.0
     report(

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from divbound import cli
 from divbound import verify as verify_mod
 from divbound.cli import main
 from divbound.distributions import validate
-from divbound.formats import S_GRID_MAX_POINTS, fmt_real
+from divbound.formats import S_GRID_MAX_POINTS, fmt_real, load_problem
 from divbound.measures import measure_value
 
 
@@ -213,6 +214,28 @@ class TestBoundsCommand:
         assert err == "".join(
             f"sandwich violation: {name} slack={fmt_real(slack)}\n" for name, slack in violations
         )
+
+    def test_a_bound_off_by_a_tiny_error_is_a_violation(self, capsys, tmp_path):
+        # P_e = 1e-20: a bound on the wrong side of it by all of P_e is far
+        # inside an absolute 1e-10, but not inside 1e-10 * 2 P_e
+        prob = tmp_path / "tiny.txt"
+        prob.write_text("priors: 0.99999999999999999999 1e-20\ncond1: 0.3 0.7\ncond2: 0.3 0.7\n")
+        fields = load_problem(str(prob))
+        (p1, p2), c1, c2 = fields["priors"], fields["cond1"], fields["cond2"]
+        pe = math.fsum(min(p1 * a, p2 * b) for a, b in zip(c1, c2))
+        report = bounds_mod.bound_report(bounds_mod.TwoClassProblem.from_arrays((p1, p2), c1, c2))
+        wrong = [
+            e.name
+            for e in report.entries
+            if e.applicable and (e.value - pe if e.kind == "lower" else pe - e.value) > 2e-10 * pe
+        ]
+        assert [name for name, _ in report.sandwich_violations()] == wrong
+        code, _, err = run(capsys, ["bounds", "--problem", str(prob)])
+        assert code == (cli.EXIT_VIOLATION if wrong else cli.EXIT_OK)
+        lines = err.splitlines()
+        assert len(lines) == len(wrong)
+        for line, name in zip(lines, wrong):
+            assert line.startswith(f"sandwich violation: {name} slack=")
 
 
 class TestSweepCommand:

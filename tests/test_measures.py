@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle_reference as oracle
-from conftest import make_pair, set_cpus
+from conftest import catalog_passes, make_pair, set_cpus
 from divbound import generators, kernel, measures
 from divbound.distributions import (
     PERMISSIVE,
@@ -677,30 +677,17 @@ class TestSharedBaseSums:
             for i in rng.permutation(len(SHARED_CALLS)):
                 assert _shared_call(*SHARED_CALLS[i], P, Q) == want[i], SHARED_CALLS[i]
 
-    def test_workload_sequence_makes_8_passes(self, monkeypatch):
-        passes = []
-
-        def counting(row_sum):
-            def counted(*args):
-                passes.append(args[0])
-                return row_sum(*args)
-
-            return counted
-
-        for module in (measures, generators):
-            monkeypatch.setattr(module, "row_sum", counting(module.row_sum))
+    def test_workload_sequence_makes_8_passes(self, passes):
         P, Q = make_pair(np.random.default_rng(32), 16)
         _workload_values(P, Q)
         # one pass for the seven base sums, 6 family sums at regular orders
         # and one pass for the 19 Csiszar sums; summing the bases per call,
         # the chains and measures would take 36 passes, not 7, and the
         # Csiszar sums 19, not 1
-        assert passes == [measures._base_rows] + [measures._family_term] * 6 + [
-            generators._table_rows
-        ]
+        assert passes == catalog_passes()
         passes.clear()
-        _workload_values(P, Q)
-        assert passes == [measures._family_term] * 6
+        _workload_values(P, Q)  # the base and Csiszar sums are kept
+        assert passes == catalog_passes()[1:-1]
 
     def test_slot_keeps_no_pair_alive(self):
         P, Q = make_pair(np.random.default_rng(3), 16)
@@ -837,16 +824,14 @@ class TestCsiszarTable:
         want = [_per_generator(key, P, Q) for key in CATALOG_KEYS]
         assert [repr(csiszar_sum(generator(key), P, Q)) for key in CATALOG_KEYS] == want
 
-    def test_an_order_outside_the_catalog_is_summed_alone(self, monkeypatch):
+    def test_an_order_outside_the_catalog_is_summed_alone(self, passes):
         P, Q = make_pair(np.random.default_rng(15), 16)
         key = MeasureId("zeta", 1.5)
         want = _per_generator(key, P, Q)
         csiszar_sum(generator("J"), P, Q)  # the table of the 19 is kept
-        passes = []
-        row_sum = generators.row_sum
-        monkeypatch.setattr(generators, "row_sum", lambda *a: passes.append(a[0]) or row_sum(*a))
+        passes.clear()
         assert repr(csiszar_sum(generator(key), P, Q)) == want
-        assert passes == [generators._csiszar_term]
+        assert passes == [("generators", 1)]
 
     def test_a_lookalike_generator_is_summed_itself(self):
         P, Q = validate([0.5, 0.5]), validate([0.25, 0.75])
@@ -919,14 +904,13 @@ class TestOneBasePass:
 
     @pytest.mark.parametrize("name", sorted(TABLE_PAIRS))
     @pytest.mark.parametrize("which", ["eq7", "eq39"])
-    def test_chain_of_a_validated_pair(self, monkeypatch, name, which):
+    def test_chain_of_a_validated_pair(self, passes, name, which):
         P, Q = TABLE_PAIRS[name]()
-        passes = []
-        row_sum = measures.row_sum
-        monkeypatch.setattr(measures, "row_sum", lambda *a: passes.append(a[3]) or row_sum(*a))
         got = [repr(v) for _, v in chain_check(_fresh(P), _fresh(Q), which).values]
         assert got == _alone_chain(which, P.probs, Q.probs)
-        assert passes == [{"eq7": measures._ROW_ORDER, "eq39": ("h", "d", "Delta", "I")}[which]]
+        # eq7 reads every base, eq39 the four its differences combine
+        bases = {"eq7": BASE_TAGS, "eq39": ("Delta", "I", "h", "d")}[which]
+        assert passes == [("measures", len(bases))]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("which", ["eq7", "eq39"])
@@ -941,12 +925,9 @@ class TestOneBasePass:
         for i, (P, Q) in enumerate(pairs):
             assert [repr(float(v[i])) for v in values] == _alone_chain(which, P.probs, Q.probs)
 
-    def test_a_difference_sums_its_two_bases_in_one_pass(self, monkeypatch):
+    def test_a_difference_sums_its_two_bases_in_one_pass(self, passes):
         P, Q = make_pair(np.random.default_rng(8), 16)
-        passes = []
-        row_sum = measures.row_sum
-        monkeypatch.setattr(measures, "row_sum", lambda *a: passes.append(a[3]) or row_sum(*a))
-        difference_measure("D_dI", P, Q)
+        difference_measure("D_dI", P, Q)  # d and I
         measure_value("h", P, Q)
         chain_check(P, Q, "eq39")  # I, d and h are kept: only Delta is summed
-        assert passes == [("d", "I"), ("h",), ("Delta",)]
+        assert passes == [("measures", 2), ("measures", 1), ("measures", 1)]

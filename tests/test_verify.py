@@ -7,9 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import column_entries, make_pair, set_cpus
+from conftest import catalog_passes, column_entries, make_pair, set_cpus
 from divbound import cli, verify
-from divbound import bounds, generators, kernel, measures
+from divbound import bounds, kernel, measures
 from divbound.bounds import (
     DEFAULT_S_GRID,
     TwoClassProblem,
@@ -500,25 +500,16 @@ def test_csiszar_suite_fails_on_a_nan_row(monkeypatch):
     assert made
 
 
-def test_csiszar_suite_reads_a_block_as_a_pair_is_read(monkeypatch):
+def test_csiszar_suite_reads_a_block_as_a_pair_is_read(monkeypatch, passes):
     # per block one pass of the seven base sums, one per family sum at a
     # regular order and one table pass for the 19 Csiszar sums
     monkeypatch.setattr(verify, "BLOCK_CELLS", 2000)
-    blocks, terms = [], []
-    draw, row_sum = verify._blocks, kernel.FlatRows.row_sum
+    blocks = []
+    draw = verify._blocks
     monkeypatch.setattr(verify, "_blocks", lambda *a: (blocks.append(b) or b for b in draw(*a)))
-
-    def counted(self, term, p, q, *args):
-        terms.append((term, *args[:1]))
-        return row_sum(self, term, p, q, *args)
-
-    monkeypatch.setattr(kernel.FlatRows, "row_sum", counted)
     verify._csiszar_suite(200, np.random.default_rng(1), 64)
-    per_block = [(measures._base_rows, measures._ROW_ORDER)]
-    per_block += [(measures._family_term, s) for s in (-1.0, 0.5, 2.0) * 2]
-    per_block += [(generators._table_rows,)]
     assert len(blocks) > 1
-    assert terms == per_block * len(blocks)
+    assert passes == catalog_passes() * len(blocks)
 
 
 def test_sandwich_suite_fails_on_a_nan_exact_error(monkeypatch):
