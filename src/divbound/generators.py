@@ -22,7 +22,11 @@ float_star_array, which gives each point _star_float's bits, hand the
 points where their own form is not finite, or too near 0 to run quietly,
 to _star_cells.  csiszar_sum sums the 19 catalog generators of a validated
 pair in one row_sum pass, which yields a row of cell terms per generator
-in CATALOG_KEYS order: the table's rows are the catalog's keys.
+in CATALOG_KEYS order: the table's rows are the catalog's keys.  Each leaf
+of the pass makes u = p/q once, the xi orders share u + 1's derived
+terms, and zeta:2 yields zeta:-1's row, which its generator makes bit for
+bit.  Each generator's formula is written once, in its closure, which the
+float forms call as they are.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .kernel import (
     order_divisors,
     row_sum,
 )
-from .measures import _DIFF_COMBOS, BASE_TAGS, DIFF_TAGS, FAMILY_TAGS, MeasureId
+from .measures import _DIFF_COMBOS, BASE_TAGS, CATALOG_ORDERS, DIFF_TAGS, FAMILY_TAGS, MeasureId
 from .measures import _frozen, _limit_base, _pair_sums
 
 LN2 = math.log(2.0)
@@ -130,11 +134,23 @@ def _f_d(u):
 
 def _f_zeta(s: float, power: Callable = operator.pow) -> Callable:
     a, b = order_divisors(s)
+    e = 1.0 - s
+    same = e == s  # s = 1/2: the two powers are one
 
     def fn(u):
-        return (power(u, s) + power(u, 1.0 - s) - (u + 1.0)) / a / b
+        us = power(u, s)
+        out = (us + (us if same else power(u, e)) - (u + 1.0)) / a
+        return out if b == 1.0 else out / b
 
     return fn
+
+
+def _zeta_twin(s: float):
+    """1 - s when zeta at that order has zeta_s's generator bit for bit (the
+    same two powers added in the other order, and s(s - 1) rounding alike
+    both ways), else None."""
+    t = 1.0 - s
+    return t if 1.0 - t == s and order_divisors(t) == order_divisors(s) else None
 
 
 def _f_xi(s: float, power: Callable = operator.pow) -> Callable:
@@ -156,16 +172,28 @@ def _f_xi(s: float, power: Callable = operator.pow) -> Callable:
             tail = np.log1p(np.exp(np.minimum(lx, ly) - big) - 2.0 * np.exp(-big))
             return np.exp(np.log(0.25 * v) + big + tail - log_ab)
 
-    def fn(u):
-        v = u + 1.0
-        w = 2.0 / v
-        out = 0.5 * v * (0.5 * (power(u * w, e) + power(w, e)) - 1.0) / a / b
+    def fn(u, shared=None):
+        # shared: a list the catalog table hands every xi order of one leaf
+        # of u; the first order keeps w, u w and (u+1)/2 in it for the rest
+        if shared:
+            w, uw, hv = shared
+        else:
+            hv = 0.5 * (u + 1.0)
+            w = 1.0 / hv  # 2/(u+1) bit for bit: hv is (u+1)/2 exactly
+            uw = u * w
+            if shared is not None:
+                shared += w, uw, hv
+        out = hv * (0.5 * (power(uw, e) + power(w, e)) - 1.0) / a
         if isinstance(out, np.ndarray):
+            if b != 1.0:  # x / 1.0 is x: the pass is skipped
+                out /= b
             over = np.isinf(out)
             if over.any():
                 out[over] = carried(u[over])
-        elif out == INF:
-            out = carried(u)
+        else:
+            out = out / b
+            if out == INF:
+                out = carried(u)
         return out
 
     return fn
@@ -429,30 +457,54 @@ def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray):
 #: fast enough for the documented limit cross-check points.
 CATALOG_KEYS = tuple(
     [MeasureId(t) for t in BASE_TAGS]
-    + [MeasureId("zeta", s) for s in (-1.0, 0.5, 2.0)]
-    + [MeasureId("xi", s) for s in (-1.0, 0.5, 2.0)]
+    + [MeasureId(t, s) for t in FAMILY_TAGS for s in CATALOG_ORDERS]
     + [MeasureId(t) for t in DIFF_TAGS]
 )
 
 # The catalog generators one pass sums together, in CATALOG_KEYS order,
 # and the bases the differences combine: CATALOG_KEYS lists the bases
 # before the differences, so each is made before a difference reads it.
+# A zeta order whose twin (_zeta_twin) comes earlier yields the twin's row.
 _TABLE = {m.label(): generator(m) for m in CATALOG_KEYS}
 _COMBINED = frozenset(t for combo in _DIFF_COMBOS.values() for _, t in combo)
+_XI_KEYS = [m.label() for m in CATALOG_KEYS if m.tag == "xi" and _limit_base("xi", m.s) is None]
+_TWINS = {
+    m.label(): MeasureId("zeta", t).label()
+    for m in CATALOG_KEYS
+    if m.tag == "zeta" and (t := _zeta_twin(m.s)) is not None and t < m.s
+}
 
 
 def _table_rows(p: np.ndarray, q: np.ndarray):
     """Yield the cell terms of every _TABLE generator in CATALOG_KEYS
     order, each row made as _csiszar_term makes it.  u = p/q is made once,
-    and so is each combined base's f(u), kept for the differences."""
+    and so is each combined base's f(u), kept for the differences, and
+    each row a twin yields again."""
     u = p / q
     values = {}
+    twinned = {}
+    shared = []  # what the xi orders share, until the last of them
     for key, g in _TABLE.items():
+        if key in _TWINS:
+            yield twinned.pop(_TWINS[key])
+            continue
         combo = _DIFF_COMBOS.get(key)
-        f_u = g.fn(u) if combo is None else _combine((c, values[t]) for c, t in combo)
+        if combo is not None:
+            f_u = _combine((c, values[t]) for c, t in combo)
+        elif key in _XI_KEYS:
+            f_u = g.fn(u, shared)
+            if key == _XI_KEYS[-1]:
+                shared.clear()
+        else:
+            f_u = g.fn(u)
         if key in _COMBINED:
             values[key] = f_u
-        yield _mirrored(q * f_u, p, q, g.fn)
+        row = _mirrored(q * f_u, p, q, g.fn)
+        if key in _TWINS.values():
+            twinned[key] = row
+        del f_u  # let go before the next row is made, as the row itself
+        yield row
+        del row
 
 
 def _table_sums(p: np.ndarray, q: np.ndarray) -> dict:

@@ -26,25 +26,30 @@ one mass vanishes and the value is reported as +inf; Delta, h, d and I stay
 finite under the 0*ln(0) = 0 convention.  Cells where both masses vanish
 contribute nothing to any measure.
 
-Shared base sums.  Each base measure is a scaled row of _base_rows, which
-makes any set of them in one pass.  A difference combines two base
-measures (_DIFF_COMBOS), a chain lists scaled base or difference measures
-(_CHAIN_LINKS), and a family at a limit order is the base measure that
-_limit_base names, so a pair has seven distinct base sums.  A BaseSums
-read (one measure, a list of them, or a chain) sums the bases it needs
-and the table lacks in one pass, and keeps them.  The pair-level calls
-(measure_value, base_measure, difference_measure, zeta, xi, chain_check)
-reuse the table of the most recent validated pair: when P and Q are the
-same objects as in the previous call and both probs arrays are read-only
-and own their data, as validate makes them, its base sums are not summed
-again, and generators.csiszar_sum keeps the 19 catalog Csiszar sums of
-its one pass there too.  Any other pair is summed afresh, to the same bits.
+Shared base and family sums.  Each base measure is a scaled row of
+_base_rows, which makes any set of them in one pass.  A difference combines
+two base measures (_DIFF_COMBOS), a chain lists scaled base or difference
+measures (_CHAIN_LINKS), and a family at a limit order is the base measure
+that _limit_base names, so a pair has seven distinct base sums.  A family
+member at a regular order is a normalised row of _family_rows, which makes
+any set of orders in one pass and each power of p, q and (p+q)/2 in it
+once.  A BaseSums read (one measure, a list of them, or a chain) sums the
+bases it needs and the table lacks in one pass, and the family orders in
+one more, and keeps them.  The pair-level calls (measure_value,
+base_measure, difference_measure, zeta, xi, chain_check) reuse the table of
+the most recent validated pair: when P and Q are the same objects as in the
+previous call and both probs arrays are read-only and own their data, as
+validate makes them, its sums are not summed again.  Its first read of a
+catalog family order sums all six (CATALOG_ORDERS of zeta and xi), and
+generators.csiszar_sum keeps the 19 catalog Csiszar sums of its one pass
+there too.  Any other pair is summed afresh, to the same bits.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -155,10 +160,25 @@ def _limit_base(family: str, s) -> Optional[str]:
 # block of m same-size pairs alike.  Row i of a C-contiguous block gives
 # the value of pair i bit for bit: every term is elementwise, and numpy sums
 # each row exactly as it sums the row on its own.  The terms run as quietly
-# as row_sum runs them: a mass of zero divides by zero or makes 0/0 or
-# 0*inf, and np.where replaces those cells; a subnormal mass overflows the
-# Psi term to inf, as Psi itself does.
+# as row_sum runs them.  Each row is its plain closed form, which a mass of
+# zero, or an underflow, turns into 0/0 or 0*inf = nan on some cells; only
+# those cells are recomputed (_mend), under the 0 ln 0 = 0 convention or in
+# a form that does not underflow.  A subnormal mass overflows the Psi term
+# to inf, as Psi itself does.
 # ---------------------------------------------------------------------------
+
+
+def _mend(row: np.ndarray, cells, fix: Callable, *args) -> np.ndarray:
+    """row, each nan cell replaced by fix(*cells at the nan cells, *args)."""
+    bad = np.isnan(row)
+    if bad.any():
+        row[bad] = fix(*(c[bad] for c in cells), *args)
+    return row
+
+
+def _dead() -> float:
+    """The term of a dead cell, where both masses vanish: nothing."""
+    return 0.0
 
 
 def _times_log(x: np.ndarray, log_y: np.ndarray) -> np.ndarray:
@@ -167,7 +187,7 @@ def _times_log(x: np.ndarray, log_y: np.ndarray) -> np.ndarray:
 
 
 def _delta_cells(p: np.ndarray, q: np.ndarray, s: np.ndarray, sq: np.ndarray):
-    t = np.where(s > 0.0, sq / s, 0.0)
+    t = _mend(sq / s, (), _dead)  # 0/0 only on a dead cell
     # 0 where p != q only if (p - q)^2 underflowed (both masses subnormal);
     # only those cells are recomputed, in an order that does not underflow
     zero = t == 0.0
@@ -179,16 +199,19 @@ def _delta_cells(p: np.ndarray, q: np.ndarray, s: np.ndarray, sq: np.ndarray):
     return t
 
 
+def _psi_ratio(p: np.ndarray, q: np.ndarray):
+    # the Psi term without underflow; a dead cell is 0
+    d = p - q
+    return np.where(p + q > 0.0, (d / p) * (d / q) * (p + q), 0.0)
+
+
 def _psi_cells(p: np.ndarray, q: np.ndarray, s: np.ndarray, sq: np.ndarray):
-    t = sq * s / (p * q)
-    # 0/0 where both masses vanish, or where (p - q)^2 and p q underflow;
-    # only those cells are recomputed, without underflow (a dead cell is 0)
-    bad = np.isnan(t)
-    if bad.any():
-        p, q = p[bad], q[bad]
-        d = p - q
-        t[bad] = np.where(p + q > 0.0, (d / p) * (d / q) * (p + q), 0.0)
-    return t
+    # 0/0 where both masses vanish, or where (p - q)^2 and p q underflow
+    return _mend(sq * s / (p * q), (p, q), _psi_ratio)
+
+
+def _i_cells(p, q, s, lp, lq, lm, times: Callable = np.multiply):
+    return times(p, lp) + times(q, lq) - times(s, lm)
 
 
 def _base_rows(p: np.ndarray, q: np.ndarray, tags):
@@ -216,15 +239,18 @@ def _base_rows(p: np.ndarray, q: np.ndarray, tags):
     if "J" in tags or "I" in tags or "T" in tags:
         lp, lq = np.log(p), np.log(q)
         if "J" in tags:
-            yield np.where((p == 0.0) & (q == 0.0), 0.0, diff * (lp - lq))
+            yield _mend(diff * (lp - lq), (), _dead)  # 0 * nan only on a dead cell
         del diff
         if "I" in tags or "T" in tags:
-            lm = np.log(0.5 * s)
+            m = 0.5 * s
+            lm = np.log(m)
             if "I" in tags:
-                yield _times_log(p, lp) + _times_log(q, lq) - _times_log(s, lm)
+                # nan where a mass vanishes: those cells take 0 ln 0 = 0
+                cells = (p, q, s, lp, lq, lm)
+                yield _mend(_i_cells(*cells), cells, _i_cells, _times_log)
             if "T" in tags:
-                m = 0.5 * s
-                yield np.where(m == 0.0, 0.0, _times_log(m, lm) - 0.5 * m * (lp + lq))
+                # nan (0 * -inf) only where m == 0, on a dead cell
+                yield _mend(m * lm - 0.5 * m * (lp + lq), (), _dead)
 
 
 # Each base measure's scale, in the order _base_rows yields the rows: the
@@ -234,20 +260,16 @@ def _base_rows(p: np.ndarray, q: np.ndarray, tags):
 _BASE_SCALES = {"h": 0.5, "d": -1.0, "Delta": 1.0, "Psi": 1.0, "J": 1.0, "I": 0.5, "T": 1.0}
 
 
-def _family_term(p: np.ndarray, q: np.ndarray, s: float, direct, ratio):
-    # the direct power form is inf*0 = nan where one power overflows and the
-    # other underflows (|s| large, small masses); only those cells are
-    # recomputed in the ratio form, which has no such product and gives 0 on
-    # a cell where both masses vanish
-    terms = direct(p, q, s)
-    bad = np.isnan(terms)
-    if bad.any():
-        terms[bad] = ratio(p[bad], q[bad], s)
-    return terms
+# The direct family terms read their powers of p, q and m = (p+q)/2 through
+# power(base, e), so one pass makes each power once for all its orders.
+# The direct term is inf*0 = nan where one power overflows and the other
+# underflows (|s| large, small masses); only those cells are recomputed in
+# the ratio form, which has no such product and gives 0 on a cell where
+# both masses vanish.
 
 
-def _zeta_direct(p: np.ndarray, q: np.ndarray, s: float):
-    return p**s * q ** (1.0 - s) + p ** (1.0 - s) * q**s
+def _zeta_direct(power: Callable, s: float):
+    return power("p", s) * power("q", 1.0 - s) + power("p", 1.0 - s) * power("q", s)
 
 
 def _zeta_ratio(p: np.ndarray, q: np.ndarray, s: float):
@@ -257,8 +279,8 @@ def _zeta_ratio(p: np.ndarray, q: np.ndarray, s: float):
     return np.where(hi > 0.0, hi * (r**s + r ** (1.0 - s)), 0.0)
 
 
-def _xi_direct(p: np.ndarray, q: np.ndarray, s: float):
-    return 0.5 * (p ** (1.0 - s) + q ** (1.0 - s)) * (0.5 * (p + q)) ** s
+def _xi_direct(power: Callable, s: float):
+    return 0.5 * (power("p", 1.0 - s) + power("q", 1.0 - s)) * power("m", s)
 
 
 def _xi_ratio(p: np.ndarray, q: np.ndarray, s: float):
@@ -270,37 +292,85 @@ def _xi_ratio(p: np.ndarray, q: np.ndarray, s: float):
 # family: (direct term, ratio term, value of the sum at P = Q)
 _FAMILY_FORMS = {"zeta": (_zeta_direct, _zeta_ratio, 2.0), "xi": (_xi_direct, _xi_ratio, 1.0)}
 
+# The family orders of the catalog (generators.CATALOG_KEYS), in its order.
+CATALOG_ORDERS = (-1.0, 0.5, 2.0)
+_CATALOG_FAMILY = tuple((tag, s) for tag in FAMILY_TAGS for s in CATALOG_ORDERS)
 
-def _family_regular(family: str, s: float, reduce, p: np.ndarray, q: np.ndarray):
-    """A family member at a regular order, from the last-axis sum of its
-    per-cell terms: direct(p, q, s) per cell and ratio(p, q, s) where that
-    is nan.
 
-    A cell where both masses vanish adds 0.0 (its direct term is 0 or nan,
-    and its ratio term is 0), so a single pair sums the same cells as a row
-    of a block.
-    """
-    direct, ratio, at_equal = _FAMILY_FORMS[family]
-    a, b = order_divisors(s)
-    return (reduce(_family_term, p, q, s, direct, ratio) - at_equal) / a / b
+class _Powers:
+    """power(base, e) for one pass over the (family, s) orders: the cells
+    of p, q or m = (p+q)/2 to the power e, made on the first read and
+    dropped after the last; m is made once and dropped after its last
+    power.  The reads are counted by running the orders' direct terms once
+    with 1.0 for every power."""
+
+    __slots__ = ("p", "q", "_m", "_m_left", "_reads", "_made")
+
+    def __init__(self, p: np.ndarray, q: np.ndarray, orders):
+        self.p, self.q = p, q
+        self._reads = Counter()
+        for family, s in orders:
+            _FAMILY_FORMS[family][0](self._count, s)
+        self._m = None
+        self._m_left = sum(base == "m" for base, _ in self._reads)  # m powers yet to make
+        self._made = {}
+
+    def _count(self, base: str, e: float) -> float:
+        self._reads[base, e] += 1
+        return 1.0
+
+    def __call__(self, base: str, e: float) -> np.ndarray:
+        key = base, e
+        x = self._made.get(key)
+        if x is None:
+            x = self._made[key] = self._base(base) ** e
+        self._reads[key] -= 1
+        if not self._reads[key]:
+            del self._made[key]
+        return x
+
+    def _base(self, base: str) -> np.ndarray:
+        if base != "m":
+            return self.p if base == "p" else self.q
+        m = 0.5 * (self.p + self.q) if self._m is None else self._m
+        self._m_left -= 1
+        self._m = m if self._m_left else None
+        return m
+
+
+def _family_rows(p: np.ndarray, q: np.ndarray, orders):
+    """Yield the cell terms of each (family, s) at a regular order, in
+    order: direct per cell, its powers shared by all the orders, and ratio
+    where that is nan.  A cell where both masses vanish adds 0.0 (its
+    direct term is 0 or nan, and its ratio term is 0), so a single pair
+    sums the same cells as a row of a block."""
+    power = _Powers(p, q, orders)
+    for family, s in orders:
+        direct, ratio, _ = _FAMILY_FORMS[family]
+        yield _mend(direct(power, s), (p, q), ratio, s)
 
 
 class BaseSums:
-    """The seven base sums of one pair, or of an (m, n) block of pairs.
+    """The base and family sums of one pair, or of an (m, n) block of pairs.
 
-    Each sum is the row sum of its _base_rows cell terms, scaled.  A read
-    sums every base it needs and the table does not hold in one pass (eq7
-    seven, eq39 four, a difference two, a base one, a list of measures
-    the union of theirs), and keeps them.  p and q must not change while
-    the table is in use.  `reduce` is the row sum, kernel.row_sum by
-    default; the row_sum of a kernel.FlatRows layout makes p and q flat
-    buffers of rows in it.
+    Each base sum is the row sum of its _base_rows cell terms, scaled, and
+    each family member at a regular order the row sum of its _family_rows
+    terms, normalised.  A read sums every base it needs and the table does
+    not hold in one pass (eq7 seven, eq39 four, a difference two, a base
+    one, a list of measures the union of theirs), and every family order
+    in one more, and keeps them.  A table on kept sums (`sums` given: a
+    validated pair's) sums all six catalog orders it lacks when it reads
+    any one, as the Csiszar table sums the whole catalog.  p and q must not
+    change while the table is in use.  `reduce` is the row sum,
+    kernel.row_sum by default; the row_sum of a kernel.FlatRows layout
+    makes p and q flat buffers of rows in it.
     """
 
-    __slots__ = ("p", "q", "_sums", "_reduce")
+    __slots__ = ("p", "q", "_sums", "_whole_catalog", "_reduce")
 
     def __init__(self, p: np.ndarray, q: np.ndarray, sums: Optional[dict] = None, reduce=None):
         self.p, self.q = p, q
+        self._whole_catalog = sums is not None
         self._sums = {} if sums is None else sums
         self._reduce = reduce or row_sum
 
@@ -324,11 +394,26 @@ class BaseSums:
                 sums[tag] = 1.0 + value if scale < 0.0 else value
         return sums
 
+    def _families(self, orders) -> dict:
+        """The table, holding the sum of each (family, s) in orders, all at
+        regular orders: those it lacked are summed in one pass."""
+        sums = self._sums
+        if self._whole_catalog and any(order in _CATALOG_FAMILY for order in orders):
+            orders = (*orders, *_CATALOG_FAMILY)
+        missing = tuple(dict.fromkeys(order for order in orders if order not in sums))
+        if missing:
+            totals = self._reduce(_family_rows, self.p, self.q, missing)
+            for (family, s), total in zip(missing, totals):
+                a, b = order_divisors(s)
+                sums[family, s] = (total - _FAMILY_FORMS[family][2]) / a / b
+        return sums
+
     def measure(self, mid: MeasureId):
         """Any measure, reduced over the last axis like the kernels."""
         terms = _base_terms(mid)
         if terms is None:
-            return _family_regular(mid.tag, OrderParameter.of(mid.s).s, self._reduce, self.p, self.q)
+            order = _family_order(mid)
+            return self._families((order,))[order]
         sums = self._bases([t for _, t in terms])
         if len(terms) == 1:
             return sums[terms[0][1]]
@@ -336,8 +421,10 @@ class BaseSums:
         return c1 * sums[t1] + c2 * sums[t2]
 
     def measures(self, mids: Sequence[MeasureId]) -> list:
-        """Each of the measures, in order; the base sums they read are made in one pass."""
+        """Each of the measures, in order; the base sums they read are made
+        in one pass, and the family sums in one more."""
         self._bases({t for mid in mids for _, t in _base_terms(mid) or ()})
+        self._families([_family_order(mid) for mid in mids if _base_terms(mid) is None])
         return [self.measure(mid) for mid in mids]
 
     def chain(self, which: str) -> list:
@@ -346,6 +433,11 @@ class BaseSums:
         if links is None:
             raise ArgumentError(f"unknown chain {which!r} (expected 'eq7' or 'eq39')")
         return [c * v for (_, c, _), v in zip(links, self.measures([m for _, _, m in links]))]
+
+
+def _family_order(mid: MeasureId) -> tuple:
+    """A family member's key in the table: (family, s)."""
+    return mid.tag, OrderParameter.of(mid.s).s
 
 
 def _base_terms(mid: MeasureId):
@@ -373,7 +465,7 @@ def _frozen(probs: np.ndarray) -> bool:
 
 
 def _pair_sums(P: DiscreteDistribution, Q: DiscreteDistribution) -> BaseSums:
-    """The base sums of a validated pair, shared with the previous call on
+    """The sums table of a validated pair, shared with the previous call on
     the same two objects."""
     global _last_pair
     require_same_alphabet(P, Q)
@@ -381,11 +473,10 @@ def _pair_sums(P: DiscreteDistribution, Q: DiscreteDistribution) -> BaseSums:
     if not (_frozen(p) and _frozen(q)):
         return BaseSums(p, q)
     ref_p, ref_q, sums = _last_pair
-    if ref_p is not None and ref_p() is P and ref_q() is Q:
-        return BaseSums(p, q, sums)
-    table = BaseSums(p, q)
-    _last_pair = (weakref.ref(P), weakref.ref(Q), table._sums)
-    return table
+    if ref_p is None or ref_p() is not P or ref_q() is not Q:
+        sums = {}
+        _last_pair = (weakref.ref(P), weakref.ref(Q), sums)
+    return BaseSums(p, q, sums)
 
 
 def _measure_id(measure: Union[MeasureId, str]) -> MeasureId:

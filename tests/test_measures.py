@@ -677,17 +677,30 @@ class TestSharedBaseSums:
             for i in rng.permutation(len(SHARED_CALLS)):
                 assert _shared_call(*SHARED_CALLS[i], P, Q) == want[i], SHARED_CALLS[i]
 
-    def test_workload_sequence_makes_8_passes(self, passes):
+    def test_workload_sequence_makes_3_passes(self, passes):
         P, Q = make_pair(np.random.default_rng(32), 16)
         _workload_values(P, Q)
-        # one pass for the seven base sums, 6 family sums at regular orders
-        # and one pass for the 19 Csiszar sums; summing the bases per call,
-        # the chains and measures would take 36 passes, not 7, and the
-        # Csiszar sums 19, not 1
+        # one pass for the seven base sums, one for the six family sums at
+        # regular orders and one for the 19 Csiszar sums; summing the bases
+        # per call, the chains and measures would take 36 passes, not 7,
+        # the family sums 6, not 1, and the Csiszar sums 19, not 1
         assert passes == catalog_passes()
         passes.clear()
-        _workload_values(P, Q)  # the base and Csiszar sums are kept
-        assert passes == catalog_passes()[1:-1]
+        _workload_values(P, Q)  # every sum is kept
+        assert passes == []
+
+    def test_a_catalog_family_read_sums_the_six(self, passes):
+        P, Q = make_pair(np.random.default_rng(33), 16)
+        _, families, _ = catalog_passes()
+        keys = [key for key in CATALOG_KEYS if key.s is not None]
+        first = measure_value(keys[-1], P, Q)
+        assert passes == [families]
+        assert [measure_value(key, P, Q) for key in keys][-1] == first
+        assert passes == [families]  # the other five were kept
+        # an order outside the catalog is summed alone, and kept too
+        zeta(1.5, P, Q)
+        zeta(1.5, P, Q)
+        assert passes == [families, ("measures", 1)]
 
     def test_slot_keeps_no_pair_alive(self):
         P, Q = make_pair(np.random.default_rng(3), 16)
@@ -838,6 +851,74 @@ class TestCsiszarTable:
         lookalike = generators.GeneratingFunction("Delta", generator("h").fn, 0.5)
         csiszar_sum(generator("Delta"), P, Q)
         assert csiszar_sum(lookalike, P, Q) == csiszar_sum(generator("h"), P, Q)
+
+
+# A family member at a regular order summed alone, written out here as the
+# reference for the shared family pass: its direct term with plain powers,
+# and its ratio term on the cells where that is nan.
+def _alone_family(mid, p, q):
+    s = mid.s
+
+    def term(p, q):
+        if mid.tag == "zeta":
+            t = p**s * q ** (1.0 - s) + p ** (1.0 - s) * q**s
+        else:
+            t = 0.5 * (p ** (1.0 - s) + q ** (1.0 - s)) * (0.5 * (p + q)) ** s
+        bad = np.isnan(t)
+        p, q = p[bad], q[bad]
+        if mid.tag == "zeta":
+            hi = np.maximum(p, q)
+            r = np.minimum(p, q) / hi
+            t[bad] = np.where(hi > 0.0, hi * (r**s + r ** (1.0 - s)), 0.0)
+        else:
+            m = 0.5 * (p + q)
+            t[bad] = np.where(m > 0.0, 0.5 * m * ((p / m) ** (1.0 - s) + (q / m) ** (1.0 - s)), 0.0)
+        return t
+
+    a, b = kernel.order_divisors(s)
+    at_equal = 2.0 if mid.tag == "zeta" else 1.0
+    return repr(float((kernel.row_sum(term, p, q) - at_equal) / a / b))
+
+
+FAMILY_PAIRS = {
+    **SHARED_PAIRS,
+    **TABLE_PAIRS,  # n16 and long_zeros are SHARED_PAIRS' pairs again
+    "shared_zeros": SHARED_PAIRS["zeros"],
+    # p^-1 overflows and q^2 underflows in the first cell (on a helper
+    # thread at 2 CPUs), so zeta's direct term there is inf * 0 = nan
+    "inf_times_zero": lambda: _long_pair([1e-310, 1.0 - 1e-310], [1e-170, 1.0 - 1e-170]),
+}
+FAMILY_KEYS = [key for key in CATALOG_KEYS if key.s is not None] + [
+    MeasureId("zeta", 1.5),
+    MeasureId("xi", -30.0),
+]
+
+
+@pytest.mark.filterwarnings("error")
+class TestOneFamilyPass:
+    """The family orders a read lacks come from one pass, and each sum has
+    the bits of its order summed alone."""
+
+    def test_the_ratio_form_is_reached(self):
+        P, Q = FAMILY_PAIRS["inf_times_zero"]()
+        p, q = P.probs[0], Q.probs[0]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            assert np.isnan(p**-1.0 * q**2.0)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("name", sorted(FAMILY_PAIRS))
+    def test_every_order_keeps_its_bits(self, monkeypatch, cpus, name):
+        set_cpus(monkeypatch, cpus)
+        P, Q = FAMILY_PAIRS[name]()
+        p, q = P.probs, Q.probs
+        want = [_alone_family(key, p, q) for key in FAMILY_KEYS]
+        assert [repr(float(v)) for v in BaseSums(p, q).measures(FAMILY_KEYS)] == want
+        # a validated pair's first catalog read sums the six, each key first in turn
+        for first in FAMILY_KEYS:
+            P, Q = _fresh(P), _fresh(Q)
+            assert repr(measure_value(first, P, Q)) == _alone_family(first, p, q), first
+            got = [repr(measure_value(key, P, Q)) for key in FAMILY_KEYS]
+            assert got == want, first
 
 
 # Each base measure's cell term as it is summed alone, written out here as

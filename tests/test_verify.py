@@ -501,8 +501,8 @@ def test_csiszar_suite_fails_on_a_nan_row(monkeypatch):
 
 
 def test_csiszar_suite_reads_a_block_as_a_pair_is_read(monkeypatch, passes):
-    # per block one pass of the seven base sums, one per family sum at a
-    # regular order and one table pass for the 19 Csiszar sums
+    # per block one pass of the seven base sums, one of the six family sums
+    # at regular orders and one table pass for the 19 Csiszar sums
     monkeypatch.setattr(verify, "BLOCK_CELLS", 2000)
     blocks = []
     draw = verify._blocks
