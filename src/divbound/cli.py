@@ -105,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "machine"), default="table")
 
     p = sub.add_parser("verify", help="run the randomized invariant suites")
-    p.add_argument("--trials", type=int, default=1000)
+    trials_help = f"trials of the chain suites, 1 to {_verify.TRIALS_LIMIT}"
+    p.add_argument("--trials", type=int, default=1000, help=trials_help)
     p.add_argument("--seed", type=int, default=None, help="default: $DIVBOUND_SEED or 42")
     n_max_help = f"largest alphabet size drawn, 2 to {_verify.N_MAX_LIMIT}"
     p.add_argument("--n-max", type=int, default=64, help=n_max_help)

@@ -103,11 +103,13 @@ def _f_h(u):
 
 
 def _f_I(u):
-    return 0.5 * u * np.log(u) + 0.5 * (u + 1.0) * np.log(2.0 / (u + 1.0))
+    v = u + 1.0
+    return 0.5 * u * np.log(u) + 0.5 * v * np.log(2.0 / v)
 
 
 def _f_T(u):
-    return 0.5 * (u + 1.0) * np.log((u + 1.0) / (2.0 * np.sqrt(u)))
+    v = u + 1.0
+    return 0.5 * v * np.log(v / (2.0 * np.sqrt(u)))
 
 
 def _f_J(u):

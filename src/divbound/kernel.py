@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextvars
 import enum
+import functools
 import math
 import os
 import threading
@@ -43,14 +44,23 @@ BISECT_MAX_ITER = 200
 
 # Largest row that row_sum sums in one np.sum call, and so the grain of
 # its helper threads.  On kernels_large_n (three n = 2^20 pairs, streamed
-# base and Csiszar passes; 2-vCPU Xeon, 2 MiB L2 per core; ten interleaved
-# rounds) the median wall time was 0.72 s at 32768, 0.68 s at 65536 and
-# 0.78 s at 131072 (peak RSS +6 MB); neither beat 65536 in more than 4 of
-# 10 rounds, and verify_10k did not move.  Leaves of 8192 cells ran slower
-# on two threads than on one: every ufunc call hands the GIL over.  It
-# must be at least 128: numpy sums a row of at most 128 cells with eight
-# accumulators instead of halving it.
+# base, family and Csiszar passes, heap primed; 2-vCPU x86, ten interleaved
+# rounds) the median wall time was 0.33 s at 32768, 0.29 s at 65536 and
+# 0.32 s at 131072 (peak RSS +8 MB); neither beat 65536 in more than 1 of
+# 10 rounds.  Leaves of 8192 cells ran slower on two threads than on one:
+# every ufunc call hands the GIL over.  It must be at least 128: numpy sums
+# a row of at most 128 cells with eight accumulators instead of halving it.
 SUM_LEAF = 65536
+
+# Bytes of the untouched block row_sum allocates and frees once per process,
+# before its first row longer than SUM_LEAF.  On glibc, freeing an mmapped
+# block raises the mmap threshold to its size and the trim threshold to
+# twice that (mallopt(3)).  Unprimed, the first freed 512 KiB leaf temporary
+# leaves a 1 MiB trim threshold, below a Csiszar table leaf's ten or so
+# temporaries per thread, so each leaf trims the heap and the next faults
+# it back in.  4 MiB was the least block that stopped that at n = 2^20 on
+# two threads; 32 MiB, with its header, is past glibc's cap and moves nothing.
+HEAP_PRIME_BYTES = 16 << 20
 
 # The floating-point policy of every cell pass: a term may divide by zero,
 # make 0/0 or overflow, and keeps or replaces the IEEE value without a warning.
@@ -166,8 +176,15 @@ def row_sum(term: Callable, p: np.ndarray, q: np.ndarray, *args):
     exception raised in a helper is raised here, and every helper is
     joined before row_sum returns or raises.
     """
+    if p.shape[-1] > SUM_LEAF:
+        _prime_heap()
     with np.errstate(**_QUIET):
         return _tree_sum(term, p, q, args, 0, p.shape[-1], usable_cpus() - 1)
+
+
+@functools.cache
+def _prime_heap() -> None:
+    np.empty(HEAP_PRIME_BYTES, dtype=np.uint8)
 
 
 def _sum_rows(made, total: Callable):

@@ -1,6 +1,9 @@
 import math
 import pickle
+import platform
+import resource
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -422,6 +425,44 @@ class TestRowSum:
         parallel = repr(run_verify(300, 7))
         set_cpus(monkeypatch, 1)
         assert repr(run_verify(300, 7)) == parallel
+
+
+# A process's first pair: the base, family and Csiszar table passes, with
+# the minor page faults they take.  The loaded arrays stay alive, as in the
+# benchmark's worker: freeing one would itself raise the thresholds.
+_FIRST_PAIR_PASSES = """
+import resource, sys
+import numpy as np
+from divbound import chain_check, csiszar_sum, generator, measure_value, validate
+p, q = (np.load(path) for path in sys.argv[1:])
+P, Q = validate(p), validate(q)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+chain_check(P, Q, "eq7")
+measure_value("zeta:2", P, Q)
+csiszar_sum(generator("J"), P, Q)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="primes glibc's malloc thresholds")
+def test_a_first_long_pair_does_not_fault_its_leaves_in_afresh(tmp_path):
+    """Unprimed, the first freed leaf temporary sets glibc's trim threshold
+    to about 1 MiB, so every leaf's frees trim the heap and the next leaf
+    faults the pages back in: about 87k faults at n = 2^20, against 2.7k
+    primed."""
+    rng = np.random.default_rng(7)
+    paths = []
+    for side in "pq":
+        z = rng.standard_normal(2**20)
+        e = np.exp(z - z.max())
+        paths.append(str(tmp_path / f"{side}.npy"))
+        np.save(paths[-1], e / e.sum())
+    run = subprocess.run(
+        [sys.executable, "-c", _FIRST_PAIR_PASSES, *paths], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    pair_pages = 2 * 2**20 * 8 // resource.getpagesize()
+    assert int(run.stdout) < 2 * pair_pages
 
 
 def _rows_term(p, q):

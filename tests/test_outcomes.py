@@ -29,6 +29,9 @@ raises.
 The sixth table covers the generator checks (limit_constants and the two
 convexity probes) at family orders where the powers pass the double
 range: each returns or raises a DivboundError, with no warning.
+
+Last, every case of the hard-edge corpus (tests/edge_corpus.py) passes
+its checks against a 50-digit P_e.
 """
 
 import dataclasses
@@ -36,7 +39,9 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mpf
 
+import edge_corpus
 from conftest import set_cpus
 from divbound import bounds, cli, verify
 from divbound.bounds import (
@@ -73,7 +78,7 @@ from divbound.measures import (
     difference_measure,
     measure_value,
 )
-from divbound.verify import N_MAX_LIMIT
+from divbound.verify import N_MAX_LIMIT, TRIALS_LIMIT
 
 INPUTS = {
     # masses below the normal range, with an ordinary ratio
@@ -444,7 +449,7 @@ VERIFY_OUTCOMES = {
     (10, 64, 2**63): (0, ""),
     (1, N_MAX_LIMIT, 42): (0, ""),
     (1, N_MAX_LIMIT + 1, 42): (2, "usage error: n-max must be in [2, 1048576]"),
-    (0, 64, 42): (2, "usage error: trials must be >= 1"),
+    (0, 64, 42): (2, "usage error: trials must be in [1, 10000000]"),
     (1, 1, 42): (2, "usage error: n-max must be in [2, 1048576]"),
     (1, 64, -1): (2, "usage error: seed must be >= 0"),
 }
@@ -477,6 +482,27 @@ def test_every_verify_argument_has_its_tabled_outcome(args, monkeypatch, capsys)
     assert bool(err) == bool(want_err)
     # the two chain suites and the Csiszar suite draw at n-max
     assert drawn == ([n_max] * 3 if code == 0 and n_max > 64 else [])
+
+
+def test_trials_past_the_limit_exit_2_before_anything_is_drawn(monkeypatch, capsys):
+    """The limit itself reaches the draws of all five drawing suites; with
+    the draws patched out it runs in no time."""
+    set_cpus(monkeypatch, 1)
+    drawn = []
+
+    def no_draws(trials, rng, n_max, priors=False):
+        drawn.append(trials)
+        return iter(())
+
+    monkeypatch.setattr(verify, "_blocks", no_draws)
+    assert cli.main(["verify", "--trials", str(TRIALS_LIMIT)]) == 0
+    assert drawn == [TRIALS_LIMIT] * 2 + [TRIALS_LIMIT // 10] * 3
+    capsys.readouterr()
+    drawn.clear()
+    assert cli.main(["verify", "--trials", str(TRIALS_LIMIT + 1)]) == 2
+    _, err = capsys.readouterr()
+    assert err == f"usage error: trials must be in [1, 10000000], got {TRIALS_LIMIT + 1}\n"
+    assert drawn == []
 
 
 # ---------------------------------------------------------------------------
@@ -614,3 +640,22 @@ def test_a_probe_failure_prints_its_floats():
     exc = info.value
     assert (type(exc.x), type(exc.value)) == (float, float)
     assert str(exc) == f"non-finite value inf at x={exc.x!r}"
+
+
+# ---------------------------------------------------------------------------
+# the hard-edge corpus
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(edge_corpus.CASES))
+def test_every_edge_corpus_case_passes(name):
+    assert edge_corpus.findings(name) == []
+
+
+def test_the_edge_corpus_sees_a_bound_past_p_e(monkeypatch):
+    # 1e-6 below the true P_e, below-root's lower bounds lie above it
+    exact = edge_corpus.oracle_pe
+    monkeypatch.setattr(edge_corpus, "oracle_pe", lambda *rows: exact(*rows) - mpf("1e-6"))
+    found = edge_corpus.findings("below-root")
+    assert any(line.startswith("toussaint_inversion = 0.4999997615814209:") for line in found)
