@@ -14,15 +14,22 @@ report the largest deviation.
 
 Trials are drawn one after another, as random_strict_pair and
 random_problem draw them, in blocks that end once their draws hold
-BLOCK_CELLS cells a side or at the end of the corpus.  A block is flat:
-each side's rows lie in one buffer, grouped by alphabet size n (problem
-size k for the bound suites) into C-contiguous (m, n) slabs by ascending
-n, in trial order within a slab (kernel.FlatRows).  Every elementwise step
-(softmax, the measure, Csiszar-sum and posterior terms) runs over the
-whole buffer, in chunks of rows; only the row sums run per slab.  The
-softmax rows are valid distributions by construction; each block is
-checked once for that, and a failure is an internal error, not a
-validation error.
+BLOCK_CELLS cells a side or at the end of the corpus.  The draws are
+numpy's, word for word, but not made by a numpy call per trial (_Draws):
+each size and prior is taken from the generator's raw PCG64 words by the
+rules numpy's integers and uniform apply, and the normals of trials that
+no such word separates are drawn in one standard_normal call, so two
+pairs whose sizes share a word share a call.  The per-trial reference
+draws of the tests and the golden verify files tie them to numpy's own.
+
+A block is flat: each side's rows lie in one buffer, grouped by alphabet
+size n (problem size k for the bound suites) into C-contiguous (m, n)
+slabs by ascending n, in trial order within a slab (kernel.FlatRows).
+Every elementwise step (softmax, the measure, Csiszar-sum and posterior
+terms) runs over the whole buffer, in chunks of rows; only the row sums
+run per slab.  The softmax rows are valid distributions by construction;
+each block is checked once for that, and a failure is an internal error,
+not a validation error.
 The sandwich suite then takes each bound of the block as one array
 (bounds.report_rows, which bisects a lower bound for all of the block's
 problems at once) and reduces the (problem, bound) slacks; the
@@ -88,10 +95,10 @@ SUITE_NAMES = (
 
 # The order the suites are handed to worker processes: longest first, so
 # that the short ones fill in behind.  At --trials 10000, seed 1, cold, on
-# one core of a 2-vCPU x86 host the suites take about 0.098, 0.085, 0.048,
-# 0.028, 0.011 and 0.002 s (medians of 8) in this order; with two workers
+# one core of a 2-vCPU x86 host the suites take about 0.056, 0.055, 0.043,
+# 0.026, 0.015 and 0.002 s (medians of 8) in this order; with two workers
 # the chains start at once and the sandwich suite follows the shorter, so
-# each worker runs about 0.14 s.
+# each worker runs about 0.10 s.
 _LONGEST_FIRST = (
     "eq7_chain",
     "eq39_chain",
@@ -119,9 +126,9 @@ BLOCK_CELLS = 1 << 16
 # time.  A larger one is a usage error, raised before anything is drawn.
 N_MAX_LIMIT = 1 << 20
 
-# The largest trials run_verify takes.  10^6 trials run in 9.3 s on a
-# 2-vCPU x86 host, so the limit takes about a minute and a half, and a
-# mistyped count is a usage error instead of a run of hours.
+# The largest trials run_verify takes.  10^6 trials run in 6.5 s on a
+# 2-vCPU x86 host, so the limit takes about a minute, and a mistyped
+# count is a usage error instead of a run of hours.
 TRIALS_LIMIT = 10**7
 
 
@@ -151,8 +158,10 @@ def random_strict_pair(
 ) -> Tuple[DiscreteDistribution, DiscreteDistribution]:
     """Strictly positive pair: normalised exponentials of standard normals.
 
-    The suites draw the same pairs a block at a time (_blocks); this
-    validated draw is the per-trial reference the tests hold them to.
+    The suites draw the same pairs a block at a time (_blocks), each n as
+    rng.integers(2, n_max + 1) draws it but from the generator's raw words;
+    this validated draw, with n from integers, is the per-trial reference
+    the tests hold them to.
     """
     p, q = _softmax_rows(rng.standard_normal((2, n)))
     return validate(p, STRICT), validate(q, STRICT)
@@ -162,8 +171,9 @@ def random_problem(rng: np.random.Generator, k: int) -> TwoClassProblem:
     """Priors uniform on (0.05, 0.95), conditionals softmax of standard normals.
 
     The bound suites draw the same problems a block at a time (_blocks with
-    priors); this validated draw is the per-trial reference the tests hold
-    them to.
+    priors), each k and prior as integers(2, K_MAX + 1) and this uniform
+    draw them but from the generator's raw words; this validated draw, with
+    k from integers, is the per-trial reference the tests hold them to.
     """
     p1 = float(rng.uniform(0.05, 0.95))
     c1, c2 = _softmax_rows(rng.standard_normal((2, k)))
@@ -216,38 +226,123 @@ class _Block:
         return self.first[c0:c1], self.second[c0:c1]
 
 
+_LOW32 = (1 << 32) - 1
+
+
+class _Draws:
+    """numpy 2's draws from a PCG64 generator, in numpy's order, taken from
+    its raw 64-bit words: sizes as integers(2, high + 1) draws them, priors
+    as uniform(low, high) does, and standard normals into a buffer.
+
+    A 32-bit draw is the low half of a fresh word, whose high half is kept
+    for the next 32-bit draw (PCG64's next_uint32).  A size is 2 plus a
+    32-bit draw u scaled to r = high - 1 values by Lemire's rule (ACM
+    TOMACS 29(1), 2019), floor(u r / 2^32): u is rejected, and the next
+    32-bit draw taken, when (u r) mod 2^32 is below 2^32 mod r.  At r = 1
+    no word is taken.  A prior takes one word w, as numpy's next_double
+    does: low + (high - low) (w >> 11) 2^-53.
+
+    Normals are reserved by raising `used`, the end of the buffer's
+    reserved cells.  They are drawn in one standard_normal call just before
+    the next fresh word is taken, or at end_block(), so the stream is
+    consumed in numpy's order.  The kept half lives here while the draws
+    last; close() writes it back into the generator's state, which is then
+    the state numpy's own draws leave.
+    """
+
+    __slots__ = (
+        "_bitgen", "_word", "_normal", "_out", "_r", "_threshold", "_drawn", "used", "_has",
+        "_kept",
+    )
+
+    def __init__(self, rng: np.random.Generator, high: int, out: np.ndarray):
+        self._bitgen = rng.bit_generator
+        self._r = high - 1
+        self._threshold = (1 << 32) % self._r
+        self._word, self._normal, self._out = self._bitgen.random_raw, rng.standard_normal, out
+        self._drawn = self.used = 0
+        state = self._bitgen.state
+        self._has, self._kept = bool(state["has_uint32"]), state["uinteger"]
+
+    def _normals(self) -> None:
+        if self._drawn < self.used:
+            self._normal(out=self._out[self._drawn : self.used])
+            self._drawn = self.used
+
+    def _fresh(self) -> int:
+        """The next 64-bit word, after the normals reserved before it."""
+        self._normals()
+        return self._word()
+
+    def size(self) -> int:
+        r = self._r
+        if r == 1:
+            return 2
+        while True:
+            if self._has:
+                u, self._has = self._kept, False
+            else:
+                w = self._fresh()
+                u, self._kept, self._has = w & _LOW32, w >> 32, True
+            m = u * r
+            if m & _LOW32 >= self._threshold:
+                return 2 + (m >> 32)
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * ((self._fresh() >> 11) * 2.0**-53)
+
+    def end_block(self) -> None:
+        """Draw the reserved normals; the next block fills the buffer afresh."""
+        self._normals()
+        self._drawn = self.used = 0
+
+    def close(self) -> None:
+        """Write the kept half back into the generator's state."""
+        state = self._bitgen.state
+        state["has_uint32"], state["uinteger"] = int(self._has), self._kept
+        self._bitgen.state = state
+
+
 def _blocks(
     trials: int, rng: np.random.Generator, n_max: int, priors: bool = False
 ) -> Iterator[_Block]:
     """The corpus in blocks, drawn as random_strict_pair draws pairs with n
     from integers(2, n_max + 1), or with priors as random_problem draws
-    problems (k, then its prior, then its normals).
+    problems (k, then its prior, then its normals): the same stream,
+    consumed in the same order, with each size and prior taken from the
+    generator's raw words and each run of normals with no word between
+    them in one call (_Draws).  The generator is left in the state the
+    per-trial draws leave.
 
     A block ends once its trials hold BLOCK_CELLS cells a side, or at the
     end of the corpus.  The normals of a block are drawn into one buffer,
     which the next block reuses, and a block's rows are released before
     the next block is drawn.  Each block is checked once (_check_block).
     """
-    integers, uniform, normal = rng.integers, rng.uniform, rng.standard_normal
     budget = 2 * BLOCK_CELLS
     raw = np.empty(2 * min(BLOCK_CELLS + n_max, trials * n_max))
+    draws = _Draws(rng, n_max, raw)
     start = 0
-    while start < trials:
-        sizes = []
-        drawn_priors = []
-        used = 0
-        while start + len(sizes) < trials and used < budget:
-            n = integers(2, n_max + 1)
-            if priors:
-                drawn_priors.append(float(uniform(0.05, 0.95)))
-            normal(out=raw[used : used + 2 * n])
-            used += 2 * n
-            sizes.append(n)
-        block = _flat_block(start, raw, np.array(sizes), np.array(drawn_priors) if priors else None)
-        _check_block(block)
-        yield block
-        block.first = block.second = None  # one block's rows are held at a time
-        start += len(sizes)
+    try:
+        while start < trials:
+            sizes = []
+            drawn_priors = []
+            while start + len(sizes) < trials and draws.used < budget:
+                n = draws.size()
+                if priors:
+                    drawn_priors.append(draws.uniform(0.05, 0.95))
+                draws.used += 2 * n
+                sizes.append(n)
+            draws.end_block()
+            block = _flat_block(
+                start, raw, np.array(sizes), np.array(drawn_priors) if priors else None
+            )
+            _check_block(block)
+            yield block
+            block.first = block.second = None  # one block's rows are held at a time
+            start += len(sizes)
+    finally:
+        draws.close()
 
 
 def _flat_block(

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import signal
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -316,6 +317,7 @@ def test_block_draws_equal_the_per_trial_draws(monkeypatch):
             p, q = block.trial(i)
             assert (p.tolist(), q.tolist()) == (P.probs.tolist(), Q.probs.tolist())
     assert blocks > 10
+    assert a.bit_generator.state == b.bit_generator.state
     assert a.random() == b.random()
 
     gens = report_generators((-1.0, 0.0, 0.5, 2.0))
@@ -336,7 +338,116 @@ def test_block_draws_equal_the_per_trial_draws(monkeypatch):
                 problem, gens
             )
     assert count == 60
+    assert a.bit_generator.state == b.bit_generator.state
     assert a.random() == b.random()
+
+
+def test_an_abandoned_corpus_leaves_the_per_trial_state(monkeypatch):
+    # a corpus closed after its first block leaves its generator where the
+    # block's per-trial draws leave theirs, the kept half of a word included
+    monkeypatch.setattr(verify, "BLOCK_CELLS", 40)
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    blocks = verify._blocks(60, a, 30)
+    for _ in range(len(next(blocks))):
+        random_strict_pair(b, int(b.integers(2, 31)))
+    blocks.close()
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.bit_generator.state["has_uint32"] == 1  # the block's three sizes took two words
+
+
+# ---------------------------------------------------------------------------
+# Sizes and priors from PCG64's raw words, against numpy's own draws
+# ---------------------------------------------------------------------------
+
+
+# 3 << 30 lies past N_MAX_LIMIT: there 2^32 mod r = 2^30 + 1, so about a
+# quarter of the 32-bit draws are rejected
+@pytest.mark.parametrize("high", [2, 3, 16, 17, 64, 300, 1 << 20, 3 << 30])
+@pytest.mark.parametrize("count", [1, 2, 1001])
+@pytest.mark.parametrize("kept", [False, True], ids=["fresh", "kept-half"])
+def test_sizes_are_numpys_integers(high, count, kept):
+    a, b = np.random.default_rng([7, high]), np.random.default_rng([7, high])
+    if kept:  # a 32-bit draw leaves its word's high half for the next one
+        a.integers(2, 10), b.integers(2, 10)
+        assert a.bit_generator.state["has_uint32"] == 1
+    draws = verify._Draws(a, high, np.empty(0))
+    got = [draws.size() for _ in range(count)]
+    draws.close()
+    assert got == [int(b.integers(2, high + 1)) for _ in range(count)]
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.random() == b.random()
+
+
+def test_priors_are_numpys_uniform():
+    # drawn as random_problem draws them: a size, then a prior, problem after problem
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    draws = verify._Draws(a, verify.K_MAX, np.empty(0))
+    got = [(draws.size(), draws.uniform(0.05, 0.95)) for _ in range(501)]
+    draws.close()
+    k_max = verify.K_MAX
+    want = [(int(b.integers(2, k_max + 1)), float(b.uniform(0.05, 0.95))) for _ in range(501)]
+    assert got == want
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_a_rejected_kept_half_lies_between_two_trials_normals(monkeypatch):
+    # at n_max 65027 (r = 65026, where 1 draw in 66,000 is rejected) seed
+    # [65036, 0]'s first word gives trial 0 its size from the low half, and
+    # its high half is rejected: trial 1's size comes from the next word,
+    # which the stream holds after trial 0's normals, in the same block
+    n_max, seed = 65027, [65036, 0]
+    r = n_max - 1
+    word = int(np.random.default_rng(seed).bit_generator.random_raw())
+    assert ((word >> 32) * r) % (1 << 32) < (1 << 32) % r
+    monkeypatch.setattr(verify, "BLOCK_CELLS", 2 * n_max)
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    blocks = 0
+    for block in verify._blocks(2, a, n_max):
+        blocks += 1
+        for i in range(2):
+            P, Q = random_strict_pair(b, int(b.integers(2, n_max + 1)))
+            p, q = block.trial(i)
+            assert (p.tolist(), q.tolist()) == (P.probs.tolist(), Q.probs.tolist())
+    assert blocks == 1
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+class _CountingGenerator:
+    """A generator whose method calls are counted by name."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+def _corpus_calls(trials, seed, n_max, priors=False):
+    """The blocks of a corpus and the generator calls that drew them."""
+    rng = _CountingGenerator(np.random.default_rng(seed))
+    blocks = sum(1 for _ in verify._blocks(trials, rng, n_max, priors))
+    return blocks, rng.calls
+
+
+def test_a_corpus_draws_its_sizes_and_priors_with_no_numpy_call():
+    # pairs whose sizes share a word share a standard_normal call
+    blocks, calls = _corpus_calls(10_000, [1, 0], 64)
+    assert set(calls) == {"standard_normal"}
+    assert calls["standard_normal"] <= math.ceil(10_000 / 2) + 2 * blocks
+    # at n_max 2 no size takes a word: one call a block
+    blocks, calls = _corpus_calls(999, [1, 0], 2)
+    assert dict(calls) == {"standard_normal": blocks}
+    # each prior's word lies between two problems' normals: one call a problem
+    _, calls = _corpus_calls(1000, [1, 3], verify.K_MAX, priors=True)
+    assert dict(calls) == {"standard_normal": 1000}
 
 
 def _with_bad_rows(flat_block, blocks):
