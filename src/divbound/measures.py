@@ -32,10 +32,11 @@ two base measures (_DIFF_COMBOS), a chain lists scaled base or difference
 measures (_CHAIN_LINKS), and a family at a limit order is the base measure
 that _limit_base names, so a pair has seven distinct base sums.  A family
 member at a regular order is a normalised row of _family_rows, which makes
-any set of orders in one pass and each power of p, q and (p+q)/2 in it
-once.  A BaseSums read (one measure, a list of them, or a chain) sums the
-bases it needs and the table lacks in one pass, and the family orders in
-one more, and keeps them.  The pair-level calls (measure_value,
+any set of orders in one pass: each power of p and q once, kept for its
+leaf, and (p+q)/2 once, its powers made where an order reads them.  A
+BaseSums read (one measure, a list of them, or a chain) sums the bases it
+needs and the table lacks in one pass, and the family orders in one more,
+and keeps them.  The pair-level calls (measure_value,
 base_measure, difference_measure, zeta, xi, chain_check) reuse the table of
 the most recent validated pair: when P and Q are the same objects as in the
 previous call and both probs arrays are read-only and own their data, as
@@ -47,9 +48,9 @@ there too.  Any other pair is summed afresh, to the same bits.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -260,15 +261,16 @@ def _base_rows(p: np.ndarray, q: np.ndarray, tags):
 _BASE_SCALES = {"h": 0.5, "d": -1.0, "Delta": 1.0, "Psi": 1.0, "J": 1.0, "I": 0.5, "T": 1.0}
 
 
-# The direct family terms read their powers of p, q and m = (p+q)/2 through
-# power(base, e), so one pass makes each power once for all its orders.
-# The direct term is inf*0 = nan where one power overflows and the other
-# underflows (|s| large, small masses); only those cells are recomputed in
-# the ratio form, which has no such product and gives 0 on a cell where
-# both masses vanish.
+# The direct family terms read their powers of p and q through power(base,
+# e), so one leaf of _family_rows makes each power once for all its orders,
+# and xi's powers of m = (p+q)/2, each read by one order, from the m the
+# leaf makes once.  The direct term is inf*0 = nan where one power overflows and the
+# other underflows (|s| large, small masses); only those cells are
+# recomputed in the ratio form, which has no such product and gives 0 on a
+# cell where both masses vanish.
 
 
-def _zeta_direct(power: Callable, s: float):
+def _zeta_direct(power: Callable, m: Optional[np.ndarray], s: float):
     return power("p", s) * power("q", 1.0 - s) + power("p", 1.0 - s) * power("q", s)
 
 
@@ -279,8 +281,8 @@ def _zeta_ratio(p: np.ndarray, q: np.ndarray, s: float):
     return np.where(hi > 0.0, hi * (r**s + r ** (1.0 - s)), 0.0)
 
 
-def _xi_direct(power: Callable, s: float):
-    return 0.5 * (power("p", 1.0 - s) + power("q", 1.0 - s)) * power("m", s)
+def _xi_direct(power: Callable, m: np.ndarray, s: float):
+    return 0.5 * (power("p", 1.0 - s) + power("q", 1.0 - s)) * m**s
 
 
 def _xi_ratio(p: np.ndarray, q: np.ndarray, s: float):
@@ -297,57 +299,23 @@ CATALOG_ORDERS = (-1.0, 0.5, 2.0)
 _CATALOG_FAMILY = tuple((tag, s) for tag in FAMILY_TAGS for s in CATALOG_ORDERS)
 
 
-class _Powers:
-    """power(base, e) for one pass over the (family, s) orders: the cells
-    of p, q or m = (p+q)/2 to the power e, made on the first read and
-    dropped after the last; m is made once and dropped after its last
-    power.  The reads are counted by running the orders' direct terms once
-    with 1.0 for every power."""
-
-    __slots__ = ("p", "q", "_m", "_m_left", "_reads", "_made")
-
-    def __init__(self, p: np.ndarray, q: np.ndarray, orders):
-        self.p, self.q = p, q
-        self._reads = Counter()
-        for family, s in orders:
-            _FAMILY_FORMS[family][0](self._count, s)
-        self._m = None
-        self._m_left = sum(base == "m" for base, _ in self._reads)  # m powers yet to make
-        self._made = {}
-
-    def _count(self, base: str, e: float) -> float:
-        self._reads[base, e] += 1
-        return 1.0
-
-    def __call__(self, base: str, e: float) -> np.ndarray:
-        key = base, e
-        x = self._made.get(key)
-        if x is None:
-            x = self._made[key] = self._base(base) ** e
-        self._reads[key] -= 1
-        if not self._reads[key]:
-            del self._made[key]
-        return x
-
-    def _base(self, base: str) -> np.ndarray:
-        if base != "m":
-            return self.p if base == "p" else self.q
-        m = 0.5 * (self.p + self.q) if self._m is None else self._m
-        self._m_left -= 1
-        self._m = m if self._m_left else None
-        return m
-
-
 def _family_rows(p: np.ndarray, q: np.ndarray, orders):
     """Yield the cell terms of each (family, s) at a regular order, in
-    order: direct per cell, its powers shared by all the orders, and ratio
-    where that is nan.  A cell where both masses vanish adds 0.0 (its
-    direct term is 0 or nan, and its ratio term is 0), so a single pair
-    sums the same cells as a row of a block."""
-    power = _Powers(p, q, orders)
+    order: direct per cell, and ratio where that is nan.  Each power of p
+    and q is made once and kept until the last order, m = (p+q)/2 once if
+    an xi order reads it, and each power of m where its order reads it.  A cell
+    where both masses vanish adds 0.0 (its direct term is 0 or nan, and its
+    ratio term is 0), so a single pair sums the same cells as a row of a
+    block."""
+
+    @functools.cache
+    def power(base: str, e: float) -> np.ndarray:
+        return (p if base == "p" else q) ** e
+
+    m = 0.5 * (p + q) if any(family == "xi" for family, _ in orders) else None
     for family, s in orders:
         direct, ratio, _ = _FAMILY_FORMS[family]
-        yield _mend(direct(power, s), (p, q), ratio, s)
+        yield _mend(direct(power, m, s), (p, q), ratio, s)
 
 
 class BaseSums:
