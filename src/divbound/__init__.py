@@ -6,9 +6,7 @@ from .kernel import (
     ArgumentError,
     DivboundError,
     DomainError,
-    OrderParameter,
     ProbeFailure,
-    Regime,
     convexity_probe,
     invert_decreasing,
     x_ln_x,

@@ -47,7 +47,6 @@ from .generators import LN2, GeneratingFunction, float_star, float_star_array, g
 from .kernel import (
     ArgumentError,
     DivboundError,
-    OrderParameter,
     invert_decreasing,
     invert_decreasing_rows,
     row_sum,
@@ -155,7 +154,7 @@ def _family_generator(family: str, s) -> GeneratingFunction:
     # cached by (family, s): the pointwise forms resolve it on every call
     if family not in FAMILY_TAGS:
         raise ArgumentError(f"unknown family {family!r} (expected 'zeta' or 'xi')")
-    return generator(MeasureId(family, OrderParameter.of(s).s))
+    return generator(MeasureId(family, s))
 
 
 def zeta_point(s, a: float) -> float:
@@ -312,7 +311,7 @@ def _family_upper_note(family: str, s) -> int:
     if math.isfinite(_family_generator(family, s).f_infinity):
         return _NO_NOTE
     # below s = -1045 the xi constant (2^(-s) - 1)/(2s(s-1)) overflows
-    if family == "xi" and OrderParameter.of(s).s < 0.0:
+    if family == "xi" and float(s) < 0.0:
         return _XI_F_INF_OVERFLOWS
     return _ZETA_NO_UPPER if family == "zeta" else _XI_NO_UPPER
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence
 
-from .kernel import DivboundError, OrderParameter, Regime
+from .kernel import DivboundError, _limit_order
 
 
 class ParseFailure(DivboundError, ValueError):
@@ -94,11 +94,9 @@ def _read(path: str) -> str:
         raise ParseFailure(f"{path}: {exc.strerror or exc}")
 
 
-_LIMIT_ORDERS = {Regime.AT_ZERO: 0.0, Regime.AT_ONE: 1.0}
-
-
 def _snap(s: float) -> float:
-    return _LIMIT_ORDERS.get(OrderParameter(s).regime, s)
+    order = _limit_order(s)
+    return s if order is None else order
 
 
 # The most points a range spec a:b:n may name, checked before the grid is

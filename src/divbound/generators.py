@@ -13,6 +13,9 @@ error.  Finiteness of f_inf is what gates the existence of that bound.
 The catalog is closed: base measures, the two families at any order s (at
 a limit order, the base generator that measures._limit_base names), and
 the six difference measures (the pointwise combinations of _DIFF_COMBOS).
+_build takes the order as MeasureId checked it, a finite float, and makes
+a regular family member's libm-pow form beside it (_LIBM_FORMS), so that
+float_star_array finds that form by the generator's fn.
 
 Every evaluation of f* runs here, as the Csiszar cell term q f(p/q) at
 (p, q) = (1 - x, x): _mirrored's one rule recomputes every non-finite
@@ -40,14 +43,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .distributions import STRICT, DiscreteDistribution, require_same_alphabet
-from .kernel import (
-    DivboundError,
-    DomainError,
-    OrderParameter,
-    convexity_probe,
-    order_divisors,
-    row_sum,
-)
+from .kernel import DivboundError, DomainError, convexity_probe, order_divisors, row_sum
 from .measures import _DIFF_COMBOS, BASE_TAGS, CATALOG_ORDERS, DIFF_TAGS, FAMILY_TAGS, MeasureId
 from .measures import _frozen, _limit_base, _pair_sums
 
@@ -203,33 +199,33 @@ def _f_xi(s: float, power: Callable = operator.pow) -> Callable:
 
 def zeta_f_inf(s) -> float:
     """f_inf of the first family: finite only for 0 < s < 1 (regular)."""
-    op = OrderParameter.of(s)
-    base = _limit_base("zeta", op)
+    s = MeasureId("zeta", s).s
+    base = _limit_base("zeta", s)
     if base is None:
-        return -1.0 / (op.s * (op.s - 1.0)) if 0.0 < op.s < 1.0 else INF
+        return -1.0 / (s * (s - 1.0)) if 0.0 < s < 1.0 else INF
     return _BASE_SPECS[base][1]
 
 
 def xi_f_inf(s) -> float:
     """f_inf of the second family: finite for s < 1, infinite for s >= 1."""
-    op = OrderParameter.of(s)
-    base = _limit_base("xi", op)
+    s = MeasureId("xi", s).s
+    base = _limit_base("xi", s)
     if base is not None:
         return _BASE_SPECS[base][1]
-    if op.s >= 1.0:
+    if s >= 1.0:
         return INF
     try:
-        return (2.0 ** (-op.s) - 1.0) / (2.0 * op.s * (op.s - 1.0))
+        return (2.0 ** (-s) - 1.0) / (2.0 * s * (s - 1.0))
     except OverflowError:
         pass
     # 2^(-s) overflows below s = -1024, while the quotient is finite down to
     # s = -1045: carry the powers of two of 2^(-s), s and s - 1 as one
     # exponent (the -1 lies far below an ulp there)
-    k = math.floor(-op.s)
-    m_s, e_s = math.frexp(op.s)
-    m_t, e_t = math.frexp(op.s - 1.0)
+    k = math.floor(-s)
+    m_s, e_s = math.frexp(s)
+    m_t, e_t = math.frexp(s - 1.0)
     try:
-        return math.ldexp(2.0 ** (-op.s - k) / (2.0 * m_s * m_t), k - e_s - e_t)
+        return math.ldexp(2.0 ** (-s - k) / (2.0 * m_s * m_t), k - e_s - e_t)
     except OverflowError:
         return INF
 
@@ -247,6 +243,10 @@ _BASE_SPECS = {
 
 _FAMILY_FNS = {"zeta": _f_zeta, "xi": _f_xi}
 _FAMILY_F_INF = {"zeta": zeta_f_inf, "xi": xi_f_inf}
+
+# The libm-pow form (_float_pow) of each regular family generator _build
+# made, by the generator's fn: float_star_array's form of that generator.
+_LIBM_FORMS = {}
 
 
 def _combine(terms):
@@ -278,11 +278,14 @@ def _build(tag: str, s: float | None) -> GeneratingFunction:
             fn=_combo_fn(combo),
             f_infinity=sum(c * _BASE_SPECS[base][1] for c, base in combo),
         )
-    # a family tag: MeasureId admits no other
-    op = OrderParameter.of(s)
-    base = _limit_base(tag, op)
-    fn = _FAMILY_FNS[tag](op.s) if base is None else _BASE_SPECS[base][0]
-    return GeneratingFunction(key=f"{tag}:{s!r}", fn=fn, f_infinity=_FAMILY_F_INF[tag](op))
+    # a family tag at a finite float order: MeasureId admits no other
+    base = _limit_base(tag, s)
+    if base is None:
+        fn = _FAMILY_FNS[tag](s)
+        _LIBM_FORMS[fn] = _FAMILY_FNS[tag](s, _float_pow)
+    else:
+        fn = _BASE_SPECS[base][0]
+    return GeneratingFunction(key=f"{tag}:{s!r}", fn=fn, f_infinity=_FAMILY_F_INF[tag](s))
 
 
 def generator(measure: Union[MeasureId, str]) -> GeneratingFunction:
@@ -354,16 +357,13 @@ def float_star_array(g: GeneratingFunction) -> Callable[[np.ndarray], np.ndarray
     """float_star(g) on an array of points in (0, 1), bit for bit per point.
 
     The form runs in numpy, a family member at a regular order taking its
-    powers from libm's pow in one C loop (_float_pow); every other
-    generator is numpy arithmetic, log and sqrt, which give an array the
-    bits they give a float.  Points below _FLOAT_FORM_MIN and points where
-    the form is not finite (a power or the product overflowed) take
-    _star_cells, as from _star_float.
+    powers from libm's pow in one C loop (its _LIBM_FORMS entry, found by
+    g.fn, whatever g's key); every other generator is numpy arithmetic,
+    log and sqrt, which give an array the bits they give a float.  Points
+    below _FLOAT_FORM_MIN and points where the form is not finite (a power
+    or the product overflowed) take _star_cells, as from _star_float.
     """
-    mid = MeasureId.parse(g.key)
-    fn = g.fn
-    if mid.tag in FAMILY_TAGS and _limit_base(mid.tag, mid.s) is None:
-        fn = _FAMILY_FNS[mid.tag](mid.s, _float_pow)
+    fn = _LIBM_FORMS.get(g.fn, g.fn)
 
     def f(x: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -1,9 +1,9 @@
 """Shared numeric primitives.
 
-Everything downstream leans on six things defined here: the limit-band
-classification of the family order parameter s (the closed-form limit rows
-are used inside a band of half-width SWITCH_EPS around s = 0 and s = 1,
-because the 1/(s(s-1)) normalisation cancels catastrophically there;
+Everything downstream leans on six things defined here: the band rule of
+the family order parameter s, _limit_order (the closed-form limit rows are
+used inside a band of half-width SWITCH_EPS around s = 0 and s = 1, because
+the 1/(s(s-1)) normalisation cancels catastrophically there;
 order_divisors splits that normalisation in two where s(s-1) overflows), the
 continuous extension of x*ln(x) at zero, the cache-blocked cell sum that
 every measure, Csiszar sum and posterior average reduces with, one row or
@@ -22,13 +22,11 @@ CPUs, and joins every helper before it returns or raises.
 from __future__ import annotations
 
 import contextvars
-import enum
 import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -100,34 +98,14 @@ class ProbeFailure(DivboundError):
         return type(self), (self.x, self.value), self.__dict__
 
 
-class Regime(enum.Enum):
-    AT_ZERO = "at_zero"
-    AT_ONE = "at_one"
-    REGULAR = "regular"
-
-
-@dataclass(frozen=True)
-class OrderParameter:
-    """Real family index s together with its limit-point classification."""
-
-    s: float
-
-    @property
-    def regime(self) -> Regime:
-        if abs(self.s) < SWITCH_EPS:
-            return Regime.AT_ZERO
-        if abs(self.s - 1.0) < SWITCH_EPS:
-            return Regime.AT_ONE
-        return Regime.REGULAR
-
-    @classmethod
-    def of(cls, value: Union[float, "OrderParameter"]) -> "OrderParameter":
-        if isinstance(value, OrderParameter):
-            return value
-        s = float(value)
-        if not math.isfinite(s):
-            raise DomainError(f"order parameter must be finite, got {s!r}")
-        return cls(s)
+def _limit_order(s: float) -> Optional[float]:
+    """The limit order, 0.0 or 1.0, whose band of half-width SWITCH_EPS
+    holds the order s, or None at a regular order: the one band rule."""
+    if abs(s) < SWITCH_EPS:
+        return 0.0
+    if abs(s - 1.0) < SWITCH_EPS:
+        return 1.0
+    return None
 
 
 def order_divisors(s: float) -> tuple:

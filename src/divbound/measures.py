@@ -31,6 +31,8 @@ _base_rows, which makes any set of them in one pass.  A difference combines
 two base measures (_DIFF_COMBOS), a chain lists scaled base or difference
 measures (_CHAIN_LINKS), and a family at a limit order is the base measure
 that _limit_base names, so a pair has seven distinct base sums.  A family
+member's order is checked and made a float once, by MeasureId, and
+kernel._limit_order is the one rule that puts it in a limit band.  A family
 member at a regular order is a normalised row of _family_rows, which makes
 any set of orders in one pass: each power of p and q once, kept for its
 leaf, and (p+q)/2 once, its powers made where an order reads them.  A
@@ -57,7 +59,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .distributions import DiscreteDistribution, require_same_alphabet
-from .kernel import ArgumentError, OrderParameter, Regime, order_divisors, row_sum
+from .kernel import ArgumentError, DomainError, _limit_order, order_divisors, row_sum
 
 # Relative slack tolerance for the inequality chains, scaled by the larger
 # side: absolute slacks shrink quadratically as P -> Q.
@@ -98,7 +100,11 @@ _ALIASES.update({t.lower(): t for t in DIFF_TAGS})
 
 @dataclass(frozen=True)
 class MeasureId:
-    """Tag naming one measure: a base symbol, a family member, or a difference."""
+    """Tag naming one measure: a base symbol, a family member, or a difference.
+
+    A family member's order s is checked and made a float here, once: every
+    later reader takes it as a finite float.
+    """
 
     tag: str
     s: Optional[float] = None
@@ -107,6 +113,10 @@ class MeasureId:
         if self.tag in FAMILY_TAGS:
             if self.s is None:
                 raise ArgumentError(f"family tag {self.tag!r} requires an s value")
+            s = float(self.s)
+            if not math.isfinite(s):
+                raise DomainError(f"order parameter must be finite, got {s!r}")
+            object.__setattr__(self, "s", s)  # frozen: set once, before any reader
         elif self.tag in BASE_TAGS or self.tag in DIFF_TAGS:
             if self.s is not None:
                 raise ArgumentError(f"tag {self.tag!r} carries no s value")
@@ -141,16 +151,13 @@ class MeasureId:
 
 
 # The base measure each family equals at the limit orders s = 0 and s = 1.
-_LIMIT_BASES = {
-    "zeta": {Regime.AT_ZERO: "J", Regime.AT_ONE: "J"},
-    "xi": {Regime.AT_ZERO: "I", Regime.AT_ONE: "T"},
-}
+_LIMIT_BASES = {"zeta": {0.0: "J", 1.0: "J"}, "xi": {0.0: "I", 1.0: "T"}}
 
 
-def _limit_base(family: str, s) -> Optional[str]:
+def _limit_base(family: str, s: float) -> Optional[str]:
     """The base tag that family member s reduces to inside the limit band of
-    s = 0 or s = 1, or None at a regular order."""
-    return _LIMIT_BASES[family].get(OrderParameter.of(s).regime)
+    s = 0 or s = 1 (kernel._limit_order), or None at a regular order."""
+    return _LIMIT_BASES[family].get(_limit_order(s))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +387,7 @@ class BaseSums:
         """Any measure, reduced over the last axis like the kernels."""
         terms = _base_terms(mid)
         if terms is None:
-            order = _family_order(mid)
+            order = mid.tag, mid.s
             return self._families((order,))[order]
         sums = self._bases([t for _, t in terms])
         if len(terms) == 1:
@@ -392,7 +399,7 @@ class BaseSums:
         """Each of the measures, in order; the base sums they read are made
         in one pass, and the family sums in one more."""
         self._bases({t for mid in mids for _, t in _base_terms(mid) or ()})
-        self._families([_family_order(mid) for mid in mids if _base_terms(mid) is None])
+        self._families([(mid.tag, mid.s) for mid in mids if _base_terms(mid) is None])
         return [self.measure(mid) for mid in mids]
 
     def chain(self, which: str) -> list:
@@ -401,11 +408,6 @@ class BaseSums:
         if links is None:
             raise ArgumentError(f"unknown chain {which!r} (expected 'eq7' or 'eq39')")
         return [c * v for (_, c, _), v in zip(links, self.measures([m for _, _, m in links]))]
-
-
-def _family_order(mid: MeasureId) -> tuple:
-    """A family member's key in the table: (family, s)."""
-    return mid.tag, OrderParameter.of(mid.s).s
 
 
 def _base_terms(mid: MeasureId):
@@ -467,12 +469,12 @@ def base_measure(
 
 def zeta(s, P: DiscreteDistribution, Q: DiscreteDistribution) -> float:
     """First family: interpolates Psi/2 (s = -1, 2), J (s = 0, 1), 8h (s = 1/2)."""
-    return _value(MeasureId("zeta", OrderParameter.of(s).s), P, Q)
+    return _value(MeasureId("zeta", s), P, Q)
 
 
 def xi(s, P: DiscreteDistribution, Q: DiscreteDistribution) -> float:
     """Second family: Delta/4 (s = -1), I (s = 0), 4d (s = 1/2), T (s = 1), Psi/16 (s = 2)."""
-    return _value(MeasureId("xi", OrderParameter.of(s).s), P, Q)
+    return _value(MeasureId("xi", s), P, Q)
 
 
 def difference_measure(

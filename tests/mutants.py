@@ -40,7 +40,9 @@ class Mutant(NamedTuple):
     tests: Tuple[str, ...]  # pytest node ids; each must fail in some case
 
 
+KERNEL = "src/divbound/kernel.py"
 MEASURES = "src/divbound/measures.py"
+GENERATORS = "src/divbound/generators.py"
 VERIFY = "src/divbound/verify.py"
 FAMILY_BITS = "tests/test_measures.py::TestOneFamilyPass::test_every_order_keeps_its_bits"
 FAMILIES = "tests/test_measures.py::TestFamilies::"
@@ -112,6 +114,36 @@ MUTANTS = {
             "tests/test_measures.py::TestPermissiveZeros::test_finite_measures_stay_finite",
             "tests/test_generators.py::TestCsiszarSum::test_zero_conventions_match_direct_measures",
         ),
+    ),
+    # the family order (kernel._limit_order, measures.MeasureId, _LIMIT_BASES)
+    "band-edge-inside-the-band": Mutant(
+        KERNEL,
+        "    if abs(s) < SWITCH_EPS:\n",
+        "    if abs(s) <= SWITCH_EPS:\n",
+        ("tests/test_kernel.py::TestOrderParameter::test_regular",),
+    ),
+    "xi-limit-bases-swapped": Mutant(
+        MEASURES,
+        '"xi": {0.0: "I", 1.0: "T"}',
+        '"xi": {0.0: "T", 1.0: "I"}',
+        ("tests/test_measures.py::TestLimitOrders::test_inside_the_band",),
+    ),
+    "measure-id-order-unchecked": Mutant(
+        MEASURES,
+        "            if not math.isfinite(s):\n"
+        '                raise DomainError(f"order parameter must be finite, got {s!r}")\n',
+        "",
+        (
+            "tests/test_measures.py::TestMeasureId::test_family_order_must_be_finite",
+            "tests/test_kernel.py::TestOrderParameter::test_non_finite_rejected",
+        ),
+    ),
+    # the lockstep lower bounds (generators.float_star_array)
+    "lockstep-libm-form-bypassed": Mutant(
+        GENERATORS,
+        "    fn = _LIBM_FORMS.get(g.fn, g.fn)\n",
+        "    fn = g.fn\n",
+        ("tests/test_bounds.py::TestLockstepLowerBounds::test_evaluator_is_the_float_path",),
     ),
     # verify's draws from PCG64's raw words (verify._Draws, verify._blocks)
     "draws-kept-half-not-rejection-tested": Mutant(

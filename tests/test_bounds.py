@@ -38,7 +38,14 @@ from divbound import generators as generators_mod
 from divbound import kernel
 from divbound.distributions import ValidationFailure
 from divbound.kernel import DomainError, invert_decreasing
-from divbound.generators import float_star, float_star_array, generator, star, xi_f_inf
+from divbound.generators import (
+    GeneratingFunction,
+    float_star,
+    float_star_array,
+    generator,
+    star,
+    xi_f_inf,
+)
 from divbound.measures import DIFF_TAGS, MeasureId, _limit_base
 
 LN2 = math.log(2.0)
@@ -436,6 +443,15 @@ class TestLockstepLowerBounds:
             values, codes = bounds_mod.lower_bounds(g, [average] * count)
             got = [(v, bounds_mod.NOTES[c]) for v, c in zip(values.tolist(), codes.tolist())]
             assert repr(got) == repr([_scalar_lower(g, average)] * count)
+
+    @pytest.mark.parametrize("key", ["h", "zeta:0.3"])
+    def test_a_renamed_generator_keeps_the_lockstep(self, key):
+        # the lockstep finds its form by the generator's fn, not by its key:
+        # a key outside the catalog bisects as the catalog member does
+        g = generator(key)
+        renamed = GeneratingFunction(f"my-{key}", g.fn, g.f_infinity)
+        f = float_star(renamed)
+        _lockstep_equals_scalar(renamed, [f(0.05), f(0.3)])
 
     def test_no_targets(self):
         values, codes = bounds_mod.lower_bounds(bounds_mod._family_generator("xi", 0.5), [])

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -128,6 +130,27 @@ class TestCatalog:
     def test_unknown_key(self):
         with pytest.raises(ArgumentError):
             generator("nope")
+
+    @pytest.mark.parametrize("orders", [("3", "3.0"), ("3.0", "3")])
+    def test_a_key_does_not_depend_on_the_orders_built_before(self, orders):
+        # a fresh process, so that no earlier call has built zeta at 3 yet:
+        # the int and the float order are one generator, keyed by the float
+        run = subprocess.run(
+            [sys.executable, "-c", _KEYS_IN_A_FRESH_PROCESS, *orders],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["zeta:3.0", "zeta:3.0"]
+
+
+# The key of zeta's generator at each order in argv, built in that order; an
+# order written "3" is the int 3.
+_KEYS_IN_A_FRESH_PROCESS = """
+import sys
+from divbound import MeasureId, generator
+orders = [int(a) if a.isdigit() else float(a) for a in sys.argv[1:]]
+print(*(generator(MeasureId("zeta", s)).key for s in orders))
+"""
 
 
 def _folded_xi(s: float, u):

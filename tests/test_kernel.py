@@ -14,16 +14,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import set_cpus
-from divbound import kernel
+from divbound import generators, kernel
 from divbound.kernel import (
     SUM_LEAF,
     SWITCH_EPS,
     ArgumentError,
     DomainError,
-    OrderParameter,
     ProbeFailure,
-    Regime,
     FlatRows,
+    _limit_order,
     convexity_probe,
     invert_decreasing,
     invert_decreasing_rows,
@@ -64,25 +63,27 @@ class TestXLnX:
 
 
 class TestOrderParameter:
+    """The band rule, _limit_order: the limit order whose band holds s."""
+
     @pytest.mark.parametrize("s", [0.0, 1e-7, -9.9e-7])
     def test_at_zero(self, s):
-        assert OrderParameter.of(s).regime is Regime.AT_ZERO
+        assert _limit_order(s) == 0.0
 
     @pytest.mark.parametrize("s", [1.0, 1.0 + 1e-7, 1.0 - 9.9e-7])
     def test_at_one(self, s):
-        assert OrderParameter.of(s).regime is Regime.AT_ONE
+        assert _limit_order(s) == 1.0
 
     @pytest.mark.parametrize("s", [0.5, -1.0, 2.0, 1e-5, 1.0 + 1e-5, SWITCH_EPS])
     def test_regular(self, s):
-        assert OrderParameter.of(s).regime is Regime.REGULAR
+        assert _limit_order(s) is None
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            OrderParameter.of(math.inf)
-
-    def test_idempotent(self):
-        op = OrderParameter.of(0.3)
-        assert OrderParameter.of(op) is op
+        # the order is checked where it enters, by MeasureId, and so by the
+        # f_inf functions that take a bare order
+        for f_inf in (generators.zeta_f_inf, generators.xi_f_inf):
+            for s in (math.inf, -math.inf, math.nan):
+                with pytest.raises(DomainError, match="^order parameter must be finite"):
+                    f_inf(s)
 
 
 class TestInvertDecreasing:

@@ -19,7 +19,7 @@ from divbound.distributions import (
     validate,
 )
 from divbound.generators import CATALOG_KEYS, csiszar_rows, csiszar_sum, generator
-from divbound.kernel import ArgumentError
+from divbound.kernel import ArgumentError, DomainError
 from divbound.measures import (
     BASE_TAGS,
     DIFF_TAGS,
@@ -106,6 +106,20 @@ class TestMeasureId:
             MeasureId("zeta")
         with pytest.raises(ArgumentError):
             MeasureId("h", 0.5)
+
+    def test_family_order_is_a_float(self):
+        for s in (np.float64(0.5), 3, 0.5):
+            mid = MeasureId("xi", s)
+            assert type(mid.s) is float and mid.s == s
+
+    def test_family_order_must_be_finite(self):
+        # a bare order is a domain error; an order in a spec string is an
+        # argument error, as every other bad spec is
+        for s in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=r"^order parameter must be finite, got "):
+                MeasureId("zeta", s)
+        with pytest.raises(ArgumentError):
+            MeasureId.parse("zeta:inf")
 
 
 class TestBaseMeasures:
