@@ -18,13 +18,14 @@ certified lower and upper error bounds:
     too large for a double gives the vacuous bound 1/2, flagged.
 
 Every posterior form is the star transform f*(a) = a f((1-a)/a) of the
-catalog generator, evaluated by generators (star_extended for averages,
+catalog generator, evaluated by generators (_star_rows for averages,
 float_star and float_star_array for bisections); this module averages,
-inverts and assembles, and restates no generator or form of f*.  Stage 2,
-report_rows, turns the averages of m problems into bound columns: arrays
-of values and of note codes into NOTES, lower bounds from lower_bounds
-(one average bisected in floats, two or more in lockstep, with the same
-bits) and upper bounds from _upper_bounds.
+inverts and assembles, and restates no generator or form of f*.  Stage 1,
+posterior_averages, sums all the generators of a report or a sweep's grid
+in one leaf pass.  Stage 2, report_rows, turns the averages of m problems
+into bound columns: arrays of values and of note codes into NOTES, lower
+bounds from lower_bounds (one average bisected in floats, two or more in
+lockstep, with the same bits) and upper bounds from _upper_bounds.
 Outcomes with zero marginal mass are excluded from every expectation.
 """
 
@@ -44,6 +45,7 @@ from .distributions import (
     validate,
 )
 from .generators import LN2, GeneratingFunction, float_star, float_star_array, generator, star_extended
+from .generators import _star_rows
 from .kernel import (
     ArgumentError,
     DivboundError,
@@ -149,9 +151,13 @@ def bayes_error(problem: TwoClassProblem) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _family_generator(family: str, s) -> GeneratingFunction:
-    # cached by (family, s): the pointwise forms resolve it on every call
+    # cached by family, s and its sign (0.0 == -0.0): the pointwise forms call it
+    return _signed_family_generator(family, s, str(s).startswith("-"))
+
+
+@lru_cache(maxsize=None)
+def _signed_family_generator(family: str, s, negative: bool) -> GeneratingFunction:
     if family not in FAMILY_TAGS:
         raise ArgumentError(f"unknown family {family!r} (expected 'zeta' or 'xi')")
     return generator(MeasureId(family, s))
@@ -185,14 +191,16 @@ def posterior_averages(
     Stage 1 of a bound report.  Every outcome must be live (px > 0); an
     (m, k) block gives each of m problems' averages, bit-identical to the
     problem on its own, and reduce=FlatRows.row_sum the averages of the
-    rows of flat buffers.
+    rows of flat buffers.  The generators share one pass, each with the
+    bits of px * star_extended(g, a2) summed on its own.
     """
-    reduce = reduce or row_sum
-    return {g.key: reduce(_average_term, px, a2, g) for g in gens}
+    gens = {g.key: g for g in gens}
+    return dict(zip(gens, (reduce or row_sum)(_average_rows, px, a2, tuple(gens.values()))))
 
 
-def _average_term(px: np.ndarray, a2: np.ndarray, g: GeneratingFunction) -> np.ndarray:
-    return px * star_extended(g, a2)
+def _average_rows(px: np.ndarray, a2: np.ndarray, gens: tuple):
+    for row in _star_rows(gens, a2):
+        yield px * row
 
 
 def problem_averages(problem: TwoClassProblem, gens: Iterable[GeneratingFunction]) -> dict:
@@ -371,10 +379,23 @@ def family_bounds(
 ) -> Tuple[float, Tuple[float, str], Optional[Tuple[float, str]]]:
     """(averaged value, (lower bound, note), (upper bound, note) or None if
     unavailable) of one family member, all from one posterior average."""
-    g = _family_generator(family, s)
-    v = average_f_divergence(problem, g)
-    upper = None if _family_upper_note(family, s) else _single(*_upper_bounds(g, [v]))
-    return v, _single(*lower_bounds(g, [v])), upper
+    return family_grid_bounds(problem, family, (s,))[0]
+
+
+def family_grid_bounds(
+    problem: TwoClassProblem, family: str, s_grid: Sequence[float]
+) -> List[Tuple[float, Tuple[float, str], Optional[Tuple[float, str]]]]:
+    """family_bounds at each order of s_grid, bit for bit: stage 1 averages
+    the grid's generators in one pass, each resolved (or raising) before
+    stage 2 bounds any order from its own average."""
+    gens = [_family_generator(family, s) for s in s_grid]
+    averages = problem_averages(problem, gens)
+    rows = []
+    for s, g in zip(s_grid, gens):
+        v = averages[g.key]
+        upper = None if _family_upper_note(family, s) else _single(*_upper_bounds(g, [v]))
+        rows.append((v, _single(*lower_bounds(g, [v])), upper))
+    return rows
 
 
 # ---------------------------------------------------------------------------

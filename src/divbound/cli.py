@@ -17,11 +17,13 @@ reported with its type and exit code as it would be in this process, its
 worker traceback attached.  A worker that ends without its suite's result
 is an internal error (exit 4).  verify reads no input file, so it never
 exits 3: a drawn row that is not a distribution is an internal error too.
+The argument parser is built once per process and serves every main call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -62,6 +64,7 @@ def _default_seed() -> int:
     raise ArgumentError(f"DIVBOUND_SEED must be an integer >= 0, got {env!r}")
 
 
+@functools.cache  # parse_args changes nothing in the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divbound",
@@ -158,11 +161,10 @@ def _cmd_sweep(args) -> int:
     if ":" not in args.s_grid:
         raise ArgumentError("sweep requires a range spec a:b:n for --s-grid")
     grid = parse_s_grid(args.s_grid)
-    rows = []
-    for s in grid:
-        averaged, (lower, _note), upper = _bounds.family_bounds(problem, args.family, s)
-        upper_cell = "n/a" if upper is None else fmt_real(upper[0])
-        rows.append((fmt_real(s), fmt_real(averaged), fmt_real(lower), upper_cell))
+    rows = [
+        (fmt_real(s), fmt_real(avg), fmt_real(lower), "n/a" if upper is None else fmt_real(upper[0]))
+        for s, (avg, (lower, _), upper) in zip(grid, _bounds.family_grid_bounds(problem, args.family, grid))
+    ]
     sys.stdout.write(render_rows(("s", "averaged", "lower", "upper"), rows, args.format))
     return EXIT_OK
 

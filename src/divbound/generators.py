@@ -20,12 +20,14 @@ float_star_array finds that form by the generator's fn.
 Every evaluation of f* runs here, as the Csiszar cell term q f(p/q) at
 (p, q) = (1 - x, x): _mirrored's one rule recomputes every non-finite
 value of either as p f(q/p), equal by star symmetry, unless that is nan.
-_star_cells is f* on arrays; _star_float and the lockstep form of
-float_star_array, which gives each point _star_float's bits, hand the
-points where their own form is not finite, or too near 0 to run quietly,
-to _star_cells.  csiszar_sum sums the 19 catalog generators of a validated
-pair in one row_sum pass, which yields a row of cell terms per generator
-in CATALOG_KEYS order: the table's rows are the catalog's keys.  Each leaf
+_star_cells is f* on arrays, and _star_rows f* of several generators on
+one array in [0, 1], sharing its 1 - x and (1 - x)/x: star_extended and
+the bounds' averaging pass take it.  _star_float and float_star_array's
+lockstep form (each point with _star_float's bits) hand _star_cells the
+points where their own form is not finite or too near 0 to run quietly.
+csiszar_sum sums the 19 catalog generators of a validated pair in one
+row_sum pass, which yields a row of cell terms per generator in
+CATALOG_KEYS order: the table's rows are the catalog's keys.  Each leaf
 of the pass makes u = p/q once, the xi orders share u + 1's derived
 terms, and zeta:2 yields zeta:-1's row, which its generator makes bit for
 bit.  Each generator's formula is written once, in its closure, which the
@@ -265,7 +267,8 @@ def _combo_fn(combo) -> Callable:
 
 
 @lru_cache(maxsize=None)
-def _build(tag: str, s: float | None) -> GeneratingFunction:
+def _build(tag: str, s: float | None, negative: bool = False) -> GeneratingFunction:
+    # negative (the sign of s) only keys the cache, as 0.0 and -0.0 are equal keys
     if tag in BASE_TAGS:
         fn, finf = _BASE_SPECS[tag]
         return GeneratingFunction(key=tag, fn=fn, f_infinity=finf)
@@ -291,7 +294,7 @@ def _build(tag: str, s: float | None) -> GeneratingFunction:
 def generator(measure: Union[MeasureId, str]) -> GeneratingFunction:
     """Return the generator whose discrete sum reproduces the measure."""
     mid = measure if isinstance(measure, MeasureId) else MeasureId.parse(measure)
-    return _build(mid.tag, mid.s)
+    return _build(mid.tag, mid.s, mid.s is not None and math.copysign(1.0, mid.s) < 0.0)
 
 
 def star(g: GeneratingFunction, x):
@@ -383,10 +386,24 @@ def star_extended(g: GeneratingFunction, x):
             return g.f_infinity
         return star(g, x)
     arr = np.asarray(x, dtype=float)
-    out = np.full(arr.shape, g.f_infinity)
-    inner = (arr != 0.0) & (arr != 1.0)
-    out[inner] = star(g, arr[inner])
-    return out
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise DomainError("star transform requires 0 < x < 1")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return next(_star_rows((g,), arr))
+
+
+def _star_rows(gens, a: np.ndarray):
+    """Yield star_extended(g, a) for each g of gens, unchecked and with no
+    errstate of its own: f_inf at the endpoints of [0, 1], _star_cells'
+    cell terms inside, from one endpoint mask, 1 - a and (1 - a)/a."""
+    inner = (a != 0.0) & (a != 1.0)
+    x = a[inner]
+    p = 1.0 - x
+    u = p / x
+    for g in gens:
+        row = np.full(a.shape, g.f_infinity)
+        row[inner] = _mirrored(x * np.asarray(g.fn(u), dtype=float), p, x, g.fn)
+        yield row
 
 
 def limit_constants(g: GeneratingFunction) -> float:

@@ -90,6 +90,37 @@ def catalog_passes():
     ]
 
 
+def own_average_sums(px, a2, g, reduce):
+    """The averaging sums of one generator g on its own, as reduce sums
+    them (kernel.row_sum or a FlatRows.row_sum): px * f*(a2), with f* from
+    star() inside (0, 1) and f_inf at the endpoints, sharing nothing with
+    another generator.  An independent form of px * star_extended(g, a2)."""
+    from divbound.generators import star
+
+    def term(px, a2):
+        row = np.full(a2.shape, g.f_infinity)
+        inner = (a2 != 0.0) & (a2 != 1.0)
+        row[inner] = star(g, a2[inner])
+        return px * row
+
+    return reduce(term, px, a2)
+
+
+def assert_one_pass_is_each_own(px, a2, gens, reduce):
+    """posterior_averages of gens in one pass equals, bit for bit, each
+    generator's own_average_sums and its px * star_extended(g, a2) sums."""
+    from divbound.bounds import posterior_averages
+    from divbound.generators import star_extended
+
+    averages = posterior_averages(px, a2, gens, reduce)
+    assert list(averages) == list(dict.fromkeys(g.key for g in gens))
+    for g in gens:
+        own = own_average_sums(px, a2, g, reduce)
+        alone = reduce(lambda px, a2: px * star_extended(g, a2), px, a2)
+        got = np.asarray(averages[g.key])
+        assert got.tobytes() == np.asarray(own).tobytes() == np.asarray(alone).tobytes(), g.key
+
+
 @pytest.fixture
 def canonical_pair():
     """The worked example pair used throughout the frozen-value tests."""

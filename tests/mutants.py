@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 KERNEL = "src/divbound/kernel.py"
 MEASURES = "src/divbound/measures.py"
 GENERATORS = "src/divbound/generators.py"
+BOUNDS = "src/divbound/bounds.py"
 VERIFY = "src/divbound/verify.py"
 FAMILY_BITS = "tests/test_measures.py::TestOneFamilyPass::test_every_order_keeps_its_bits"
 FAMILIES = "tests/test_measures.py::TestFamilies::"
@@ -53,6 +54,7 @@ DRAWS_EQUAL = "tests/test_verify.py::test_block_draws_equal_the_per_trial_draws"
 KEPT_REJECTED = "tests/test_verify.py::test_a_rejected_kept_half_lies_between_two_trials_normals"
 SIZES = "tests/test_verify.py::test_sizes_are_numpys_integers"
 ABANDONED = "tests/test_verify.py::test_an_abandoned_corpus_leaves_the_per_trial_state"
+ONE_PASS = "tests/test_bounds.py::TestOneAveragingPass::"
 
 MUTANTS = {
     # the family pass (measures._family_rows, BaseSums._families)
@@ -144,6 +146,35 @@ MUTANTS = {
         "    fn = _LIBM_FORMS.get(g.fn, g.fn)\n",
         "    fn = g.fn\n",
         ("tests/test_bounds.py::TestLockstepLowerBounds::test_evaluator_is_the_float_path",),
+    ),
+    # the one averaging pass (generators._star_rows) and the grid's two
+    # stages (bounds.family_grid_bounds)
+    "star-rows-endpoint-fill-zero": Mutant(
+        GENERATORS,
+        "row = np.full(a.shape, g.f_infinity)",
+        "row = np.full(a.shape, 0.0)",
+        (ONE_PASS + "test_endpoint_and_near_endpoint_posteriors",
+         ONE_PASS + "test_a_problem_with_zero_masses"),
+    ),
+    "star-rows-unmirrored": Mutant(
+        GENERATORS,
+        "row[inner] = _mirrored(x * np.asarray(g.fn(u), dtype=float), p, x, g.fn)",
+        "row[inner] = x * np.asarray(g.fn(u), dtype=float)",
+        (ONE_PASS + "test_endpoint_and_near_endpoint_posteriors",
+         ONE_PASS + "test_rows_longer_than_a_leaf", ONE_PASS + "test_flat_rows"),
+    ),
+    "star-rows-mask-keeps-a-equal-1": Mutant(
+        GENERATORS,
+        "inner = (a != 0.0) & (a != 1.0)",
+        "inner = a != 0.0",
+        (ONE_PASS + "test_endpoint_and_near_endpoint_posteriors",
+         ONE_PASS + "test_a_problem_with_zero_masses"),
+    ),
+    "grid-stage-2-reads-the-first-average": Mutant(
+        BOUNDS,
+        "v = averages[g.key]",
+        "v = averages[gens[0].key]",
+        ("tests/test_bounds.py::TestFamilyGridBounds::test_each_row_is_family_bounds",),
     ),
     # verify's draws from PCG64's raw words (verify._Draws, verify._blocks)
     "draws-kept-half-not-rejection-tested": Mutant(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle_reference as oracle
-from conftest import column_entries, make_pair
+from conftest import assert_one_pass_is_each_own, column_entries, make_pair, set_cpus
 from divbound.bounds import (
     DEFAULT_S_GRID,
     BoundEntry,
@@ -22,8 +22,10 @@ from divbound.bounds import (
     generic_upper_bound,
     kailath_bound,
     family_bounds,
+    family_grid_bounds,
     lower_bound_family,
     posterior_arrays,
+    posterior_averages,
     problem_averages,
     report_generators,
     toussaint_bounds,
@@ -37,6 +39,7 @@ from divbound import bounds as bounds_mod
 from divbound import generators as generators_mod
 from divbound import kernel
 from divbound.distributions import ValidationFailure
+from divbound.formats import parse_s_grid
 from divbound.kernel import DomainError, invert_decreasing
 from divbound.generators import (
     GeneratingFunction,
@@ -865,6 +868,122 @@ class TestBoundReport:
         report = BoundReport(0.25, entries)
         assert [name for name, _ in report.sandwich_violations()] == ["a"]
         assert not report.sandwich_ok
+
+
+# Orders of one averaging pass: duplicates, both zeros (one generator, J,
+# under two keys), and xi at -1030, whose f overflows near a = 1e-9 and 1,
+# where the mirrored cell term is finite.
+SHARED_PASS_GRID = (-1030.0, -1.0, 0.0, -0.0, 0.5, 0.5, 2.0)
+
+
+def _edge_posteriors(rng, k):
+    """(px, a2) of k live outcomes: uniform posteriors, with exact 0s and
+    1s (a zero mass in one conditional) and points 1e-9 from either end."""
+    a2 = rng.random(k)
+    a2[rng.random(k) < 0.2] = 0.0
+    a2[rng.random(k) < 0.2] = 1.0
+    a2[rng.random(k) < 0.1] = 1e-9
+    a2[rng.random(k) < 0.1] = 1.0 - 1e-9
+    px = rng.random(k) / k + 1e-3 / k
+    return px, a2
+
+
+class TestOneAveragingPass:
+    """posterior_averages sums all its generators in one leaf pass, which
+    makes the posteriors' shared terms once; each generator keeps the bits
+    of its own pass."""
+
+    gens = report_generators(SHARED_PASS_GRID)
+
+    def test_the_grid_has_both_zeros_and_an_overflowing_order(self):
+        keys = [g.key for g in self.gens]
+        assert {"zeta:0.0", "zeta:-0.0", "xi:0.0", "xi:-0.0", "xi:-1030.0"} <= set(keys)
+        g = generator(MeasureId("xi", -1030.0))
+        x = np.array([1e-9, 1.0 - 1e-9])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isinf(x * g.fn((1.0 - x) / x)).any()
+        assert np.isfinite(star(g, x)).all()
+
+    def test_endpoint_and_near_endpoint_posteriors(self):
+        px = np.array([0.1, 0.2, 0.05, 0.15, 0.3, 0.2])
+        a2 = np.array([0.0, 1.0, 1e-9, 1.0 - 1e-9, 0.3, 0.5])
+        assert_one_pass_is_each_own(px, a2, self.gens, kernel.row_sum)
+        assert_one_pass_is_each_own(px[None], a2[None], self.gens, kernel.row_sum)
+        averages = posterior_averages(px, a2, self.gens)
+        assert math.isinf(averages["zeta:0.0"])  # J's f_inf at the endpoints
+        assert math.isfinite(averages["xi:-1030.0"])
+
+    def test_a_problem_with_zero_masses(self):
+        # outcome 0 has class-2 posterior 0, outcome 1 posterior 1
+        problem = TwoClassProblem.from_arrays(
+            (0.4, 0.6), [0.5, 0.0, 0.3, 0.2], [0.0, 0.25, 0.25, 0.5]
+        )
+        averages = problem_averages(problem, self.gens)
+        for g in self.gens:
+            assert averages[g.key] == average_f_divergence(problem, g)
+        _, _, px, a2 = posterior_arrays(
+            problem.p1, problem.p2, problem.cond1.probs, problem.cond2.probs
+        )
+        assert a2.tolist()[:2] == [0.0, 1.0]
+        assert_one_pass_is_each_own(px, a2, self.gens, kernel.row_sum)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rows_longer_than_a_leaf(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        rng = np.random.default_rng(kernel.SUM_LEAF)
+        px, a2 = _edge_posteriors(rng, 2 * kernel.SUM_LEAF + 13)
+        assert_one_pass_is_each_own(px, a2, self.gens, kernel.row_sum)
+        block = np.vstack([px, px[::-1]]), np.vstack([a2, a2[::-1]])
+        assert_one_pass_is_each_own(*block, self.gens, kernel.row_sum)
+
+    def test_flat_rows(self, monkeypatch):
+        # slabs of short rows, and a slab past SUM_LEAF summed through row_sum
+        set_cpus(monkeypatch, 2)
+        lengths = np.array([1, 2, 2, 5, 5, 5, kernel.SUM_LEAF + 3])
+        layout = kernel.FlatRows(lengths)
+        px, a2 = _edge_posteriors(np.random.default_rng(3), layout.cells)
+        assert_one_pass_is_each_own(px, a2, self.gens, layout.row_sum)
+
+    def test_one_pass_for_all_the_generators(self, passes, flip_problem):
+        problem_averages(flip_problem, self.gens)
+        assert passes == [("bounds", len(self.gens))]
+
+
+class TestFamilyGridBounds:
+    """family_grid_bounds: stage 1 once for a grid, stage 2 per order;
+    family_bounds is its one-order case."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [parse_s_grid("-1060:2:25"), parse_s_grid("-1:0.9:20"), (0.0, -0.0, 0.5, 0.5)],
+        ids=["-1060:2:25", "-1:0.9:20", "both-zeros-and-a-duplicate"],
+    )
+    @pytest.mark.parametrize("family", ["zeta", "xi"])
+    def test_each_row_is_family_bounds(self, family, grid):
+        rng = np.random.default_rng(256)
+        c1, c2 = make_pair(rng, 256)
+        problems = [
+            TwoClassProblem.from_arrays((0.3, 0.7), c1.probs, c2.probs),
+            *(TwoClassProblem.from_arrays(*repro) for repro in OVERFLOW_REPROS),
+        ]
+        for problem in problems:
+            rows = family_grid_bounds(problem, family, grid)
+            assert len(rows) == len(grid)
+            for s, row in zip(grid, rows):
+                assert repr(row) == repr(family_bounds(problem, family, s)), s
+
+    def test_one_averaging_pass_for_the_grid(self, passes, flip_problem):
+        grid = parse_s_grid("-1:0.9:20")
+        family_grid_bounds(flip_problem, "xi", grid)
+        assert passes == [("bounds", len(grid))]
+
+    def test_a_generator_error_comes_before_any_bound(self, flip_problem, monkeypatch):
+        def bounded(*args):
+            raise AssertionError("an order was bounded before every generator was resolved")
+
+        monkeypatch.setattr(bounds_mod, "lower_bounds", bounded)
+        with pytest.raises(DomainError, match="must be finite"):
+            family_grid_bounds(flip_problem, "zeta", (0.5, math.nan))
 
 
 class TestComparisons:

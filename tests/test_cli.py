@@ -424,6 +424,38 @@ class TestUsage:
         assert err.startswith("internal error: RuntimeError: boom\nTraceback")
 
 
+class TestOneParserPerProcess:
+    """main builds its argument parser once and reuses it: a sequence of
+    calls in one process gives what each call gives in a fresh process."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_a_sequence_equals_fresh_processes(self, capsys, monkeypatch, files):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to this width
+        monkeypatch.delenv("DIVBOUND_SEED", raising=False)
+        monkeypatch.delenv("DIVBOUND_VERIFY_CORRUPT", raising=False)
+        argvs = [
+            ["bounds", "--format", "machine"],  # usage error: no --problem
+            ["--help"],
+            ["bounds", "--problem", files["prob"], "--format", "machine"],
+            ["sweep", "--problem", files["prob"], "--family", "xi", "--s-grid=-1,0,1"],
+            ["verify", "--trials", "50", "--format", "machine"],
+            ["measure", "--p", files["p"], "--q", files["q"], "--measure", "zeta:0.5"],
+        ]
+        in_process = [run(capsys, argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from divbound.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", *argv],
+                capture_output=True, text=True, timeout=120,
+            )
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        assert [code for code, _, _ in in_process] == [2, 0, 0, 2, 0, 0]
+        assert in_process == fresh
+
+
 # A posterior within 2e-13 of 1 overflows every float power at |s| >= 30.
 OVERFLOW_PROBLEM = "priors: 0.5 0.5\ncond1: 0.9999999999999 0.0000000000001\ncond2: 0.5 0.5\n"
 # A posterior within 2e-13 of 0, where the direct xi generator form is inf*0.

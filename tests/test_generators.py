@@ -131,25 +131,31 @@ class TestCatalog:
         with pytest.raises(ArgumentError):
             generator("nope")
 
-    @pytest.mark.parametrize("orders", [("3", "3.0"), ("3.0", "3")])
+    @pytest.mark.parametrize(
+        "orders", [("3", "3.0"), ("3.0", "3"), ("0.0", "-0.0"), ("-0.0", "0.0")]
+    )
     def test_a_key_does_not_depend_on_the_orders_built_before(self, orders):
-        # a fresh process, so that no earlier call has built zeta at 3 yet:
-        # the int and the float order are one generator, keyed by the float
+        # a fresh process, so that no earlier call has built these orders yet:
+        # the int and the float order are one generator, keyed by the float,
+        # and 0.0 and -0.0, equal as cache keys, each keep their own key
         run = subprocess.run(
             [sys.executable, "-c", _KEYS_IN_A_FRESH_PROCESS, *orders],
             capture_output=True, text=True, timeout=120,
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["zeta:3.0", "zeta:3.0"]
+        keys = [f"{family}:{float(s)!r}" for family in ("zeta", "xi") for s in orders]
+        assert run.stdout.split() == keys
 
 
-# The key of zeta's generator at each order in argv, built in that order; an
+# The key of zeta's generator at each order in argv, built in that order
+# through generator(), then xi's through the bounds' cached resolution; an
 # order written "3" is the int 3.
 _KEYS_IN_A_FRESH_PROCESS = """
 import sys
-from divbound import MeasureId, generator
+from divbound import MeasureId, bounds, generator
 orders = [int(a) if a.isdigit() else float(a) for a in sys.argv[1:]]
 print(*(generator(MeasureId("zeta", s)).key for s in orders))
+print(*(bounds._family_generator("xi", s).key for s in orders))
 """
 
 

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import catalog_passes, column_entries, make_pair, set_cpus
+from conftest import assert_one_pass_is_each_own, catalog_passes, column_entries, make_pair, set_cpus
 from divbound import cli, verify
 from divbound import bounds, kernel, measures
 from divbound.bounds import (
@@ -340,6 +340,18 @@ def test_block_draws_equal_the_per_trial_draws(monkeypatch):
     assert count == 60
     assert a.bit_generator.state == b.bit_generator.state
     assert a.random() == b.random()
+
+
+def test_a_blocks_averages_are_each_generators_own_pass():
+    # stage 1 of the bound suites: one pass of a block's flat rows for all
+    # the generators, each with the bits of its own pass
+    gens = report_generators(DEFAULT_S_GRID)
+    trials = 0
+    for block in _problem_blocks(300, np.random.default_rng(5)):
+        _, _, px, a2 = verify._posteriors(block)
+        assert_one_pass_is_each_own(px, a2, gens, block.rows.row_sum)
+        trials += len(block)
+    assert trials == 300
 
 
 def test_an_abandoned_corpus_leaves_the_per_trial_state(monkeypatch):
