@@ -25,7 +25,8 @@ posterior_averages, sums all the generators of a report or a sweep's grid
 in one leaf pass.  Stage 2, report_rows, turns the averages of m problems
 into bound columns: arrays of values and of note codes into NOTES, lower
 bounds from lower_bounds (one average bisected in floats, two or more in
-lockstep, with the same bits) and upper bounds from _upper_bounds.
+lockstep, with the same bits) and upper bounds from _upper_bounds.  Stage
+1 evaluates, and stage 2 bisects, each distinct generator function once.
 Outcomes with zero marginal mass are excluded from every expectation.
 """
 
@@ -390,11 +391,14 @@ def family_grid_bounds(
     stage 2 bounds any order from its own average."""
     gens = [_family_generator(family, s) for s in s_grid]
     averages = problem_averages(problem, gens)
+    lowers = {}  # by fn: each distinct function is bisected once
     rows = []
     for s, g in zip(s_grid, gens):
         v = averages[g.key]
         upper = None if _family_upper_note(family, s) else _single(*_upper_bounds(g, [v]))
-        rows.append((v, _single(*lower_bounds(g, [v])), upper))
+        if g.fn not in lowers:
+            lowers[g.fn] = _single(*lower_bounds(g, [v]))
+        rows.append((v, lowers[g.fn], upper))
     return rows
 
 
@@ -455,14 +459,13 @@ def _difference_generators() -> dict:
 
 
 def lower_generators(s_grid: Sequence[float] = DEFAULT_S_GRID) -> Tuple[GeneratingFunction, ...]:
-    """The distinct generators whose averages a bound report bisects."""
-    gens = [_family_generator("zeta", 0.0)]
-    gens += [_family_generator(family, s) for family in ("zeta", "xi") for s in s_grid]
-    return tuple({g.key: g for g in gens}.values())
+    """Each lower bound's generator in row order: J, then both families at each order."""
+    families = [_family_generator(family, s) for family in ("zeta", "xi") for s in s_grid]
+    return (_family_generator("zeta", 0.0), *families)
 
 
 def report_generators(s_grid: Sequence[float] = DEFAULT_S_GRID) -> Tuple[GeneratingFunction, ...]:
-    """The distinct generators whose posterior averages a bound report uses."""
+    """The generators, one per key, whose posterior averages a bound report uses."""
     gens = (*lower_generators(s_grid), *_difference_generators().values())
     return tuple({g.key: g for g in gens}.values())
 
@@ -497,23 +500,25 @@ def report_rows(
     codes into NOTES.  The Kailath and general Toussaint bounds are taken
     problem by problem in floats (numpy's exp and log bits depend on the
     SIMD dispatch); problem(j) is the j-th problem, asked for only where
-    its priors are equal.  Row names show the orders as the grid has them:
+    its priors are equal.  One bisection serves every key of its fn (both
+    zeros, zeta twins).  Row names show the orders as the grid has them:
     -0.0 names its rows s=-0.0.
     """
     m = len(p1)
-    lowers = {g.key: lower_bounds(g, averages[g.key]) for g in lower_generators(s_grid)}
-    j0 = _family_generator("zeta", 0.0).key
+    j0, *family_gens = gens = lower_generators(s_grid)
+    lowers = {}  # by fn: each distinct function is bisected once
+    for g in gens:
+        if g.fn not in lowers:
+            lowers[g.fn] = lower_bounds(g, averages[g.key])
     kailath = [_kailath(a, b, lambda: problem(j)) for j, (a, b) in enumerate(zip(p1, p2))]
-    toussaint = list(map(_toussaint_general, p1, p2, averages[j0].tolist()))
+    toussaint = list(map(_toussaint_general, p1, p2, averages[j0.key].tolist()))
     rows = [
         ("kailath", "lower", *map(np.array, zip(*kailath))),
         ("toussaint_general", "lower", np.array(toussaint), np.zeros(m, dtype=int)),
-        ("toussaint_inversion", "lower", lowers[j0][0], np.zeros(m, dtype=int)),
+        ("toussaint_inversion", "lower", lowers[j0.fn][0], np.zeros(m, dtype=int)),
     ]
-    for family in ("zeta", "xi"):
-        for s in s_grid:
-            column = lowers[_family_generator(family, s).key]
-            rows.append((f"{family}_lower(s={float(s)!r})", "lower", *column))
+    names = [f"{family}_lower(s={float(s)!r})" for family in ("zeta", "xi") for s in s_grid]
+    rows += [(name, "lower", *lowers[g.fn]) for name, g in zip(names, family_gens)]
     for family in ("zeta", "xi"):
         for s in s_grid:
             g, code = _family_generator(family, s), _family_upper_note(family, s)

@@ -13,25 +13,22 @@ error.  Finiteness of f_inf is what gates the existence of that bound.
 The catalog is closed: base measures, the two families at any order s (at
 a limit order, the base generator that measures._limit_base names), and
 the six difference measures (the pointwise combinations of _DIFF_COMBOS).
-_build takes the order as MeasureId checked it, a finite float, and makes
-a regular family member's libm-pow form beside it (_LIBM_FORMS), so that
-float_star_array finds that form by the generator's fn.
+_build takes the order as MeasureId checked it, a finite float.  Two
+generators are one function exactly when they share fn: both zeros, a
+limit order and its base, and zeta at s and at its twin (_zeta_twin).
 
 Every evaluation of f* runs here, as the Csiszar cell term q f(p/q) at
 (p, q) = (1 - x, x): _mirrored's one rule recomputes every non-finite
 value of either as p f(q/p), equal by star symmetry, unless that is nan.
-_star_cells is f* on arrays, and _star_rows f* of several generators on
-one array in [0, 1], sharing its 1 - x and (1 - x)/x: star_extended and
-the bounds' averaging pass take it.  _star_float and float_star_array's
-lockstep form (each point with _star_float's bits) hand _star_cells the
-points where their own form is not finite or too near 0 to run quietly.
-csiszar_sum sums the 19 catalog generators of a validated pair in one
-row_sum pass, which yields a row of cell terms per generator in
-CATALOG_KEYS order: the table's rows are the catalog's keys.  Each leaf
-of the pass makes u = p/q once, the xi orders share u + 1's derived
-terms, and zeta:2 yields zeta:-1's row, which its generator makes bit for
-bit.  Each generator's formula is written once, in its closure, which the
-float forms call as they are.
+_csiszar_term is the cell term of one generator and _cell_rows the pass
+of several, which makes f(u) once per leaf and distinct fn.  The catalog
+table (csiszar_sum: the 19 catalog generators of a validated pair, a row
+each in CATALOG_KEYS order) and _star_rows (f* on [0, 1], f_inf at its
+ends: star_extended and the bounds' averages) are that pass.  _star_float
+and float_star_array's lockstep form (each point with _star_float's bits)
+hand _star_cells the points where their own form is not finite or too
+near 0 to run quietly.  Each generator's formula is written once, in its
+closure, which the float forms call as they are.
 """
 
 from __future__ import annotations
@@ -173,8 +170,8 @@ def _f_xi(s: float, power: Callable = operator.pow) -> Callable:
             return np.exp(np.log(0.25 * v) + big + tail - log_ab)
 
     def fn(u, shared=None):
-        # shared: a list the catalog table hands every xi order of one leaf
-        # of u; the first order keeps w, u w and (u+1)/2 in it for the rest
+        # shared: a list _cell_rows hands every xi order of one leaf of u;
+        # the first order keeps w, u w and (u+1)/2 in it for the rest
         if shared:
             w, uw, hv = shared
         else:
@@ -246,9 +243,12 @@ _BASE_SPECS = {
 _FAMILY_FNS = {"zeta": _f_zeta, "xi": _f_xi}
 _FAMILY_F_INF = {"zeta": zeta_f_inf, "xi": xi_f_inf}
 
-# The libm-pow form (_float_pow) of each regular family generator _build
-# made, by the generator's fn: float_star_array's form of that generator.
+# Marks _build makes by fn: each regular family member's libm-pow form
+# (_float_pow), float_star_array's form of it; each difference's
+# (coefficient, base fn) terms; the regular xi forms, which share terms.
 _LIBM_FORMS = {}
+_PARTS = {}
+_XI_FORMS = set()
 
 
 def _combine(terms):
@@ -258,11 +258,12 @@ def _combine(terms):
 
 
 def _combo_fn(combo) -> Callable:
-    parts = [(c, _BASE_SPECS[tag][0]) for c, tag in combo]
+    parts = tuple((c, _BASE_SPECS[tag][0]) for c, tag in combo)
 
     def fn(u):
         return _combine((c, g(u)) for c, g in parts)
 
+    _PARTS[fn] = parts
     return fn
 
 
@@ -281,13 +282,18 @@ def _build(tag: str, s: float | None, negative: bool = False) -> GeneratingFunct
             fn=_combo_fn(combo),
             f_infinity=sum(c * _BASE_SPECS[base][1] for c, base in combo),
         )
-    # a family tag at a finite float order: MeasureId admits no other
+    # a family tag at a finite float order: MeasureId admits no other; a
+    # zeta order whose twin comes first takes the twin's fn
     base = _limit_base(tag, s)
-    if base is None:
+    if base is not None:
+        fn = _BASE_SPECS[base][0]
+    elif tag == "zeta" and (t := _zeta_twin(s)) is not None and t < s:
+        fn = _build(tag, t, t < 0.0).fn
+    else:
         fn = _FAMILY_FNS[tag](s)
         _LIBM_FORMS[fn] = _FAMILY_FNS[tag](s, _float_pow)
-    else:
-        fn = _BASE_SPECS[base][0]
+        if tag == "xi":
+            _XI_FORMS.add(fn)
     return GeneratingFunction(key=f"{tag}:{s!r}", fn=fn, f_infinity=_FAMILY_F_INF[tag](s))
 
 
@@ -394,15 +400,13 @@ def star_extended(g: GeneratingFunction, x):
 
 def _star_rows(gens, a: np.ndarray):
     """Yield star_extended(g, a) for each g of gens, unchecked and with no
-    errstate of its own: f_inf at the endpoints of [0, 1], _star_cells'
-    cell terms inside, from one endpoint mask, 1 - a and (1 - a)/a."""
+    errstate of its own: f_inf at the endpoints of [0, 1], and inside the
+    cell terms at (1 - a, a) of one _cell_rows pass."""
     inner = (a != 0.0) & (a != 1.0)
     x = a[inner]
-    p = 1.0 - x
-    u = p / x
-    for g in gens:
+    for g, cells in zip(gens, _cell_rows(1.0 - x, x, gens)):
         row = np.full(a.shape, g.f_infinity)
-        row[inner] = _mirrored(x * np.asarray(g.fn(u), dtype=float), p, x, g.fn)
+        row[inner] = cells
         yield row
 
 
@@ -458,6 +462,37 @@ def _csiszar_term(p: np.ndarray, q: np.ndarray, fn: Callable):
     return _mirrored(q * np.asarray(fn(p / q), dtype=float), p, q, fn)
 
 
+def _cell_rows(p: np.ndarray, q: np.ndarray, gens):
+    """Yield the cell terms q f(p/q) of each generator of gens, in order,
+    each with _csiszar_term's bits.  u = p/q is made once, and so is f(u)
+    of each distinct fn (a difference's bases too), kept only while a later
+    row reads it; the xi orders share u + 1's terms until the last of them."""
+    reads = [(*(base for _, base in _PARTS.get(g.fn, ())), g.fn) for g in gens]
+    last = {fn: i for i, fns in enumerate(reads) for fn in fns}  # the last row reading fn
+    last_xi = max((i for i, g in enumerate(gens) if g.fn in _XI_FORMS), default=None)
+    u = p / q
+    made = {}
+    shared = []
+    for i, (g, fns) in enumerate(zip(gens, reads)):
+        for fn in fns:
+            if fn in made:
+                continue
+            if fn in _PARTS:
+                made[fn] = _combine((c, made[base]) for c, base in _PARTS[fn])
+            elif fn in _XI_FORMS:
+                made[fn] = fn(u, shared)
+            else:
+                made[fn] = fn(u)
+        if i == last_xi:
+            shared.clear()
+        row = _mirrored(q * made[g.fn], p, q, g.fn)
+        for fn in fns:
+            if last[fn] == i:
+                del made[fn]
+        yield row
+        del row  # let go before the next row is made
+
+
 def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray):
     """sum q f(p/q) over the last axis, for strictly positive masses, of
     one generator: the pass of a generator outside the catalog table.
@@ -480,54 +515,12 @@ CATALOG_KEYS = tuple(
     + [MeasureId(t) for t in DIFF_TAGS]
 )
 
-# The catalog generators one pass sums together, in CATALOG_KEYS order,
-# and the bases the differences combine: CATALOG_KEYS lists the bases
-# before the differences, so each is made before a difference reads it.
-# A zeta order whose twin (_zeta_twin) comes earlier yields the twin's row.
+# The catalog generators the table sums in one _cell_rows pass, by key.
 _TABLE = {m.label(): generator(m) for m in CATALOG_KEYS}
-_COMBINED = frozenset(t for combo in _DIFF_COMBOS.values() for _, t in combo)
-_XI_KEYS = [m.label() for m in CATALOG_KEYS if m.tag == "xi" and _limit_base("xi", m.s) is None]
-_TWINS = {
-    m.label(): MeasureId("zeta", t).label()
-    for m in CATALOG_KEYS
-    if m.tag == "zeta" and (t := _zeta_twin(m.s)) is not None and t < m.s
-}
-
-
-def _table_rows(p: np.ndarray, q: np.ndarray):
-    """Yield the cell terms of every _TABLE generator in CATALOG_KEYS
-    order, each row made as _csiszar_term makes it.  u = p/q is made once,
-    and so is each combined base's f(u), kept for the differences, and
-    each row a twin yields again."""
-    u = p / q
-    values = {}
-    twinned = {}
-    shared = []  # what the xi orders share, until the last of them
-    for key, g in _TABLE.items():
-        if key in _TWINS:
-            yield twinned.pop(_TWINS[key])
-            continue
-        combo = _DIFF_COMBOS.get(key)
-        if combo is not None:
-            f_u = _combine((c, values[t]) for c, t in combo)
-        elif key in _XI_KEYS:
-            f_u = g.fn(u, shared)
-            if key == _XI_KEYS[-1]:
-                shared.clear()
-        else:
-            f_u = g.fn(u)
-        if key in _COMBINED:
-            values[key] = f_u
-        row = _mirrored(q * f_u, p, q, g.fn)
-        if key in _TWINS.values():
-            twinned[key] = row
-        del f_u  # let go before the next row is made, as the row itself
-        yield row
-        del row
 
 
 def _table_sums(p: np.ndarray, q: np.ndarray) -> dict:
-    return dict(zip(_TABLE, row_sum(_table_rows, p, q).tolist()))
+    return dict(zip(_TABLE, row_sum(_cell_rows, p, q, _TABLE.values()).tolist()))
 
 
 def csiszar_sum(

@@ -80,7 +80,7 @@ from .distributions import (
     validate,
 )
 from .generators import CATALOG_KEYS, STAR_SYM_TOL, generator, star, star_symmetry_defect
-from .generators import _table_rows
+from .generators import _TABLE, _cell_rows
 from .kernel import ArgumentError, FlatRows, usable_cpus
 from .measures import CHAIN_LABELS, BaseSums, _chain_report, chain_slack, worst_of
 
@@ -411,7 +411,7 @@ def _csiszar_values(block: _Block) -> Tuple[np.ndarray, np.ndarray]:
     of the seven base sums, and one table pass (csiszar_sum), whose rows
     are the keys in order."""
     direct = np.stack(block.base_sums().measures(CATALOG_KEYS), axis=-1)
-    summed = block.rows.row_sum(_table_rows, block.first, block.second).T
+    summed = block.rows.row_sum(_cell_rows, block.first, block.second, _TABLE.values()).T
     return block.in_trial_order(direct), block.in_trial_order(summed)
 
 

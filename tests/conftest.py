@@ -108,7 +108,9 @@ def own_average_sums(px, a2, g, reduce):
 
 def assert_one_pass_is_each_own(px, a2, gens, reduce):
     """posterior_averages of gens in one pass equals, bit for bit, each
-    generator's own_average_sums and its px * star_extended(g, a2) sums."""
+    generator's own_average_sums and its px * star_extended(g, a2) sums;
+    and the cell pass inside (0, 1) is each generator's own, as
+    assert_cell_rows_are_each_own checks it."""
     from divbound.bounds import posterior_averages
     from divbound.generators import star_extended
 
@@ -119,6 +121,80 @@ def assert_one_pass_is_each_own(px, a2, gens, reduce):
         alone = reduce(lambda px, a2: px * star_extended(g, a2), px, a2)
         got = np.asarray(averages[g.key])
         assert got.tobytes() == np.asarray(own).tobytes() == np.asarray(alone).tobytes(), g.key
+    x = a2[(a2 != 0.0) & (a2 != 1.0)]
+    assert_cell_rows_are_each_own(1.0 - x, x, gens)
+
+
+def _counted_generators(mp, keys, cells):
+    """(generators, calls, shared, seen): the generators of keys, made by a
+    fresh _build cache whose base and family bodies are wrapped to count
+    their calls on `cells` points (not a mirrored call on fewer) by name (a
+    base's tag, a family member's key) in `calls`, to collect in `shared`
+    each list of shared terms handed to an xi form, and in `seen` a weak
+    reference to each array they are called on.  Each wrapper's name is
+    its .name; the process's own cache is untouched."""
+    import collections
+    import functools
+    import operator
+    import weakref
+
+    from divbound import generators
+    from divbound.measures import MeasureId
+
+    calls, shared, seen = collections.Counter(), [], []
+
+    def counting(fn, name):
+        def counted(u, *share):
+            calls[name] += np.size(u) == cells
+            shared.extend(share)
+            seen.append(weakref.ref(u))
+            return fn(u, *share)
+
+        counted.name = name
+        return counted
+
+    def family(tag, make):
+        return lambda s, power=operator.pow: counting(make(s, power), f"{tag}:{s!r}")
+
+    bases = {tag: (counting(fn, tag), f_inf) for tag, (fn, f_inf) in generators._BASE_SPECS.items()}
+    mp.setattr(generators, "_BASE_SPECS", bases)
+    mp.setattr(generators, "_FAMILY_FNS", {t: family(t, m) for t, m in generators._FAMILY_FNS.items()})
+    mp.setattr(generators, "_build", functools.lru_cache(maxsize=None)(generators._build.__wrapped__))
+    return [generators.generator(MeasureId.parse(key)) for key in keys], calls, shared, seen
+
+
+def assert_cell_rows_are_each_own(p, q, gens):
+    """One generators._cell_rows pass over gens on one leaf of cells: each
+    row is _csiszar_term of its generator alone, bit for bit; the pass
+    evaluates each distinct function once on the cells (a difference's
+    bases included, counted through wrapped base and family bodies; a
+    mirrored cell is evaluated again); and once the pass is done, the list
+    of terms the xi orders share is empty and, with no garbage collection,
+    every array it evaluated a function on is freed."""
+    import gc
+
+    from divbound import generators
+    from divbound.measures import _DIFF_COMBOS
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for g, row in zip(gens, generators._cell_rows(p, q, gens), strict=True):
+            assert row.tobytes() == generators._csiszar_term(p, q, g.fn).tobytes(), g.key
+        with pytest.MonkeyPatch.context() as mp:
+            counted, calls, shared, seen = _counted_generators(mp, [g.key for g in gens], p.size)
+            gc.disable()
+            try:
+                assert sum(1 for _ in generators._cell_rows(p, q, counted)) == len(gens)
+            finally:
+                gc.enable()
+            bases = {tag: fn for tag, (fn, _) in generators._BASE_SPECS.items()}
+    names = {
+        fn.name
+        for g in counted
+        for fn in ([bases[t] for _, t in _DIFF_COMBOS[g.key]] if g.key in _DIFF_COMBOS else [g.fn])
+    }
+    assert calls == dict.fromkeys(names, 1)
+    assert not any(shared)
+    assert seen and not any(ref() is not None for ref in seen)
 
 
 @pytest.fixture

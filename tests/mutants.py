@@ -55,6 +55,7 @@ KEPT_REJECTED = "tests/test_verify.py::test_a_rejected_kept_half_lies_between_tw
 SIZES = "tests/test_verify.py::test_sizes_are_numpys_integers"
 ABANDONED = "tests/test_verify.py::test_an_abandoned_corpus_leaves_the_per_trial_state"
 ONE_PASS = "tests/test_bounds.py::TestOneAveragingPass::"
+ONE_FN = "tests/test_generators.py::TestOneFunctionRule::"
 
 MUTANTS = {
     # the family pass (measures._family_rows, BaseSums._families)
@@ -147,21 +148,49 @@ MUTANTS = {
         "    fn = g.fn\n",
         ("tests/test_bounds.py::TestLockstepLowerBounds::test_evaluator_is_the_float_path",),
     ),
-    # the one averaging pass (generators._star_rows) and the grid's two
-    # stages (bounds.family_grid_bounds)
+    # the one cell pass (generators._cell_rows) and the one function rule
+    # (generators._build), the averaging pass round it (_star_rows) and the
+    # grid's two stages (bounds.family_grid_bounds)
+    "twin-fn-without-the-zeta-twin-check": Mutant(
+        GENERATORS,
+        'elif tag == "zeta" and (t := _zeta_twin(s)) is not None and t < s:',
+        'elif tag == "zeta" and (t := 1.0 - s) < s:',
+        (ONE_FN + "test_zeta_twins_share_fn_exactly_when_zeta_twin_holds",),
+    ),
+    "cell-rows-difference-reads-the-wrong-base": Mutant(
+        GENERATORS,
+        "made[fn] = _combine((c, made[base]) for c, base in _PARTS[fn])",
+        "made[fn] = _combine((c, made[_PARTS[fn][0][1]]) for c, base in _PARTS[fn])",
+        (ONE_FN + "test_each_row_is_its_generators_own",
+         ONE_PASS + "test_endpoint_and_near_endpoint_posteriors"),
+    ),
+    "cell-rows-xi-terms-kept-after-the-last-order": Mutant(
+        GENERATORS,
+        "        if i == last_xi:\n            shared.clear()\n",
+        "",
+        (ONE_FN + "test_each_row_is_its_generators_own",
+         ONE_PASS + "test_endpoint_and_near_endpoint_posteriors"),
+    ),
+    "xi-shared-terms-from-the-wrong-slot": Mutant(
+        GENERATORS,
+        "            w, uw, hv = shared\n",
+        "            hv, uw, w = shared\n",
+        (ONE_FN + "test_each_row_is_its_generators_own",),
+    ),
+    "cell-rows-unmirrored": Mutant(
+        GENERATORS,
+        "row = _mirrored(q * made[g.fn], p, q, g.fn)",
+        "row = q * made[g.fn]",
+        (ONE_PASS + "test_endpoint_and_near_endpoint_posteriors",
+         ONE_PASS + "test_rows_longer_than_a_leaf", ONE_PASS + "test_flat_rows",
+         ONE_FN + "test_each_row_is_its_generators_own"),
+    ),
     "star-rows-endpoint-fill-zero": Mutant(
         GENERATORS,
         "row = np.full(a.shape, g.f_infinity)",
         "row = np.full(a.shape, 0.0)",
         (ONE_PASS + "test_endpoint_and_near_endpoint_posteriors",
          ONE_PASS + "test_a_problem_with_zero_masses"),
-    ),
-    "star-rows-unmirrored": Mutant(
-        GENERATORS,
-        "row[inner] = _mirrored(x * np.asarray(g.fn(u), dtype=float), p, x, g.fn)",
-        "row[inner] = x * np.asarray(g.fn(u), dtype=float)",
-        (ONE_PASS + "test_endpoint_and_near_endpoint_posteriors",
-         ONE_PASS + "test_rows_longer_than_a_leaf", ONE_PASS + "test_flat_rows"),
     ),
     "star-rows-mask-keeps-a-equal-1": Mutant(
         GENERATORS,
@@ -175,6 +204,39 @@ MUTANTS = {
         "v = averages[g.key]",
         "v = averages[gens[0].key]",
         ("tests/test_bounds.py::TestFamilyGridBounds::test_each_row_is_family_bounds",),
+    ),
+    # float forms, row_sum's tree and helpers, and the fork model
+    # (generators._star_float, kernel.row_sum, verify._run_forked)
+    "float-form-min-zero": Mutant(
+        GENERATORS,
+        "_FLOAT_FORM_MIN = 1e-305",
+        "_FLOAT_FORM_MIN = 0",
+        ("tests/test_outcomes.py::test_every_pointwise_entry_point_has_its_tabled_outcome",),
+    ),
+    "row-sum-heap-not-primed": Mutant(
+        KERNEL,
+        "        _prime_heap()\n",
+        "        pass\n",
+        ("tests/test_kernel.py::test_a_first_long_pair_does_not_fault_its_leaves_in_afresh",),
+    ),
+    "row-sum-split-not-a-multiple-of-8": Mutant(
+        KERNEL,
+        "    half -= half % 8\n",
+        "",
+        ("tests/test_kernel.py::TestRowSum::test_deep_trees",
+         "tests/test_kernel.py::TestRowSum::test_leaves_tile_the_row_in_order"),
+    ),
+    "row-sum-helper-without-the-callers-context": Mutant(
+        KERNEL,
+        "target=contextvars.copy_context().run, args=(self._run, tree_args)",
+        "target=self._run, args=(tree_args,)",
+        ("tests/test_measures.py::TestErrstateReachesHelpers::test_overflow_is_silent_inf",),
+    ),
+    "fork-workers-not-killed-on-error": Mutant(
+        VERIFY,
+        "            os.kill(pid, signal.SIGKILL)\n",
+        "            pass\n",
+        ("tests/test_verify.py::test_worker_error_stops_the_other_suites",),
     ),
     # verify's draws from PCG64's raw words (verify._Draws, verify._blocks)
     "draws-kept-half-not-rejection-tested": Mutant(

@@ -853,6 +853,39 @@ class TestBoundReport:
         keys = [g.key for g in report_generators((-1.0, 0.0, 0.5, 2.0))]
         assert len(keys) == len(set(keys)) == 14
 
+    @pytest.mark.parametrize(
+        "grid, bisections",
+        [(DEFAULT_S_GRID, 7), (parse_s_grid("-1:2:7"), 11), ((0.0, -0.0, -1.0, 2.0), 5)],
+        ids=["default", "-1:2:7", "both-zeros-and-twins"],
+    )
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_each_distinct_function_is_bisected_once(self, monkeypatch, grid, bisections, m):
+        # both zeros are one function (J, or I), and so are zeta at 2 and -1
+        # and at 1.5 and -0.5: one bisection each, and every lower bound
+        # column is that of its own key's average bisected on its own
+        rng = np.random.default_rng(m)
+        c1, c2 = np.exp(rng.standard_normal((2, m, 6)))
+        priors = rng.uniform(0.1, 0.4, (m, 1))
+        _, _, px, a2 = posterior_arrays(priors, 1.0 - priors, c1 / c1.sum(-1, keepdims=True),
+                                        c2 / c2.sum(-1, keepdims=True))
+        averages = posterior_averages(px, a2, report_generators(grid))
+        own, made = bounds_mod.lower_bounds, []
+        monkeypatch.setattr(bounds_mod, "lower_bounds", lambda g, v: made.append(g.fn) or own(g, v))
+        p1 = priors[:, 0].tolist()
+        rows = bounds_mod.report_rows(grid, p1, [1.0 - p for p in p1], averages, None)
+        assert len(made) == len(set(made)) == bisections
+        named = [("toussaint_inversion", bounds_mod._family_generator("zeta", 0.0))] + [
+            (f"{family}_lower(s={float(s)!r})", bounds_mod._family_generator(family, s))
+            for family in ("zeta", "xi")
+            for s in grid
+        ]
+        columns = {name: (values, codes) for name, _, values, _, codes in rows}
+        for name, g in named:
+            values, codes = own(g, averages[g.key])
+            assert columns[name][0].tobytes() == values.tobytes(), name
+            if name != "toussaint_inversion":  # its notes are all 0
+                assert columns[name][1].tolist() == codes.tolist(), name
+
     @given(problems())
     @settings(max_examples=40)
     def test_sandwich_on_random_problems(self, prob):
@@ -890,14 +923,16 @@ def _edge_posteriors(rng, k):
 
 class TestOneAveragingPass:
     """posterior_averages sums all its generators in one leaf pass, which
-    makes the posteriors' shared terms once; each generator keeps the bits
-    of its own pass."""
+    makes the posteriors' shared terms once and each distinct function's
+    values once; each generator keeps the bits of its own pass."""
 
-    gens = report_generators(SHARED_PASS_GRID)
+    # with two pairs of zeta twins, whose generators share one fn
+    gens = report_generators(SHARED_PASS_GRID + (1.5, -0.5))
 
     def test_the_grid_has_both_zeros_and_an_overflowing_order(self):
         keys = [g.key for g in self.gens]
         assert {"zeta:0.0", "zeta:-0.0", "xi:0.0", "xi:-0.0", "xi:-1030.0"} <= set(keys)
+        assert {"zeta:2.0", "zeta:-1.0", "zeta:1.5", "zeta:-0.5", "D_IDelta"} <= set(keys)
         g = generator(MeasureId("xi", -1030.0))
         x = np.array([1e-9, 1.0 - 1e-9])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -976,6 +1011,18 @@ class TestFamilyGridBounds:
         grid = parse_s_grid("-1:0.9:20")
         family_grid_bounds(flip_problem, "xi", grid)
         assert passes == [("bounds", len(grid))]
+
+    @pytest.mark.parametrize("family, bisections", [("zeta", 3), ("xi", 4)])
+    def test_each_distinct_function_is_bisected_once(self, monkeypatch, family, bisections):
+        # zeta: J, zeta at -1 (and 2) and at 0.5; xi: I, xi at -1, 2 and 0.5
+        grid = (0.0, -0.0, -1.0, 2.0, 0.5, 0.5)
+        problem = TwoClassProblem.from_arrays((0.3, 0.7), [0.2, 0.5, 0.3], [0.6, 0.1, 0.3])
+        own, made = bounds_mod.lower_bounds, []
+        monkeypatch.setattr(bounds_mod, "lower_bounds", lambda g, v: made.append(g.fn) or own(g, v))
+        rows = family_grid_bounds(problem, family, grid)
+        assert len(made) == len(set(made)) == bisections
+        for s, (v, lower, _) in zip(grid, rows):
+            assert repr(lower) == repr(bounds_mod._single(*own(generator(MeasureId(family, s)), [v])))
 
     def test_a_generator_error_comes_before_any_bound(self, flip_problem, monkeypatch):
         def bounded(*args):

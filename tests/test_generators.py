@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle_reference as oracle
-from conftest import make_pair
+from conftest import assert_cell_rows_are_each_own, make_pair
 from divbound import generators
 from divbound.distributions import PERMISSIVE, validate
 from divbound.generators import (
@@ -165,6 +165,52 @@ def _folded_xi(s: float, u):
     w = 2.0 / v
     with np.errstate(over="ignore"):
         return 0.5 * v * (0.5 * ((u * w) ** (1.0 - s) + w ** (1.0 - s)) - 1.0) / (s * (s - 1.0))
+
+
+class TestOneFunctionRule:
+    """Two generators are one function exactly when they share fn, and one
+    cell pass (_cell_rows) evaluates each distinct fn once per leaf."""
+
+    @pytest.mark.parametrize(
+        "s", [-1.0, 2.0, -0.5, 1.5, 0.25, 0.75, 0.1, 0.9, 0.3, -3.0, 1e155, -1e200]
+    )
+    def test_zeta_twins_share_fn_exactly_when_zeta_twin_holds(self, s):
+        # 1 - 0.1 is 0.9 but 1 - 0.9 is 0.09999999999999998, so 0.1 and 0.9
+        # are no twins; at 1e155 and 1e200, s(s - 1) overflows and s and
+        # 1 - s divide by their own two factors, whose signs differ
+        t = 1.0 - s
+        g, h = generator(MeasureId("zeta", s)), generator(MeasureId("zeta", t))
+        assert (g.fn is h.fn) == (generators._zeta_twin(s) is not None), (s, t)
+        assert (g.key, g.f_infinity) == (f"zeta:{s!r}", zeta_f_inf(s))
+        u = np.logspace(-8, 8, 161)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert g.fn(u).tobytes() == generators._f_zeta(s)(u).tobytes()
+
+    def test_twins_zeros_and_limit_orders(self):
+        def fn(key):
+            return generator(key).fn
+
+        assert fn("zeta:2") is fn("zeta:-1") and fn("zeta:1.5") is fn("zeta:-0.5")
+        assert fn("zeta:0.1") is not fn("zeta:0.9")
+        assert fn("zeta:0.0") is fn("zeta:-0.0") is fn("zeta:1.0") is fn("J")
+        assert fn("xi:0.0") is fn("xi:-0.0") is fn("I") and fn("xi:1.0") is fn("T")
+        assert generator("zeta:2").key == "zeta:2.0"
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [m.label() for m in CATALOG_KEYS],
+            ["xi:0.0", "D_IDelta"],
+            ["D_IDelta", "D_hI", "xi:-0.0", "zeta:2", "h", "zeta:-1", "xi:-1030", "xi:0.5"],
+        ],
+        ids=["catalog", "a-base-beside-its-difference", "differences-first"],
+    )
+    def test_each_row_is_its_generators_own(self, keys):
+        rng = np.random.default_rng(7)
+        p, q = np.exp(3.0 * rng.standard_normal((2, 300)))
+        # a ratio that overflows, one whose f overflows, and both ways round
+        p[:4], q[:4] = [0.5, 0.5, 1e-310, 1e-300], [1e-310, 1e-300, 0.5, 0.5]
+        assert_cell_rows_are_each_own(p, q, [generator(key) for key in keys])
 
 
 class TestXiGeneratorOverflow:

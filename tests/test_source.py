@@ -103,3 +103,23 @@ def test_the_guard_sees_dead_code():
     assert {name for name in _imported(tree) if name not in used} == {"os", "y"}
     refs = _references(tree)
     assert {name for name in _private_definitions(tree) if name not in refs} == {"_dead", "_f"}
+
+
+def test_csiszar_cell_terms_are_made_in_one_pass():
+    """Cell terms are made by generators._csiszar_term for one generator and
+    generators._cell_rows for several: every multi-generator Csiszar loop
+    is the one pass, and the key lists that once steered a loop of the
+    catalog table's own are gone."""
+    makers = {
+        node.name
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_mirrored"
+            for call in ast.walk(node)
+        )
+    }
+    assert makers == {"_csiszar_term", "_cell_rows"}
+    defined = set().union(*(_private_definitions(_tree(path)) for path in MODULES))
+    assert not defined & {"_TWINS", "_XI_KEYS", "_COMBINED", "_table_rows"}

@@ -609,16 +609,16 @@ def test_star_suite_fails_on_a_nan_symmetry_defect(monkeypatch):
 
 def test_csiszar_suite_fails_on_a_nan_row(monkeypatch):
     # the first cell of the table pass's first row, so one Csiszar sum is nan
-    table_rows, made = verify._table_rows, []
+    cell_rows, made = verify._cell_rows, []
 
-    def patched(p, q):
-        for row in table_rows(p, q):
+    def patched(p, q, gens):
+        for row in cell_rows(p, q, gens):
             if not made:
                 row.flat[0] = math.nan
             made.append(row.shape)
             yield row
 
-    monkeypatch.setattr(verify, "_table_rows", patched)
+    monkeypatch.setattr(verify, "_cell_rows", patched)
     _assert_one_nan_failure(verify._csiszar_suite(20, np.random.default_rng(1), 8))
     assert made
 
