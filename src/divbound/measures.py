@@ -35,7 +35,8 @@ member's order is checked and made a float once, by MeasureId, and
 kernel._limit_order is the one rule that puts it in a limit band.  A family
 member at a regular order is a normalised row of _family_rows, which makes
 any set of orders in one pass: each power of p and q once, kept for its
-leaf, and (p+q)/2 once, its powers made where an order reads them.  A
+leaf, and (p+q)/2 once, its powers made where an order reads them.  Its
+cells are in product form, 0 at p = q, so nothing cancels near P = Q.  A
 BaseSums read (one measure, a list of them, or a chain) sums the bases it
 needs and the table lacks in one pass, and the family orders in one more,
 and keeps them.  The pair-level calls (measure_value,
@@ -268,38 +269,41 @@ def _base_rows(p: np.ndarray, q: np.ndarray, tags):
 _BASE_SCALES = {"h": 0.5, "d": -1.0, "Delta": 1.0, "Psi": 1.0, "J": 1.0, "I": 0.5, "T": 1.0}
 
 
-# The direct family terms read their powers of p and q through power(base,
-# e), so one leaf of _family_rows makes each power once for all its orders,
-# and xi's powers of m = (p+q)/2, each read by one order, from the m the
-# leaf makes once.  The direct term is inf*0 = nan where one power overflows and the
-# other underflows (|s| large, small masses); only those cells are
-# recomputed in the ratio form, which has no such product and gives 0 on a
-# cell where both masses vanish.
+# The family cells are in product form: each is 0 at p = q, so the sum is
+# the measure times s(s-1), with no constant subtracted from a total.  The
+# zeta cell (q^s - p^s)(p^(1-s) - q^(1-s)) is a product of two differences
+# that vanish at p = q, and the xi cell subtracts m = (p+q)/2 per cell.
+# The direct terms read their powers of p and q through power(base, e), so
+# one leaf of _family_rows makes each power once for all its orders, and
+# xi's powers of m, each read by one order, from the m the leaf makes once.
+# A direct term is nan where an overflowed power meets another (inf - inf,
+# inf * 0: |s| large, small masses); only those cells are recomputed in the
+# ratio form, which gives 0 on a cell where both masses vanish.
 
 
 def _zeta_direct(power: Callable, m: Optional[np.ndarray], s: float):
-    return power("p", s) * power("q", 1.0 - s) + power("p", 1.0 - s) * power("q", s)
+    return (power("q", s) - power("p", s)) * (power("p", 1.0 - s) - power("q", 1.0 - s))
 
 
 def _zeta_ratio(p: np.ndarray, q: np.ndarray, s: float):
-    # hi * (r^s + r^(1-s)) with r = lo/hi <= 1: the direct term, symmetric in p, q
+    # hi (r^s - 1)(1 - r^(1-s)) with r = lo/hi <= 1: the direct term, symmetric in p, q
     hi = np.maximum(p, q)
     r = np.minimum(p, q) / hi
-    return np.where(hi > 0.0, hi * (r**s + r ** (1.0 - s)), 0.0)
+    return np.where(hi > 0.0, hi * (r**s - 1.0) * (1.0 - r ** (1.0 - s)), 0.0)
 
 
 def _xi_direct(power: Callable, m: np.ndarray, s: float):
-    return 0.5 * (power("p", 1.0 - s) + power("q", 1.0 - s)) * m**s
+    return 0.5 * (power("p", 1.0 - s) + power("q", 1.0 - s)) * m**s - m
 
 
 def _xi_ratio(p: np.ndarray, q: np.ndarray, s: float):
-    # m ((p/m)^(1-s) + (q/m)^(1-s)) / 2 with m = (p+q)/2, so p/m, q/m <= 2
+    # m (((p/m)^(1-s) + (q/m)^(1-s))/2 - 1) with m = (p+q)/2, so p/m, q/m <= 2
     m = 0.5 * (p + q)
-    return np.where(m > 0.0, 0.5 * m * ((p / m) ** (1.0 - s) + (q / m) ** (1.0 - s)), 0.0)
+    return np.where(m > 0.0, m * (0.5 * ((p / m) ** (1.0 - s) + (q / m) ** (1.0 - s)) - 1.0), 0.0)
 
 
-# family: (direct term, ratio term, value of the sum at P = Q)
-_FAMILY_FORMS = {"zeta": (_zeta_direct, _zeta_ratio, 2.0), "xi": (_xi_direct, _xi_ratio, 1.0)}
+# family: (direct term, ratio term)
+_FAMILY_FORMS = {"zeta": (_zeta_direct, _zeta_ratio), "xi": (_xi_direct, _xi_ratio)}
 
 # The family orders of the catalog (generators.CATALOG_KEYS), in its order.
 CATALOG_ORDERS = (-1.0, 0.5, 2.0)
@@ -321,7 +325,7 @@ def _family_rows(p: np.ndarray, q: np.ndarray, orders):
 
     m = 0.5 * (p + q) if any(family == "xi" for family, _ in orders) else None
     for family, s in orders:
-        direct, ratio, _ = _FAMILY_FORMS[family]
+        direct, ratio = _FAMILY_FORMS[family]
         yield _mend(direct(power, m, s), (p, q), ratio, s)
 
 
@@ -380,7 +384,7 @@ class BaseSums:
             totals = self._reduce(_family_rows, self.p, self.q, missing)
             for (family, s), total in zip(missing, totals):
                 a, b = order_divisors(s)
-                sums[family, s] = (total - _FAMILY_FORMS[family][2]) / a / b
+                sums[family, s] = total / a / b
         return sums
 
     def measure(self, mid: MeasureId):

@@ -868,38 +868,38 @@ class TestCsiszarTable:
 
 
 # A family member at a regular order summed alone, written out here as the
-# reference for the shared family pass: its direct term with plain powers,
-# and its ratio term on the cells where that is nan.
+# reference for the shared family pass: its direct term in product form with
+# plain powers, and its ratio term on the cells where that is nan.
 def _alone_family(mid, p, q):
     s = mid.s
 
     def term(p, q):
         if mid.tag == "zeta":
-            t = p**s * q ** (1.0 - s) + p ** (1.0 - s) * q**s
+            t = (q**s - p**s) * (p ** (1.0 - s) - q ** (1.0 - s))
         else:
-            t = 0.5 * (p ** (1.0 - s) + q ** (1.0 - s)) * (0.5 * (p + q)) ** s
+            m = 0.5 * (p + q)
+            t = 0.5 * (p ** (1.0 - s) + q ** (1.0 - s)) * m**s - m
         bad = np.isnan(t)
         p, q = p[bad], q[bad]
         if mid.tag == "zeta":
             hi = np.maximum(p, q)
             r = np.minimum(p, q) / hi
-            t[bad] = np.where(hi > 0.0, hi * (r**s + r ** (1.0 - s)), 0.0)
+            t[bad] = np.where(hi > 0.0, hi * (r**s - 1.0) * (1.0 - r ** (1.0 - s)), 0.0)
         else:
             m = 0.5 * (p + q)
-            t[bad] = np.where(m > 0.0, 0.5 * m * ((p / m) ** (1.0 - s) + (q / m) ** (1.0 - s)), 0.0)
+            t[bad] = np.where(m > 0.0, m * (0.5 * ((p / m) ** (1.0 - s) + (q / m) ** (1.0 - s)) - 1.0), 0.0)
         return t
 
     a, b = kernel.order_divisors(s)
-    at_equal = 2.0 if mid.tag == "zeta" else 1.0
-    return repr(float((kernel.row_sum(term, p, q) - at_equal) / a / b))
+    return repr(float(kernel.row_sum(term, p, q) / a / b))
 
 
 FAMILY_PAIRS = {
     **SHARED_PAIRS,
     **TABLE_PAIRS,  # n16 and long_zeros are SHARED_PAIRS' pairs again
     "shared_zeros": SHARED_PAIRS["zeros"],
-    # p^-1 overflows and q^2 underflows in the first cell (on a helper
-    # thread at 2 CPUs), so zeta's direct term there is inf * 0 = nan
+    # p^-1 overflows and both squares underflow in the first cell (on a
+    # helper thread at 2 CPUs), so zeta's direct term there is -inf * 0 = nan
     "inf_times_zero": lambda: _long_pair([1e-310, 1.0 - 1e-310], [1e-170, 1.0 - 1e-170]),
 }
 FAMILY_KEYS = [key for key in CATALOG_KEYS if key.s is not None] + [
@@ -917,7 +917,7 @@ class TestOneFamilyPass:
         P, Q = FAMILY_PAIRS["inf_times_zero"]()
         p, q = P.probs[0], Q.probs[0]
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            assert np.isnan(p**-1.0 * q**2.0)
+            assert np.isnan((q**-1.0 - p**-1.0) * (p**2.0 - q**2.0))
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("name", sorted(FAMILY_PAIRS))
