@@ -18,13 +18,11 @@ certified lower and upper error bounds:
     too large for a double gives the vacuous bound 1/2, flagged.
 
 Every posterior form is the star transform f*(a) = a f((1-a)/a) of the
-catalog generator, evaluated by generators; this module averages, inverts
-and assembles, and restates no generator or form of f*.  An average
-E_x f*(P(C2|x)) is the Csiszar sum of the weighted pair (w1, w2) = (p1 c1,
-p2 c2), as px f*(w2/px) = w2 f(w1/w2) with px = w1 + w2, so stage 1,
-posterior_averages, is one generators._cell_rows pass over that pair for
-all the generators of a report or a sweep's grid, and computes no
-posterior.  Stage 2, report_rows, turns the averages of m problems
+catalog generator, evaluated by generators (_star_rows for averages,
+float_star and float_star_array for bisections); this module averages,
+inverts and assembles, and restates no generator or form of f*.  Stage 1,
+posterior_averages, sums all the generators of a report or a sweep's grid
+in one leaf pass.  Stage 2, report_rows, turns the averages of m problems
 into bound columns: arrays of values and of note codes into NOTES, lower
 bounds from lower_bounds (one average bisected in floats, two or more in
 lockstep, with the same bits) and upper bounds from _upper_bounds.  Stage
@@ -48,7 +46,7 @@ from .distributions import (
     validate,
 )
 from .generators import LN2, GeneratingFunction, float_star, float_star_array, generator, star_extended
-from .generators import _cell_rows
+from .generators import _star_rows
 from .kernel import (
     ArgumentError,
     DivboundError,
@@ -111,16 +109,26 @@ class TwoClassProblem:
         return cls(p1=p1, p2=p2, cond1=c1, cond2=c2, label=label)
 
 
-def weighted_pair(problem: TwoClassProblem) -> Tuple[np.ndarray, np.ndarray]:
-    """(p1 c1, p2 c2), elementwise."""
-    return problem.p1 * problem.cond1.probs, problem.p2 * problem.cond2.probs
+def posterior_arrays(p1, p2, cond1: np.ndarray, cond2: np.ndarray):
+    """(p1 c1, p2 c2, marginal, class-2 posterior), elementwise.
+
+    The priors broadcast against the conditionals, so (m, 1) prior columns
+    and (m, k) conditional blocks give m problems' arrays at once.  The
+    posterior is 0/0 = nan on an outcome with zero marginal mass.
+    """
+    w1 = p1 * cond1
+    w2 = p2 * cond2
+    px = w1 + w2
+    with np.errstate(invalid="ignore"):
+        return w1, w2, px, w2 / px
 
 
-def _live_pair(problem: TwoClassProblem) -> Tuple[np.ndarray, np.ndarray]:
-    """weighted_pair over the outcomes where a mass is positive."""
-    w1, w2 = weighted_pair(problem)
-    live = (w1 > 0.0) | (w2 > 0.0)
-    return w1[live], w2[live]
+def _live_posterior_arrays(problem: TwoClassProblem) -> Tuple[np.ndarray, np.ndarray]:
+    _, _, px, a2 = posterior_arrays(
+        problem.p1, problem.p2, problem.cond1.probs, problem.cond2.probs
+    )
+    live = px > 0.0
+    return px[live], a2[live]
 
 
 def min_mass_sum(w1: np.ndarray, w2: np.ndarray, reduce=None):
@@ -133,7 +141,10 @@ def min_mass_sum(w1: np.ndarray, w2: np.ndarray, reduce=None):
 
 def bayes_error(problem: TwoClassProblem) -> float:
     """Expected minimum posterior: sum_x min(p1 c1(x), p2 c2(x))."""
-    return float(min_mass_sum(*weighted_pair(problem)))
+    w1, w2, _, _ = posterior_arrays(
+        problem.p1, problem.p2, problem.cond1.probs, problem.cond2.probs
+    )
+    return float(min_mass_sum(w1, w2))
 
 
 # ---------------------------------------------------------------------------
@@ -174,33 +185,29 @@ def averaged_xi(problem: TwoClassProblem, s) -> float:
 
 
 def posterior_averages(
-    w1: np.ndarray, w2: np.ndarray, gens: Iterable[GeneratingFunction], reduce=None
+    px: np.ndarray, a2: np.ndarray, gens: Iterable[GeneratingFunction], reduce=None
 ) -> dict:
-    """sum_x w2 f(w1/w2) for each generator, by key, over the last axis:
-    the posterior averages of the weighted pair (p1 c1, p2 c2).
+    """sum_x px f*(a2) for each generator, by key, over the last axis.
 
-    Stage 1 of a bound report.  Every outcome must be live (w1 + w2 > 0);
-    an (m, k) block gives each of m problems' averages, bit-identical to
-    the problem on its own, and reduce=FlatRows.row_sum the averages of
-    the rows of flat buffers.  The generators share one _cell_rows pass,
-    each cell with the bits of _csiszar_term; a one-sided cell (one mass
-    0) is (w1 + w2) f_inf, where f(0) may be 0 log 0 = nan.
+    Stage 1 of a bound report.  Every outcome must be live (px > 0); an
+    (m, k) block gives each of m problems' averages, bit-identical to the
+    problem on its own, and reduce=FlatRows.row_sum the averages of the
+    rows of flat buffers.  The generators share one pass, each with the
+    bits of px * star_extended(g, a2) summed on its own.
     """
     gens = {g.key: g for g in gens}
-    return dict(zip(gens, (reduce or row_sum)(_average_rows, w1, w2, tuple(gens.values()))))
+    return dict(zip(gens, (reduce or row_sum)(_average_rows, px, a2, tuple(gens.values()))))
 
 
-def _average_rows(w1: np.ndarray, w2: np.ndarray, gens: tuple):
-    one_sided = (w1 == 0.0) | (w2 == 0.0)
-    mass = (w1 + w2)[one_sided]
-    for g, row in zip(gens, _cell_rows(w1, w2, gens)):
-        row[one_sided] = mass * g.f_infinity
-        yield row
+def _average_rows(px: np.ndarray, a2: np.ndarray, gens: tuple):
+    for row in _star_rows(gens, a2):
+        yield px * row
 
 
 def problem_averages(problem: TwoClassProblem, gens: Iterable[GeneratingFunction]) -> dict:
     """posterior_averages of one problem over its live outcomes, as floats."""
-    return {key: float(v) for key, v in posterior_averages(*_live_pair(problem), gens).items()}
+    px, a2 = _live_posterior_arrays(problem)
+    return {key: float(v) for key, v in posterior_averages(px, a2, gens).items()}
 
 
 def average_f_divergence(problem: TwoClassProblem, g: GeneratingFunction) -> float:
@@ -471,8 +478,8 @@ def bound_report(
     Inapplicable bounds appear with applicable=False, a reason note, and
     the trivial value of their kind (0 for lower, 1/2 for upper).
     """
-    w1, w2 = _live_pair(problem)
-    averages = posterior_averages(w1[None], w2[None], report_generators(s_grid))
+    px, a2 = _live_posterior_arrays(problem)
+    averages = posterior_averages(px[None], a2[None], report_generators(s_grid))
     rows = report_rows(s_grid, [problem.p1], [problem.p2], averages, lambda j: problem)
     entries = tuple(
         BoundEntry(name, kind, values.item(), applicable.item(), NOTES[codes.item()])

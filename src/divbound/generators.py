@@ -23,14 +23,12 @@ value of either as p f(q/p), equal by star symmetry, unless that is nan.
 _csiszar_term is the cell term of one generator and _cell_rows the pass
 of several, which makes f(u) once per leaf and distinct fn.  The catalog
 table (csiszar_sum: the 19 catalog generators of a validated pair, a row
-each in CATALOG_KEYS order) and the bounds' posterior averages (the cells
-of the weighted pair (w1, w2) = (p1 c1, p2 c2): the marginal w1 + w2 times
-f* of the class-2 posterior is w2 f(w1/w2)) are that pass.  star_extended
-is star with f_inf at the ends of [0, 1].  _star_float and float_star_array's
-lockstep form (each point with _star_float's bits) hand _star_cells the
-points where their own form is not finite or too near 0 to run quietly.
-Each generator's formula is written once, in its closure, which the float
-forms call as they are.
+each in CATALOG_KEYS order) and _star_rows (f* on [0, 1], f_inf at its
+ends: star_extended and the bounds' averages) are that pass.  _star_float
+and float_star_array's lockstep form (each point with _star_float's bits)
+hand _star_cells the points where their own form is not finite or too
+near 0 to run quietly.  Each generator's formula is written once, in its
+closure, which the float forms call as they are.
 """
 
 from __future__ import annotations
@@ -137,8 +135,7 @@ def _f_zeta(s: float, power: Callable = operator.pow) -> Callable:
     same = e == s  # s = 1/2: the two powers are one
 
     def fn(u):
-        # (1 - u^s)(u^(1-s) - 1): the product of two differences, each of
-        # which vanishes at u = 1, cancels nothing near it
+        # two factors that each vanish at u = 1: nothing cancels near it
         us = power(u, s)
         out = (1.0 - us) * ((us if same else power(u, e)) - 1.0) / a
         return out if b == 1.0 else out / b
@@ -398,10 +395,20 @@ def star_extended(g: GeneratingFunction, x):
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise DomainError("star transform requires 0 < x < 1")
-    inner = (arr != 0.0) & (arr != 1.0)
-    out = np.full(arr.shape, g.f_infinity)
-    out[inner] = _star_cells(g.fn, arr[inner])
-    return out
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return next(_star_rows((g,), arr))
+
+
+def _star_rows(gens, a: np.ndarray):
+    """Yield star_extended(g, a) for each g of gens, unchecked and with no
+    errstate of its own: f_inf at the endpoints of [0, 1], and inside the
+    cell terms at (1 - a, a) of one _cell_rows pass."""
+    inner = (a != 0.0) & (a != 1.0)
+    x = a[inner]
+    for g, cells in zip(gens, _cell_rows(1.0 - x, x, gens)):
+        row = np.full(a.shape, g.f_infinity)
+        row[inner] = cells
+        yield row
 
 
 def limit_constants(g: GeneratingFunction) -> float:

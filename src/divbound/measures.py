@@ -269,16 +269,13 @@ def _base_rows(p: np.ndarray, q: np.ndarray, tags):
 _BASE_SCALES = {"h": 0.5, "d": -1.0, "Delta": 1.0, "Psi": 1.0, "J": 1.0, "I": 0.5, "T": 1.0}
 
 
-# The family cells are in product form: each is 0 at p = q, so the sum is
-# the measure times s(s-1), with no constant subtracted from a total.  The
-# zeta cell (q^s - p^s)(p^(1-s) - q^(1-s)) is a product of two differences
-# that vanish at p = q, and the xi cell subtracts m = (p+q)/2 per cell.
-# The direct terms read their powers of p and q through power(base, e), so
-# one leaf of _family_rows makes each power once for all its orders, and
-# xi's powers of m, each read by one order, from the m the leaf makes once.
-# A direct term is nan where an overflowed power meets another (inf - inf,
-# inf * 0: |s| large, small masses); only those cells are recomputed in the
-# ratio form, which gives 0 on a cell where both masses vanish.
+# Each family cell is 0 at p = q (the zeta cell a product of two differences
+# that vanish there, the xi cell less m = (p+q)/2), so a sum is the measure
+# times s(s-1).  The direct terms read their powers through power(base, e),
+# so a leaf of _family_rows makes each power of p, q (and m) once.  A direct
+# term is nan where an overflowed power meets another (inf - inf, inf * 0:
+# |s| large, small masses); only those cells are recomputed in the ratio
+# form, which gives 0 on a cell where both masses vanish.
 
 
 def _zeta_direct(power: Callable, m: Optional[np.ndarray], s: float):

@@ -25,11 +25,11 @@ draws of the tests and the golden verify files tie them to numpy's own.
 A block is flat: each side's rows lie in one buffer, grouped by alphabet
 size n (problem size k for the bound suites) into C-contiguous (m, n)
 slabs by ascending n, in trial order within a slab (kernel.FlatRows).
-Every elementwise step (softmax, and the cell terms of the measures, the
-Csiszar sums and the averages) runs over the whole buffer, in chunks of
-rows; only the row sums run per slab.  The softmax rows are valid
-distributions by construction; each block is checked once for that, and a
-failure is an internal error, not a validation error.
+Every elementwise step (softmax, the measure, Csiszar-sum and posterior
+terms) runs over the whole buffer, in chunks of rows; only the row sums
+run per slab.  The softmax rows are valid distributions by construction;
+each block is checked once for that, and a failure is an internal error,
+not a validation error.
 The sandwich suite then takes each bound of the block as one array
 (bounds.report_rows, which bisects a lower bound for all of the block's
 problems at once) and reduces the (problem, bound) slacks; the
@@ -67,6 +67,7 @@ from .bounds import (
     _slack,
     compare_averages,
     min_mass_sum,
+    posterior_arrays,
     posterior_averages,
     report_generators,
     report_rows,
@@ -474,17 +475,16 @@ def _checked_problem(block: _Block, i: int) -> TwoClassProblem:
     )
 
 
-def _weighted_pair(block: _Block):
-    """The weighted pair (p1 c1, p2 c2) of every problem of a block, flat.
-    Every outcome of a drawn problem is live: its conditionals are
-    strictly positive."""
+def _posteriors(block: _Block):
+    """posterior_arrays of every problem of a block, flat.  Every outcome
+    of a drawn problem is live: its conditionals are strictly positive."""
     prior1 = block.rows.per_cell(block.priors)
-    return prior1 * block.first, (1.0 - prior1) * block.second
+    return posterior_arrays(prior1, 1.0 - prior1, block.first, block.second)
 
 
-def _averages(block: _Block, w1: np.ndarray, w2: np.ndarray, gens) -> dict:
+def _averages(block: _Block, px: np.ndarray, a2: np.ndarray, gens) -> dict:
     """Stage 1's posterior averages of a block's problems, by key, in trial order."""
-    averages = posterior_averages(w1, w2, gens, block.rows.row_sum)
+    averages = posterior_averages(px, a2, gens, block.rows.row_sum)
     return {key: block.in_trial_order(rows) for key, rows in averages.items()}
 
 
@@ -502,9 +502,9 @@ def _sandwich_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
     first: Optional[str] = None
     gens = report_generators(DEFAULT_S_GRID)
     for block in _blocks(trials, rng, K_MAX, priors=True):
-        w1, w2 = _weighted_pair(block)
+        w1, w2, px, a2 = _posteriors(block)
         pe = block.in_trial_order(min_mass_sum(w1, w2, block.rows.row_sum))
-        averages = _averages(block, w1, w2, gens)
+        averages = _averages(block, px, a2, gens)
         p1 = block.in_trial_order(block.priors).tolist()
         # stage 2: each bound's column for the whole block at once
         rows = report_rows(
@@ -531,7 +531,8 @@ def _comparison_suite(trials: int, rng: np.random.Generator) -> SuiteResult:
     first: Optional[str] = None
     gens = [generator(tag) for tag in COMPARISON_TAGS]
     for block in _blocks(trials, rng, K_MAX, priors=True):
-        results = compare_averages(_averages(block, *_weighted_pair(block), gens))
+        _, _, px, a2 = _posteriors(block)
+        results = compare_averages(_averages(block, px, a2, gens))
         # (problem, relation) in trial order, as the relations of one problem follow one another
         slacks = np.stack([res.slack for res in results], axis=-1)
         failing = ~np.stack([res.satisfied for res in results], axis=-1)

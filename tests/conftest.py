@@ -90,65 +90,39 @@ def catalog_passes():
     ]
 
 
-def own_average_sums(w1, w2, g, reduce):
-    """The averages of one generator g on its own over a live weighted pair,
-    as reduce sums them (kernel.row_sum or a FlatRows.row_sum): each cell
-    its own _csiszar_term(w1, w2, g.fn), and each one-sided cell (one mass
-    0) exactly (w1 + w2) f_inf, sharing nothing with another generator."""
-    from divbound.generators import _csiszar_term
+def own_average_sums(px, a2, g, reduce):
+    """The averaging sums of one generator g on its own, as reduce sums
+    them (kernel.row_sum or a FlatRows.row_sum): px * f*(a2), with f* from
+    star() inside (0, 1) and f_inf at the endpoints, sharing nothing with
+    another generator.  An independent form of px * star_extended(g, a2)."""
+    from divbound.generators import star
 
-    def term(w1, w2):
-        one_sided = (w1 == 0.0) | (w2 == 0.0)
-        return np.where(one_sided, (w1 + w2) * g.f_infinity, _csiszar_term(w1, w2, g.fn))
+    def term(px, a2):
+        row = np.full(a2.shape, g.f_infinity)
+        inner = (a2 != 0.0) & (a2 != 1.0)
+        row[inner] = star(g, a2[inner])
+        return px * row
 
-    return reduce(term, w1, w2)
+    return reduce(term, px, a2)
 
 
-def assert_one_pass_is_each_own(w1, w2, gens, reduce):
-    """posterior_averages of gens in one pass over the live weighted pair
-    (w1, w2) equals, bit for bit, each generator's own_average_sums, cell by
-    cell on one pair; and the cell pass on the two-sided cells is each
-    generator's own, as assert_cell_rows_are_each_own checks it."""
-    from divbound.bounds import _average_rows, posterior_averages
+def assert_one_pass_is_each_own(px, a2, gens, reduce):
+    """posterior_averages of gens in one pass equals, bit for bit, each
+    generator's own_average_sums and its px * star_extended(g, a2) sums;
+    and the cell pass inside (0, 1) is each generator's own, as
+    assert_cell_rows_are_each_own checks it."""
+    from divbound.bounds import posterior_averages
+    from divbound.generators import star_extended
 
-    averages = posterior_averages(w1, w2, gens, reduce)
+    averages = posterior_averages(px, a2, gens, reduce)
     assert list(averages) == list(dict.fromkeys(g.key for g in gens))
     for g in gens:
-        own = own_average_sums(w1, w2, g, reduce)
-        assert np.asarray(averages[g.key]).tobytes() == np.asarray(own).tobytes(), g.key
-    one_sided = (w1 == 0.0) | (w2 == 0.0)
-    if w1.ndim == 1:
-        px = w1 + w2
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for g, row in zip(gens, _average_rows(w1, w2, tuple(gens)), strict=True):
-                own = own_average_sums(w1, w2, g, lambda term, p, q: term(p, q))
-                assert row.tobytes() == own.tobytes(), g.key
-                assert row[one_sided].tolist() == (px[one_sided] * g.f_infinity).tolist(), g.key
-    assert_cell_rows_are_each_own(w1[~one_sided], w2[~one_sided], gens)
-
-
-def assert_near_the_posterior_form(w1, w2, gens, reduce):
-    """posterior_averages of gens agrees within 1e-13 relative with the
-    posterior form it replaced, the sums of px star_extended(g, w2/px) with
-    px = w1 + w2.  A difference's average is relative to the sum of its
-    scaled parts' averages, as both forms cancel there.  The posterior
-    form rounds 1 - a, so near a posterior of 1 it keeps fewer digits than
-    the weighted pair's w1/w2 (at 1 - a = 1e-9, about 7): this holds for
-    pairs with no such cell."""
-    from divbound.bounds import posterior_averages
-    from divbound.generators import generator, star_extended
-    from divbound.measures import _DIFF_COMBOS
-
-    bases = {tag: generator(tag) for tag in ("Delta", "I", "h", "d")}
-    averages = posterior_averages(w1, w2, (*gens, *bases.values()), reduce)
-    px = w1 + w2
-    a2 = w2 / px
-    for g in gens:
-        got = averages[g.key]
-        parts = _DIFF_COMBOS.get(g.key, ((1.0, g.key),))
-        scale = sum(abs(c) * np.abs(averages[tag]) for c, tag in parts)
-        posterior = reduce(lambda px, a2: px * star_extended(g, a2), px, a2)
-        assert np.all((got == posterior) | (np.abs(got - posterior) <= 1e-13 * scale)), g.key
+        own = own_average_sums(px, a2, g, reduce)
+        alone = reduce(lambda px, a2: px * star_extended(g, a2), px, a2)
+        got = np.asarray(averages[g.key])
+        assert got.tobytes() == np.asarray(own).tobytes() == np.asarray(alone).tobytes(), g.key
+    x = a2[(a2 != 0.0) & (a2 != 1.0)]
+    assert_cell_rows_are_each_own(1.0 - x, x, gens)
 
 
 def _counted_generators(mp, keys, cells):

@@ -162,9 +162,8 @@ MUTANTS = {
         ("tests/test_bounds.py::TestLockstepLowerBounds::test_evaluator_is_the_float_path",),
     ),
     # the one cell pass (generators._cell_rows) and the one function rule
-    # (generators._build), the averages' one-sided fill round it
-    # (bounds._average_rows) and the grid's two stages
-    # (bounds.family_grid_bounds)
+    # (generators._build), the averaging pass round it (_star_rows) and the
+    # grid's two stages (bounds.family_grid_bounds)
     "twin-fn-without-the-zeta-twin-check": Mutant(
         GENERATORS,
         'elif tag == "zeta" and (t := _zeta_twin(s)) is not None and t < s:',
@@ -199,24 +198,17 @@ MUTANTS = {
          ONE_PASS + "test_rows_longer_than_a_leaf", ONE_PASS + "test_flat_rows",
          ONE_FN + "test_each_row_is_its_generators_own"),
     ),
-    "one-sided-fill-zero": Mutant(
-        BOUNDS,
-        "row[one_sided] = mass * g.f_infinity",
-        "row[one_sided] = 0.0",
+    "star-rows-endpoint-fill-zero": Mutant(
+        GENERATORS,
+        "row = np.full(a.shape, g.f_infinity)",
+        "row = np.full(a.shape, 0.0)",
         (ONE_PASS + "test_endpoint_and_near_endpoint_posteriors",
          ONE_PASS + "test_a_problem_with_zero_masses"),
     ),
-    "one-sided-mask-misses-a-zero-w1": Mutant(
-        BOUNDS,
-        "one_sided = (w1 == 0.0) | (w2 == 0.0)",
-        "one_sided = w2 == 0.0",
-        (ONE_PASS + "test_endpoint_and_near_endpoint_posteriors",
-         ONE_PASS + "test_a_problem_with_zero_masses"),
-    ),
-    "one-sided-fill-reads-only-w1": Mutant(
-        BOUNDS,
-        "mass = (w1 + w2)[one_sided]",
-        "mass = w1[one_sided]",
+    "star-rows-mask-keeps-a-equal-1": Mutant(
+        GENERATORS,
+        "inner = (a != 0.0) & (a != 1.0)",
+        "inner = a != 0.0",
         (ONE_PASS + "test_endpoint_and_near_endpoint_posteriors",
          ONE_PASS + "test_a_problem_with_zero_masses"),
     ),

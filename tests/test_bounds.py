@@ -5,13 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle_reference as oracle
-from conftest import (
-    assert_near_the_posterior_form,
-    assert_one_pass_is_each_own,
-    column_entries,
-    make_pair,
-    set_cpus,
-)
+from conftest import assert_one_pass_is_each_own, column_entries, make_pair, set_cpus
 from divbound.bounds import (
     DEFAULT_S_GRID,
     BoundEntry,
@@ -30,6 +24,7 @@ from divbound.bounds import (
     family_bounds,
     family_grid_bounds,
     lower_bound_family,
+    posterior_arrays,
     posterior_averages,
     problem_averages,
     report_generators,
@@ -37,7 +32,6 @@ from divbound.bounds import (
     upper_bound_difference,
     upper_bound_xi,
     upper_bound_zeta,
-    weighted_pair,
     xi_point,
     zeta_point,
 )
@@ -123,10 +117,11 @@ class TestProblemConstruction:
 
 def posteriors_of(problem):
     """(marginal, class-1 posterior, class-2 posterior) arrays of a problem."""
-    w1, w2 = weighted_pair(problem)
-    px = w1 + w2
+    w1, _, px, post2 = posterior_arrays(
+        problem.p1, problem.p2, problem.cond1.probs, problem.cond2.probs
+    )
     with np.errstate(invalid="ignore"):  # 0/0 = nan where px == 0
-        return px, w1 / px, w2 / px
+        return px, w1 / px, post2
 
 
 class TestPosteriors:
@@ -897,9 +892,9 @@ class TestBoundReport:
         rng = np.random.default_rng(m)
         c1, c2 = np.exp(rng.standard_normal((2, m, 6)))
         priors = rng.uniform(0.1, 0.4, (m, 1))
-        w1 = priors * (c1 / c1.sum(-1, keepdims=True))
-        w2 = (1.0 - priors) * (c2 / c2.sum(-1, keepdims=True))
-        averages = posterior_averages(w1, w2, report_generators(grid))
+        _, _, px, a2 = posterior_arrays(priors, 1.0 - priors, c1 / c1.sum(-1, keepdims=True),
+                                        c2 / c2.sum(-1, keepdims=True))
+        averages = posterior_averages(px, a2, report_generators(grid))
         own, made = bounds_mod.lower_bounds, []
         monkeypatch.setattr(bounds_mod, "lower_bounds", lambda g, v: made.append(g.fn) or own(g, v))
         p1 = priors[:, 0].tolist()
@@ -940,28 +935,22 @@ class TestBoundReport:
 SHARED_PASS_GRID = (-1030.0, -1.0, 0.0, -0.0, 0.5, 0.5, 2.0)
 
 
-def _edge_pair_of(px, a2):
-    """The weighted pair of marginals px and class-2 posteriors a2."""
-    px, a2 = np.asarray(px), np.asarray(a2)
-    return px * (1.0 - a2), px * a2
-
-
-def _edge_pair(rng, k):
-    """A live weighted pair (w1, w2) of k outcomes: uniform class-2
-    posteriors, with a zero mass on either side and ratios 1e-9 either way."""
+def _edge_posteriors(rng, k):
+    """(px, a2) of k live outcomes: uniform posteriors, with exact 0s and
+    1s (a zero mass in one conditional) and points 1e-9 from either end."""
     a2 = rng.random(k)
     a2[rng.random(k) < 0.2] = 0.0
     a2[rng.random(k) < 0.2] = 1.0
     a2[rng.random(k) < 0.1] = 1e-9
     a2[rng.random(k) < 0.1] = 1.0 - 1e-9
-    return _edge_pair_of(rng.random(k) / k + 1e-3 / k, a2)
+    px = rng.random(k) / k + 1e-3 / k
+    return px, a2
 
 
 class TestOneAveragingPass:
-    """posterior_averages sums all its generators in one _cell_rows pass
-    over the weighted pair, which makes the shared terms once and each
-    distinct function's values once; each generator keeps the bits of its
-    own Csiszar pass, and a one-sided cell is (w1 + w2) f_inf."""
+    """posterior_averages sums all its generators in one leaf pass, which
+    makes the posteriors' shared terms once and each distinct function's
+    values once; each generator keeps the bits of its own pass."""
 
     # with two pairs of zeta twins, whose generators share one fn
     gens = report_generators(SHARED_PASS_GRID + (1.5, -0.5))
@@ -977,34 +966,35 @@ class TestOneAveragingPass:
         assert np.isfinite(star(g, x)).all()
 
     def test_endpoint_and_near_endpoint_posteriors(self):
-        # posteriors 0 and 1 are the one-sided cells
-        px = [0.1, 0.2, 0.05, 0.15, 0.3, 0.2]
-        w1, w2 = _edge_pair_of(px, [0.0, 1.0, 1e-9, 1.0 - 1e-9, 0.3, 0.5])
-        assert_one_pass_is_each_own(w1, w2, self.gens, kernel.row_sum)
-        assert_one_pass_is_each_own(w1[None], w2[None], self.gens, kernel.row_sum)
-        averages = posterior_averages(w1, w2, self.gens)
-        assert math.isinf(averages["zeta:0.0"])  # J's f_inf on the one-sided cells
+        px = np.array([0.1, 0.2, 0.05, 0.15, 0.3, 0.2])
+        a2 = np.array([0.0, 1.0, 1e-9, 1.0 - 1e-9, 0.3, 0.5])
+        assert_one_pass_is_each_own(px, a2, self.gens, kernel.row_sum)
+        assert_one_pass_is_each_own(px[None], a2[None], self.gens, kernel.row_sum)
+        averages = posterior_averages(px, a2, self.gens)
+        assert math.isinf(averages["zeta:0.0"])  # J's f_inf at the endpoints
         assert math.isfinite(averages["xi:-1030.0"])
 
     def test_a_problem_with_zero_masses(self):
-        # outcome 0 has class-2 mass 0, outcome 1 class-1 mass 0
+        # outcome 0 has class-2 posterior 0, outcome 1 posterior 1
         problem = TwoClassProblem.from_arrays(
             (0.4, 0.6), [0.5, 0.0, 0.3, 0.2], [0.0, 0.25, 0.25, 0.5]
         )
         averages = problem_averages(problem, self.gens)
         for g in self.gens:
             assert averages[g.key] == average_f_divergence(problem, g)
-        w1, w2 = weighted_pair(problem)
-        assert (w2[0], w1[1]) == (0.0, 0.0)
-        assert_one_pass_is_each_own(w1, w2, self.gens, kernel.row_sum)
+        _, _, px, a2 = posterior_arrays(
+            problem.p1, problem.p2, problem.cond1.probs, problem.cond2.probs
+        )
+        assert a2.tolist()[:2] == [0.0, 1.0]
+        assert_one_pass_is_each_own(px, a2, self.gens, kernel.row_sum)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_rows_longer_than_a_leaf(self, monkeypatch, cpus):
         set_cpus(monkeypatch, cpus)
         rng = np.random.default_rng(kernel.SUM_LEAF)
-        w1, w2 = _edge_pair(rng, 2 * kernel.SUM_LEAF + 13)
-        assert_one_pass_is_each_own(w1, w2, self.gens, kernel.row_sum)
-        block = np.vstack([w1, w1[::-1]]), np.vstack([w2, w2[::-1]])
+        px, a2 = _edge_posteriors(rng, 2 * kernel.SUM_LEAF + 13)
+        assert_one_pass_is_each_own(px, a2, self.gens, kernel.row_sum)
+        block = np.vstack([px, px[::-1]]), np.vstack([a2, a2[::-1]])
         assert_one_pass_is_each_own(*block, self.gens, kernel.row_sum)
 
     def test_flat_rows(self, monkeypatch):
@@ -1012,19 +1002,8 @@ class TestOneAveragingPass:
         set_cpus(monkeypatch, 2)
         lengths = np.array([1, 2, 2, 5, 5, 5, kernel.SUM_LEAF + 3])
         layout = kernel.FlatRows(lengths)
-        w1, w2 = _edge_pair(np.random.default_rng(3), layout.cells)
-        assert_one_pass_is_each_own(w1, w2, self.gens, layout.row_sum)
-
-    def test_near_the_posterior_form(self):
-        rng = np.random.default_rng(23)
-        c1, c2 = np.exp(rng.standard_normal((2, 200, 12)))
-        priors = rng.uniform(0.05, 0.95, (200, 1))
-        w1 = priors * (c1 / c1.sum(-1, keepdims=True))
-        w2 = (1.0 - priors) * (c2 / c2.sum(-1, keepdims=True))
-        # orders of moderate size: an order's power scales the posterior
-        # form's rounding of a by |s| (at -1030, past 1e-13)
-        gens = report_generators((-1.0, -0.5, 0.0, 0.5, 1.5, 2.0))
-        assert_near_the_posterior_form(w1, w2, gens, kernel.row_sum)
+        px, a2 = _edge_posteriors(np.random.default_rng(3), layout.cells)
+        assert_one_pass_is_each_own(px, a2, self.gens, layout.row_sum)
 
     def test_one_pass_for_all_the_generators(self, passes, flip_problem):
         problem_averages(flip_problem, self.gens)

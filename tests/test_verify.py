@@ -8,14 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import (
-    assert_near_the_posterior_form,
-    assert_one_pass_is_each_own,
-    catalog_passes,
-    column_entries,
-    make_pair,
-    set_cpus,
-)
+from conftest import assert_one_pass_is_each_own, catalog_passes, column_entries, make_pair, set_cpus
 from divbound import cli, verify
 from divbound import bounds, kernel, measures
 from divbound.bounds import (
@@ -305,9 +298,9 @@ def test_problem_blocks_end_on_the_cell_budget(monkeypatch):
 
 
 def _stage_one(block, gens):
-    w1, w2 = verify._weighted_pair(block)
+    w1, w2, px, a2 = verify._posteriors(block)
     pe = block.in_trial_order(min_mass_sum(w1, w2, block.rows.row_sum))
-    return pe, verify._averages(block, w1, w2, gens)
+    return pe, verify._averages(block, px, a2, gens)
 
 
 def test_block_draws_equal_the_per_trial_draws(monkeypatch):
@@ -350,14 +343,13 @@ def test_block_draws_equal_the_per_trial_draws(monkeypatch):
 
 
 def test_a_blocks_averages_are_each_generators_own_pass():
-    # stage 1 of the bound suites: one pass of a block's flat weighted pair
-    # for all the generators, each with the bits of its own Csiszar pass
+    # stage 1 of the bound suites: one pass of a block's flat rows for all
+    # the generators, each with the bits of its own pass
     gens = report_generators(DEFAULT_S_GRID)
     trials = 0
     for block in _problem_blocks(300, np.random.default_rng(5)):
-        w1, w2 = verify._weighted_pair(block)
-        assert_one_pass_is_each_own(w1, w2, gens, block.rows.row_sum)
-        assert_near_the_posterior_form(w1, w2, gens, block.rows.row_sum)
+        _, _, px, a2 = verify._posteriors(block)
+        assert_one_pass_is_each_own(px, a2, gens, block.rows.row_sum)
         trials += len(block)
     assert trials == 300
 
