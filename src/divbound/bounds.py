@@ -26,7 +26,7 @@ in one leaf pass.  Stage 2, report_rows, turns the averages of m problems
 into bound columns: arrays of values and of note codes into NOTES, lower
 bounds from lower_bounds (one average bisected in floats, two or more in
 lockstep, with the same bits) and upper bounds from _upper_bounds.  Stage
-1 evaluates, and stage 2 bisects, each distinct generator function once.
+1 (one plan per pass) sums a row, and stage 2 bisects once, per distinct fn.
 Outcomes with zero marginal mass are excluded from every expectation.
 """
 
@@ -46,7 +46,7 @@ from .distributions import (
     validate,
 )
 from .generators import LN2, GeneratingFunction, float_star, float_star_array, generator, star_extended
-from .generators import _star_rows
+from .generators import _distinct, _plan_sums, _star_rows
 from .kernel import (
     ArgumentError,
     DivboundError,
@@ -192,15 +192,14 @@ def posterior_averages(
     Stage 1 of a bound report.  Every outcome must be live (px > 0); an
     (m, k) block gives each of m problems' averages, bit-identical to the
     problem on its own, and reduce=FlatRows.row_sum the averages of the
-    rows of flat buffers.  The generators share one pass, each with the
-    bits of px * star_extended(g, a2) summed on its own.
+    rows of flat buffers.  The pass sums a row per distinct function, each
+    key's with the bits of px * star_extended(g, a2) summed on its own.
     """
-    gens = {g.key: g for g in gens}
-    return dict(zip(gens, (reduce or row_sum)(_average_rows, px, a2, tuple(gens.values()))))
+    return _plan_sums(reduce or row_sum, _average_rows, px, a2, tuple(gens))
 
 
-def _average_rows(px: np.ndarray, a2: np.ndarray, gens: tuple):
-    for row in _star_rows(gens, a2):
+def _average_rows(px: np.ndarray, a2: np.ndarray, plan: dict):
+    for row in _star_rows(plan, a2):
         yield px * row
 
 
@@ -388,16 +387,14 @@ def family_grid_bounds(
 ) -> List[Tuple[float, Tuple[float, str], Optional[Tuple[float, str]]]]:
     """family_bounds at each order of s_grid, bit for bit: stage 1 averages
     the grid's generators in one pass, each resolved (or raising) before
-    stage 2 bounds any order from its own average."""
+    stage 2 bounds any order from its own average, bisecting once per fn."""
     gens = [_family_generator(family, s) for s in s_grid]
     averages = problem_averages(problem, gens)
-    lowers = {}  # by fn: each distinct function is bisected once
+    lowers = {fn: _single(*lower_bounds(g, [averages[g.key]])) for fn, g in _distinct(gens).items()}
     rows = []
     for s, g in zip(s_grid, gens):
         v = averages[g.key]
         upper = None if _family_upper_note(family, s) else _single(*_upper_bounds(g, [v]))
-        if g.fn not in lowers:
-            lowers[g.fn] = _single(*lower_bounds(g, [v]))
         rows.append((v, lowers[g.fn], upper))
     return rows
 
@@ -506,10 +503,7 @@ def report_rows(
     """
     m = len(p1)
     j0, *family_gens = gens = lower_generators(s_grid)
-    lowers = {}  # by fn: each distinct function is bisected once
-    for g in gens:
-        if g.fn not in lowers:
-            lowers[g.fn] = lower_bounds(g, averages[g.key])
+    lowers = {fn: lower_bounds(g, averages[g.key]) for fn, g in _distinct(gens).items()}
     kailath = [_kailath(a, b, lambda: problem(j)) for j, (a, b) in enumerate(zip(p1, p2))]
     toussaint = list(map(_toussaint_general, p1, p2, averages[j0.key].tolist()))
     rows = [

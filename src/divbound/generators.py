@@ -20,15 +20,15 @@ limit order and its base, and zeta at s and at its twin (_zeta_twin).
 Every evaluation of f* runs here, as the Csiszar cell term q f(p/q) at
 (p, q) = (1 - x, x): _mirrored's one rule recomputes every non-finite
 value of either as p f(q/p), equal by star symmetry, unless that is nan.
-_csiszar_term is the cell term of one generator and _cell_rows the pass
-of several, which makes f(u) once per leaf and distinct fn.  The catalog
-table (csiszar_sum: the 19 catalog generators of a validated pair, a row
-each in CATALOG_KEYS order) and _star_rows (f* on [0, 1], f_inf at its
-ends: star_extended and the bounds' averages) are that pass.  _star_float
-and float_star_array's lockstep form (each point with _star_float's bits)
-hand _star_cells the points where their own form is not finite or too
-near 0 to run quietly.  Each generator's formula is written once, in its
-closure, which the float forms call as they are.
+_csiszar_term is the cell term of one generator, and _cell_rows the pass
+of several: one row per distinct fn, each value read made once per leaf,
+by a _plan made once per row_sum call (_plan_sums, which maps each key to
+its fn's row).  The catalog table (csiszar_sum) and _star_rows (f* on
+[0, 1], f_inf at its ends: star_extended and the bounds' averages) are
+that pass.  _star_float and float_star_array's lockstep form (each point
+with _star_float's bits) hand _star_cells the points where their own form
+is not finite or too near 0 to run quietly.  Each generator's formula is
+written once, in its closure, which the float forms call as they are.
 """
 
 from __future__ import annotations
@@ -170,17 +170,9 @@ def _f_xi(s: float, power: Callable = operator.pow) -> Callable:
             tail = np.log1p(np.exp(np.minimum(lx, ly) - big) - 2.0 * np.exp(-big))
             return np.exp(np.log(0.25 * v) + big + tail - log_ab)
 
-    def fn(u, shared=None):
-        # shared: a list _cell_rows hands every xi order of one leaf of u;
-        # the first order keeps w, u w and (u+1)/2 in it for the rest
-        if shared:
-            w, uw, hv = shared
-        else:
-            hv = 0.5 * (u + 1.0)
-            w = 1.0 / hv  # 2/(u+1) bit for bit: hv is (u+1)/2 exactly
-            uw = u * w
-            if shared is not None:
-                shared += w, uw, hv
+    def fn(u, terms=None):
+        # terms: _xi_terms(u), which a cell pass makes once for all its xi orders
+        w, uw, hv = _xi_terms(u) if terms is None else terms
         out = hv * (0.5 * (power(uw, e) + power(w, e)) - 1.0) / a
         if isinstance(out, np.ndarray):
             if b != 1.0:  # x / 1.0 is x: the pass is skipped
@@ -195,6 +187,13 @@ def _f_xi(s: float, power: Callable = operator.pow) -> Callable:
         return out
 
     return fn
+
+
+def _xi_terms(u):
+    """w = 2/(u+1), u w and hv = (u+1)/2, read by every regular xi order."""
+    hv = 0.5 * (u + 1.0)
+    w = 1.0 / hv  # 2/(u+1) bit for bit: hv is (u+1)/2 exactly
+    return w, u * w, hv
 
 
 def zeta_f_inf(s) -> float:
@@ -244,27 +243,23 @@ _BASE_SPECS = {
 _FAMILY_FNS = {"zeta": _f_zeta, "xi": _f_xi}
 _FAMILY_F_INF = {"zeta": zeta_f_inf, "xi": xi_f_inf}
 
-# Marks _build makes by fn: each regular family member's libm-pow form
-# (_float_pow), float_star_array's form of it; each difference's
-# (coefficient, base fn) terms; the regular xi forms, which share terms.
+# Marks _build makes by fn: each regular family member's libm-pow form,
+# float_star_array's form of it; what _plan makes for a difference or xi order.
 _LIBM_FORMS = {}
-_PARTS = {}
-_XI_FORMS = set()
-
-
-def _combine(terms):
-    """A difference generator's value from its (coefficient, base value)
-    terms: their products summed from the int 0, as sum starts."""
-    return sum(c * v for c, v in terms)
+_NEEDS = {}
+_U = "u"  # the value u = p/q of a cell pass
 
 
 def _combo_fn(combo) -> Callable:
-    parts = tuple((c, _BASE_SPECS[tag][0]) for c, tag in combo)
+    bases = tuple(_BASE_SPECS[tag][0] for _, tag in combo)
+
+    def make(*values):  # the products summed from the int 0, as sum starts
+        return sum(c * v for (c, _), v in zip(combo, values))
 
     def fn(u):
-        return _combine((c, g(u)) for c, g in parts)
+        return make(*(g(u) for g in bases))
 
-    _PARTS[fn] = parts
+    _NEEDS[fn] = {**{b: (b, (_U,)) for b in bases}, fn: (make, bases)}
     return fn
 
 
@@ -294,7 +289,7 @@ def _build(tag: str, s: float | None, negative: bool = False) -> GeneratingFunct
         fn = _FAMILY_FNS[tag](s)
         _LIBM_FORMS[fn] = _FAMILY_FNS[tag](s, _float_pow)
         if tag == "xi":
-            _XI_FORMS.add(fn)
+            _NEEDS[fn] = {_xi_terms: (_xi_terms, (_U,)), fn: (fn, (_U, _xi_terms))}
     return GeneratingFunction(key=f"{tag}:{s!r}", fn=fn, f_infinity=_FAMILY_F_INF[tag](s))
 
 
@@ -396,16 +391,16 @@ def star_extended(g: GeneratingFunction, x):
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise DomainError("star transform requires 0 < x < 1")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return next(_star_rows((g,), arr))
+        return next(_star_rows(_plan((g,)), arr))
 
 
-def _star_rows(gens, a: np.ndarray):
-    """Yield star_extended(g, a) for each g of gens, unchecked and with no
-    errstate of its own: f_inf at the endpoints of [0, 1], and inside the
-    cell terms at (1 - a, a) of one _cell_rows pass."""
+def _star_rows(plan: dict, a: np.ndarray):
+    """Yield star_extended(g, a) for the g of each row of a _plan, unchecked
+    and with no errstate of its own: f_inf (g's, and so its fn's) at the
+    ends of [0, 1], and inside the cell terms at (1 - a, a) of one pass."""
     inner = (a != 0.0) & (a != 1.0)
     x = a[inner]
-    for g, cells in zip(gens, _cell_rows(1.0 - x, x, gens)):
+    for (g, _, _), cells in zip(plan.values(), _cell_rows(1.0 - x, x, plan)):
         row = np.full(a.shape, g.f_infinity)
         row[inner] = cells
         yield row
@@ -463,35 +458,47 @@ def _csiszar_term(p: np.ndarray, q: np.ndarray, fn: Callable):
     return _mirrored(q * np.asarray(fn(p / q), dtype=float), p, q, fn)
 
 
-def _cell_rows(p: np.ndarray, q: np.ndarray, gens):
-    """Yield the cell terms q f(p/q) of each generator of gens, in order,
-    each with _csiszar_term's bits.  u = p/q is made once, and so is f(u)
-    of each distinct fn (a difference's bases too), kept only while a later
-    row reads it; the xi orders share u + 1's terms until the last of them."""
-    reads = [(*(base for _, base in _PARTS.get(g.fn, ())), g.fn) for g in gens]
-    last = {fn: i for i, fns in enumerate(reads) for fn in fns}  # the last row reading fn
-    last_xi = max((i for i, g in enumerate(gens) if g.fn in _XI_FORMS), default=None)
-    u = p / q
-    made = {}
-    shared = []
-    for i, (g, fns) in enumerate(zip(gens, reads)):
-        for fn in fns:
-            if fn in made:
-                continue
-            if fn in _PARTS:
-                made[fn] = _combine((c, made[base]) for c, base in _PARTS[fn])
-            elif fn in _XI_FORMS:
-                made[fn] = fn(u, shared)
-            else:
-                made[fn] = fn(u)
-        if i == last_xi:
-            shared.clear()
+def _distinct(gens) -> dict:
+    """A generator of each distinct fn of gens (they share f_infinity), by fn."""
+    return {g.fn: g for g in gens}
+
+
+def _plan(gens) -> dict:
+    """The plan of one _cell_rows pass over gens: (g, steps, drops) by each
+    distinct fn.  steps are the values to make before fn's row, each
+    (value, make, reads) made as make(*reads' values): fn(u), or as _NEEDS
+    lists for a difference and an xi order; drops, those no later row reads."""
+    distinct = _distinct(gens)
+    needs = [_NEEDS.get(fn, {fn: (fn, (_U,))}) for fn in distinct]
+    last = {value: i for i, row in enumerate(needs) for value in row}  # its last reader
+    plan, made = {}, set()
+    for i, ((fn, g), row) in enumerate(zip(distinct.items(), needs)):
+        steps = tuple((value, *row[value]) for value in row if value not in made)
+        made.update(row)
+        plan[fn] = g, steps, tuple(value for value in row if last[value] == i)
+    return plan
+
+
+def _cell_rows(p: np.ndarray, q: np.ndarray, plan: dict):
+    """Yield the cell terms q f(p/q) of each row of a _plan, in order, each
+    with _csiszar_term's bits: u = p/q is made once, and each value once,
+    kept only while a later row reads it."""
+    made = {_U: p / q}
+    for g, steps, drops in plan.values():
+        for value, make, reads in steps:
+            made[value] = make(*[made[r] for r in reads])
         row = _mirrored(q * made[g.fn], p, q, g.fn)
-        for fn in fns:
-            if last[fn] == i:
-                del made[fn]
+        for value in drops:
+            del made[value]
         yield row
         del row  # let go before the next row is made
+
+
+def _plan_sums(reduce: Callable, term: Callable, p, q, gens) -> dict:
+    """reduce(term, p, q, _plan(gens)) by key: each key reads its fn's row."""
+    plan = _plan(gens)
+    rows = dict(zip(plan, reduce(term, p, q, plan)))
+    return {g.key: rows[g.fn] for g in gens}
 
 
 def csiszar_rows(g: GeneratingFunction, p: np.ndarray, q: np.ndarray):
@@ -520,8 +527,9 @@ CATALOG_KEYS = tuple(
 _TABLE = {m.label(): generator(m) for m in CATALOG_KEYS}
 
 
-def _table_sums(p: np.ndarray, q: np.ndarray) -> dict:
-    return dict(zip(_TABLE, row_sum(_cell_rows, p, q, _TABLE.values()).tolist()))
+def _table_sums(p: np.ndarray, q: np.ndarray, reduce: Callable) -> dict:
+    """The catalog table by key, in CATALOG_KEYS order: one cell pass."""
+    return _plan_sums(reduce, _cell_rows, p, q, tuple(_TABLE.values()))
 
 
 def csiszar_sum(
@@ -532,10 +540,8 @@ def csiszar_sum(
     The live cells, where both masses are positive, are summed as
     csiszar_rows sums them, bit for bit.  On a validated pair (probs
     read-only and owning their data) the first call for any catalog
-    generator (CATALOG_KEYS) sums all 19 in one pass, whose rows are the
-    catalog in CATALOG_KEYS order: it makes p/q and each generator the
-    differences combine once per cell, and keeps the 19 numbers for later
-    calls on the same two objects.
+    generator (CATALOG_KEYS) sums all 19 in one pass, a row per distinct
+    function, and keeps them for later calls on the same two objects.
     """
     require_same_alphabet(P, Q)
     p, q = P.probs, Q.probs
@@ -545,7 +551,8 @@ def csiszar_sum(
         live = None if live.all() else live
     lp, lq = (p, q) if live is None else (p[live], q[live])
     if _TABLE.get(g.key) == g and _frozen(p) and _frozen(q):
-        total = _pair_sums(P, Q).kept("csiszar", partial(_table_sums, lp, lq))[g.key]
+        table = _pair_sums(P, Q).kept("csiszar", partial(_table_sums, lp, lq, row_sum))
+        total = float(table[g.key])
     else:
         total = float(csiszar_rows(g, lp, lq))
     if live is None:

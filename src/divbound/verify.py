@@ -27,9 +27,9 @@ size n (problem size k for the bound suites) into C-contiguous (m, n)
 slabs by ascending n, in trial order within a slab (kernel.FlatRows).
 Every elementwise step (softmax, the measure, Csiszar-sum and posterior
 terms) runs over the whole buffer, in chunks of rows; only the row sums
-run per slab.  The softmax rows are valid distributions by construction;
-each block is checked once for that, and a failure is an internal error,
-not a validation error.
+run per slab, one per distinct generator function in the Csiszar and
+posterior passes.  The softmax rows are valid by construction; each block
+is checked once for that, and a failure is an internal error.
 The sandwich suite then takes each bound of the block as one array
 (bounds.report_rows, which bisects a lower bound for all of the block's
 problems at once) and reduces the (problem, bound) slacks; the
@@ -80,7 +80,7 @@ from .distributions import (
     validate,
 )
 from .generators import CATALOG_KEYS, STAR_SYM_TOL, generator, star, star_symmetry_defect
-from .generators import _TABLE, _cell_rows
+from .generators import _table_sums
 from .kernel import ArgumentError, FlatRows, usable_cpus
 from .measures import CHAIN_LABELS, BaseSums, _chain_report, chain_slack, worst_of
 
@@ -408,10 +408,9 @@ def _chain_suite(
 def _csiszar_values(block: _Block) -> Tuple[np.ndarray, np.ndarray]:
     """(direct, summed): each pair's CATALOG_KEYS measures, directly and as
     Csiszar sums, in trial order, read as a validated pair's are: one pass
-    of the seven base sums, and one table pass (csiszar_sum), whose rows
-    are the keys in order."""
+    of the seven base sums, and one table pass (csiszar_sum)."""
     direct = np.stack(block.base_sums().measures(CATALOG_KEYS), axis=-1)
-    summed = block.rows.row_sum(_cell_rows, block.first, block.second, _TABLE.values()).T
+    summed = np.stack([*_table_sums(block.first, block.second, block.rows.row_sum).values()], -1)
     return block.in_trial_order(direct), block.in_trial_order(summed)
 
 

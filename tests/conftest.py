@@ -74,19 +74,31 @@ def passes(monkeypatch):
     return made
 
 
+@pytest.fixture
+def plans(monkeypatch):
+    """The generator lists that cell-pass plans (generators._plan) are made
+    for while the test runs, in order."""
+    from divbound import generators
+
+    made, plan = [], generators._plan
+    monkeypatch.setattr(generators, "_plan", lambda gens: made.append(gens) or plan(gens))
+    return made
+
+
 def catalog_passes():
     """The passes that one pair, or one block of pairs, makes for its two
     chains, its catalog measures and its catalog Csiszar sums: one for the
     seven base sums, one for the six family members of the catalog (each at
-    a regular order) and one for the Csiszar table."""
-    from divbound.generators import CATALOG_KEYS
+    a regular order) and one for the Csiszar table, which sums one row per
+    distinct generator function."""
+    from divbound.generators import CATALOG_KEYS, generator
     from divbound.measures import BASE_TAGS
 
     families = [key for key in CATALOG_KEYS if key.s is not None]
     return [
         ("measures", len(BASE_TAGS)),
         ("measures", len(families)),
-        ("generators", len(CATALOG_KEYS)),
+        ("generators", len({generator(key).fn for key in CATALOG_KEYS})),
     ]
 
 
@@ -126,11 +138,12 @@ def assert_one_pass_is_each_own(px, a2, gens, reduce):
 
 
 def _counted_generators(mp, keys, cells):
-    """(generators, calls, shared, seen): the generators of keys, made by a
-    fresh _build cache whose base and family bodies are wrapped to count
-    their calls on `cells` points (not a mirrored call on fewer) by name (a
-    base's tag, a family member's key) in `calls`, to collect in `shared`
-    each list of shared terms handed to an xi form, and in `seen` a weak
+    """(generators, calls, made, seen): the generators of keys, made by a
+    fresh _build cache whose base and family bodies and _xi_terms are
+    wrapped to count their calls on `cells` points (not a mirrored call on
+    fewer) by name (a base's tag, a family member's key, "xi-terms") in
+    `calls`, to record in `made` (name, a weak reference to the value, or
+    to its first array) of each value they return, and in `seen` a weak
     reference to each array they are called on.  Each wrapper's name is
     its .name; the process's own cache is untouched."""
     import collections
@@ -141,14 +154,15 @@ def _counted_generators(mp, keys, cells):
     from divbound import generators
     from divbound.measures import MeasureId
 
-    calls, shared, seen = collections.Counter(), [], []
+    calls, made, seen = collections.Counter(), [], []
 
     def counting(fn, name):
-        def counted(u, *share):
+        def counted(u, *terms):
             calls[name] += np.size(u) == cells
-            shared.extend(share)
             seen.append(weakref.ref(u))
-            return fn(u, *share)
+            out = fn(u, *terms)
+            made.append((name, weakref.ref(out[0] if isinstance(out, tuple) else out)))
+            return out
 
         counted.name = name
         return counted
@@ -159,42 +173,54 @@ def _counted_generators(mp, keys, cells):
     bases = {tag: (counting(fn, tag), f_inf) for tag, (fn, f_inf) in generators._BASE_SPECS.items()}
     mp.setattr(generators, "_BASE_SPECS", bases)
     mp.setattr(generators, "_FAMILY_FNS", {t: family(t, m) for t, m in generators._FAMILY_FNS.items()})
+    mp.setattr(generators, "_xi_terms", counting(generators._xi_terms, "xi-terms"))
     mp.setattr(generators, "_build", functools.lru_cache(maxsize=None)(generators._build.__wrapped__))
-    return [generators.generator(MeasureId.parse(key)) for key in keys], calls, shared, seen
+    return [generators.generator(MeasureId.parse(key)) for key in keys], calls, made, seen
+
+
+def _names_read(g) -> set:
+    """The names of the counted values a row of g's function reads: a
+    difference its two bases, a regular xi order itself and the xi terms,
+    any other generator its own function."""
+    from divbound.measures import _DIFF_COMBOS
+
+    if g.key in _DIFF_COMBOS:
+        return {tag for _, tag in _DIFF_COMBOS[g.key]}
+    return {g.fn.name, "xi-terms"} if g.fn.name.startswith("xi:") else {g.fn.name}
 
 
 def assert_cell_rows_are_each_own(p, q, gens):
-    """One generators._cell_rows pass over gens on one leaf of cells: each
-    row is _csiszar_term of its generator alone, bit for bit; the pass
-    evaluates each distinct function once on the cells (a difference's
-    bases included, counted through wrapped base and family bodies; a
-    mirrored cell is evaluated again); and once the pass is done, the list
-    of terms the xi orders share is empty and, with no garbage collection,
-    every array it evaluated a function on is freed."""
+    """One generators._cell_rows pass over the _plan of gens on one leaf of
+    cells: it yields one row per distinct function, and each generator's
+    row is its own _csiszar_term, bit for bit; the pass evaluates each
+    value once on the cells (a difference's bases and the xi terms
+    included, counted through wrapped bodies; a mirrored cell is evaluated
+    again); at each row it holds only values a later row reads; and once
+    it is done, with no garbage collection, every array it evaluated a
+    function on or made is freed."""
     import gc
 
     from divbound import generators
-    from divbound.measures import _DIFF_COMBOS
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for g, row in zip(gens, generators._cell_rows(p, q, gens), strict=True):
-            assert row.tobytes() == generators._csiszar_term(p, q, g.fn).tobytes(), g.key
+        plan = generators._plan(gens)
+        rows = dict(zip(plan, generators._cell_rows(p, q, plan), strict=True))
+        assert list(rows) == list(dict.fromkeys(g.fn for g in gens))
+        for g in gens:
+            assert rows[g.fn].tobytes() == generators._csiszar_term(p, q, g.fn).tobytes(), g.key
         with pytest.MonkeyPatch.context() as mp:
-            counted, calls, shared, seen = _counted_generators(mp, [g.key for g in gens], p.size)
+            counted, calls, made, seen = _counted_generators(mp, [g.key for g in gens], p.size)
+            reads = [_names_read(g) for g in generators._distinct(counted).values()]
             gc.disable()
             try:
-                assert sum(1 for _ in generators._cell_rows(p, q, counted)) == len(gens)
+                for i, _ in enumerate(generators._cell_rows(p, q, generators._plan(counted))):
+                    held = {name for name, ref in made if ref() is not None}
+                    assert held <= set().union(*reads[i + 1 :]), (i, held)
+                assert i + 1 == len(reads)
             finally:
                 gc.enable()
-            bases = {tag: fn for tag, (fn, _) in generators._BASE_SPECS.items()}
-    names = {
-        fn.name
-        for g in counted
-        for fn in ([bases[t] for _, t in _DIFF_COMBOS[g.key]] if g.key in _DIFF_COMBOS else [g.fn])
-    }
-    assert calls == dict.fromkeys(names, 1)
-    assert not any(shared)
-    assert seen and not any(ref() is not None for ref in seen)
+    assert calls == dict.fromkeys(set().union(*reads), 1)
+    assert seen and made and not any(ref() is not None for ref in seen + [ref for _, ref in made])
 
 
 @pytest.fixture

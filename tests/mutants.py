@@ -56,6 +56,8 @@ SIZES = "tests/test_verify.py::test_sizes_are_numpys_integers"
 ABANDONED = "tests/test_verify.py::test_an_abandoned_corpus_leaves_the_per_trial_state"
 ONE_PASS = "tests/test_bounds.py::TestOneAveragingPass::"
 ONE_FN = "tests/test_generators.py::TestOneFunctionRule::"
+ONE_PLAN = "tests/test_generators.py::TestOnePlanPerPass::"
+ROW_PER_FN = "tests/test_bounds.py::TestBoundReport::"
 
 MUTANTS = {
     # the family pass (measures._family_rows, BaseSums._families)
@@ -161,9 +163,10 @@ MUTANTS = {
         "    fn = g.fn\n",
         ("tests/test_bounds.py::TestLockstepLowerBounds::test_evaluator_is_the_float_path",),
     ),
-    # the one cell pass (generators._cell_rows) and the one function rule
-    # (generators._build), the averaging pass round it (_star_rows) and the
-    # grid's two stages (bounds.family_grid_bounds)
+    # the one cell pass (generators._cell_rows) and its plan (_plan, made
+    # by distinct fn, and _plan_sums, which maps each key to its row), the
+    # one function rule (generators._build), the averaging pass round it
+    # (_star_rows) and the grid's two stages (bounds.family_grid_bounds)
     "twin-fn-without-the-zeta-twin-check": Mutant(
         GENERATORS,
         'elif tag == "zeta" and (t := _zeta_twin(s)) is not None and t < s:',
@@ -172,23 +175,44 @@ MUTANTS = {
     ),
     "cell-rows-difference-reads-the-wrong-base": Mutant(
         GENERATORS,
-        "made[fn] = _combine((c, made[base]) for c, base in _PARTS[fn])",
-        "made[fn] = _combine((c, made[_PARTS[fn][0][1]]) for c, base in _PARTS[fn])",
+        "fn: (make, bases)}",
+        "fn: (make, (bases[0],) * 2)}",
         (ONE_FN + "test_each_row_is_its_generators_own",
          ONE_PASS + "test_endpoint_and_near_endpoint_posteriors"),
     ),
     "cell-rows-xi-terms-kept-after-the-last-order": Mutant(
         GENERATORS,
-        "        if i == last_xi:\n            shared.clear()\n",
-        "",
+        "tuple(value for value in row if last[value] == i)",
+        "tuple(value for value in row if last[value] == i and value is not _xi_terms)",
+        (ONE_FN + "test_each_row_is_its_generators_own",
+         ONE_PASS + "test_endpoint_and_near_endpoint_posteriors"),
+    ),
+    "cell-rows-xi-terms-dropped-before-the-last-order": Mutant(
+        GENERATORS,
+        "tuple(value for value in row if last[value] == i)",
+        "tuple(value for value in row if last[value] == i or value is _xi_terms)",
         (ONE_FN + "test_each_row_is_its_generators_own",
          ONE_PASS + "test_endpoint_and_near_endpoint_posteriors"),
     ),
     "xi-shared-terms-from-the-wrong-slot": Mutant(
         GENERATORS,
-        "            w, uw, hv = shared\n",
-        "            hv, uw, w = shared\n",
+        "w, uw, hv = _xi_terms(u) if terms is None else terms\n",
+        "w, uw, hv = _xi_terms(u) if terms is None else terms[::-1]\n",
         (ONE_FN + "test_each_row_is_its_generators_own",),
+    ),
+    "plan-key-reads-its-neighbours-row": Mutant(
+        GENERATORS,
+        "rows = dict(zip(plan, reduce(term, p, q, plan)))",
+        "rows = dict(zip(plan, np.roll(reduce(term, p, q, plan), 1, axis=0)))",
+        (ONE_PLAN + "test_the_table_sums_18_rows_for_19_keys",
+         ROW_PER_FN + "test_stage_1_sums_one_row_per_function"),
+    ),
+    "plan-keyed-by-generator-key": Mutant(
+        GENERATORS,
+        "    return {g.fn: g for g in gens}\n",
+        "    return {g.key: g for g in gens}\n",
+        (ONE_PLAN + "test_the_table_sums_18_rows_for_19_keys",
+         ROW_PER_FN + "test_stage_1_sums_one_row_per_function"),
     ),
     "cell-rows-unmirrored": Mutant(
         GENERATORS,

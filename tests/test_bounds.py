@@ -880,6 +880,30 @@ class TestBoundReport:
         assert len(keys) == len(set(keys)) == 14
 
     @pytest.mark.parametrize(
+        "grid, rows, keys, bisections",
+        [
+            (DEFAULT_S_GRID, 13, 14, 7),
+            (parse_s_grid("-1:2:7"), 17, 20, 11),
+            ((0.0, -0.0, 0.5, 0.5), 10, 12, 4),
+        ],
+        ids=["default", "-1:2:7", "both-zeros-and-a-duplicate"],
+    )
+    def test_stage_1_sums_one_row_per_function(
+        self, monkeypatch, passes, plans, grid, rows, keys, bisections
+    ):
+        # zeta's twins and zeros, and a limit order and its base, share one
+        # row of stage 1 and one bisection of stage 2
+        problem = TwoClassProblem.from_arrays((0.3, 0.7), [0.2, 0.5, 0.3], [0.6, 0.1, 0.3])
+        own, made = bounds_mod.lower_bounds, []
+        monkeypatch.setattr(bounds_mod, "lower_bounds", lambda g, v: made.append(g.fn) or own(g, v))
+        report = bound_report(problem, grid)
+        assert len(report_generators(grid)) == keys and len(made) == len(set(made)) == bisections
+        assert ("bounds", rows) in passes and len(plans) == 1
+        alone = {g.key: average_f_divergence(problem, g) for g in report_generators(grid)}
+        assert problem_averages(problem, report_generators(grid)) == alone
+        assert repr(report) == repr(bound_report(problem, grid))
+
+    @pytest.mark.parametrize(
         "grid, bisections",
         [(DEFAULT_S_GRID, 7), (parse_s_grid("-1:2:7"), 11), ((0.0, -0.0, -1.0, 2.0), 5)],
         ids=["default", "-1:2:7", "both-zeros-and-twins"],
@@ -997,6 +1021,13 @@ class TestOneAveragingPass:
         block = np.vstack([px, px[::-1]]), np.vstack([a2, a2[::-1]])
         assert_one_pass_is_each_own(*block, self.gens, kernel.row_sum)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_plan_for_a_pass_of_2_20_cells(self, monkeypatch, plans, cpus):
+        set_cpus(monkeypatch, cpus)
+        px, a2 = _edge_posteriors(np.random.default_rng(cpus), 2**20)
+        posterior_averages(px, a2, self.gens)
+        assert plans == [self.gens]
+
     def test_flat_rows(self, monkeypatch):
         # slabs of short rows, and a slab past SUM_LEAF summed through row_sum
         set_cpus(monkeypatch, 2)
@@ -1006,8 +1037,9 @@ class TestOneAveragingPass:
         assert_one_pass_is_each_own(px, a2, self.gens, layout.row_sum)
 
     def test_one_pass_for_all_the_generators(self, passes, flip_problem):
+        # one row per distinct function: each zero and each twin pair is one
         problem_averages(flip_problem, self.gens)
-        assert passes == [("bounds", len(self.gens))]
+        assert passes == [("bounds", len(self.gens) - 4)]
 
 
 class TestFamilyGridBounds:

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle_reference as oracle
-from conftest import assert_cell_rows_are_each_own, make_pair
+from conftest import assert_cell_rows_are_each_own, make_pair, set_cpus
 from divbound import generators
+from divbound.bounds import DEFAULT_S_GRID, report_generators
 from divbound.distributions import PERMISSIVE, validate
+from divbound.formats import parse_s_grid
 from divbound.generators import (
     CATALOG_KEYS,
     GeneratingFunction,
@@ -211,6 +213,42 @@ class TestOneFunctionRule:
         # a ratio that overflows, one whose f overflows, and both ways round
         p[:4], q[:4] = [0.5, 0.5, 1e-310, 1e-300], [1e-310, 1e-300, 0.5, 0.5]
         assert_cell_rows_are_each_own(p, q, [generator(key) for key in keys])
+
+    @pytest.mark.parametrize(
+        "grid",
+        [DEFAULT_S_GRID, parse_s_grid("-1:2:7"), parse_s_grid("-1:0.9:20"),
+         (0.0, -0.0, 0.5, 0.5, 1.5, -0.5, 1e155, -1030.0)],
+        ids=["default", "-1:2:7", "-1:0.9:20", "zeros-twins-and-extremes"],
+    )
+    def test_generators_that_share_fn_share_f_infinity(self, grid):
+        # a pass fills one endpoint value per function (generators._star_rows)
+        by_fn = {}
+        for g in (*(generator(key) for key in CATALOG_KEYS), *report_generators(grid)):
+            by_fn.setdefault(g.fn, set()).add(g.f_infinity)
+        assert all(len(f_infs) == 1 for f_infs in by_fn.values())
+        assert len(by_fn) < len(CATALOG_KEYS) + len(report_generators(grid))
+
+
+class TestOnePlanPerPass:
+    """A Csiszar cell pass sums one row per distinct generator function, and
+    its plan is made once per row_sum call, however many leaves it has."""
+
+    def test_the_table_sums_18_rows_for_19_keys(self, passes, plans):
+        P, Q = make_pair(np.random.default_rng(19), 40)
+        g = generator("D_hI")
+        assert csiszar_sum(g, P, Q) == generators.csiszar_rows(g, P.probs, Q.probs)
+        assert len(CATALOG_KEYS) == 19 and passes[0] == ("generators", 18)
+        assert len(plans) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_plan_past_a_leaf(self, monkeypatch, plans, cpus):
+        set_cpus(monkeypatch, cpus)
+        P, Q = make_pair(np.random.default_rng(cpus), 2**20)
+        sums = generators._table_sums(P.probs, Q.probs, generators.row_sum)
+        assert len(plans) == 1 and list(sums) == [key.label() for key in CATALOG_KEYS]
+        for key in ("D_IDelta", "xi:-1.0", "zeta:2.0"):
+            g = generator(key)
+            assert sums[key] == generators.csiszar_rows(g, P.probs, Q.probs), key
 
 
 class TestXiGeneratorOverflow:

@@ -108,8 +108,8 @@ def test_the_guard_sees_dead_code():
 def test_csiszar_cell_terms_are_made_in_one_pass():
     """Cell terms are made by generators._csiszar_term for one generator and
     generators._cell_rows for several: every multi-generator Csiszar loop
-    is the one pass, and the key lists that once steered a loop of the
-    catalog table's own are gone."""
+    is the one pass, and the key lists and marks that once steered a loop
+    of the catalog table's own or the xi orders' shared terms are gone."""
     makers = {
         node.name
         for path in MODULES
@@ -122,4 +122,4 @@ def test_csiszar_cell_terms_are_made_in_one_pass():
     }
     assert makers == {"_csiszar_term", "_cell_rows"}
     defined = set().union(*(_private_definitions(_tree(path)) for path in MODULES))
-    assert not defined & {"_TWINS", "_XI_KEYS", "_COMBINED", "_table_rows"}
+    assert not defined & {"_TWINS", "_XI_KEYS", "_COMBINED", "_table_rows", "_XI_FORMS", "_PARTS"}

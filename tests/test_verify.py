@@ -10,7 +10,7 @@ import pytest
 
 from conftest import assert_one_pass_is_each_own, catalog_passes, column_entries, make_pair, set_cpus
 from divbound import cli, verify
-from divbound import bounds, kernel, measures
+from divbound import bounds, generators, kernel, measures
 from divbound.bounds import (
     DEFAULT_S_GRID,
     TwoClassProblem,
@@ -354,6 +354,21 @@ def test_a_blocks_averages_are_each_generators_own_pass():
     assert trials == 300
 
 
+def test_one_plan_per_pass_of_a_multi_chunk_block(plans, passes):
+    # a block of several FlatRows chunks: one plan and one row per distinct
+    # function for the table (18 for 19 keys) and for stage 1 (13 for 14)
+    gens = report_generators(DEFAULT_S_GRID)
+    block = next(verify._blocks(verify.BLOCK_CELLS // 64, np.random.default_rng(4), 64))
+    assert len(block.rows._chunks) > 1
+    _, summed = verify._csiszar_values(block)
+    assert summed.shape == (len(block), 19) and passes[-1] == ("generators", 18)
+    block = next(_problem_blocks(10_000, np.random.default_rng(4)))
+    assert len(block.rows._chunks) > 1
+    _stage_one(block, gens)
+    assert passes[-1] == ("bounds", 13) and len(gens) == 14
+    assert [len(made) for made in plans] == [19, 14]
+
+
 def test_an_abandoned_corpus_leaves_the_per_trial_state(monkeypatch):
     # a corpus closed after its first block leaves its generator where the
     # block's per-trial draws leave theirs, the kept half of a word included
@@ -608,17 +623,17 @@ def test_star_suite_fails_on_a_nan_symmetry_defect(monkeypatch):
 
 
 def test_csiszar_suite_fails_on_a_nan_row(monkeypatch):
-    # the first cell of the table pass's first row, so one Csiszar sum is nan
-    cell_rows, made = verify._cell_rows, []
+    # the first cell of the table pass's first row (Delta's): one Csiszar sum is nan
+    cell_rows, made = generators._cell_rows, []
 
-    def patched(p, q, gens):
-        for row in cell_rows(p, q, gens):
+    def patched(p, q, plan):
+        for row in cell_rows(p, q, plan):
             if not made:
                 row.flat[0] = math.nan
             made.append(row.shape)
             yield row
 
-    monkeypatch.setattr(verify, "_cell_rows", patched)
+    monkeypatch.setattr(generators, "_cell_rows", patched)
     _assert_one_nan_failure(verify._csiszar_suite(20, np.random.default_rng(1), 8))
     assert made
 
